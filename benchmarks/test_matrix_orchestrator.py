@@ -4,7 +4,7 @@ Runs 8 registered scenarios (plus one cluster cell) twice — solo
 (the exact ``repro run`` code path, timed as the serial reference) and
 as one ``--jobs 4`` process-parallel matrix — asserts every cell's
 :class:`RunReport` is bit-identical between the two, and records the
-measured wall-clock cut in ``BENCH_simcore.json``'s notes.
+measured wall-clock cut in the fresh ``BENCH_simcore.json``'s notes.
 
 On a single-core container the parallel matrix cannot beat the serial
 loop (the recorded note keeps the CPU count next to the ratio for
@@ -14,12 +14,11 @@ the cells are embarrassingly parallel.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
-from benchmarks.conftest import emit
-from benchmarks.test_perf_simcore import BENCH_PATH
+from benchmarks.conftest import emit, latest_artifact, write_fresh_artifact
+from benchmarks.test_perf_simcore import BENCH_NAME
 from repro.orchestration import MatrixCell, run_matrix
 from repro.orchestration.executor import _execute_cell
 from repro.serving.metrics import report_fingerprint as _fingerprint
@@ -68,7 +67,7 @@ def test_matrix_orchestrator_parity_and_wall(benchmark):
 
     speedup = serial_s / parallel_s if parallel_s > 0 else float("nan")
     cpus = os.cpu_count() or 1
-    payload = json.loads(BENCH_PATH.read_text())
+    payload = latest_artifact(BENCH_NAME)
     notes = payload.setdefault("notes", {})
     notes["matrix"] = {
         "cells": len(cells),
@@ -83,7 +82,7 @@ def test_matrix_orchestrator_parity_and_wall(benchmark):
             "bounded by fork/pickle overhead)"
         ),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    fresh = write_fresh_artifact(BENCH_NAME, payload)
 
     emit(
         f"matrix orchestrator · {len(cells)} cells · jobs={JOBS} on "
@@ -91,5 +90,5 @@ def test_matrix_orchestrator_parity_and_wall(benchmark):
         f"  serial   {serial_s:.2f} s\n"
         f"  parallel {parallel_s:.2f} s  ({speedup:.2f}x)\n"
         f"  parity   all cells bit-identical to solo runs\n"
-        f"  artifact -> {BENCH_PATH.name} (notes.matrix)"
+        f"  artifact -> {fresh} (notes.matrix)"
     )

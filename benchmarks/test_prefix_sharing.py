@@ -13,10 +13,12 @@ under the ``naive`` allocator on the identical workload, asserting
   the RAG scenario exercises copy-on-write forks, so both sharing
   mechanisms are demonstrably live, and
 * **parity of demand** — the naive run on the same workload allocates
-  strictly more fresh blocks than the prefix run.
+  strictly more fresh blocks than the prefix run, and
+* **no drift** — every deterministic counter equals the committed
+  ``benchmarks/BENCH_prefix.json``.
 
-Emits ``benchmarks/BENCH_prefix.json`` recording the counters and the
-naive-vs-prefix allocation deltas.
+Writes a fresh ``BENCH_prefix.json`` under ``.repro-cache/bench/``
+recording the counters and the naive-vs-prefix allocation deltas.
 
 Run just this harness with::
 
@@ -25,10 +27,7 @@ Run just this harness with::
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
-from benchmarks.conftest import emit
+from benchmarks.conftest import committed_artifact, emit, write_fresh_artifact
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import get_scenario
 
@@ -38,7 +37,7 @@ MIN_SAVINGS = 0.30
 
 SCENARIOS = ("prefix-heavy-agents", "rag-replay")
 
-BENCH_PATH = Path(__file__).resolve().parent / "BENCH_prefix.json"
+BENCH_NAME = "BENCH_prefix.json"
 
 COUNTER_KEYS = (
     "prefix_lookups", "prefix_hits", "prefix_shared_blocks",
@@ -89,7 +88,7 @@ def test_prefix_sharing_savings():
             "workload with kv_allocator=naive"
         ),
     }
-    BENCH_PATH.write_text(json.dumps(payload, indent=2) + "\n")
+    fresh = write_fresh_artifact(BENCH_NAME, payload)
 
     lines = [f"prefix sharing — scale={SCALE} seed={SEED}"]
     for row in rows:
@@ -103,8 +102,16 @@ def test_prefix_sharing_savings():
             f"forks={counters['cow_forks']} "
             f"evictions={counters['prefix_evictions']}"
         )
-    lines.append(f"  artifact -> {BENCH_PATH.name}")
+    lines.append(f"  artifact -> {fresh}")
     emit("\n".join(lines))
+
+    # The simulation is deterministic: the committed rows are exact.
+    committed = committed_artifact(BENCH_NAME)
+    assert committed["workload"] == payload["workload"]
+    assert committed["scenarios"] == rows, (
+        f"prefix-sharing counters drifted from benchmarks/{BENCH_NAME}; "
+        f"if intended, copy {fresh} over it"
+    )
 
     for row in rows:
         assert row["savings"] >= MIN_SAVINGS, (

@@ -17,6 +17,10 @@
 # runners cannot fail a bit-identical build (the deterministic
 # call-count gate still protects perf regressions).
 #
+# Either lane fails if it changed `git status --porcelain`: running the
+# suite must never rewrite tracked files or leave untracked output
+# behind (bench artifacts go to the git-ignored .repro-cache/bench/).
+#
 # Run directly or via `repro selftest [--fast]`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +35,9 @@ done
 
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 export REPRO_PERF_NO_WALL_GATE=1
+
+tree_state() { git status --porcelain 2>/dev/null || true; }
+tree_before="$(tree_state)"
 
 # Capture pytest's status explicitly and exit with it: `set -e` must
 # not be able to swallow or reinterpret the suite's result, no matter
@@ -70,5 +77,11 @@ fi
 if [[ "$rc" -ne 0 ]]; then
   echo "== CI lane FAILED (pytest exit $rc) =="
   exit "$rc"
+fi
+tree_after="$(tree_state)"
+if [[ "$tree_after" != "$tree_before" ]]; then
+  echo "== CI lane FAILED: the run changed the working tree =="
+  diff <(echo "$tree_before") <(echo "$tree_after") || true
+  exit 1
 fi
 echo "== CI lane OK =="

@@ -214,8 +214,7 @@ def _render_scenario_report(spec, run, report) -> str:
     headers = RunReport.summary_headers() + ["stall(s)", "preempts"]
     if run.is_cluster:
         shard_note = (
-            f" · {run.target.shards} shards"
-            if getattr(run.target, "shards", 1) > 1 else ""
+            f" · {run.target.shards} shards" if run.target.shards > 1 else ""
         )
         title = (f"{spec.name} · {spec.replicas} replicas{shard_note} · "
                  f"router={run.target.router.name} · seed={spec.seed}")
@@ -270,18 +269,15 @@ def _report_json_payload(spec, run, report) -> dict:
         payload["cluster"] = report_to_dict(
             report.aggregate, include_requests=False
         )
-        if spec.shards > 1:
-            # Sharded-plane coordination accounting: the observable
-            # form of the speculative-dispatch win (rounds collapse,
-            # hits climb) rather than something to infer from wall
-            # clocks.
-            payload["scenario"]["speculation"] = spec.speculation
-            payload["coordination"] = {
-                "coordination_rounds": report.coordination_rounds,
-                "messages_sent": report.messages_sent,
-                "speculation_hits": report.speculation_hits,
-                "speculation_misses": report.speculation_misses,
-            }
+        # Coordination accounting: where the rounds went and how many
+        # stateful dispatches the snapshot mirror resolved without one,
+        # rather than something to infer from wall clocks.
+        payload["coordination"] = {
+            "coordination_rounds": report.coordination_rounds,
+            "messages_sent": report.messages_sent,
+            "speculation_hits": report.speculation_hits,
+            "speculation_misses": report.speculation_misses,
+        }
         payload["placement_counts"] = run.target.placement_counts()
         payload["per_instance"] = [
             report_to_dict(node, include_requests=False)
@@ -302,8 +298,6 @@ def cmd_run(args) -> int:
         overrides["system"] = args.system
     if args.shards is not None:
         overrides["shards"] = args.shards
-    if args.speculation is not None:
-        overrides["speculation"] = args.speculation == "on"
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
     if args.kv_allocator is not None:
@@ -465,15 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--system", default=None,
                        help="override the evaluated system/scheduler")
     run_p.add_argument("--shards", type=int, default=None,
-                       help="shard worker processes for cluster runs "
-                            "(>1 partitions the replicas across shard "
-                            "processes; reports stay bit-identical, "
-                            "1 keeps the single-process path)")
-    run_p.add_argument("--speculation", choices=("on", "off"), default=None,
-                       help="speculative dispatch for sharded cluster "
-                            "runs (default on; 'off' forces a pause "
-                            "round per stateful dispatch — placements "
-                            "and reports are bit-identical either way)")
+                       help="shards for cluster runs (>1 partitions the "
+                            "replicas across shard worker processes, 1 "
+                            "runs inline; reports stay bit-identical)")
     run_p.add_argument("--horizon", type=float, default=None,
                        help="override the simulation safety horizon (s)")
     run_p.add_argument("--kv-allocator", dest="kv_allocator",

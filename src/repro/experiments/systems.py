@@ -53,11 +53,11 @@ class SchedulerRecipe:
     """Picklable scheduler factory for a named system.
 
     Cluster builds need a *factory* (each instance gets its own
-    scheduler), and the sharded cluster needs that factory to cross a
-    process boundary — a closure over the spec cannot.  Calling the
-    recipe is exactly the classic cluster factory: instantiate the
-    system's scheduler and stamp the experiment's system name on it
-    (ablation variants share the TokenFlow scheduler class).
+    scheduler), and the process transport needs that factory to cross
+    a process boundary — a closure over the spec cannot.  Calling the
+    recipe instantiates the system's scheduler and stamps the
+    experiment's system name on it (ablation variants share the
+    TokenFlow scheduler class).
     """
 
     system: str

@@ -14,14 +14,17 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from repro.scenarios.spec import ScenarioSpec
-from repro.serving.cluster import ClusterReport, ServingCluster
+from repro.serving.cluster import ClusterReport
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import RunReport
 from repro.serving.server import ServingSystem
 from repro.workload.request import clone_requests
+
+if TYPE_CHECKING:
+    from repro.serving.shard import ShardedServingCluster
 
 
 @dataclass
@@ -31,7 +34,7 @@ class ScenarioRun:
     Attributes:
         spec: the scenario that produced this run.
         target: the built :class:`ServingSystem` (``replicas == 1``) or
-            :class:`ServingCluster`.
+            :class:`~repro.serving.shard.ShardedServingCluster`.
         requests: the materialised workload (cloned at execute time, so
             one :class:`ScenarioRun` template's requests can seed
             several runs), or ``None`` for stream-native scenarios —
@@ -40,14 +43,12 @@ class ScenarioRun:
     """
 
     spec: ScenarioSpec
-    target: Union[ServingSystem, ServingCluster]
+    target: Union[ServingSystem, "ShardedServingCluster"]
     requests: Optional[list]
 
     @property
     def is_cluster(self) -> bool:
-        from repro.serving.shard import ShardedServingCluster
-
-        return isinstance(self.target, (ServingCluster, ShardedServingCluster))
+        return not isinstance(self.target, ServingSystem)
 
     def execute(self, streamed: Optional[bool] = None) -> Union[RunReport, ClusterReport]:
         """Run the workload, drain the engine, and report.
@@ -115,12 +116,14 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
     """
     # Imported here: repro.experiments.runner (imported by the package
     # __init__) itself routes through this module, and Python cannot
-    # resolve that cycle at import time.
+    # resolve that cycle at import time.  The cluster module pulls in
+    # multiprocessing, which single-node runs never need.
     from repro.experiments.systems import (
         SchedulerRecipe,
         build_system,
         make_kv_config,
     )
+    from repro.serving.shard import ShardedServingCluster
 
     if requests is None and not spec.is_stream_native:
         requests = spec.build_workload()
@@ -158,10 +161,9 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
         for _ in range(spec.replicas)
     ]
 
-    # A picklable factory (not a closure): the sharded cluster ships
-    # it to worker processes, and the classic cluster calls it the
-    # same way — each instance gets a fresh scheduler stamped with the
-    # experiment's system name.
+    # A picklable factory (not a closure): the process transport ships
+    # it to shard workers — each instance gets a fresh scheduler
+    # stamped with the experiment's system name.
     scheduler_factory = SchedulerRecipe(spec.system, spec.tokenflow_params)
 
     # Router names resolve to a fresh instance inside the cluster; a
@@ -169,13 +171,7 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
     # counters, sticky session maps) never leaks between runs of the
     # same spec — repeated builds stay independent and deterministic.
     router = spec.router if isinstance(spec.router, str) else copy.deepcopy(spec.router)
-    if spec.shards > 1:
-        from repro.serving.shard import ShardedServingCluster
-
-        cluster = ShardedServingCluster(
-            configs, scheduler_factory, router=router, shards=spec.shards,
-            speculation=spec.speculation,
-        )
-        return ScenarioRun(spec=spec, target=cluster, requests=requests)
-    cluster = ServingCluster(configs, scheduler_factory, router=router)
+    cluster = ShardedServingCluster(
+        configs, scheduler_factory, router=router, shards=spec.shards
+    )
     return ScenarioRun(spec=spec, target=cluster, requests=requests)

@@ -34,21 +34,15 @@ class ScenarioSpec:
         mem_frac: KV-pool share of device memory (None = derived).
         max_batch: decode batch cap per instance.
         block_size: KV block size in tokens.
-        replicas: number of serving instances; >1 builds a
-            :class:`~repro.serving.cluster.ServingCluster`.
+        replicas: number of serving instances; >1 builds the cluster,
+            :class:`~repro.serving.shard.ShardedServingCluster`.
         router: cluster routing policy name (or Router instance) —
             ignored when ``replicas == 1``.
-        shards: shard worker processes for cluster runs; >1 builds a
-            :class:`~repro.serving.shard.ShardedServingCluster`
-            (bit-identical reports, parallel replica simulation).
-            Clamped to ``replicas``; ignored when ``replicas == 1``.
-        speculation: speculative dispatch in sharded runs (see
-            :class:`~repro.serving.shard.ShardedServingCluster`):
-            trajectory-snapshot mirroring that collapses stateful-router
-            coordination rounds.  ``False`` forces the pause-round
-            protocol on every stateful dispatch (the pre-speculation
-            behaviour); placements and reports are bit-identical either
-            way.  Ignored when ``shards == 1``.
+        shards: how many shards the cluster splits its replicas into;
+            reports are bit-identical for every value.  One shard runs
+            inline in this process; more run as worker processes
+            (parallel replica simulation).  Clamped to ``replicas``;
+            ignored when ``replicas == 1``.
         seed: root RNG seed for the workload.
         scale: workload scale factor (scenario builders shrink crowd
             sizes / horizons proportionally, like the experiments).
@@ -94,7 +88,6 @@ class ScenarioSpec:
     replicas: int = 1
     router: Union[str, Router] = "least_loaded"
     shards: int = 1
-    speculation: bool = True
     seed: int = 0
     scale: float = 1.0
     horizon: float = 50_000.0

@@ -4,11 +4,12 @@
 scheduler (TokenFlow or a baseline), the iteration-level executor, the
 hierarchical KV manager, and per-request client buffers on one
 discrete-event engine, and produces a :class:`~repro.serving.metrics.RunReport`.
-The loop itself is staged (see :mod:`repro.serving.stages`); clusters
-route arrivals across instances via :mod:`repro.serving.routers`.
+The loop itself is staged (see :mod:`repro.serving.stages`); the cluster
+(:mod:`repro.serving.shard`) routes arrivals across instances via
+:mod:`repro.serving.routers`.
 """
 
-from repro.serving.cluster import ClusterReport, ServingCluster
+from repro.serving.cluster import ClusterReport
 from repro.serving.config import ServingConfig
 from repro.serving.export import (
     load_report_json,
@@ -36,7 +37,6 @@ from repro.serving.stages import (
 
 __all__ = [
     "ClusterReport",
-    "ServingCluster",
     "ServingConfig",
     "load_report_json",
     "report_to_dict",

@@ -1,18 +1,18 @@
-"""Multi-instance serving cluster (paper §8, "Scaling TokenFlow").
+"""Cluster-level report (paper §8, "Scaling TokenFlow").
 
 The paper argues TokenFlow's single-node scheduling generalises to
 multi-node serving by adding a dispatch layer above per-node
-schedulers.  This module implements that layer: N independent
-:class:`~repro.serving.server.ServingSystem` instances share one
-discrete-event engine, and a pluggable :class:`~repro.serving.routers.Router`
-places each arriving request on an instance.  Each node then runs its
-own buffer-aware scheduler and hierarchical KV manager exactly as in
-the single-node system.
+schedulers.  That layer is the shard coordinator in
+:mod:`repro.serving.shard`: N independent
+:class:`~repro.serving.server.ServingSystem` instances, split across
+K shards, with a pluggable :class:`~repro.serving.routers.Router`
+placing each arriving request on an instance.  Each node runs its own
+buffer-aware scheduler and hierarchical KV manager exactly as in the
+single-node system.
 
-Routing policies live in :mod:`repro.serving.routers` (``round_robin``,
-``least_loaded``, ``least_queued``, ``buffer_aware``,
-``session_affinity``); cluster-level metrics reuse the single-node
-report aggregation from :func:`repro.serving.metrics.aggregate_reports`.
+This module holds the :class:`ClusterReport` the coordinator returns;
+cluster-level metrics reuse the single-node report aggregation from
+:func:`repro.serving.metrics.aggregate_reports`.
 
 The inter-node KV layer the paper sketches (migrating offloaded
 context between nodes over RDMA) is intentionally out of scope: the
@@ -22,20 +22,10 @@ deployed LLM routers (e.g. Llumnix-style rebalancing is future work).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional
 
-from repro.serving.config import ServingConfig
-from repro.serving.metrics import RunReport, aggregate_reports
-from repro.serving.routers import Router, make_router
-from repro.serving.server import ServingSystem
-from repro.serving.stages import feed_stream_arrivals
-from repro.sim.engine import ScopedEngine, SimEngine
-
-# The pre-router dispatch policies, kept as the stable "core" set
-# (``repro.serving.routers.ROUTERS`` is the full registry).
-DISPATCH_POLICIES = ("round_robin", "least_loaded", "least_queued")
+from repro.serving.metrics import RunReport
 
 
 @dataclass
@@ -57,177 +47,16 @@ class ClusterReport:
     ttft_p99: float = 0.0
     stall_total: float = 0.0
     preemptions: int = 0
-    # Sharded-plane coordination accounting (zero for the classic
-    # shared-engine cluster, which has no coordination to count):
-    # blocking metric-gather rounds, protocol messages, and speculative
-    # dispatch outcomes (see serving/shard.py).  Deliberately excluded
-    # from parity fingerprints — they describe the *execution*, not the
-    # simulated system, and legitimately vary across shard counts.
+    # Coordination accounting (see serving/shard.py): blocking
+    # metric-gather rounds, protocol messages, and stateful dispatches
+    # resolved from the trajectory-snapshot mirror with zero messages
+    # (``speculation_hits``).  ``speculation_misses`` is structurally 0
+    # — the mirror only answers when it is provably exact — and stays
+    # until the benchmark digest stops hashing it.  Deliberately
+    # excluded from parity fingerprints: they describe the *execution*,
+    # not the simulated system, and legitimately vary across shard
+    # counts.
     coordination_rounds: int = 0
     messages_sent: int = 0
     speculation_hits: int = 0
     speculation_misses: int = 0
-
-
-class ServingCluster:
-    """N serving instances + an arrival router on one engine."""
-
-    def __init__(
-        self,
-        configs: Sequence,
-        scheduler_factory: Callable[[], object],
-        dispatch: Union[str, Router] = "least_loaded",
-        engine: Optional[SimEngine] = None,
-        router: Optional[Union[str, Router]] = None,
-    ) -> None:
-        if not configs:
-            raise ValueError("need at least one instance config")
-        # ``router`` is the primary spelling; ``dispatch`` is kept for
-        # the original three-policy API and older call sites.
-        self.router = make_router(router if router is not None else dispatch)
-        self.dispatch = self.router.name
-        self.engine = engine if engine is not None else SimEngine()
-        # Upcoming dispatch instants (arrival times of routed-but-not-
-        # yet-dispatched requests).  Instances see this heap's head as
-        # their *external* decision horizon: an instance's fusion plane
-        # must never advance past the next dispatch, because the router
-        # reads instance state there — but sibling instances' internal
-        # events are NOT horizons, so each instance plans decode
-        # windows against only its own events plus this heap.  That
-        # makes window formation partition-invariant: the same windows
-        # form whether siblings share the process or live in another
-        # shard (serving/shard.py relies on this for bit-identity).
-        self._dispatch_times: list = []
-        self.instances = [
-            ServingSystem(
-                config,
-                scheduler_factory(),
-                engine=ScopedEngine(self.engine, self._next_dispatch_time),
-            )
-            for config in configs
-        ]
-        self.placements: dict = {}   # req_id -> instance index
-        # With streaming telemetry on every instance the per-request
-        # placement map would be the last O(total-requests) structure
-        # left in a soak run; keep only the per-instance counters then.
-        self._retain_placements = any(
-            instance.stream_stats is None for instance in self.instances
-        )
-        self._placement_counts = [0] * len(self.instances)
-        # Requests scheduled for dispatch but not yet routed — counted
-        # so a run truncated at its horizon reports them as unfinished
-        # instead of silently dropping the tail (instances only start
-        # counting a request once it is dispatched to them).
-        self._pending_dispatch = 0
-
-    @classmethod
-    def homogeneous(
-        cls,
-        n_instances: int,
-        scheduler_factory: Callable[[], object],
-        dispatch: Union[str, Router] = "least_loaded",
-        router: Optional[Union[str, Router]] = None,
-        **config_kwargs,
-    ) -> "ServingCluster":
-        """Build ``n_instances`` identical nodes."""
-        if n_instances <= 0:
-            raise ValueError("n_instances must be positive")
-        configs = [ServingConfig(**config_kwargs) for _ in range(n_instances)]
-        return cls(configs, scheduler_factory, dispatch=dispatch, router=router)
-
-    # --- dispatch -------------------------------------------------------------
-    def _next_dispatch_time(self) -> Optional[float]:
-        """Earliest upcoming dispatch instant (instances' external horizon).
-
-        Entries at or before the clock are spent — their dispatch event
-        has already fired this instant (all dispatches at time *t* run
-        before any instance event at *t*, because instance work at a
-        dispatch time is scheduled *by* the dispatch) — so they are
-        lazily dropped here rather than eagerly in :meth:`_dispatch`.
-        """
-        times = self._dispatch_times
-        now = self.engine.now()
-        while times and times[0] <= now:
-            heapq.heappop(times)
-        return times[0] if times else None
-
-    def submit(self, requests: Sequence) -> None:
-        """Register arrivals; each is routed at its arrival time."""
-        for request in requests:
-            if request.arrival_time < self.engine.now():
-                raise ValueError(
-                    f"request {request.req_id} arrives in the past"
-                )
-            self._pending_dispatch += 1
-            heapq.heappush(self._dispatch_times, request.arrival_time)
-            self.engine.call_at(
-                request.arrival_time,
-                lambda r=request: self._dispatch(r),
-                label=f"dispatch:{request.req_id}",
-            )
-
-    def feed(self, stream, lookahead: int = 1) -> None:
-        """Drive cluster arrivals from a lazy workload stream.
-
-        Mirrors :meth:`ServingSystem.feed` through the shared
-        :func:`~repro.serving.stages.feed_stream_arrivals` chain: only
-        ``lookahead`` future requests exist in memory, and router
-        placement happens at pop (arrival) time with the same instance
-        state the materialised :meth:`submit` path sees — streamed and
-        submitted cluster runs place identically.
-        """
-        def on_pop(request) -> None:
-            self._pending_dispatch += 1
-            heapq.heappush(self._dispatch_times, request.arrival_time)
-
-        feed_stream_arrivals(
-            self.engine, stream, lookahead, on_pop, self._dispatch, "dispatch"
-        )
-
-    def _dispatch(self, request) -> None:
-        self._pending_dispatch -= 1
-        idx = self.router.select(self.instances, request)
-        if self._retain_placements:
-            self.placements[request.req_id] = idx
-        self._placement_counts[idx] += 1
-        self.instances[idx].submit([request])
-
-    # --- running / reporting --------------------------------------------------
-    def run(self, until: Optional[float] = None) -> float:
-        return self.engine.run(until=until)
-
-    @property
-    def unfinished(self) -> int:
-        return self._pending_dispatch + sum(
-            instance.unfinished for instance in self.instances
-        )
-
-    def report(self) -> ClusterReport:
-        """Aggregate per-instance reports into cluster totals.
-
-        Aggregation reuses the single-node report builder
-        (:func:`repro.serving.metrics.aggregate_reports`), so the
-        cluster's TTFT percentiles, throughput, stalls, and QoS follow
-        exactly the single-node definitions.
-        """
-        reports = [instance.report() for instance in self.instances]
-        total = aggregate_reports(reports)
-        return ClusterReport(
-            per_instance=reports,
-            aggregate=total,
-            n_requests=total.n_requests,
-            n_finished=total.n_finished,
-            total_tokens=total.total_tokens,
-            throughput=total.throughput,
-            effective_throughput=total.effective_throughput,
-            qos=total.qos,
-            ttft_mean=total.ttft_mean,
-            ttft_p50=total.ttft_p50,
-            ttft_p99=total.ttft_p99,
-            stall_total=total.stall_total,
-            preemptions=total.preemptions,
-        )
-
-    def placement_counts(self) -> list:
-        """Requests routed to each instance (load-balance check)."""
-        return list(self._placement_counts)

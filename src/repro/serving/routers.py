@@ -24,7 +24,7 @@ index, so identical scenario+seed runs place identically.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Sequence, Type, Union
+from typing import Dict, List, Optional, Type, Union
 
 from repro.workload.request import RequestState
 
@@ -71,40 +71,26 @@ class Router(abc.ABC):
     instance is built per run, so repeated runs of one scenario are
     independent and deterministic.
 
-    Policies that can run against a *sharded* cluster — where instances
-    live in other processes — additionally split :meth:`select` into a
-    per-instance measurement (:meth:`instance_metrics`, computed where
-    the instance lives, returning something picklable) and a pure
-    decision over the gathered measurements
-    (:meth:`select_from_metrics`, run on the coordinator).  The
-    built-in policies implement :meth:`select` *via* that split, so the
-    single-process and sharded paths execute the same comparison code
-    on the same float values.  Subclasses that only override
-    :meth:`select` keep working on single-process clusters; they must
-    set :attr:`shardable` to ``True`` (and implement the split) to opt
-    into sharded execution.
+    Instances may live in other processes (shard workers), so a policy
+    is split into a per-instance measurement (:meth:`instance_metrics`,
+    computed where the instance lives, returning something picklable)
+    and a pure decision over the gathered measurements
+    (:meth:`select_from_metrics`, run on the coordinator).  Every policy
+    therefore runs on any shard count with the same comparison code on
+    the same float values.
     """
 
     name: str = "base"
 
-    #: Whether this policy supports the metrics/selection split that
-    #: sharded execution requires.  Built-in policies set this True.
-    shardable: bool = False
-
-    #: Whether this policy additionally supports *speculative dispatch*
-    #: in the sharded plane: trajectory snapshots
-    #: (:meth:`instance_snapshot`) whose declared staleness horizon
-    #: proves the mirrored metric exact, so the coordinator can resolve
-    #: whole epochs of arrivals without a coordination round.  A policy
-    #: whose metric can move on events the snapshot cannot bound (e.g.
-    #: ``buffer_aware``'s continuous-time deficit, ``least_queued``'s
-    #: prefill-completion decrements) must leave this False and stays
-    #: on the always-correct pause-round path.
+    #: Whether this policy supports *speculative dispatch*: trajectory
+    #: snapshots (:meth:`instance_snapshot`) whose declared staleness
+    #: horizon proves the mirrored metric exact, so the coordinator can
+    #: resolve whole epochs of arrivals without a coordination round.
+    #: A policy whose metric can move on events the snapshot cannot
+    #: bound (e.g. ``buffer_aware``'s continuous-time deficit,
+    #: ``least_queued``'s prefill-completion decrements) leaves this
+    #: False and pays one coordination round per stateful dispatch.
     speculative: bool = False
-
-    @abc.abstractmethod
-    def select(self, instances: Sequence, request) -> int:
-        """Return the index in ``instances`` to place ``request`` on."""
 
     def needs_state(self, request) -> bool:
         """Whether placing ``request`` requires fresh instance metrics.
@@ -120,33 +106,22 @@ class Router(abc.ABC):
     def instance_metrics(self, instance, request):
         """Measure one instance for placing ``request`` (picklable)."""
         raise NotImplementedError(
-            f"router {self.name!r} does not implement the sharded "
-            f"metrics/selection split"
+            f"router {self.name!r} needs instance state but does not "
+            f"implement instance_metrics"
         )
 
+    @abc.abstractmethod
     def select_from_metrics(self, n: int, metrics: Optional[List], request) -> int:
         """Pick an index in ``range(n)`` from gathered ``metrics``.
 
         ``metrics[i]`` is :meth:`instance_metrics` for instance ``i``
         (``None`` when :meth:`needs_state` said no state was needed).
-        This is the only place a shardable policy may mutate its own
-        state, so replaying the same dispatch sequence reproduces the
-        same placements regardless of where metrics were computed.
+        This is the only place a policy may mutate its own state, so
+        replaying the same dispatch sequence reproduces the same
+        placements regardless of where metrics were computed.
         """
-        raise NotImplementedError(
-            f"router {self.name!r} does not implement the sharded "
-            f"metrics/selection split"
-        )
 
-    def _select_via_metrics(self, instances: Sequence, request) -> int:
-        """Shared :meth:`select` body for split-capable policies."""
-        if self.needs_state(request):
-            metrics = [self.instance_metrics(inst, request) for inst in instances]
-        else:
-            metrics = None
-        return self.select_from_metrics(len(instances), metrics, request)
-
-    # --- speculative dispatch (sharded plane) -----------------------------
+    # --- speculative dispatch --------------------------------------------
     #
     # A *trajectory snapshot* is a small picklable record, taken where
     # the instance lives at a pause instant, that lets the coordinator
@@ -157,9 +132,9 @@ class Router(abc.ABC):
     # *exactness horizon* before which no other change is possible.
     # The coordinator folds every confirmed placement back into its
     # mirror (:meth:`fold_snapshot`), so arrivals inside the horizon
-    # resolve against provably exact values — speculation that cannot
-    # miss — while the first arrival past any horizon falls back to an
-    # authoritative round that also refreshes the mirror.
+    # resolve against provably exact values with zero messages, while
+    # the first arrival past any horizon takes an authoritative round
+    # that also refreshes the mirror.
 
     def instance_snapshot(self, instance, request):
         """Trajectory snapshot of one instance at the current instant.
@@ -191,15 +166,6 @@ class Router(abc.ABC):
         the instance ``snap`` mirrors (metric bump + horizon clamp)."""
         raise NotImplementedError
 
-    def peek_from_metrics(self, n: int, metrics: List, request) -> int:
-        """Side-effect-free preview of :meth:`select_from_metrics`.
-
-        Used on the stale-mirror path to form the speculative pick that
-        the authoritative round then validates; it must not mutate
-        router state (the real selection still runs afterwards).
-        """
-        raise NotImplementedError
-
 
 ROUTERS: Dict[str, Type[Router]] = {}
 
@@ -226,7 +192,6 @@ class RoundRobinRouter(Router):
     """Arrival-order striping across instances."""
 
     name = "round_robin"
-    shardable = True
 
     def __init__(self) -> None:
         self._next = 0
@@ -238,9 +203,6 @@ class RoundRobinRouter(Router):
         idx = self._next
         self._next = (idx + 1) % n
         return idx
-
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)
 
 
 @register_router
@@ -261,7 +223,6 @@ class LeastLoadedRouter(Router):
     """
 
     name = "least_loaded"
-    shardable = True
     speculative = True
 
     def instance_metrics(self, instance, request) -> int:
@@ -269,12 +230,6 @@ class LeastLoadedRouter(Router):
 
     def select_from_metrics(self, n: int, metrics: Optional[List], request) -> int:
         return min(range(n), key=lambda i: metrics[i])
-
-    def peek_from_metrics(self, n: int, metrics: List, request) -> int:
-        return min(range(n), key=lambda i: metrics[i])
-
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)
 
     def instance_snapshot(self, instance, request):
         t = instance.engine.now()
@@ -348,16 +303,12 @@ class LeastQueuedRouter(Router):
     """Shortest waiting + prefill queue at arrival time."""
 
     name = "least_queued"
-    shardable = True
 
     def instance_metrics(self, instance, request) -> int:
         return len(instance.waiting) + len(instance.prefill_queue)
 
     def select_from_metrics(self, n: int, metrics: Optional[List], request) -> int:
         return min(range(n), key=lambda i: metrics[i])
-
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)
 
 
 @register_router
@@ -374,7 +325,6 @@ class BufferAwareRouter(Router):
     """
 
     name = "buffer_aware"
-    shardable = True
 
     def __init__(self, target_buffer_s: float = 1.0) -> None:
         if target_buffer_s <= 0:
@@ -411,9 +361,6 @@ class BufferAwareRouter(Router):
             key=lambda i: (metrics[i][0], metrics[i][1], i),
         )
 
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)
-
 
 @register_router
 class SessionAffinityRouter(Router):
@@ -428,15 +375,12 @@ class SessionAffinityRouter(Router):
     """
 
     name = "session_affinity"
-    shardable = True
 
     def __init__(self, base: Union[str, Router] = "least_loaded") -> None:
         self.base = make_router(base)
-        # Sharded execution delegates the metric split to the base
-        # policy, so stickiness is only shardable if the base is; the
-        # same holds for the speculative-dispatch snapshot protocol
-        # (sticky hits are stateless and simply fold into the mirror).
-        self.shardable = self.base.shardable
+        # The speculative-dispatch snapshot protocol is the base
+        # policy's (sticky hits are stateless and simply fold into the
+        # mirror).
         self.speculative = self.base.speculative
         self.assignments: Dict[int, int] = {}
 
@@ -462,16 +406,6 @@ class SessionAffinityRouter(Router):
             self.assignments[session] = idx
         return idx
 
-    def peek_from_metrics(self, n: int, metrics: List, request) -> int:
-        # Preview only: a fresh session must NOT be recorded here — the
-        # authoritative selection that follows does the assignment.
-        session = request.affinity_key
-        if session is not None:
-            idx = self.assignments.get(session)
-            if idx is not None:
-                return idx
-        return self.base.peek_from_metrics(n, metrics, request)
-
     def instance_snapshot(self, instance, request):
         return self.base.instance_snapshot(instance, request)
 
@@ -483,6 +417,3 @@ class SessionAffinityRouter(Router):
 
     def fold_snapshot(self, snap, t: float, request) -> None:
         self.base.fold_snapshot(snap, t, request)
-
-    def select(self, instances: Sequence, request) -> int:
-        return self._select_via_metrics(instances, request)

@@ -1,11 +1,10 @@
-"""Sharded cluster simulation: conservative time-window parallelism.
+"""The cluster: N replicas in K shards under one dispatch coordinator.
 
-A :class:`~repro.serving.cluster.ServingCluster` advances N replicas
-on one event loop in one process.  This module splits the same
-cluster across K shard workers, each owning a contiguous slice of the
-replicas on its own :class:`~repro.sim.engine.SimEngine`, and drives
-them with the conservative-window discipline of parallel discrete-event
-simulation:
+:class:`ShardedServingCluster` is the dispatch layer of paper §8.  It
+splits N replicas across K shard hosts, each owning a contiguous slice
+of the replicas on its own :class:`~repro.sim.engine.SimEngine`, and
+drives them with the conservative-window discipline of parallel
+discrete-event simulation:
 
 * Replicas never interact except **at dispatch instants**, where the
   router reads instance state.  Between consecutive dispatch times
@@ -13,10 +12,11 @@ simulation:
   ahead to the next dispatch instant without any risk of a causality
   violation — the dispatch "ladder" (the global sequence of arrival
   times) is each shard's lookahead bound, surfaced to the fusion
-  plane through the same :class:`~repro.sim.engine.ScopedEngine`
-  external horizon the single-process cluster uses.  Identical
-  horizons mean identical fused decode windows, which is what makes
-  the sharded run *bit-identical*, executor stats included.
+  plane through the :class:`~repro.sim.engine.ScopedEngine` external
+  horizon.  An instance plans decode windows against only its own
+  events plus that ladder, so the same windows form whatever the
+  shard count, which is what makes every K *bit-identical*, executor
+  stats included.
 * At a dispatch that needs instance state (``least_loaded``,
   ``least_queued``, ``buffer_aware``, sticky misses), the coordinator
   pauses every shard at that instant, gathers per-instance metrics in
@@ -28,36 +28,32 @@ simulation:
   buffered; whole stretches of them collapse into one ``apply``
   message per shard, which is what keeps coordination overhead small
   at soak scale.
-* **Speculative dispatch** (``speculation=True``, the default) extends
-  that cheapness to stateful routers that implement the trajectory
-  snapshot protocol (``Router.speculative`` — ``least_loaded`` and
-  ``session_affinity`` over it).  Pause replies piggyback per-instance
-  *trajectory snapshots*: the metric's value, the one already-scheduled
-  completion event that can change it, and a proven exactness horizon.
-  The coordinator folds every confirmed placement into this mirrored
+* **Speculative dispatch** extends that cheapness to stateful routers
+  that implement the trajectory snapshot protocol
+  (``Router.speculative`` — ``least_loaded`` and ``session_affinity``
+  over it).  Pause replies piggyback per-instance *trajectory
+  snapshots*: the metric's value, the one already-scheduled completion
+  event that can change it, and a proven exactness horizon.  The
+  coordinator folds every confirmed placement into this mirrored
   metrics table and resolves whole epochs of arrivals against it — one
   gather, N selections replayed in arrival order — as long as every
   instance's horizon covers the arrival; the first arrival past any
-  horizon takes a speculative pick from the stale mirror, then falls
-  back to an authoritative round that validates it (a mismatch is
-  rolled back by re-routing the still-undelivered request before any
-  shard sees it, so shards only ever observe confirmed placements and
-  bit-identity holds by construction).  See ARCHITECTURE.md ("Sharded
-  cluster plane") for the exactness argument.
+  horizon takes an authoritative round that refreshes the mirror.
+  See ARCHITECTURE.md ("Cluster") for the exactness argument.
 
 State crosses the process boundary as the picklable structures the
 streaming/vectorised planes already produce: ``ServingConfig`` slices
 and a :class:`~repro.experiments.systems.SchedulerRecipe` outbound,
 per-instance ``RunReport`` (sketch-backed at soak scale) inbound.
-Reports aggregate through :func:`repro.serving.metrics.aggregate_reports`
-exactly as the single-process cluster's do.
+Reports aggregate through :func:`repro.serving.metrics.aggregate_reports`.
 
-Transports: ``process`` (default) runs each shard as a long-lived
-task on the warm pool from :mod:`repro.orchestration.pool`, talking
-over manager queues; ``inline`` runs the same :class:`ShardHost`
-protocol in-process (set ``REPRO_SHARD_INLINE=1`` or pass
-``transport="inline"``) for debugging and cheap exhaustive parity
-sweeps — the two transports execute identical host code.
+Transports: ``inline`` runs the :class:`ShardHost` protocol in the
+coordinator's process — the default for one shard, which gains
+nothing from a worker, and selectable for any K with
+``REPRO_SHARD_INLINE=1`` or ``transport="inline"``; ``process`` (the
+default for K > 1) runs each shard as a long-lived task on the warm
+pool from :mod:`repro.orchestration.pool`, talking over manager
+queues.  The two transports execute identical host code.
 """
 
 from __future__ import annotations
@@ -109,8 +105,6 @@ class ShardHost:
         self.engine = SimEngine()
         # The dispatch ladder: every global dispatch instant the
         # coordinator has discovered, this shard's external horizon.
-        # Entries at or before the clock are spent and lazily dropped,
-        # mirroring ServingCluster._next_dispatch_time exactly.
         self.upcoming: List[float] = []
         self.router = router  # used for instance_metrics only (pure)
         self.instances = [
@@ -123,6 +117,13 @@ class ShardHost:
         ]
 
     def _next_dispatch_time(self) -> Optional[float]:
+        """Earliest upcoming dispatch instant (instances' external horizon).
+
+        Entries at or before the clock are spent — their dispatch has
+        already been applied this instant (``run_before`` parks the
+        clock at a dispatch before any same-instant instance event) —
+        so they are lazily dropped here.
+        """
         times = self.upcoming
         now = self.engine.now()
         while times and times[0] <= now:
@@ -156,7 +157,7 @@ class ShardHost:
         ]
 
     def snap(self, t: float, request):
-        """:meth:`pause` plus trajectory snapshots (speculation rounds).
+        """:meth:`pause` plus trajectory snapshots (speculative routers).
 
         The snapshots ride back on the same reply the metrics use —
         the delta-metrics channel costs no extra messages.
@@ -341,15 +342,14 @@ class _ProcessTransport:
 
 
 class ShardedServingCluster:
-    """Drop-in :class:`ServingCluster` that runs replicas in K shards.
+    """N serving replicas in K shards behind one arrival router.
 
-    Same construction surface (``configs`` + ``scheduler_factory`` +
-    ``router``), same run surface (``submit``/``feed`` then
-    ``run(until)`` then ``report()``), same :class:`ClusterReport` —
-    bit-identical to the single-process cluster for every shardable
-    router and any shard count.  Unlike the classic cluster, arrivals
-    are recorded at ``submit``/``feed`` time and all simulation
-    happens inside the single ``run`` call (the coordination loop).
+    Build from ``configs`` + ``scheduler_factory`` + ``router``, record
+    arrivals with ``submit``/``feed``, then ``run(until)`` once and
+    ``report()``.  Arrivals are recorded at ``submit``/``feed`` time
+    and all simulation happens inside the single ``run`` call (the
+    coordination loop); reports are bit-identical for any shard count
+    and either transport.
 
     ``scheduler_factory`` and the workload requests must be picklable
     for the process transport (use
@@ -361,24 +361,15 @@ class ShardedServingCluster:
         self,
         configs: Sequence,
         scheduler_factory: Callable[[], object],
-        dispatch: Union[str, Router] = "least_loaded",
-        router: Optional[Union[str, Router]] = None,
-        shards: int = 2,
+        router: Union[str, Router] = "least_loaded",
+        shards: int = 1,
         transport: Optional[str] = None,
-        speculation: bool = True,
     ) -> None:
         if not configs:
             raise ValueError("need at least one instance config")
         if shards < 1:
             raise ValueError(f"shards must be positive, got {shards}")
-        self.router = make_router(router if router is not None else dispatch)
-        if not self.router.shardable:
-            raise ValueError(
-                f"router {self.router.name!r} does not support sharded "
-                f"execution: it must implement the metrics/selection "
-                f"split (see Router.shardable)"
-            )
-        self.dispatch = self.router.name
+        self.router = make_router(router)
         self.configs = list(configs)
         n = len(self.configs)
         # More shards than replicas would leave empty workers; clamp.
@@ -399,13 +390,17 @@ class ShardedServingCluster:
         self.scheduler_factory = scheduler_factory
         if transport is None:
             transport = (
-                "inline" if os.environ.get("REPRO_SHARD_INLINE") == "1"
+                "inline"
+                if self.shards == 1 or os.environ.get("REPRO_SHARD_INLINE") == "1"
                 else "process"
             )
         if transport not in ("process", "inline"):
             raise ValueError(f"unknown shard transport {transport!r}")
         self.transport = transport
         self.placements: dict = {}
+        # With streaming telemetry on every instance the per-request
+        # placement map would be the last O(total-requests) structure
+        # left in a soak run; keep only the per-instance counters then.
         self._retain_placements = any(
             config.retain_per_request for config in self.configs
         )
@@ -416,16 +411,10 @@ class ShardedServingCluster:
         self._ran = False
         self._instance_reports: Optional[list] = None
         self._unfinished_final = 0
-        # Speculative dispatch (trajectory-snapshot mirror) — only
-        # effective for routers that opt in via Router.speculative;
-        # ``speculation=False`` reproduces the pre-speculation protocol
-        # (every stateful dispatch pays a pause round) exactly.
-        self.speculation = bool(speculation)
         # Coordination accounting (benchmarks read these after run()).
         self.coordination_rounds = 0
         self.messages_sent = 0
-        self.speculation_hits = 0
-        self.speculation_misses = 0
+        self.speculation_hits = 0      # stateful dispatches the mirror resolved
         self.shard_events: List[int] = []
 
     @classmethod
@@ -433,28 +422,27 @@ class ShardedServingCluster:
         cls,
         n_instances: int,
         scheduler_factory: Callable[[], object],
-        dispatch: Union[str, Router] = "least_loaded",
-        router: Optional[Union[str, Router]] = None,
-        shards: int = 2,
+        router: Union[str, Router] = "least_loaded",
+        shards: int = 1,
         transport: Optional[str] = None,
-        speculation: bool = True,
         **config_kwargs,
     ) -> "ShardedServingCluster":
+        """Build ``n_instances`` identical nodes."""
         from repro.serving.config import ServingConfig
 
         if n_instances <= 0:
             raise ValueError("n_instances must be positive")
         configs = [ServingConfig(**config_kwargs) for _ in range(n_instances)]
         return cls(
-            configs, scheduler_factory, dispatch=dispatch, router=router,
-            shards=shards, transport=transport, speculation=speculation,
+            configs, scheduler_factory, router=router,
+            shards=shards, transport=transport,
         )
 
     # --- workload intake --------------------------------------------------
     def submit(self, requests: Sequence) -> None:
         """Record arrivals; routing happens inside :meth:`run`."""
         if self._ran:
-            raise RuntimeError("sharded cluster already ran")
+            raise RuntimeError("cluster already ran")
         for request in requests:
             if request.arrival_time < 0.0:
                 raise ValueError(
@@ -470,7 +458,7 @@ class ShardedServingCluster:
         :func:`~repro.serving.stages.feed_stream_arrivals`.
         """
         if self._ran:
-            raise RuntimeError("sharded cluster already ran")
+            raise RuntimeError("cluster already ran")
         if lookahead <= 0:
             raise ValueError(f"lookahead must be positive, got {lookahead}")
         if self._stream is not None:
@@ -480,10 +468,9 @@ class ShardedServingCluster:
     def _iter_dispatches(self, until: Optional[float]):
         """Arrival-ordered dispatch sequence, truncated at the horizon.
 
-        Mirrors the classic cluster's event semantics: a submitted
-        request whose arrival falls past ``until`` counts as pending
-        (its dispatch event would never fire); a streamed run stops at
-        the first such pop without materialising the rest.
+        A submitted request whose arrival falls past ``until`` counts as
+        pending (it is never dispatched); a streamed run stops at the
+        first such pop without materialising the rest.
         """
         if self._stream is not None:
             last = None
@@ -500,8 +487,7 @@ class ShardedServingCluster:
                     return
                 yield request
             return
-        # Stable sort: ties keep submission order, matching the shared
-        # engine's (time, seq) dispatch-event order.
+        # Stable sort: ties keep submission order.
         for request in sorted(self._pending, key=lambda r: r.arrival_time):
             if until is not None and request.arrival_time > until:
                 self._pending_dispatch += 1
@@ -511,7 +497,7 @@ class ShardedServingCluster:
     # --- coordination loop ------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:
         if self._ran:
-            raise RuntimeError("sharded cluster already ran")
+            raise RuntimeError("cluster already ran")
         self._ran = True
         n = len(self.configs)
         n_shards = self.shards
@@ -549,7 +535,7 @@ class ShardedServingCluster:
                 buffered[s] = []
 
         router = self.router
-        spec_on = self.speculation and router.speculative
+        speculative = router.speculative
         # The mirrored metrics table: one trajectory snapshot per
         # instance (global order), refreshed by every round's replies
         # and folded forward by every confirmed placement.
@@ -568,21 +554,16 @@ class ShardedServingCluster:
                 # Epoch-batched speculative resolution: every mirror
                 # entry is provably exact at t, so this selection —
                 # replayed against the folding table in arrival order —
-                # is the single-process selection, with zero messages.
+                # is the authoritative selection, with zero messages.
                 metrics = [router.snapshot_metric(m, t) for m in mirror]
                 idx = router.select_from_metrics(n, metrics, request)
                 self.speculation_hits += 1
             else:
                 # Stateful round: every shard advances to t and
-                # reports metrics; selection happens here, in global
-                # instance order, with the exact single-process code.
-                # With speculation on, first take a speculative pick
-                # from the (stale) mirror for the round to validate.
-                spec_idx = None
-                if mirror is not None:
-                    preview = [router.snapshot_metric(m, t) for m in mirror]
-                    spec_idx = router.peek_from_metrics(n, preview, request)
-                kind = "snap" if spec_on else "pause"
+                # reports metrics (plus snapshots for speculative
+                # routers); selection happens here, in global instance
+                # order.
+                kind = "snap" if speculative else "pause"
                 for s in range(n_shards):
                     msgs = []
                     if buffered[s]:
@@ -607,24 +588,13 @@ class ShardedServingCluster:
                 snaps: list = []
                 for s in range(n_shards):
                     metrics.extend(by_shard[s][2])
-                    if spec_on:
+                    if speculative:
                         snaps.extend(by_shard[s][3])
-                if spec_on:
+                if speculative:
                     mirror = snaps
                 idx = router.select_from_metrics(n, metrics, request)
-                if spec_idx is not None:
-                    # Validate the speculative pick against the
-                    # authoritative selection.  A miss is repaired
-                    # right here, before any shard-visible effect:
-                    # the request has not been delivered, so the
-                    # rollback is simply routing it to the
-                    # authoritative index instead.
-                    if spec_idx == idx:
-                        self.speculation_hits += 1
-                    else:
-                        self.speculation_misses += 1
-            # Every confirmed placement — speculative, round-resolved,
-            # or stateless — folds into the mirrored table so later
+            # Every placement — mirror-resolved, round-resolved, or
+            # stateless — folds into the mirrored table so later
             # speculative selections see it.
             if mirror is not None:
                 router.fold_snapshot(mirror[idx], t, request)
@@ -680,7 +650,7 @@ class ShardedServingCluster:
 
     def report(self) -> ClusterReport:
         if self._instance_reports is None:
-            raise RuntimeError("run() the sharded cluster before report()")
+            raise RuntimeError("run() the cluster before report()")
         reports = self._instance_reports
         total = aggregate_reports(reports)
         return ClusterReport(
@@ -700,8 +670,8 @@ class ShardedServingCluster:
             coordination_rounds=self.coordination_rounds,
             messages_sent=self.messages_sent,
             speculation_hits=self.speculation_hits,
-            speculation_misses=self.speculation_misses,
         )
 
     def placement_counts(self) -> list:
+        """Requests routed to each instance (load-balance check)."""
         return list(self._placement_counts)

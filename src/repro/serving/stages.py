@@ -39,11 +39,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def feed_stream_arrivals(engine, stream, lookahead, on_pop, on_request, label):
     """Schedule a lazy request stream as a self-refilling event chain.
 
-    The one streaming-admission implementation, shared by
-    :meth:`AdmissionStage.feed` (single instance; ``on_request``
-    admits) and :meth:`ServingCluster.feed <repro.serving.cluster.ServingCluster.feed>`
-    (``on_request`` routes).  Each scheduled arrival pops its successor
-    off the stream *before* processing its own request, so
+    The streaming-admission implementation behind
+    :meth:`AdmissionStage.feed` (``on_request`` admits).  Each scheduled
+    arrival pops its successor off the stream *before* processing its
+    own request, so
 
     * at most ``lookahead`` future requests exist in memory, and
     * the engine's pending-event horizon always contains the next
@@ -52,8 +51,8 @@ def feed_stream_arrivals(engine, stream, lookahead, on_pop, on_request, label):
       produces (streamed and submitted runs are event-for-event
       identical).
 
-    ``on_pop`` runs once per request at schedule time — both callers
-    use it for their pending-work accounting, so a run truncated at the
+    ``on_pop`` runs once per request at schedule time — the caller
+    uses it for pending-work accounting, so a run truncated at the
     horizon still reports scheduled-but-unserved requests as
     unfinished.
     """

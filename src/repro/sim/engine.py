@@ -181,9 +181,9 @@ class ScopedEngine:
     horizon (its events plus the cluster's next dispatch instant), so
     a sibling replica's internal events never truncate its windows.
     The same instance therefore forms the same windows whether its
-    siblings share the process (classic cluster) or live in another
-    shard (sharded cluster) — per-instance reports, executor stats
-    included, stay bit-identical across partitionings.
+    siblings share its shard's engine or live in another shard —
+    per-instance reports, executor stats included, stay bit-identical
+    across partitionings.
 
     The own-event heap holds the very :class:`Event` objects pushed to
     the shared queue; entries that were executed (``_queue`` cleared on

@@ -55,3 +55,10 @@ def make_request(
 @pytest.fixture
 def request_factory():
     return make_request
+
+
+def events_processed(target) -> int:
+    """Engine events a built run processed (a cluster sums its shards)."""
+    if isinstance(target, ServingSystem):
+        return target.engine.events_processed
+    return sum(target.shard_events)

@@ -1,13 +1,14 @@
 """Perf-trajectory guard over the tracked benchmark artifact.
 
 ``benchmarks/BENCH_simcore.json`` is the committed perf trajectory:
-each full tier-1 run refreshes it with the current deterministic
-call-count speedup (see ``benchmarks/test_perf_simcore.py``) and keeps
-the best ratio ever recorded under ``best.calls``.  This guard is
-cheap (no simulation) so it runs in the fast CI lane too, and fails
-when the recorded current ratio has slid more than 10% below the
-recorded best — i.e. when a perf regression was *measured and
-committed* without being acknowledged.
+``benchmarks/test_perf_simcore.py`` writes a fresh copy with the
+current deterministic call-count speedup on every full tier-1 run,
+and recording a new baseline means copying that fresh file over the
+committed one, which keeps the best ratio ever recorded under
+``best.calls``.  This guard is cheap (no simulation) so it runs in the
+fast CI lane too, and fails when the recorded current ratio has slid
+more than 10% below the recorded best — i.e. when a perf regression
+was *measured and committed* without being acknowledged.
 
 If a regression is intentional (e.g. trading calls for clarity),
 update ``best.calls`` in the artifact alongside the change and say so
@@ -27,9 +28,9 @@ SHARD_BENCH_PATH = (
     Path(__file__).resolve().parent.parent / "benchmarks" / "BENCH_shard.json"
 )
 
-# Committed coordination-overhead ceiling for the sharded cluster (best
-# sharded wall vs classic wall on the soak workload; matches the gate
-# asserted live in benchmarks/test_shard_scaling.py).
+# Committed coordination-overhead ceiling for the cluster (best
+# process-transport wall vs inline K=1 wall on the soak workload;
+# matches the gate asserted live in benchmarks/test_shard_scaling.py).
 ALLOWED_SHARD_OVERHEAD = 1.15
 
 # Fraction of the recorded-best call-count ratio the current ratio
@@ -165,17 +166,19 @@ def test_shard_overhead_within_committed_gate():
 
 def test_shard_speculation_block_holds_reduction_gate():
     """Speculative dispatch must keep coordination rounds at least 5x
-    below the pause-round protocol on the committed soak figure."""
+    below the stateful dispatch count on the committed soak figure."""
     payload = json.loads(SHARD_BENCH_PATH.read_text())
     spec = payload["speculation"]
     assert spec["router"] == "least_loaded"
     assert spec["coordination_rounds"] > 0
-    assert spec["coordination_rounds_speculation_off"] >= spec["coordination_rounds"]
+    assert spec["stateful_dispatches"] == (
+        spec["coordination_rounds"] + spec["speculation_hits"]
+    )
     assert spec["speculation_hits"] > 0
     assert spec["reduction"] >= 5.0, (
         f"recorded speculative-dispatch reduction {spec['reduction']:.1f}x "
         f"fell below the 5x acceptance gate "
-        f"({spec['coordination_rounds_speculation_off']} -> "
+        f"({spec['stateful_dispatches']} -> "
         f"{spec['coordination_rounds']} rounds). Re-run "
         f"benchmarks/test_shard_scaling.py and justify any real change."
     )

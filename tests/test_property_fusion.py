@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from repro.experiments.systems import build_system
 from repro.scenarios import build_run, get_scenario
 from repro.workload.request import Request, clone_requests
+from tests.conftest import events_processed
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)
 
@@ -66,7 +67,7 @@ def test_registry_cell_parity(name, scale, seed):
         off, on = getattr(report_off, key), getattr(report_on, key)
         assert on == pytest.approx(off, rel=1e-9, abs=1e-9), (name, key)
     # Event-count invariants: same work, fewer (or equal) events.
-    assert target_on.engine.events_processed <= target_off.engine.events_processed
+    assert events_processed(target_on) <= events_processed(target_off)
     if spec_on.replicas == 1:
         s_off, s_on = report_off.executor_stats, report_on.executor_stats
         for key in ("prefill_iterations", "decode_iterations",
@@ -98,7 +99,7 @@ def test_cluster_parity_through_router():
             ), key
         fused_windows += inst_on.executor_stats["fused_windows"]
     assert fused_windows > 0
-    assert target_on.engine.events_processed < target_off.engine.events_processed
+    assert events_processed(target_on) < events_processed(target_off)
 
 
 @st.composite

@@ -12,10 +12,11 @@ from repro.scenarios import (
     list_scenarios,
     scenario_names,
 )
-from repro.serving.cluster import ClusterReport, ServingCluster
+from repro.serving.cluster import ClusterReport
 from repro.serving.metrics import RunReport
 from repro.serving.routers import ROUTERS
 from repro.serving.server import ServingSystem
+from repro.serving.shard import ShardedServingCluster
 from repro.workload.request import Request
 
 
@@ -100,7 +101,7 @@ class TestBuildRun:
 
     def test_multi_replica_builds_cluster(self):
         run = build_run(tiny_cluster_spec("least_loaded"))
-        assert isinstance(run.target, ServingCluster)
+        assert isinstance(run.target, ShardedServingCluster)
         assert run.is_cluster
         report = run.execute()
         assert isinstance(report, ClusterReport)

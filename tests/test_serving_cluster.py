@@ -1,9 +1,11 @@
 """Unit + integration tests for the multi-instance cluster (§8)."""
 
+from typing import List, Optional
+
 import pytest
 
 from repro.core.scheduler import TokenFlowScheduler
-from repro.serving.cluster import DISPATCH_POLICIES, ServingCluster
+from repro.serving.config import ServingConfig
 from repro.serving.routers import (
     ROUTERS,
     BufferAwareRouter,
@@ -12,7 +14,11 @@ from repro.serving.routers import (
     make_router,
     register_router,
 )
+from repro.serving.server import ServingSystem
+from repro.serving.shard import ShardedServingCluster
 from repro.workload.request import Request
+
+NODE = dict(hardware="h200", model="llama3-8b", mem_frac=0.01, max_batch=8)
 
 
 def burst(n, prompt=64, output=32, rate=10.0, start=0.0, id_base=0,
@@ -24,49 +30,44 @@ def burst(n, prompt=64, output=32, rate=10.0, start=0.0, id_base=0,
     ]
 
 
-def make_cluster(n=2, dispatch="least_loaded"):
-    return ServingCluster.homogeneous(
-        n, TokenFlowScheduler, dispatch=dispatch,
-        hardware="h200", model="llama3-8b", mem_frac=0.01, max_batch=8,
+def make_cluster(n=2, router="least_loaded", shards=1):
+    return ShardedServingCluster.homogeneous(
+        n, TokenFlowScheduler, router=router, shards=shards, **NODE
     )
 
 
 class TestConstruction:
     def test_homogeneous_builds_instances(self):
-        cluster = make_cluster(3)
-        assert len(cluster.instances) == 3
-        # All instances schedule onto one shared engine (one timeline)
-        # through per-instance scoped views, so each plans fusion
-        # windows against only its own events + the dispatch horizon.
-        assert all(
-            inst.engine.base is cluster.engine for inst in cluster.instances
-        )
-        assert all(
-            inst.engine.external_horizon == cluster._next_dispatch_time
-            for inst in cluster.instances
-        )
+        cluster = make_cluster(3, shards=2)
+        assert len(cluster.configs) == 3
+        assert all(config.max_batch == 8 for config in cluster.configs)
+        assert cluster.shards == 2
+        assert cluster.placement_counts() == [0, 0, 0]
 
     def test_invalid_dispatch_rejected(self):
         with pytest.raises(ValueError):
-            make_cluster(2, dispatch="random")
+            make_cluster(2, router="random")
 
     def test_zero_instances_rejected(self):
         with pytest.raises(ValueError):
-            ServingCluster.homogeneous(0, TokenFlowScheduler)
+            ShardedServingCluster.homogeneous(0, TokenFlowScheduler)
 
     def test_policies_enumerated(self):
-        assert set(DISPATCH_POLICIES) == {"round_robin", "least_loaded", "least_queued"}
+        assert set(ROUTERS) == {
+            "round_robin", "least_loaded", "least_queued", "buffer_aware",
+            "session_affinity",
+        }
 
     def test_registry_includes_core_and_new_routers(self):
-        assert set(DISPATCH_POLICIES) <= set(ROUTERS)
+        assert {"round_robin", "least_loaded", "least_queued"} <= set(ROUTERS)
         assert {"buffer_aware", "session_affinity"} <= set(ROUTERS)
 
     def test_router_instance_accepted(self):
-        cluster = ServingCluster.homogeneous(
+        cluster = ShardedServingCluster.homogeneous(
             2, TokenFlowScheduler, router=BufferAwareRouter(target_buffer_s=0.5),
-            hardware="h200", model="llama3-8b", mem_frac=0.01, max_batch=8,
+            **NODE,
         )
-        assert cluster.dispatch == "buffer_aware"
+        assert cluster.router.name == "buffer_aware"
         assert cluster.router.target_buffer_s == 0.5
 
     def test_make_router_rejects_unknown(self):
@@ -76,20 +77,20 @@ class TestConstruction:
 
 class TestDispatch:
     def test_round_robin_stripes_evenly(self):
-        cluster = make_cluster(2, dispatch="round_robin")
+        cluster = make_cluster(2, router="round_robin")
         cluster.submit(burst(8))
         cluster.run(until=10_000.0)
         assert cluster.placement_counts() == [4, 4]
 
     def test_least_loaded_balances(self):
-        cluster = make_cluster(2, dispatch="least_loaded")
+        cluster = make_cluster(2, router="least_loaded")
         cluster.submit(burst(10))
         cluster.run(until=10_000.0)
         counts = cluster.placement_counts()
         assert abs(counts[0] - counts[1]) <= 2
 
     def test_staggered_arrivals_follow_load(self):
-        cluster = make_cluster(2, dispatch="least_loaded")
+        cluster = make_cluster(2, router="least_loaded")
         # Pin 4 long requests first; the later short ones should land
         # mostly on the other instance.
         cluster.submit(burst(4, output=512))
@@ -101,14 +102,18 @@ class TestDispatch:
 
     def test_past_arrival_rejected(self):
         cluster = make_cluster(1)
-        cluster.run(until=1.0)
         with pytest.raises(ValueError):
-            cluster.submit(burst(1, start=0.5))
+            cluster.submit(burst(1, start=-0.5))
+        # The whole simulation happens inside the one run() call, so
+        # submitting after it is an error rather than a late arrival.
+        cluster.run(until=1.0)
+        with pytest.raises(RuntimeError, match="already ran"):
+            cluster.submit(burst(1, start=2.0))
 
 
 class TestRouters:
     def test_buffer_aware_prefers_idle_instance(self):
-        cluster = make_cluster(2, dispatch="buffer_aware")
+        cluster = make_cluster(2, router="buffer_aware")
         # Load instance 0 with long-running requests first.
         cluster.submit(burst(6, output=512))
         cluster.submit(burst(6, output=32, start=0.5, id_base=100))
@@ -118,16 +123,19 @@ class TestRouters:
         assert all(count > 0 for count in counts)
 
     def test_buffer_aware_deficit_counts_pending_work(self):
-        cluster = make_cluster(2, dispatch="buffer_aware")
-        router = cluster.router
-        # Queue work on instance 0 only (pre-arrival: nothing running).
-        cluster.instances[0].submit(burst(4, start=0.0))
-        cluster.run(until=0.0)
-        assert router.instance_deficit(cluster.instances[0]) > \
-            router.instance_deficit(cluster.instances[1])
+        router = BufferAwareRouter()
+        busy, idle = (
+            ServingSystem(ServingConfig(**NODE), TokenFlowScheduler())
+            for _ in range(2)
+        )
+        # Queue work on the busy node only (pre-arrival: nothing running).
+        busy.submit(burst(4, start=0.0))
+        busy.run(until=0.0)
+        idle.run(until=0.0)
+        assert router.instance_deficit(busy) > router.instance_deficit(idle)
 
     def test_session_affinity_sticks_turns_together(self):
-        cluster = make_cluster(3, dispatch="session_affinity")
+        cluster = make_cluster(3, router="session_affinity")
         for session in range(6):
             cluster.submit(burst(
                 3, output=16, start=float(session) * 0.1,
@@ -142,7 +150,7 @@ class TestRouters:
             assert len(nodes) == 1
 
     def test_session_affinity_standalone_requests_use_base_policy(self):
-        cluster = make_cluster(2, dispatch="session_affinity")
+        cluster = make_cluster(2, router="session_affinity")
         cluster.submit(burst(8, output=16))  # session_id=None
         cluster.run(until=10_000.0)
         counts = cluster.placement_counts()
@@ -154,11 +162,16 @@ class TestRouters:
         class AlwaysZero(Router):
             name = "always_zero_test"
 
-            def select(self, instances, request) -> int:
+            def needs_state(self, request) -> bool:
+                return False
+
+            def select_from_metrics(
+                self, n: int, metrics: Optional[List], request
+            ) -> int:
                 return 0
 
         try:
-            cluster = make_cluster(2, dispatch="always_zero_test")
+            cluster = make_cluster(2, router="always_zero_test")
             cluster.submit(burst(4, output=16))
             cluster.run(until=10_000.0)
             assert cluster.placement_counts() == [4, 0]
@@ -167,9 +180,8 @@ class TestRouters:
 
     def test_sticky_map_records_sessions(self):
         router = SessionAffinityRouter()
-        cluster = ServingCluster.homogeneous(
-            2, TokenFlowScheduler, router=router,
-            hardware="h200", model="llama3-8b", mem_frac=0.01, max_batch=8,
+        cluster = ShardedServingCluster.homogeneous(
+            2, TokenFlowScheduler, router=router, **NODE
         )
         cluster.submit(burst(2, session_id=7, id_base=7000))
         cluster.run(until=10_000.0)
@@ -199,7 +211,7 @@ class TestEndToEnd:
     def test_two_nodes_beat_one_on_burst_ttft(self):
         """Scaling out absorbs a burst: P99 TTFT drops."""
         def run(n_instances):
-            cluster = ServingCluster.homogeneous(
+            cluster = ShardedServingCluster.homogeneous(
                 n_instances, TokenFlowScheduler,
                 hardware="h200", model="llama3-8b",
                 mem_frac=0.005, max_batch=8,

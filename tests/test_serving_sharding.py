@@ -1,31 +1,42 @@
-"""Sharded cluster simulation vs the single-process cluster.
+"""The shard-coordinator cluster against its frozen reference answers.
 
 The contract under test: :class:`~repro.serving.shard.ShardedServingCluster`
-partitions a replica cluster across shard workers that each advance to a
+partitions a replica cluster across shard hosts that each advance to a
 conservative horizon (the router's next dispatch time), yet the final
-:class:`~repro.serving.cluster.ClusterReport` is **bit-identical** to the
-classic shared-engine :class:`~repro.serving.cluster.ServingCluster` — for
+:class:`~repro.serving.cluster.ClusterReport` is **bit-identical** for
 every built-in router, any shard count, both workload intake paths
-(``submit`` and ``feed``), and both transports (in-process ``inline`` and
-``process`` workers).
+(``submit`` and ``feed``), and both transports (in-process ``inline``
+and ``process`` workers).
 
-Fingerprints are compared through ``repr`` rather than tuple equality:
-instances that routed zero requests report NaN latency fields, and
-``nan != nan`` under ``==`` while ``repr`` renders both as ``'nan'``.
+The reference is ``classic_cluster_digests.json``: deep-fingerprint
+digests recorded from the shared-engine cluster this coordinator
+replaced, one per router × workload × seed × intake path.  Every run
+here must reproduce its frozen digest.
+
+Fingerprints round floats to 12 significant digits before hashing, so
+a last-bit SIMD difference on another CPU cannot flake a digest, and
+compare ``repr`` text, so instances that routed zero requests (NaN
+latency fields) still compare equal.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+import multiprocessing
+import numbers
+import os
 import pickle
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.experiments.systems import SchedulerRecipe
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import get_scenario
-from repro.serving.cluster import ServingCluster
 from repro.serving.metrics import report_fingerprint
-from repro.serving.routers import ROUTERS, Router
+from repro.serving.routers import ROUTERS, LeastQueuedRouter, Router
 from repro.serving.shard import ShardedServingCluster
 from repro.workload.request import Request
 
@@ -40,11 +51,33 @@ CLUSTER_SCENARIOS = {
 
 ALL_ROUTERS = sorted(ROUTERS)
 
+# Every configuration a frozen digest must hold under: (shards, transport).
+LAYOUTS = ((1, "inline"), (2, "inline"), (4, "inline"), (2, "process"))
+
+FROZEN = json.loads(
+    (Path(__file__).resolve().parent / "classic_cluster_digests.json").read_text()
+)
+
 
 # --- fingerprint helpers -----------------------------------------------------
 
+def _rounded(value):
+    """``value`` with floats at 12 significant digits, containers as lists."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, numbers.Integral):
+        return int(value)
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    if isinstance(value, dict):
+        return [_rounded(item) for item in sorted(value.items())]
+    return value
+
+
 def deep_fp(target, report) -> str:
-    """Everything observable from one cluster run, NaN-tolerant.
+    """SHA-256 of everything observable from one cluster run.
 
     Covers the aggregate fingerprint, each instance's full fingerprint
     plus executor/kv/scheduler stats, timeline and preemptions, and the
@@ -61,26 +94,27 @@ def deep_fp(target, report) -> str:
         )
         for r in report.per_instance
     ]
-    return repr(
-        (
-            report_fingerprint(report.aggregate),
-            per,
-            sorted(target.placements.items()),
-            target.placement_counts(),
-        )
+    state = (
+        report_fingerprint(report.aggregate),
+        per,
+        sorted(target.placements.items()),
+        target.placement_counts(),
     )
+    return hashlib.sha256(repr(_rounded(state)).encode()).hexdigest()
 
 
-def run_registry(name, *, scale, seed, router=None, shards=1,
-                 transport=None, streamed=False):
+def frozen_registry(name, scale, router, seed, streamed) -> str:
+    intake = "feed" if streamed else "submit"
+    return FROZEN["registry"][f"{name}@{scale}/{router}/seed{seed}/{intake}"]
+
+
+def run_registry(name, *, scale, seed, router, shards=1,
+                 transport="inline", streamed=False):
     """Build and execute one registry scenario; return (target, fingerprint)."""
-    overrides = {"shards": shards}
-    if router is not None:
-        overrides["router"] = router
-    spec = get_scenario(name, scale=scale, seed=seed, **overrides)
+    spec = get_scenario(name, scale=scale, seed=seed, router=router,
+                        shards=shards)
     run = build_run(spec)
-    if transport is not None and isinstance(run.target, ShardedServingCluster):
-        run.target.transport = transport
+    run.target.transport = transport
     report = run.execute(streamed=streamed)
     return run.target, deep_fp(run.target, report)
 
@@ -102,14 +136,7 @@ def _requests(n=48):
     ]
 
 
-def _classic(n=4, router="least_loaded"):
-    return ServingCluster.homogeneous(
-        n, SchedulerRecipe("tokenflow"), router=router,
-        mem_frac=0.02, max_batch=16,
-    )
-
-
-def _sharded(n=4, router="least_loaded", shards=2, transport="inline"):
+def _cluster(n=4, router="least_loaded", shards=2, transport="inline"):
     return ShardedServingCluster.homogeneous(
         n, SchedulerRecipe("tokenflow"), router=router,
         shards=shards, transport=transport,
@@ -117,21 +144,19 @@ def _sharded(n=4, router="least_loaded", shards=2, transport="inline"):
     )
 
 
-def _classic_fp(router="least_loaded", until=None):
-    cluster = _classic(router=router)
-    cluster.submit(_requests())
-    cluster.run(until=until)
-    return deep_fp(cluster, cluster.report())
-
-
-def _sharded_fp(router="least_loaded", shards=2, transport="inline",
-                until=None, via_feed=False):
-    cluster = _sharded(router=router, shards=shards, transport=transport)
+def _run(router="least_loaded", shards=2, transport="inline", until=None,
+         via_feed=False):
+    cluster = _cluster(router=router, shards=shards, transport=transport)
     if via_feed:
         cluster.feed(iter(_requests()))
     else:
         cluster.submit(_requests())
     cluster.run(until=until)
+    return cluster
+
+
+def _fp(**kwargs):
+    cluster = _run(**kwargs)
     return deep_fp(cluster, cluster.report())
 
 
@@ -139,80 +164,75 @@ def _sharded_fp(router="least_loaded", shards=2, transport="inline",
 
 @pytest.mark.parametrize("router", ALL_ROUTERS)
 def test_inline_parity_every_router(router):
-    """K=2 inline shards reproduce the shared-engine run bit-for-bit."""
-    assert _sharded_fp(router=router, shards=2) == _classic_fp(router=router)
+    """K ∈ {1, 2, 4} inline shards reproduce the frozen run bit-for-bit."""
+    for shards in (1, 2, 4):
+        assert _fp(router=router, shards=shards) == FROZEN["direct"][router], (
+            f"router={router} shards={shards}"
+        )
 
 
 def test_shard_count_invariance():
-    """K ∈ {1, 2, 4} all reproduce the same run (4 replicas)."""
-    baseline = _classic_fp(router="least_loaded")
+    """A registry scenario gives one answer at K ∈ {1, 2, 4}."""
+    want = frozen_registry("cluster-burst-4x", 0.25, "least_loaded", 0, False)
     for shards in (1, 2, 4):
-        assert _sharded_fp(router="least_loaded", shards=shards) == baseline
+        _, fp = run_registry("cluster-burst-4x", scale=0.25, seed=0,
+                             router="least_loaded", shards=shards)
+        assert fp == want, f"shards={shards}"
 
 
 def test_process_transport_parity():
     """Real worker processes: state crosses pickling boundaries intact."""
-    baseline = _classic_fp(router="least_loaded")
-    assert _sharded_fp(router="least_loaded", shards=2,
-                       transport="process") == baseline
+    assert _fp(router="least_loaded", shards=2,
+               transport="process") == FROZEN["direct"]["least_loaded"]
 
 
 def test_process_transport_stateless_router():
     """round_robin exercises the buffered (non-pausing) fast path."""
-    baseline = _classic_fp(router="round_robin")
-    assert _sharded_fp(router="round_robin", shards=2,
-                       transport="process") == baseline
+    assert _fp(router="round_robin", shards=2,
+               transport="process") == FROZEN["direct"]["round_robin"]
 
 
 def test_feed_matches_submit():
-    baseline = _classic_fp(router="least_queued")
-    assert _sharded_fp(router="least_queued", via_feed=True) == baseline
-    assert _sharded_fp(router="least_queued", via_feed=False) == baseline
+    want = FROZEN["direct"]["least_queued"]
+    assert _fp(router="least_queued", via_feed=True) == want
+    assert _fp(router="least_queued", via_feed=False) == want
 
 
 def test_horizon_truncation_matches_classic():
-    """Requests past the horizon stay pending on both implementations."""
+    """Requests past the horizon stay pending, matching the frozen run."""
+    want = FROZEN["direct_truncated"]["least_loaded"]
     horizon = 0.03 * 24  # strands roughly half the synthetic arrivals
-    classic = _classic(router="least_loaded")
-    classic.submit(_requests())
-    classic.run(until=horizon)
-    sharded = _sharded(router="least_loaded", shards=2)
-    sharded.submit(_requests())
-    sharded.run(until=horizon)
-    assert sharded.unfinished == classic.unfinished
-    assert deep_fp(sharded, sharded.report()) == deep_fp(
-        classic, classic.report()
-    )
+    for shards in (1, 2):
+        cluster = _run(router="least_loaded", shards=shards, until=horizon)
+        assert cluster.unfinished == want["unfinished"]
+        assert deep_fp(cluster, cluster.report()) == want["digest"]
 
 
 def test_shards_clamped_to_replicas():
-    cluster = _sharded(n=4, shards=16)
+    cluster = _cluster(n=4, shards=16)
     assert cluster.shards == 4
 
 
 def test_non_shardable_router_rejected():
+    """A router must implement the metrics/selection split to exist."""
     class OpaqueRouter(Router):
         name = "opaque"
 
-        def select(self, instances, request):
-            return 0
-
-    with pytest.raises(ValueError, match="shardable"):
-        ShardedServingCluster.homogeneous(
-            2, SchedulerRecipe("tokenflow"), router=OpaqueRouter(),
-            mem_frac=0.02, max_batch=16,
-        )
+    with pytest.raises(TypeError, match="select_from_metrics"):
+        OpaqueRouter()
 
 
 def test_env_switch_selects_inline_transport(monkeypatch):
     monkeypatch.setenv("REPRO_SHARD_INLINE", "1")
-    assert _sharded(transport=None).transport == "inline"
+    assert _cluster(transport=None).transport == "inline"
     monkeypatch.delenv("REPRO_SHARD_INLINE")
-    assert _sharded(transport=None).transport == "process"
+    assert _cluster(transport=None).transport == "process"
+    # One shard gains nothing from a worker process.
+    assert _cluster(shards=1, transport=None).transport == "inline"
 
 
 def test_run_twice_raises():
-    cluster = _sharded()
+    cluster = _cluster()
     cluster.submit(_requests(8))
     cluster.run()
     with pytest.raises(RuntimeError, match="already ran"):
@@ -223,7 +243,7 @@ def test_run_twice_raises():
 
 def test_report_before_run_raises():
     with pytest.raises(RuntimeError, match="before report"):
-        _sharded().report()
+        _cluster().report()
 
 
 def test_scheduler_recipe_pickles():
@@ -233,10 +253,12 @@ def test_scheduler_recipe_pickles():
 
 # --- fast lane: scenario/CLI plumbing ---------------------------------------
 
-def test_build_run_shards_one_uses_classic_cluster():
+def test_build_run_shards_one_uses_inline_coordinator():
     spec = get_scenario("cluster-burst-4x", scale=0.1, shards=1)
     run = build_run(spec)
-    assert isinstance(run.target, ServingCluster)
+    assert isinstance(run.target, ShardedServingCluster)
+    assert run.target.shards == 1
+    assert run.target.transport == "inline"
     spec = get_scenario("cluster-burst-4x", scale=0.1, shards=2)
     run = build_run(spec)
     assert isinstance(run.target, ShardedServingCluster)
@@ -248,9 +270,9 @@ def test_sharded_cells_inside_matrix_workers():
 
     A nested warm pool inside a matrix worker deadlocks worker
     shutdown (multiprocessing joins the worker's children before the
-    nested executor's atexit shutdown runs), so the sharded cluster
-    must fall back to the inline transport off the main process —
-    with identical results.
+    nested executor's atexit shutdown runs), so the cluster must fall
+    back to the inline transport off the main process — with
+    identical results.
     """
     from repro.orchestration import MatrixSpec, run_matrix
 
@@ -267,11 +289,37 @@ def test_sharded_cells_inside_matrix_workers():
 
 def test_registry_parity_process_transport():
     """One registry scenario end-to-end through real worker processes."""
-    _, baseline = run_registry("cluster-burst-4x", scale=0.1, seed=0)
-    _, sharded = run_registry(
-        "cluster-burst-4x", scale=0.1, seed=0, shards=2, transport="process"
-    )
-    assert sharded == baseline
+    _, fp = run_registry("cluster-burst-4x", scale=0.25, seed=0,
+                         router="least_loaded", shards=2, transport="process")
+    assert fp == frozen_registry("cluster-burst-4x", 0.25, "least_loaded", 0,
+                                 False)
+
+
+# --- fault injection ---------------------------------------------------------
+
+class _DyingRouter(LeastQueuedRouter):
+    """least_queued whose shard-side measurement kills its worker."""
+
+    name = "dying_test"
+
+    def instance_metrics(self, instance, request):
+        if (request.req_id >= 10
+                and multiprocessing.current_process().name != "MainProcess"):
+            os._exit(1)
+        return super().instance_metrics(instance, request)
+
+
+def test_dead_worker_fails_the_run_fast():
+    """A shard worker dying mid-run fails ``run()`` in seconds, not at
+    ``GATHER_TIMEOUT_S``, and the reset pool serves the next run."""
+    cluster = _cluster(router=_DyingRouter(), shards=2, transport="process")
+    cluster.submit(_requests())
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="died"):
+        cluster.run()
+    assert time.monotonic() - t0 < 10.0
+    assert _fp(router="least_loaded", shards=2,
+               transport="process") == FROZEN["direct"]["least_loaded"]
 
 
 # --- slow lane: exhaustive registry sweep ------------------------------------
@@ -281,180 +329,159 @@ def test_registry_parity_process_transport():
 @pytest.mark.parametrize("router", ALL_ROUTERS)
 @pytest.mark.parametrize("name", sorted(CLUSTER_SCENARIOS))
 def test_registry_sweep_bit_identical(name, router, seed):
-    """Scenarios × routers × seeds × {submit, feed}: sharded == classic."""
+    """Scenarios × routers × seeds × {submit, feed} × layouts: every run
+    reproduces its frozen digest."""
     scale = CLUSTER_SCENARIOS[name]
     for streamed in (False, True):
-        _, baseline = run_registry(
-            name, scale=scale, seed=seed, router=router, streamed=streamed
-        )
-        _, sharded = run_registry(
-            name, scale=scale, seed=seed, router=router, shards=2,
-            transport="inline", streamed=streamed,
-        )
-        assert sharded == baseline, (
-            f"{name} router={router} seed={seed} streamed={streamed}"
-        )
+        want = frozen_registry(name, scale, router, seed, streamed)
+        for shards, transport in LAYOUTS:
+            _, fp = run_registry(
+                name, scale=scale, seed=seed, router=router, shards=shards,
+                transport=transport, streamed=streamed,
+            )
+            assert fp == want, (
+                f"{name} router={router} seed={seed} streamed={streamed} "
+                f"shards={shards} transport={transport}"
+            )
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(CLUSTER_SCENARIOS))
 def test_registry_shard_count_invariance(name):
-    """K ∈ {2, 4} reproduce the scenario's classic run exactly."""
+    """The extreme partition (one replica per shard) gives the frozen
+    answer and processes exactly the events one shard does."""
     scale = CLUSTER_SCENARIOS[name]
-    _, baseline = run_registry(name, scale=scale, seed=0)
-    for shards in (2, 4):
-        _, sharded = run_registry(
-            name, scale=scale, seed=0, shards=shards, transport="inline"
-        )
-        assert sharded == baseline, f"{name} shards={shards}"
+    router = get_scenario(name, scale=scale).router
+    want = frozen_registry(name, scale, router, 0, False)
+    one, fp = run_registry(name, scale=scale, seed=0, router=router)
+    assert fp == want
+    replicas = get_scenario(name, scale=scale).replicas
+    split, fp = run_registry(name, scale=scale, seed=0, router=router,
+                             shards=replicas)
+    assert fp == want
+    assert sum(split.shard_events) == sum(one.shard_events)
 
 
 @pytest.mark.slow
 def test_soak_process_transport_parity():
     """64 replicas over 4 real worker processes, round_robin fast path."""
-    _, baseline = run_registry("cluster-soak-64x", scale=0.02, seed=0)
-    _, sharded = run_registry(
-        "cluster-soak-64x", scale=0.02, seed=0, shards=4, transport="process"
-    )
-    assert sharded == baseline
+    _, fp = run_registry("cluster-soak-64x", scale=0.02, seed=0,
+                         router="round_robin", shards=4, transport="process",
+                         streamed=True)
+    assert fp == frozen_registry("cluster-soak-64x", 0.02, "round_robin", 0,
+                                 True)
 
 
-# --- speculative dispatch ----------------------------------------------------
+# --- dispatch accounting -----------------------------------------------------
 #
-# The trajectory-snapshot mirror (Router.speculative) must change
-# nothing observable except the coordination counters: placements and
-# reports stay bit-identical with speculation on, off, and across the
-# classic cluster, while rounds collapse for stateful routers.
+# The trajectory-snapshot mirror (Router.speculative) changes nothing
+# observable except the coordination counters: every stateful dispatch
+# is resolved either by a coordination round or from the mirror.
 
-def _sharded_spec(router="least_loaded", shards=2, speculation=True,
-                  n_requests=48):
-    cluster = ShardedServingCluster.homogeneous(
-        4, SchedulerRecipe("tokenflow"), router=router,
-        shards=shards, transport="inline", speculation=speculation,
-        mem_frac=0.02, max_batch=16,
-    )
-    cluster.submit(_requests(n_requests))
-    cluster.run()
-    return cluster
-
-
-def test_speculation_off_matches_on_bit_for_bit():
-    on = _sharded_spec(speculation=True)
-    off = _sharded_spec(speculation=False)
-    assert deep_fp(on, on.report()) == deep_fp(off, off.report())
-
-
-def test_speculation_off_reproduces_pause_round_counts():
-    """speculation=False pays one round per stateful dispatch — the
-    pre-speculation protocol, exactly."""
-    off = _sharded_spec(speculation=False)
-    # least_loaded needs state for every arrival.
-    assert off.coordination_rounds == len(_requests())
-    assert off.speculation_hits == 0
-    assert off.speculation_misses == 0
-
-
-def test_speculation_cuts_rounds():
-    on = _sharded_spec(speculation=True)
-    off = _sharded_spec(speculation=False)
-    assert on.coordination_rounds < off.coordination_rounds
-    assert on.messages_sent < off.messages_sent
-    # Every stateful dispatch except the very first (no mirror yet —
-    # nothing to speculate against) is accounted: resolved
-    # speculatively (hit), validated by a round (hit), or rolled back
-    # (miss).
-    assert (on.speculation_hits + on.speculation_misses
-            == off.coordination_rounds - 1)
+@pytest.mark.parametrize("router", ALL_ROUTERS)
+def test_dispatch_accounting(router):
+    cluster = _run(router=router)
+    report = cluster.report()
+    n = report.n_requests
+    assert report.speculation_misses == 0
+    if router == "round_robin":
+        assert report.coordination_rounds == report.speculation_hits == 0
+    elif router == "session_affinity":
+        # Only each session's first turn needs state; later turns stick.
+        sessions = len({r.session_id for r in _requests()})
+        assert report.coordination_rounds + report.speculation_hits == sessions
+    else:
+        assert report.coordination_rounds + report.speculation_hits == n
+    if not cluster.router.speculative:
+        assert report.speculation_hits == 0
 
 
 def test_speculation_counters_surface_in_cluster_report():
-    on = _sharded_spec(speculation=True)
-    report = on.report()
-    assert report.coordination_rounds == on.coordination_rounds
-    assert report.messages_sent == on.messages_sent
-    assert report.speculation_hits == on.speculation_hits
-    assert report.speculation_misses == on.speculation_misses
-    assert report.speculation_hits > 0
-    classic = _classic()
-    classic.submit(_requests())
-    classic.run()
-    classic_report = classic.report()
-    assert classic_report.coordination_rounds == 0
-    assert classic_report.speculation_hits == 0
+    cluster = _run(router="least_loaded")
+    report = cluster.report()
+    assert report.coordination_rounds == cluster.coordination_rounds
+    assert report.messages_sent == cluster.messages_sent
+    assert report.speculation_hits == cluster.speculation_hits > 0
+    assert report.speculation_misses == 0
+    stateless = _run(router="round_robin", shards=1).report()
+    assert stateless.coordination_rounds == 0
+    assert stateless.speculation_hits == 0
+
+
+def test_speculation_cuts_rounds():
+    """least_loaded resolves arrivals from the mirror: fewer rounds than
+    stateful dispatches."""
+    cluster = _run(router="least_loaded")
+    n = len(_requests())
+    assert 0 < cluster.coordination_rounds < n
+    assert cluster.coordination_rounds + cluster.speculation_hits == n
 
 
 def test_speculation_non_speculative_router_unchanged():
-    """buffer_aware opts out of snapshots: speculation on/off are the
-    same protocol (every stateful dispatch pauses), same results."""
-    on = _sharded_spec(router="buffer_aware", speculation=True)
-    off = _sharded_spec(router="buffer_aware", speculation=False)
-    assert on.coordination_rounds == off.coordination_rounds
-    assert on.speculation_hits == 0
-    assert deep_fp(on, on.report()) == deep_fp(off, off.report())
+    """buffer_aware ships no snapshots: every stateful dispatch pauses."""
+    cluster = _run(router="buffer_aware")
+    assert cluster.coordination_rounds == len(_requests())
+    assert cluster.speculation_hits == 0
+    assert deep_fp(cluster, cluster.report()) == FROZEN["direct"]["buffer_aware"]
 
 
 def test_speculation_process_transport_parity():
     """Snapshots pickle across the worker boundary intact."""
-    baseline = _classic_fp(router="least_loaded")
-    cluster = _sharded(router="least_loaded", shards=2, transport="process")
-    cluster.submit(_requests())
-    cluster.run()
-    assert deep_fp(cluster, cluster.report()) == baseline
+    cluster = _run(router="least_loaded", shards=2, transport="process")
+    assert deep_fp(cluster, cluster.report()) == FROZEN["direct"]["least_loaded"]
     assert cluster.speculation_hits > 0
 
 
 def test_session_affinity_speculation_folds_sticky_hits():
     """Sticky (stateless) placements must fold into the mirror too —
-    parity across on/off proves the folded trajectory stays exact."""
-    on = _sharded_spec(router="session_affinity", speculation=True)
-    off = _sharded_spec(router="session_affinity", speculation=False)
-    assert deep_fp(on, on.report()) == deep_fp(off, off.report())
-    assert on.coordination_rounds < off.coordination_rounds
+    matching the frozen run proves the folded trajectory stays exact."""
+    cluster = _run(router="session_affinity")
+    assert deep_fp(cluster, cluster.report()) == FROZEN["direct"]["session_affinity"]
+    assert cluster.coordination_rounds < len(_requests())
 
 
 def test_speculation_spec_plumbing():
-    spec = get_scenario("cluster-burst-4x", scale=0.1, shards=2,
-                        speculation=False)
-    run = build_run(spec)
-    assert run.target.speculation is False
-    spec = get_scenario("cluster-burst-4x", scale=0.1, shards=2)
-    run = build_run(spec)
-    assert run.target.speculation is True
-
-
-@pytest.mark.slow
-def test_registry_speculation_off_parity_sweep():
-    """speculation=off × routers × scenarios: same fingerprints as the
-    default (speculation=on) sharded runs."""
-    for name, scale in sorted(CLUSTER_SCENARIOS.items()):
-        for router in ("least_loaded", "session_affinity"):
-            _, on_fp = run_registry(
-                name, scale=scale, seed=0, router=router, shards=2,
-                transport="inline",
-            )
-            spec = get_scenario(name, scale=scale, seed=0, router=router,
-                                shards=2, speculation=False)
-            run = build_run(spec)
-            run.target.transport = "inline"
-            report = run.execute()
-            assert deep_fp(run.target, report) == on_fp, (
-                f"{name} router={router}"
-            )
+    """Scenario runs use the mirror exactly when the router offers it."""
+    for router, speculative in (("least_loaded", True), ("least_queued", False)):
+        spec = get_scenario("cluster-burst-4x", scale=0.1, shards=2,
+                            router=router)
+        run = build_run(spec)
+        run.target.transport = "inline"
+        report = run.execute()
+        assert run.target.router.speculative is speculative
+        assert (report.speculation_hits > 0) is speculative
+        assert report.coordination_rounds + report.speculation_hits == report.n_requests
 
 
 @pytest.mark.slow
 def test_soak_least_loaded_speculation_process_parity():
-    """The acceptance workload: 64 replicas, least_loaded, 4 real
-    worker processes, speculation on — bit-identical to classic."""
-    _, baseline = run_registry(
-        "cluster-soak-64x", scale=0.02, seed=0, router="least_loaded"
-    )
-    target, sharded = run_registry(
+    """64 replicas, least_loaded, 4 real worker processes: the frozen
+    answer, with the mirror resolving arrivals."""
+    target, fp = run_registry(
         "cluster-soak-64x", scale=0.02, seed=0, router="least_loaded",
-        shards=4, transport="process",
+        shards=4, transport="process", streamed=True,
     )
-    assert sharded == baseline
+    assert fp == frozen_registry("cluster-soak-64x", 0.02, "least_loaded", 0,
+                                 True)
     assert target.speculation_hits > 0
+
+
+@pytest.mark.slow
+def test_soak_least_loaded_round_budget():
+    """The soak acceptance point: least_loaded over K=4 at scale 0.25
+    takes exactly 162 rounds and 1174 messages for 1600 arrivals."""
+    target, fp = run_registry(
+        "cluster-soak-64x", scale=0.25, seed=0, router="least_loaded",
+        shards=4, streamed=True,
+    )
+    assert fp == frozen_registry("cluster-soak-64x", 0.25, "least_loaded", 0,
+                                 True)
+    report = target.report()
+    assert report.n_requests == 1600
+    assert report.coordination_rounds == 162
+    assert report.messages_sent == 1174
+    assert report.coordination_rounds + report.speculation_hits == 1600
+    assert report.speculation_misses == 0
 
 
 # --- per-shard streaming telemetry (O(active) reports) -----------------------

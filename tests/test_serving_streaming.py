@@ -3,7 +3,7 @@
 Two independent guarantees are pinned here:
 
 1. **Arrival-path parity** — driving a run through
-   ``ServingSystem.feed(stream)`` / ``ServingCluster.feed(stream)`` is
+   ``ServingSystem.feed(stream)`` / ``ShardedServingCluster.feed(stream)`` is
    *event-for-event identical* to the materialised ``submit(list)``
    path: same engine event count, bit-identical
    :func:`report_fingerprint` (every aggregate and every per-request
@@ -32,6 +32,7 @@ from repro.serving.metrics import (
     report_fingerprint,
 )
 from repro.workload.request import clone_requests
+from tests.conftest import events_processed
 
 FAST_PARITY_SCENARIOS = [
     ("table1-h200-a", 0.1),        # burst, fusion-heavy
@@ -70,10 +71,7 @@ class TestFeedSubmitParity:
         # The self-refilling arrival chain adds no events: each arrival
         # pops its successor inside its own event.
         run_a, _, run_b, _ = run_pair(name, scale)
-        assert (
-            run_a.target.engine.events_processed
-            == run_b.target.engine.events_processed
-        )
+        assert events_processed(run_a.target) == events_processed(run_b.target)
 
     def test_cluster_placements_identical(self):
         run_a, _, run_b, _ = run_pair("cluster-burst-4x", 0.25)
