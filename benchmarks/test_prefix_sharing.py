@@ -3,8 +3,10 @@
 Runs the two prefix-native scenarios — ``prefix-heavy-agents``
 (sequential multi-turn sessions, cached-chain reuse + promotion) and
 ``rag-replay`` (concurrent fan-out over shared document prefixes,
-live refs + copy-on-write forks) — once under ``prefix_cow`` and once
-under the ``naive`` allocator on the identical workload, asserting
+live refs + copy-on-write forks) — once as registered and once with
+every request's sharing identity stripped (``session_id``,
+``prefix_group`` and ``prefix_len`` cleared: the "naive" columns,
+plain per-request block counts), asserting
 
 * **savings** — ``prefix_blocks_saved / (prefix_blocks_saved +
   gpu_blocks_allocated)`` is at least :data:`MIN_SAVINGS` (the
@@ -12,13 +14,13 @@ under the ``naive`` allocator on the identical workload, asserting
 * **reuse paths** — the agents scenario exercises cache promotion and
   the RAG scenario exercises copy-on-write forks, so both sharing
   mechanisms are demonstrably live, and
-* **parity of demand** — the naive run on the same workload allocates
-  strictly more fresh blocks than the prefix run, and
+* **parity of demand** — the identity-stripped run allocates strictly
+  more fresh blocks than the prefix run, and
 * **no drift** — every deterministic counter equals the committed
   ``benchmarks/BENCH_prefix.json``.
 
 Writes a fresh ``BENCH_prefix.json`` under ``.repro-cache/bench/``
-recording the counters and the naive-vs-prefix allocation deltas.
+recording the counters and the stripped-vs-prefix allocation deltas.
 
 Run just this harness with::
 
@@ -30,6 +32,7 @@ from __future__ import annotations
 from benchmarks.conftest import committed_artifact, emit, write_fresh_artifact
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import get_scenario
+from tests.conftest import identity_stripped
 
 SCALE = 0.5
 SEED = 0
@@ -46,8 +49,10 @@ COUNTER_KEYS = (
 )
 
 
-def _run(name, **overrides):
-    spec = get_scenario(name, scale=SCALE, seed=SEED, **overrides)
+def _run(name, stripped=False):
+    spec = get_scenario(name, scale=SCALE, seed=SEED)
+    if stripped:
+        spec = identity_stripped(spec)
     return build_run(spec).execute()
 
 
@@ -55,7 +60,7 @@ def test_prefix_sharing_savings():
     rows = []
     for name in SCENARIOS:
         prefix = _run(name)
-        naive = _run(name, kv_allocator="naive")
+        naive = _run(name, stripped=True)
         stats = prefix.kv_stats
         saved = stats["prefix_blocks_saved"]
         allocated = stats["gpu_blocks_allocated"]
@@ -85,7 +90,7 @@ def test_prefix_sharing_savings():
         "notes": (
             "savings = prefix_blocks_saved / (prefix_blocks_saved + "
             "gpu_blocks_allocated); naive columns re-run the identical "
-            "workload with kv_allocator=naive"
+            "workload with every sharing identity stripped"
         ),
     }
     fresh = write_fresh_artifact(BENCH_NAME, payload)

@@ -60,6 +60,12 @@ if [[ "$FAST" -eq 1 ]]; then
     python -m repro.cli run cluster-burst-4x --shards 2 --scale 0.1 || rc=$?
   fi
   if [[ "$rc" -eq 0 ]]; then
+    # Identity-bearing sharded smoke: session turns drive the KV block
+    # table's prefix sharing inside the shard worker processes.
+    echo "== fast lane: repro run bursty-sessions --shards 2 smoke =="
+    python -m repro.cli run bursty-sessions --shards 2 --scale 0.25 || rc=$?
+  fi
+  if [[ "$rc" -eq 0 ]]; then
     # Catalogue smoke: the long listing renders every ScenarioSpec.doc,
     # so a scenario registered without docs (or a rendering bug) fails
     # fast; the link checker keeps README/docs cross-references honest.

@@ -198,7 +198,6 @@ def cmd_list_scenarios(args) -> int:
         axes = [f"system={spec.system}", f"replicas={spec.replicas}"]
         if spec.replicas > 1:
             axes.append(f"router={spec.router}")
-        axes.append(f"kv_allocator={spec.kv_allocator}")
         if spec.is_stream_native:
             axes.append("stream-native")
         print(f"{name} — {desc}")
@@ -300,8 +299,6 @@ def cmd_run(args) -> int:
         overrides["shards"] = args.shards
     if args.horizon is not None:
         overrides["horizon"] = args.horizon
-    if args.kv_allocator is not None:
-        overrides["kv_allocator"] = args.kv_allocator
     try:
         spec = get_scenario(args.name, scale=args.scale, seed=args.seed,
                             **overrides)
@@ -464,11 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "runs inline; reports stay bit-identical)")
     run_p.add_argument("--horizon", type=float, default=None,
                        help="override the simulation safety horizon (s)")
-    run_p.add_argument("--kv-allocator", dest="kv_allocator",
-                       choices=("naive", "prefix_cow"), default=None,
-                       help="override the KV block allocator policy "
-                            "(prefix_cow enables refcounted prefix "
-                            "sharing with copy-on-write forks)")
     run_p.add_argument("--stream", action="store_true",
                        help="drive arrivals through the streaming plane "
                             "(feed(stream); event-for-event identical to "

@@ -69,35 +69,23 @@ class SchedulerRecipe:
         return scheduler
 
 
-def make_kv_config(
-    name: str, block_size: int = 16, kv_allocator: str = "naive"
-) -> KVManagerConfig:
+def make_kv_config(name: str, block_size: int = 16) -> KVManagerConfig:
     """KV-manager switches per system.
 
     Baselines have no hierarchical offload (SGLang/Andes preempt by
     dropping KV and recomputing); TokenFlow enables the full memory
     co-design, minus one technique per ablation variant.
-    ``kv_allocator`` is orthogonal to the system: any of them can run
-    on the naive count-only allocator or the prefix-sharing table.
     """
     if name in ("sglang", "sglang-chunked", "andes", "mlfq"):
-        return KVManagerConfig(
-            block_size=block_size, enable_offload=False, kv_allocator=kv_allocator
-        )
+        return KVManagerConfig(block_size=block_size, enable_offload=False)
     if name == "tokenflow":
-        return KVManagerConfig(block_size=block_size, kv_allocator=kv_allocator)
+        return KVManagerConfig(block_size=block_size)
     if name == "tokenflow-no-offload":
-        return KVManagerConfig(
-            block_size=block_size, enable_offload=False, kv_allocator=kv_allocator
-        )
+        return KVManagerConfig(block_size=block_size, enable_offload=False)
     if name == "tokenflow-no-writethrough":
-        return KVManagerConfig(
-            block_size=block_size, write_through=False, kv_allocator=kv_allocator
-        )
+        return KVManagerConfig(block_size=block_size, write_through=False)
     if name == "tokenflow-no-overlap":
-        return KVManagerConfig(
-            block_size=block_size, load_evict_overlap=False, kv_allocator=kv_allocator
-        )
+        return KVManagerConfig(block_size=block_size, load_evict_overlap=False)
     raise KeyError(f"unknown system {name!r}")
 
 
@@ -111,7 +99,6 @@ def build_system(
     tokenflow_params: Optional[TokenFlowParams] = None,
     fuse_decode: bool = True,
     vectorize_decode: bool = True,
-    kv_allocator: str = "naive",
     retain_per_request: bool = True,
     record_token_traces: bool = False,
 ) -> ServingSystem:
@@ -130,7 +117,7 @@ def build_system(
         mem_frac=mem_frac,
         max_batch=max_batch,
         block_size=block_size,
-        kv=make_kv_config(name, block_size, kv_allocator),
+        kv=make_kv_config(name, block_size),
         fuse_decode=fuse_decode,
         vectorize_decode=vectorize_decode,
         retain_per_request=retain_per_request,

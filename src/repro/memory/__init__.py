@@ -5,17 +5,18 @@ Four layers:
 * :mod:`repro.memory.blocks` — block-granular pool allocators for the
   GPU and CPU KV pools (PagedAttention-style per-owner accounting,
   plus the ownership ``transfer`` primitive prefix sharing builds on).
-* :mod:`repro.memory.blocktable` — the optional ``prefix_cow``
-  allocator policy: refcounted shared blocks keyed by positional
-  content hash, cache promotion, copy-on-write forks, and a refs-0
-  LRU cache reclaimed under pressure (see docs/memory-model.md).
+* :mod:`repro.memory.blocktable` — the prefix-sharing block table over
+  the GPU pool: refcounted shared blocks keyed by positional content
+  hash, cache promotion, copy-on-write forks, and a refs-0 LRU cache
+  reclaimed under pressure (see docs/memory-model.md).  Requests
+  without a sharing identity never touch it.
 * :mod:`repro.memory.pcie` — the host link: per-direction bandwidth
   queues with chunked-transfer accounting (full duplex, as on PCIe).
 * :mod:`repro.memory.kv_manager` — TokenFlow's hierarchical KV cache
   manager: write-through replication, synchronous chunked writing
-  sized to compute intervals, load-evict overlap, the ablation
-  switches used by Table 2, and the ``kv_allocator`` policy switch
-  (``naive`` counts-only vs ``prefix_cow`` identity blocks).
+  sized to compute intervals, load-evict overlap and the ablation
+  switches used by Table 2, allocating GPU blocks through the block
+  table.
 """
 
 from repro.memory.blocks import BlockPool, OutOfMemory

@@ -1,11 +1,13 @@
 """Prefix-sharing block table: KV blocks with identity and refcounts.
 
-The naive allocator in :mod:`repro.memory.blocks` models KV memory as
-per-owner block *counts*; this module gives blocks *identity* so
-requests that provably share a token prefix can map it onto the same
-physical blocks instead of allocating fresh ones — the
+:mod:`repro.memory.blocks` models KV memory as per-owner block
+*counts*; this module gives blocks *identity* so requests that
+provably share a token prefix can map it onto the same physical
+blocks instead of allocating fresh ones — the
 cacheflow/vLLM ``BlockSpaceManager`` idea (SNIPPETS.md Snippets 2–3)
-restated for the simulator.
+restated for the simulator.  It is the KV manager's only allocator:
+a request without a sharing identity never reaches the index, so its
+blocks stay plain per-request counts.
 
 Identity model
 --------------
@@ -47,8 +49,8 @@ Invariants (asserted by :meth:`PrefixBlockTable.check_invariants`):
   length equals the ``KVRecord.shared_blocks`` the hierarchical
   manager folds into its held-block arithmetic;
 * pool-level ``used + free == capacity`` is untouched — the table only
-  re-labels ownership (:meth:`BlockPool.transfer`), so naive-mode
-  accounting is bit-identical when the table is absent.
+  re-labels ownership (:meth:`BlockPool.transfer`), so identity-less
+  requests see exactly the count-only pool accounting.
 """
 
 from __future__ import annotations

@@ -28,19 +28,17 @@ iteration scan over every record, and decode-token growth tracks block
 boundaries arithmetically instead of re-deriving block counts through
 the pool on every generated token.
 
-Allocator policy is pluggable (``KVManagerConfig.kv_allocator``):
-
-* ``"naive"`` (default) — per-request block counts only, exactly the
-  historical behaviour, bit-for-bit.
-* ``"prefix_cow"`` — a :class:`~repro.memory.blocktable.PrefixBlockTable`
-  gives blocks identity: prefill allocation consults the prefix index
-  and maps shared prefixes onto existing refcounted blocks (with
-  copy-on-write forks and refcount-aware eviction).  Every held-blocks
-  computation folds in ``KVRecord.shared_blocks`` — zero under the
-  naive allocator, so the arithmetic is an additive no-op there — and
-  per-request *logical* growth (``gpu_tokens``) is unchanged, so the
-  fused and vectorised decode planes work identically above either
-  allocator.
+GPU blocks are allocated through one
+:class:`~repro.memory.blocktable.PrefixBlockTable`, which gives blocks
+identity: a request that carries a sharing identity
+(:meth:`~repro.workload.request.Request.sharing_identity`) maps its
+shared prefix onto existing refcounted blocks at prefill (with
+copy-on-write forks and refcount-aware eviction); a request without
+one never touches the index, so its blocks are plain per-request
+counts.  Every held-blocks computation folds in
+``KVRecord.shared_blocks`` (zero for identity-less requests), and
+per-request *logical* growth (``gpu_tokens``) is the same either way,
+so the fused and vectorised decode planes never see the difference.
 """
 
 from __future__ import annotations
@@ -69,9 +67,9 @@ class KVManagerConfig:
         load_evict_overlap: if False, loads wait for every pending
             eviction to finish (Table 2 "w/o Evict-Load Overlap").
         cpu_capacity_blocks: host pool capacity.
-        kv_allocator: ``"naive"`` (per-request block counts, the
-            default) or ``"prefix_cow"`` (refcounted prefix-sharing
-            block table with copy-on-write forks).
+
+    Prefix sharing has no switch: it follows from whether requests
+    carry a sharing identity.
     """
 
     block_size: int = 16
@@ -79,7 +77,6 @@ class KVManagerConfig:
     write_through: bool = True
     load_evict_overlap: bool = True
     cpu_capacity_blocks: int = 4_000_000
-    kv_allocator: str = "naive"
 
 
 @dataclass
@@ -94,9 +91,8 @@ class KVRecord:
 
     ``shared_blocks`` counts prefix-index blocks this request maps
     (references) instead of owning: its physical holdings are
-    ``pool.used_by(req_id) + shared_blocks``.  Always 0 under the
-    naive allocator, so folding it into held-block arithmetic is an
-    additive no-op there.
+    ``pool.used_by(req_id) + shared_blocks``.  Always 0 for a request
+    without a sharing identity.
     """
 
     req_id: int
@@ -155,18 +151,9 @@ class HierarchicalKVManager:
             "eviction_tail_bytes": 0.0,
             "load_bytes": 0.0,
         }
-        # Optional prefix-sharing block table.  When None (the naive
-        # allocator), every hook below is skipped and the manager is
-        # bit-identical to the historical count-only behaviour.
-        if self.config.kv_allocator == "prefix_cow":
-            self.prefix = PrefixBlockTable(self.gpu_pool, self.stats)
-        elif self.config.kv_allocator == "naive":
-            self.prefix = None
-        else:
-            raise ValueError(
-                f"unknown kv_allocator {self.config.kv_allocator!r} "
-                "(expected 'naive' or 'prefix_cow')"
-            )
+        # The prefix-sharing block table.  Its hooks are no-ops for
+        # requests without a sharing identity.
+        self.prefix = PrefixBlockTable(self.gpu_pool, self.stats)
 
     # --- helpers -------------------------------------------------------------
     def record(self, req_id: int) -> KVRecord:
@@ -189,15 +176,19 @@ class HierarchicalKVManager:
         demand, so admission/fitting decisions count them as free;
         the allocation paths reclaim them just-in-time.
         """
-        if self.prefix is not None:
-            return self.gpu_pool.free + self.prefix.evictable_blocks
-        return self.gpu_pool.free
+        free = self.gpu_pool.free
+        cached = self.prefix.cached
+        return free + len(cached) if cached else free
 
     def can_allocate_tokens(self, n_tokens: int) -> bool:
         return self.blocks_for_tokens(n_tokens) <= self.gpu_free_blocks()
 
     def _reclaim_for(self, n_blocks: int) -> None:
-        """Evict cached prefix blocks until ``n_blocks`` fit (or give up)."""
+        """Evict cached prefix blocks until ``n_blocks`` fit (or give up).
+
+        Callers test ``self.prefix.cached`` first, so identity-less
+        work (an empty cache) pays no call here.
+        """
         short = n_blocks - self.gpu_pool.free
         if short > 0:
             self.prefix.reclaim(short)
@@ -213,17 +204,15 @@ class HierarchicalKVManager:
     def register(self, req_id: int, request=None) -> KVRecord:
         """Create the placement record for a new request.
 
-        ``request`` (the workload object) is optional and only
-        inspected by the prefix-sharing allocator, which derives the
-        request's sharing identity from it.
+        ``request`` (the workload object) is optional; the block table
+        derives the request's sharing identity from it.
         """
         if req_id in self._records:
             raise ValueError(f"request {req_id} already registered")
         record = KVRecord(req_id=req_id, seq=self._next_seq)
         self._next_seq += 1
         self._records[req_id] = record
-        if self.prefix is not None:
-            self.prefix.register(req_id, request)
+        self.prefix.register(req_id, request)
         return record
 
     def allocate_for_prefill(self, req_id: int, context_tokens: int) -> None:
@@ -231,27 +220,24 @@ class HierarchicalKVManager:
 
         Raises :class:`OutOfMemory` if the pool cannot hold it; the
         caller (scheduler/server) is responsible for checking first or
-        handling the failure.  Under the prefix allocator this first
+        handling the failure.  A request with a sharing identity first
         consults the prefix index, mapping any shared prefix onto
         existing blocks so only the unshared remainder is allocated.
         """
         record = self.record(req_id)
         needed = self.blocks_for_tokens(context_tokens)
-        if self.prefix is not None:
+        if req_id in self.prefix.identities:
             self.prefix.attach(req_id, record, context_tokens)
-            held = (
-                self.gpu_pool.used_by(req_id)
-                - record.pending_free_blocks
-                + record.shared_blocks
-            )
-            if needed > held:
-                self._reclaim_for(needed - held)
-                self.gpu_pool.allocate(req_id, needed - held)
-            return
         # Blocks whose eviction transfer is still in flight are not
         # reusable: they will be released when the transfer completes.
-        held = self.gpu_pool.used_by(req_id) - record.pending_free_blocks
+        held = (
+            self.gpu_pool.used_by(req_id)
+            - record.pending_free_blocks
+            + record.shared_blocks
+        )
         if needed > held:
+            if self.prefix.cached:
+                self._reclaim_for(needed - held)
             self.gpu_pool.allocate(req_id, needed - held)
 
     def on_prefill_complete(self, req_id: int, context_tokens: int) -> None:
@@ -266,7 +252,7 @@ class HierarchicalKVManager:
         # Publish the freshly computed prefix so concurrent requests of
         # the same namespace can share it live (skipped while an
         # eviction is in flight — those blocks are not transferable).
-        if self.prefix is not None and record.pending_free_blocks == 0:
+        if record.pending_free_blocks == 0 and req_id in self.prefix.identities:
             self.prefix.publish(req_id, record, context_tokens)
 
     def on_decode_token(self, req_id: int) -> None:
@@ -292,7 +278,7 @@ class HierarchicalKVManager:
                 + record.shared_blocks
             )
             if needed > held:
-                if self.prefix is not None:
+                if self.prefix.cached:
                     self._reclaim_for(needed - held)
                 self.gpu_pool.allocate(req_id, needed - held)
         if record.cpu_tokens == tokens:
@@ -449,14 +435,14 @@ class HierarchicalKVManager:
         records = self._records
         dirty = self._dirty
         with_drains = drain_starts is not None and k > 1
-        prefix = self.prefix
+        cached = self.prefix.cached
         for rid in req_ids:
             record = records[rid]
             tokens = record.gpu_tokens
             needed = (tokens + k - 1) // bs + 1
             held = usage_get(rid, 0) - record.pending_free_blocks + record.shared_blocks
             if needed > held:
-                if prefix is not None:
+                if cached:
                     self._reclaim_for(needed - held)
                 gpu_pool.allocate(rid, needed - held)
             record.gpu_tokens = tokens + k
@@ -479,8 +465,8 @@ class HierarchicalKVManager:
     def release(self, req_id: int) -> None:
         """Drop all state for a finished (or aborted) request.
 
-        Under the prefix allocator the request first retires through
-        the block table: its references drop (a shared block is only
+        A request with a sharing identity first retires through the
+        block table: its references drop (a shared block is only
         freeable once its last owner retires) and its private prefix
         blocks are donated to the cache for the next prefix match.
         """
@@ -488,7 +474,7 @@ class HierarchicalKVManager:
         if record is None:
             return
         self._dirty.pop(req_id, None)
-        if self.prefix is not None:
+        if req_id in self.prefix.identities:
             self.prefix.finish(req_id, record, record.gpu_tokens)
         self.gpu_pool.release_all(req_id)
         self.cpu_pool.release_all(req_id)
@@ -649,7 +635,8 @@ class HierarchicalKVManager:
             raise RuntimeError(f"request {req_id} is not resident; cannot preempt")
         record.resident = False
         self._dirty.pop(req_id, None)
-        if self.prefix is not None:
+        shares = req_id in self.prefix.identities
+        if shares:
             # Drop prefix references first: the paths below release or
             # transfer only the request's *private* blocks, and a
             # recompute-resumed prefill re-attaches (and hits) again.
@@ -673,12 +660,13 @@ class HierarchicalKVManager:
             return now
         total_blocks = self.gpu_pool.used_by(req_id)
         dirty_blocks = self.gpu_pool.blocks_for_tokens(dirty)
-        if self.prefix is not None and dirty_blocks > total_blocks:
+        if shares and dirty_blocks > total_blocks:
             # The dirty tail spans blocks the request maps from the
             # prefix index; those were detached above, so the deferred
             # free must cover private holdings only (the transfer still
             # writes the full dirty byte count — the host copy is
-            # per-request).
+            # per-request).  Identity-free requests keep the count-only
+            # arithmetic unclamped.
             dirty_blocks = total_blocks
         clean_blocks = max(0, total_blocks - dirty_blocks)
         if clean_blocks > 0:
@@ -751,7 +739,7 @@ class HierarchicalKVManager:
             + record.shared_blocks,
         )
         if needed > held:
-            if self.prefix is not None:
+            if self.prefix.cached:
                 self._reclaim_for(needed - held)
             self.gpu_pool.allocate(req_id, needed - held)
         earliest = 0.0
@@ -796,17 +784,14 @@ class HierarchicalKVManager:
         """Pool-level consistency checks for property tests."""
         self.gpu_pool.check_invariants()
         self.cpu_pool.check_invariants()
-        if self.prefix is not None:
-            self.prefix.check_invariants()
+        self.prefix.check_invariants()
         for record in self._records.values():
             assert record.cpu_tokens >= 0 and record.gpu_tokens >= 0
-            assert record.shared_blocks >= 0
-            if self.prefix is not None:
-                chain = self.prefix.refs_held.get(record.req_id, ())
-                assert record.shared_blocks == len(chain), (
-                    f"request {record.req_id} shared_blocks={record.shared_blocks} "
-                    f"but holds {len(chain)} references"
-                )
+            chain = self.prefix.refs_held.get(record.req_id, ())
+            assert record.shared_blocks == len(chain), (
+                f"request {record.req_id} shared_blocks={record.shared_blocks} "
+                f"but holds {len(chain)} references"
+            )
             if record.resident:
                 held = self.gpu_pool.used_by(record.req_id) + record.shared_blocks
                 assert held >= self.gpu_pool.blocks_for_tokens(record.gpu_tokens) - record.pending_free_blocks

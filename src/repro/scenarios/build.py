@@ -139,7 +139,6 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
             tokenflow_params=spec.tokenflow_params,
             fuse_decode=spec.fuse_decode,
             vectorize_decode=spec.vectorize_decode,
-            kv_allocator=spec.kv_allocator,
             retain_per_request=spec.retain_per_request,
             record_token_traces=spec.record_token_traces,
         )
@@ -152,7 +151,7 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
             mem_frac=spec.mem_frac,
             max_batch=spec.max_batch,
             block_size=spec.block_size,
-            kv=make_kv_config(spec.system, spec.block_size, spec.kv_allocator),
+            kv=make_kv_config(spec.system, spec.block_size),
             fuse_decode=spec.fuse_decode,
             vectorize_decode=spec.vectorize_decode,
             retain_per_request=spec.retain_per_request,

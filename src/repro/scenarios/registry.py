@@ -26,9 +26,9 @@ Registered families:
   round_robin cluster; the sharded-cluster benchmark workload
   (``--shards K`` partitions the replicas across worker processes).
 * ``prefix-heavy-agents`` / ``rag-replay`` — prefix-sharing traffic
-  (long multi-turn agent sessions; concurrent shared-prompt replays)
-  on the ``prefix_cow`` block allocator, where cross-request block
-  reuse and copy-on-write forks carry the workload.
+  (long multi-turn agent sessions; concurrent shared-prompt replays),
+  where cross-request block reuse and copy-on-write forks in the KV
+  block table carry the workload.
 
 Each entry also carries a longer ``ScenarioSpec.doc`` catalogue
 paragraph, rendered by ``repro list-scenarios --long`` and mirrored
@@ -289,7 +289,7 @@ def _bursty_sessions(scale: float = 1.0, seed: int = 0) -> ScenarioSpec:
             "Multi-turn chat sessions whose turns re-feed prior history, "
             "arriving in a flash crowd on a 2-replica cluster — the "
             "session_affinity router's home ground (sticky sessions keep "
-            "KV locality).  Axes: router, replicas, kv_allocator."
+            "KV locality).  Axes: router, replicas."
         ),
         system="tokenflow",
         hardware="h200",
@@ -497,10 +497,10 @@ def _cluster_soak_64x(scale: float = 1.0, seed: int = 0) -> ScenarioSpec:
 
 # --- prefix-sharing scenario family -------------------------------------------
 #
-# Workloads where cross-request KV block reuse carries the run, paired
-# with the ``prefix_cow`` allocator (the naive allocator runs them too
-# — identically except for peak/total block demand — which is exactly
-# the comparison BENCH_prefix.json records).
+# Workloads where cross-request KV block reuse carries the run.  The
+# same requests with their sharing identities stripped run identically
+# except for peak/total block demand — exactly the comparison
+# BENCH_prefix.json records.
 
 
 def _prefix_agent_workload(spec: ScenarioSpec) -> list:
@@ -545,7 +545,7 @@ def _prefix_agent_workload(spec: ScenarioSpec) -> list:
 
 @register_scenario(
     "prefix-heavy-agents",
-    "long multi-turn agent sessions on the prefix_cow allocator "
+    "long multi-turn agent sessions on the prefix-sharing block table "
     "(every turn re-feeds its history; block reuse carries the run)",
 )
 def _prefix_heavy_agents(scale: float = 1.0, seed: int = 0) -> ScenarioSpec:
@@ -555,17 +555,16 @@ def _prefix_heavy_agents(scale: float = 1.0, seed: int = 0) -> ScenarioSpec:
         doc=(
             "16 agent sessions × 6 turns where each turn's prompt is "
             "the previous turn's full context plus a short message — "
-            "the prefix_cow allocator maps the shared history onto "
-            "cached blocks instead of re-allocating it (the BENCH_prefix "
-            "workload; ≥30% GPU-block savings vs naive).  Axes: "
-            "kv_allocator, scale, seed."
+            "the block table maps the shared history onto cached "
+            "blocks instead of re-allocating it (the BENCH_prefix "
+            "workload; ≥30% GPU-block savings vs the same turns with "
+            "session ids stripped).  Axes: scale, seed."
         ),
         system="tokenflow",
         hardware="h200",
         model="llama3-8b",
         mem_frac=0.02,
         max_batch=32,
-        kv_allocator="prefix_cow",
         scale=scale,
         seed=seed,
         workload=_prefix_agent_workload,
@@ -611,8 +610,8 @@ def _rag_replay_workload(spec: ScenarioSpec) -> list:
 
 @register_scenario(
     "rag-replay",
-    "concurrent shared-prompt (RAG) replays on the prefix_cow "
-    "allocator — live sharing and copy-on-write forks",
+    "concurrent shared-prompt (RAG) replays on the prefix-sharing "
+    "block table — live sharing and copy-on-write forks",
 )
 def _rag_replay(scale: float = 1.0, seed: int = 0) -> ScenarioSpec:
     return ScenarioSpec(
@@ -624,14 +623,13 @@ def _rag_replay(scale: float = 1.0, seed: int = 0) -> ScenarioSpec:
             "only in a short question: later members attach to the "
             "first member's live published chain, so this family "
             "exercises concurrent sharing and CoW forks, not just "
-            "retired-cache reuse.  Axes: kv_allocator, scale, seed."
+            "retired-cache reuse.  Axes: scale, seed."
         ),
         system="tokenflow",
         hardware="h200",
         model="llama3-8b",
         mem_frac=0.02,
         max_batch=32,
-        kv_allocator="prefix_cow",
         scale=scale,
         seed=seed,
         workload=_rag_replay_workload,

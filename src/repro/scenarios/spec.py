@@ -21,6 +21,11 @@ from repro.serving.routers import ROUTERS, Router
 class ScenarioSpec:
     """One named, fully-determined serving scenario.
 
+    KV prefix sharing has no switch here: the workload decides it.
+    Requests carrying a ``session_id`` or ``prefix_group`` share KV
+    blocks through :mod:`repro.memory.blocktable`; the rest allocate
+    private blocks.
+
     Attributes:
         name: scenario identifier (registry key or ad-hoc label).
         description: one-line human description.
@@ -68,11 +73,6 @@ class ScenarioSpec:
         vectorize_decode: struct-of-arrays batch delivery switch (see
             :class:`~repro.serving.config.ServingConfig`); off runs
             the scalar per-request path bit-for-bit.
-        kv_allocator: KV block allocator policy — ``"naive"``
-            (per-request block counts, the historical behaviour,
-            bit-for-bit) or ``"prefix_cow"`` (refcounted prefix-sharing
-            block table with copy-on-write forks; see
-            :mod:`repro.memory.blocktable`).
         record_token_traces: keep per-token buffer traces (plots/export).
     """
 
@@ -96,7 +96,6 @@ class ScenarioSpec:
     tokenflow_params: Optional[object] = None
     fuse_decode: bool = True
     vectorize_decode: bool = True
-    kv_allocator: str = "naive"
     retain_per_request: bool = True
     record_token_traces: bool = False
 
@@ -112,11 +111,6 @@ class ScenarioSpec:
         if isinstance(self.router, str) and self.router not in ROUTERS:
             raise ValueError(
                 f"unknown router {self.router!r}; known: {sorted(ROUTERS)}"
-            )
-        if self.kv_allocator not in ("naive", "prefix_cow"):
-            raise ValueError(
-                f"unknown kv_allocator {self.kv_allocator!r} "
-                "(expected 'naive' or 'prefix_cow')"
             )
 
     def with_overrides(self, **changes) -> "ScenarioSpec":

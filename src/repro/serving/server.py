@@ -350,9 +350,9 @@ class ServingSystem:
             max(self.makespan(), 1e-9)
         )
         # Lifetime GPU-pool demand: cumulative blocks allocated and the
-        # high-water mark.  The prefix allocator's savings show up here
-        # (reused blocks never hit allocate()), so naive-vs-prefix_cow
-        # runs of one workload are directly comparable.
+        # high-water mark.  Prefix-sharing savings show up here (reused
+        # blocks never hit allocate()), so a workload and its
+        # identity-stripped copy are directly comparable.
         kv_stats["gpu_blocks_allocated"] = self.kv.gpu_pool.total_allocated
         kv_stats["gpu_peak_blocks"] = self.kv.gpu_pool.peak
         return build_report(

@@ -5,7 +5,7 @@ The serving loop is four cooperating stages coordinated by the slim
 
 * :class:`AdmissionStage` — arrivals into the tracker/KV/waiting queue
   plus the scheduler tick clock (also where a request's sharing
-  identity reaches the KV manager, for the ``prefix_cow`` allocator);
+  identity reaches the KV manager's prefix-sharing block table);
 * :class:`BatchComposer` — plans each iteration (prefill entries or a
   decode batch, including the §4.2.3 buffer-aware interleaving);
 * :class:`MemoryPressureStage` — resolves decode-time KV deficits via

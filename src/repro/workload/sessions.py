@@ -129,9 +129,8 @@ class SessionDriver:
 
     # --- queries ----------------------------------------------------------
     def turns_completed(self, session_id: int) -> int:
-        return self._turn[session_id] - (
-            0 if self._turn[session_id] < self.sessions[session_id].n_turns else 0
-        )
+        """Turns of ``session_id`` whose answer has finished generating."""
+        return self._turn[session_id]
 
     @property
     def all_done(self) -> bool:

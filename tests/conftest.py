@@ -62,3 +62,28 @@ def events_processed(target) -> int:
     if isinstance(target, ServingSystem):
         return target.engine.events_processed
     return sum(target.shard_events)
+
+
+def identity_stripped(spec):
+    """``spec`` with every request's sharing identity cleared.
+
+    ``session_id``, ``prefix_group`` and ``prefix_len`` are reset on the
+    same workload, so nothing reaches the KV block table's prefix index
+    and every block is a fresh per-request allocation — the baseline a
+    prefix-sharing run's savings are measured against.
+    """
+
+    def strip(request):
+        request.session_id = None
+        request.prefix_group = None
+        request.prefix_len = 0
+        return request
+
+    changes = {}
+    if spec.workload is not None:
+        workload = spec.workload
+        changes["workload"] = lambda s: [strip(r) for r in workload(s)]
+    if spec.workload_stream is not None:
+        stream = spec.workload_stream
+        changes["workload_stream"] = lambda s: map(strip, stream(s))
+    return spec.with_overrides(**changes)

@@ -1,28 +1,36 @@
-"""Prefix-sharing KV allocator: unit behaviour + naive-mode parity.
+"""Prefix-sharing KV block table: unit behaviour, parity, conservation.
 
 Covers the :mod:`repro.memory.blocktable` lifecycle (reference reuse,
 cache promotion, copy-on-write forks, refcount-aware eviction) through
 the ``HierarchicalKVManager`` API, the identity plumbing on
 ``Request``, the counters surfaced through ``RunReport.kv_stats``, and
-the bit-identity guarantee: the default ``kv_allocator="naive"`` runs
-every existing registry scenario exactly as before (the full-registry
-sweep is slow-marked; a representative subset runs in the fast lane).
+two whole-run contracts:
+
+* **naive parity** — "naive" is the same workload with every sharing
+  identity stripped, i.e. plain per-request block counts.  Sharing
+  changes block demand (``kv_stats``) and nothing else a report shows;
+  identity-free scenarios match in ``kv_stats`` too.  The
+  full-registry sweep is slow-marked; a subset runs in the fast lane.
+* **conservation** — after every single-node registry run the manager
+  holds no records, the host pool is empty, and every GPU block still
+  in use is a cached (refs-0) prefix block.
 """
 
 import pytest
 
-from repro.memory.blocktable import SHARED_OWNER
+from repro.memory.blocktable import PREFIX_STAT_KEYS, SHARED_OWNER
 from repro.memory.kv_manager import HierarchicalKVManager, KVManagerConfig
 from repro.scenarios import build_run, get_scenario
 from repro.scenarios.registry import scenario_names
 from repro.serving.metrics import report_fingerprint
 from repro.sim.engine import SimEngine
 from repro.workload.request import Request, clone_requests
+from tests.conftest import identity_stripped
 
 
-def make_kv(allocator="prefix_cow", capacity=64, **cfg):
+def make_kv(capacity=64, **cfg):
     cfg.setdefault("cpu_capacity_blocks", 4096)
-    config = KVManagerConfig(kv_allocator=allocator, **cfg)
+    config = KVManagerConfig(**cfg)
     return HierarchicalKVManager(
         SimEngine(), capacity, kv_bytes_per_token=1000.0,
         pcie_bandwidth_bytes_per_s=1e9, config=config,
@@ -67,30 +75,11 @@ class TestRequestIdentity:
 
 
 class TestAllocatorConfig:
-    def test_naive_default_has_no_table(self):
-        kv = make_kv(allocator="naive")
-        assert kv.prefix is None
-        assert "prefix_lookups" not in kv.stats
-
     def test_prefix_cow_seeds_counters(self):
         kv = make_kv()
         assert kv.prefix is not None
         assert kv.stats["prefix_lookups"] == 0
         assert kv.stats["cow_forks"] == 0
-
-    def test_unknown_allocator_rejected(self):
-        with pytest.raises(ValueError, match="kv_allocator"):
-            make_kv(allocator="buddy")
-        with pytest.raises(ValueError, match="kv_allocator"):
-            get_scenario("table1-h200-a").with_overrides(kv_allocator="buddy")
-
-    def test_naive_ignores_identity(self):
-        kv = make_kv(allocator="naive")
-        kv.register(0, make_request(0, 160, session=1))
-        kv.allocate_for_prefill(0, 160)
-        kv.on_prefill_complete(0, 160)
-        assert kv.record(0).shared_blocks == 0
-        kv.check_invariants()
 
 
 class TestSessionReuse:
@@ -232,38 +221,41 @@ class TestScenarioCounters:
         assert report.kv_stats["cow_forks"] > 0
         assert report.kv_stats["prefix_hits"] > 0
 
-    def test_naive_runs_omit_prefix_counters(self):
-        report = build_run(get_scenario("table1-h200-a", scale=0.05)).execute()
-        assert "prefix_hits" not in report.kv_stats
-        assert report.kv_stats["gpu_blocks_allocated"] > 0
-        assert report.kv_stats["gpu_peak_blocks"] > 0
-
     def test_prefix_cow_allocates_fewer_blocks(self):
-        # Peak pool *residency* can be higher under prefix_cow (warm
-        # cached blocks stay pool-owned until reclaimed), so the
-        # savings claim is about fresh allocations, not peak.
+        # Peak pool *residency* can be higher with sharing (warm cached
+        # blocks stay pool-owned until reclaimed), so the savings claim
+        # is about fresh allocations, not peak.
         spec = get_scenario("prefix-heavy-agents", scale=0.25)
         prefix = build_run(spec).execute().kv_stats
-        naive = build_run(spec.with_overrides(kv_allocator="naive")).execute().kv_stats
+        naive = build_run(identity_stripped(spec)).execute().kv_stats
+        assert naive["prefix_lookups"] == 0
         assert prefix["gpu_blocks_allocated"] < naive["gpu_blocks_allocated"]
 
 
-# --- naive-mode parity ---------------------------------------------------------
+# --- naive parity ----------------------------------------------------------------
 
-def _fingerprint(spec):
+def _execute(spec):
+    """(fingerprint, per-instance kv_stats) of one run of ``spec``."""
     report = build_run(spec).execute()
     if spec.replicas > 1:
-        per_request = tuple(sorted(
-            (m.req_id, m.ttft, m.finish_time, m.generated, m.stall_time,
-             m.effective_tokens, m.preemptions)
-            for instance in report.per_instance
-            for m in instance.per_request
-        ))
-        return (report.n_requests, report.total_tokens, report.throughput,
-                report.effective_throughput, report.qos, report.ttft_mean,
-                report.ttft_p99, report.stall_total, report.preemptions,
-                per_request)
-    return report_fingerprint(report)
+        return (report_fingerprint(report.aggregate),
+                [node.kv_stats for node in report.per_instance])
+    return report_fingerprint(report), [report.kv_stats]
+
+
+def _naive_parity(spec):
+    """Assert the identity-stripped rerun matches ``spec``'s run in
+    everything but ``kv_stats`` (and in those too without identities);
+    return the default run's kv_stats."""
+    if spec.router == "session_affinity":
+        # That router places by session id, which stripping clears.
+        spec = spec.with_overrides(router="least_loaded")
+    fingerprint, kv_stats = _execute(spec)
+    naive_fingerprint, naive_kv_stats = _execute(identity_stripped(spec))
+    assert fingerprint == naive_fingerprint
+    if all(stats["prefix_lookups"] == 0 for stats in kv_stats):
+        assert kv_stats == naive_kv_stats
+    return kv_stats
 
 
 PARITY_CELLS_FAST = [
@@ -285,40 +277,62 @@ _PARITY_SCALES = {
 
 @pytest.mark.parametrize("name,scale", PARITY_CELLS_FAST)
 def test_naive_override_is_default(name, scale):
-    """`kv_allocator="naive"` is the default: explicit override is a no-op."""
-    spec = get_scenario(name, scale=scale)
-    assert spec.kv_allocator == "naive"
-    assert _fingerprint(spec) == _fingerprint(
-        spec.with_overrides(kv_allocator="naive")
-    )
+    """Identity-free scenarios already allocate naively: stripping
+    identities reproduces the run, kv_stats included, and every
+    prefix counter is present and zero."""
+    for stats in _naive_parity(get_scenario(name, scale=scale)):
+        assert all(stats[key] == 0 for key in PREFIX_STAT_KEYS)
+        assert stats["gpu_blocks_allocated"] > 0
 
 
 @pytest.mark.parametrize("name,scale", [("table1-h200-a", 0.10),
                                         ("tab02-tokenflow", 0.10)])
 def test_prefix_cow_is_bit_identical_without_identities(name, scale):
-    """With no session/group identities nothing attaches, so the
-    prefix allocator's arithmetic is an additive no-op — reports are
-    bit-identical, not merely close."""
-    spec = get_scenario(name, scale=scale)
-    assert _fingerprint(spec) == _fingerprint(
-        spec.with_overrides(kv_allocator="prefix_cow")
-    )
+    """Without identities the block table stays inert: nothing is
+    indexed, so the pool's lifetime demand is plain per-request counts
+    and the committed goldens hold unchanged."""
+    run = build_run(get_scenario(name, scale=scale))
+    run.execute()
+    table = run.target.kv.prefix
+    assert not table.index and not table.identities and not table.refs_held
+    assert run.target.kv.gpu_pool.used_by(SHARED_OWNER) == 0
+
+
+def test_identity_free_write_back_is_unclamped():
+    """Only requests that share clamp a write-back eviction's deferred
+    free to their private blocks; identity-free requests keep the
+    count-only arithmetic.  The pinned counters were recorded with the
+    count-only allocator before the block table became the only one."""
+    spec = get_scenario("tab02-tokenflow-no-writethrough", scale=0.25)
+    stats = build_run(spec).execute().kv_stats
+    assert stats["evictions"] == 706
+    assert stats["loads"] == 546
+    assert stats["gpu_blocks_allocated"] == 81407
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", scenario_names())
 def test_registry_wide_naive_parity(name):
-    """Every registry scenario is bit-identical under an explicit
-    `kv_allocator="naive"` override (for the prefix-native scenarios
-    the override *changes* the allocator, so those assert determinism
-    of their own default instead)."""
-    scale = _PARITY_SCALES.get(name, 0.10)
-    spec = get_scenario(name, scale=scale)
-    if spec.kv_allocator == "naive":
-        assert _fingerprint(spec) == _fingerprint(
-            spec.with_overrides(kv_allocator="naive")
-        )
-    else:
-        assert _fingerprint(spec) == _fingerprint(spec)
-        # The naive allocator must still run the workload to completion.
-        build_run(spec.with_overrides(kv_allocator="naive")).execute()
+    """Every registry scenario: block sharing changes nothing a report
+    shows except kv_stats."""
+    _naive_parity(get_scenario(name, scale=_PARITY_SCALES.get(name, 0.10)))
+
+
+# --- end-of-run conservation -------------------------------------------------
+
+def _single_node_scenarios():
+    return [name for name in scenario_names()
+            if get_scenario(name).replicas == 1]
+
+
+@pytest.mark.parametrize("name", _single_node_scenarios())
+def test_end_of_run_kv_conservation(name):
+    """A finished run leaves no records, an empty host pool, and only
+    cached (refs-0) prefix blocks on the GPU."""
+    run = build_run(get_scenario(name, scale=_PARITY_SCALES.get(name, 0.10)))
+    run.execute()
+    kv = run.target.kv
+    assert not kv._records
+    assert kv.cpu_pool.used == 0
+    assert kv.gpu_pool.used == len(kv.prefix.index) == kv.prefix.evictable_blocks
+    kv.check_invariants()

@@ -1,6 +1,6 @@
 """Property tests for the prefix block table and pool transfer.
 
-Drives ``HierarchicalKVManager`` (``kv_allocator="prefix_cow"``)
+Drives ``HierarchicalKVManager`` with identity-bearing requests
 through randomised request lifecycles — admit, decode, preempt,
 resume (load or recompute), finish, engine flush — and checks the
 full invariant set after **every** operation:
@@ -108,11 +108,7 @@ lifecycle_ops = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_lifecycle_preserves_invariants(ops, capacity, offload):
     engine = SimEngine()
-    config = KVManagerConfig(
-        kv_allocator="prefix_cow",
-        cpu_capacity_blocks=4096,
-        enable_offload=offload,
-    )
+    config = KVManagerConfig(cpu_capacity_blocks=4096, enable_offload=offload)
     kv = HierarchicalKVManager(
         engine, capacity, kv_bytes_per_token=1000.0,
         pcie_bandwidth_bytes_per_s=1e9, config=config,
@@ -207,8 +203,7 @@ def test_group_fanout_refcounts_balance(prompts, prefix_len):
     shared chain equals the number of live attachments; finishing all
     members leaves only refs-0 cached blocks."""
     engine = SimEngine()
-    config = KVManagerConfig(kv_allocator="prefix_cow",
-                             cpu_capacity_blocks=4096)
+    config = KVManagerConfig(cpu_capacity_blocks=4096)
     kv = HierarchicalKVManager(
         engine, 512, kv_bytes_per_token=1000.0,
         pcie_bandwidth_bytes_per_s=1e9, config=config,

@@ -61,6 +61,23 @@ class TestDriver:
         # Turn 1 arrives only after reading (10s for 100 tokens) + think.
         assert second.request.arrival_time >= read_done + 3.0 - 1e-9
 
+    def test_turns_completed_mid_and_end_of_session(self):
+        system = make_system()
+        spec = SessionSpec(session_id=0, n_turns=3, think_time_s=2.0)
+        driver = SessionDriver(system, [spec])
+        driver.start()
+        assert driver.turns_completed(0) == 0
+        # Stop between the first answer and the second turn's arrival.
+        system.run(until=12.0)
+        assert system.tracker.get(spec.request_id(0)).request.is_finished
+        with pytest.raises(KeyError):
+            system.tracker.get(spec.request_id(1))  # not yet arrived
+        assert driver.turns_completed(0) == 1
+        assert not driver.all_done
+        system.run(until=50_000.0)
+        assert driver.all_done
+        assert driver.turns_completed(0) == 3
+
     def test_multiple_concurrent_sessions(self):
         system = make_system()
         sessions = [
