@@ -6,9 +6,10 @@
 #                          including the perf smoke
 #   scripts/ci.sh --fast   fast lane: everything not marked `slow`
 #                          (unit/integration/scenario/orchestration
-#                          tests, including the fused-vs-unfused decode
-#                          parity checks in tests/test_serving_fusion.py
-#                          and the vectorised-vs-scalar parity sweep in
+#                          tests, including the fused-vs-per-iteration
+#                          decode parity checks in
+#                          tests/test_serving_fusion.py and the
+#                          frozen scalar-reference checks in
 #                          tests/test_serving_vectorize.py), plus a
 #                          2-worker `repro matrix` smoke cell;
 #                          targets < 60 s
@@ -44,7 +45,7 @@ tree_before="$(tree_state)"
 # what trailing steps are added after this block.
 rc=0
 if [[ "$FAST" -eq 1 ]]; then
-  echo "== fast lane: pytest -m 'not slow' (incl. fusion + vectorize parity) =="
+  echo "== fast lane: pytest -m 'not slow' (incl. fusion + scalar-reference parity) =="
   python -m pytest -x -q -m "not slow" || rc=$?
   if [[ "$rc" -eq 0 ]]; then
     # Orchestrator smoke: one tiny scenario cell across 2 worker

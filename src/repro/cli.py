@@ -24,10 +24,8 @@ and runs them across worker processes (``--list`` previews the cells);
 hot-spot report (wall seconds, function calls, peak RSS, tottime +
 cumulative tables) so perf regressions in the simulation core are
 measurable from the command line — ``--json PATH`` writes it as a
-diffable CI artifact and ``--no-fuse`` disables macro-step decode
-fusion so fusion wins/regressions can be diffed; ``selftest`` runs the
-tier-1 CI flow (``scripts/ci.sh``; pass ``--fast`` for the not-slow
-lane).
+diffable CI artifact; ``selftest`` runs the tier-1 CI flow
+(``scripts/ci.sh``; pass ``--fast`` for the not-slow lane).
 """
 
 from __future__ import annotations
@@ -387,22 +385,16 @@ def cmd_profile(args) -> int:
         return 2
     setup = TABLE1[key]
     requests = build_workload(setup, scale=args.scale, seed=args.seed)
-    fuse = not args.no_fuse
-    vectorize = not args.no_vectorize
-
     def run():
         return run_comparison(
-            (args.system,), requests, horizon=50_000.0, fuse_decode=fuse,
-            vectorize_decode=vectorize,
+            (args.system,), requests, horizon=50_000.0,
             **serving_kwargs(setup, args.scale),
         )
 
     report = profile_call(run, top=args.top, wall_runs=1)
     run_report = report.result[args.system]
     print(f"{setup.label()} · {args.system} · {len(requests)} requests, "
-          f"{run_report.total_tokens} tokens"
-          + ("" if fuse else " · fuse_decode=off")
-          + ("" if vectorize else " · vectorize_decode=off"))
+          f"{run_report.total_tokens} tokens")
     print(report.render(top=args.top))
     if args.by_subsystem:
         print()
@@ -414,7 +406,6 @@ def cmd_profile(args) -> int:
             "scale": args.scale, "seed": args.seed,
             "n_requests": len(requests),
             "total_tokens": run_report.total_tokens,
-            "fuse_decode": fuse,
         }
         payload["executor_stats"] = dict(run_report.executor_stats)
         path = Path(args.json)
@@ -557,12 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     prof.add_argument("--json", default=None, metavar="PATH",
                       help="also write the report (tottime + cumulative "
                            "tables) as JSON — a diffable CI artifact")
-    prof.add_argument("--no-fuse", action="store_true",
-                      help="disable macro-step decode fusion "
-                           "(fuse_decode=False) to diff fusion wins")
-    prof.add_argument("--no-vectorize", action="store_true",
-                      help="disable the vectorised batch plane "
-                           "(vectorize_decode=False) to diff its wins")
     prof.add_argument("--by-subsystem", action="store_true",
                       help="also print exclusive time per subsystem "
                            "(executor/buffer/tracker/kv/...)")

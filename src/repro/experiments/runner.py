@@ -48,8 +48,6 @@ def run_comparison(
     max_batch: int = 64,
     horizon: float = 50_000.0,
     tokenflow_params=None,
-    fuse_decode: bool = True,
-    vectorize_decode: bool = True,
     jobs: int = 1,
 ) -> dict:
     """Run each named system on identical workload copies.
@@ -70,8 +68,6 @@ def run_comparison(
             max_batch=max_batch,
             horizon=horizon,
             tokenflow_params=tokenflow_params,
-            fuse_decode=fuse_decode,
-            vectorize_decode=vectorize_decode,
         )
         for name in system_names
     ]

@@ -97,8 +97,6 @@ def build_system(
     max_batch: int = 64,
     block_size: int = 16,
     tokenflow_params: Optional[TokenFlowParams] = None,
-    fuse_decode: bool = True,
-    vectorize_decode: bool = True,
     retain_per_request: bool = True,
     record_token_traces: bool = False,
 ) -> ServingSystem:
@@ -118,8 +116,6 @@ def build_system(
         max_batch=max_batch,
         block_size=block_size,
         kv=make_kv_config(name, block_size),
-        fuse_decode=fuse_decode,
-        vectorize_decode=vectorize_decode,
         retain_per_request=retain_per_request,
         record_token_traces=record_token_traces,
     )

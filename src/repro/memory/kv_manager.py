@@ -136,12 +136,6 @@ class HierarchicalKVManager:
         # Optional callback fired whenever deferred frees return blocks
         # to the pool (the serving loop uses it to retry stalled work).
         self.on_memory_freed: Optional[Callable[[], None]] = None
-        # Vectorised-decode opt-in: fold the uniform drain's identical
-        # per-record PCIe transfers into one occupy_bulk() call.  The
-        # link's busy horizon stays bit-identical either way; only the
-        # reporting byte/busy totals switch to a closed-form sum, so
-        # the default keeps the scalar path's accumulation untouched.
-        self.bulk_pcie_accounting = False
         # Counters for the ablation/overhead analysis.
         self.stats = {
             "evictions": 0,
@@ -550,21 +544,16 @@ class HierarchicalKVManager:
                 block_size = self._block_size
                 stats = self.stats
                 cpu_usage = cpu_pool.usage
-                bulk_occupy = self.bulk_pcie_accounting
                 for record in list(self._dirty.values()):
                     target = record.cpu_tokens + uniform
                     if -(-target // block_size) > cpu_usage.get(record.req_id, 0):
                         self._grow_cpu_copy(record, target)
-                    if not bulk_occupy:
-                        d2h.occupy(nbytes, now)
                     record.cpu_tokens = target
                     self._dirty.pop(record.req_id, None)
-                    budget_bytes -= nbytes
                     stats["write_through_bytes"] += nbytes
-                if bulk_occupy:
-                    # The transfers are identical, so one bulk call
-                    # replays the exact busy-horizon additions.
-                    d2h.occupy_bulk(n_dirty, nbytes, now)
+                # The transfers are identical, so one bulk call
+                # replays the exact busy-horizon additions.
+                d2h.occupy_bulk(n_dirty, nbytes, now)
                 return n_dirty * uniform
         if priority is not None:
             # Highest priority first; registration order breaks ties —

@@ -137,8 +137,6 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
             max_batch=spec.max_batch,
             block_size=spec.block_size,
             tokenflow_params=spec.tokenflow_params,
-            fuse_decode=spec.fuse_decode,
-            vectorize_decode=spec.vectorize_decode,
             retain_per_request=spec.retain_per_request,
             record_token_traces=spec.record_token_traces,
         )
@@ -152,8 +150,6 @@ def build_run(spec: ScenarioSpec, requests: Optional[list] = None) -> ScenarioRu
             max_batch=spec.max_batch,
             block_size=spec.block_size,
             kv=make_kv_config(spec.system, spec.block_size),
-            fuse_decode=spec.fuse_decode,
-            vectorize_decode=spec.vectorize_decode,
             retain_per_request=spec.retain_per_request,
             record_token_traces=spec.record_token_traces,
         )

@@ -125,7 +125,7 @@ def _register_table1() -> None:
                     f"Paper Table 1 controlled setup {setup.label()}: a "
                     "fixed flash crowd on one TokenFlow instance, the "
                     "golden-pinned headline workload.  Axes: system, "
-                    "fuse_decode/vectorize_decode, scale, seed."
+                    "scale, seed."
                 ),
                 system="tokenflow",
                 hardware=kwargs["hardware"],

@@ -66,13 +66,6 @@ class ScenarioSpec:
             retires finished requests into streaming accumulators so
             memory stays O(active) — the soak scenarios' setting.
         tokenflow_params: optional TokenFlow parameter overrides.
-        fuse_decode: macro-step decode fusion switch (see
-            :class:`~repro.serving.config.ServingConfig`); off runs one
-            event per decode iteration, for debugging and fused-vs-
-            unfused parity/perf diffs.
-        vectorize_decode: struct-of-arrays batch delivery switch (see
-            :class:`~repro.serving.config.ServingConfig`); off runs
-            the scalar per-request path bit-for-bit.
         record_token_traces: keep per-token buffer traces (plots/export).
     """
 
@@ -94,8 +87,6 @@ class ScenarioSpec:
     workload: Optional[Callable[["ScenarioSpec"], list]] = None
     workload_stream: Optional[Callable[["ScenarioSpec"], Iterator]] = None
     tokenflow_params: Optional[object] = None
-    fuse_decode: bool = True
-    vectorize_decode: bool = True
     retain_per_request: bool = True
     record_token_traces: bool = False
 

@@ -22,8 +22,8 @@ The first window column uses the untransformed scalar operations
 vectorised *unfused* decode path — reproduce the scalar floats
 exactly.  Deeper columns replace K repeated additions with one
 multiply; together with the closed-form cursor advance below this is
-the rel-1e-9 half of the parity contract (``vectorize_decode`` gates
-it; ``ServingConfig`` docs).
+the rel-1e-9 half of the parity contract, checked against the frozen
+scalar reference in ``tests/scalar_decode_reference.json``.
 
 Consumption counting is closed-form instead of cursor replay: tokens
 delivered before the window sit on one arithmetic chain (the fast

@@ -33,24 +33,6 @@ class ServingConfig:
         chunked_prefill: split prompts into chunks (SGLang-chunked).
         prefill_chunk_size: chunk size when chunking is active.
         kv: KV-manager behaviour switches (Table 2 ablations).
-        fuse_decode: enable macro-step decode fusion — when the decode
-            batch provably cannot change before the next scheduler
-            tick, arrival, completion, or memory event, the serving
-            loop advances all iterations up to that horizon in one
-            event via closed-form bulk updates.  Metrics stay within
-            the rel-1e-9 envelope of the per-iteration path (float
-            summation order of a few reporting aggregates is the only
-            difference); switch off to debug with one event per decode
-            iteration.
-        vectorize_decode: advance the whole decode batch's client
-            buffers with struct-of-arrays numpy kernels
-            (:mod:`repro.serving.batchstate`) instead of per-request
-            scalar loops, and switch the PCIe drain's per-request
-            occupancy bookkeeping to one bulk call.  Busy horizons and
-            all integer metrics are exact; a few float reporting
-            aggregates differ in summation order, within the same
-            rel-1e-9 envelope as ``fuse_decode``.  ``False`` preserves
-            the scalar path bit-for-bit.
         retain_per_request: keep every finished request's tracker entry
             (and its :class:`~repro.serving.metrics.RequestMetrics`
             row) until report time — the exact historical pipeline,
@@ -84,8 +66,6 @@ class ServingConfig:
     chunked_prefill: bool = False
     prefill_chunk_size: int = 2048
     kv: KVManagerConfig = field(default_factory=KVManagerConfig)
-    fuse_decode: bool = True
-    vectorize_decode: bool = True
     retain_per_request: bool = True
     record_token_traces: bool = False
     timeline_cap: int = 65536

@@ -83,11 +83,6 @@ class ServingSystem:
             config=config.kv,
         )
         self.kv.on_memory_freed = self._kick
-        # Bulk PCIe accounting rides the same gate as the vectorised
-        # decode plane: busy horizons are exact either way, but the
-        # closed-form byte totals differ from N sequential additions
-        # by summation order (vectorize_decode=False stays bit-exact).
-        self.kv.bulk_pcie_accounting = config.vectorize_decode
         # Streaming telemetry (retain_per_request=False): finished
         # requests retire into this accumulator and their tracker
         # entries are dropped — memory stays O(active requests).

@@ -416,12 +416,6 @@ class DecodeStream:
         # names exactly which requests can finish at the next
         # completion instant.  Only meaningful while ``system._busy``.
         self.inflight = None
-        # Vectorised batch plane (serving/batchstate.py): deliver each
-        # decode batch's tokens through array ops instead of the
-        # per-request scalar state machine.  Same parity contract as
-        # the fusion plane; `vectorize_decode=False` keeps the scalar
-        # path bit-for-bit.
-        self.vectorize = system.config.vectorize_decode
         # Fusion-plane counters (surfaced in RunReport.executor_stats).
         self.fused_windows = 0
         self.fused_iterations = 0
@@ -485,29 +479,33 @@ class DecodeStream:
         now = self.engine.now()
         self.kv.drain_writes(now, now + duration,
                              priority=self.memory.write_priority_at(now))
-        if system.tracer is not None:
-            system.tracer.record(now, "executor", "decode_start",
-                                 batch=len(batch), duration=duration)
         system._busy = True
-        if system.config.fuse_decode and system.tracer is None:
-            fused = self._plan_fused(batch, result, overhead, now, duration)
-            if fused is not None:
-                times, steps, write_through = fused
-                self.inflight = ("fused", times[-1], (batch, len(times)))
-                self.engine.call_at(
-                    times[-1],
-                    lambda: self.complete_fused(
-                        result, batch, times, steps, write_through
-                    ),
-                    label="decode-fused-done",
-                )
-                return
-        self.inflight = ("decode", now + duration, batch)
-        self.engine.call_at(
-            now + duration,
-            lambda: self.complete_decode(result, batch),
-            label="decode-done",
-        )
+        fused = self._plan_fused(batch, result, overhead, now, duration)
+        if fused is None:
+            k, window = 1, duration
+            self.inflight = ("decode", now + duration, batch)
+            self.engine.call_at(
+                now + duration,
+                lambda: self.complete_decode(result, batch),
+                label="decode-done",
+            )
+        else:
+            times, steps, write_through = fused
+            k, window = len(times), times[-1] - now
+            self.inflight = ("fused", times[-1], (batch, k))
+            self.engine.call_at(
+                times[-1],
+                lambda: self.complete_fused(
+                    result, batch, times, steps, write_through
+                ),
+                label="decode-fused-done",
+            )
+        if system.tracer is not None:
+            # One record per executor event: a fused window is one
+            # record carrying its iteration count.
+            system.tracer.record(now, "executor", "decode_start",
+                                 batch=len(batch), iterations=k,
+                                 duration=window)
 
     # --- the fusion plane ---------------------------------------------
     def _plan_fused(self, batch: list, result, overhead: float,
@@ -662,12 +660,7 @@ class DecodeStream:
             req_ids, k,
             drain_starts=times[:-1] if write_through else None,
         )
-        if self.vectorize:
-            deliver_batch(self.tracker, batch, times)
-        else:
-            deliver = self.tracker.deliver_tokens
-            for request in batch:
-                deliver(request.req_id, times)
+        deliver_batch(self.tracker, batch, times)
         if now > self.last_token_time:
             self.last_token_time = now
         # Intermediate samples: queue/batch sizes are frozen inside the
@@ -686,78 +679,54 @@ class DecodeStream:
         system._kick()
 
     def complete_decode(self, result, batch: list) -> None:
-        # The per-token fast path: this loop runs once per generated
-        # token across the whole simulation, so emit_token /
-        # deliver_token are inlined (same operations, same order).
+        """Apply one unfused decode iteration.
+
+        The KV growth is bulked into one call (the same allocations
+        and busy arithmetic as a per-request ``on_decode_token`` each).
+        Delivery stays scalar: with one token per request there is no
+        K dimension to vectorise, and the array kernel's per-row
+        gather/scatter overhead loses to the O(1) scalar step.
+        Reordering KV growth ahead of the deliveries is safe —
+        plan_decode's fitting pass guaranteed every allocation fits,
+        with or without blocks freed by batch members finishing this
+        iteration.
+        """
         system = self.system
         now = self.engine.now()
         running = RequestState.RUNNING
-        if self.vectorize and system.tracer is None:
-            # Single-iteration advance with the KV growth bulked into
-            # one call (bit-identical to per-request on_decode_token —
-            # same allocations, same busy arithmetic).  Delivery stays
-            # scalar here: with one token per request there is no K
-            # dimension to vectorise, and the array kernel's per-row
-            # gather/scatter overhead loses to the O(1) scalar step.
-            # Reordering KV growth ahead of the deliveries is safe —
-            # plan_decode's fitting pass guaranteed every allocation
-            # fits, with or without blocks freed by batch members
-            # finishing this iteration.
-            live = [r for r in batch if r.state is running]
-            if live:
-                self.kv.fused_decode_advance(
-                    tuple([r.req_id for r in live]), 1, None
-                )
-                entries = self.tracker.entries_by_id
-                invalidate = self.tracker.occupancy_invalidator
-                for request in live:
-                    # Request.record_token inlined (the timestamp-order
-                    # check is vacuous here: the engine's clock is
-                    # monotone, so `now` never precedes a past token).
-                    if request.generated >= request.output_len:
-                        raise RuntimeError(
-                            f"request {request.req_id} already generated "
-                            f"all {request.output_len} tokens"
-                        )
-                    if request.ttft is None:
-                        request.ttft = now - request.arrival_time
-                        request.first_token_time = now
-                    request.generated += 1
-                    request.token_times.append(now)
-                    entries[request.req_id].buffer.deliver(now)
-                    if request.generated >= request.output_len:
-                        # The finish hook may read this request's state
-                        # at `now`; drop its memo entry first, exactly
-                        # as the scalar path's per-delivery pop would.
-                        invalidate(request.req_id, None)
-                        self.finish(request, now)
-                # One memo sweep instead of a pop per delivery; the
-                # memo is a pure cache, so over-clearing only costs
-                # recomputes at the next query.
-                self.tracker.invalidate_occupancy_all()
-                if now > self.last_token_time:
-                    self.last_token_time = now
-            self.executor.commit(result)
-            system._sample_timeline()
-            system._busy = False
-            self.inflight = None
-            system._kick()
-            return
-        on_decode_token = self.kv.on_decode_token
-        entries = self.tracker.entries_by_id
-        invalidate = self.tracker.occupancy_invalidator
-        for request in batch:
-            if request.state is not running:
-                continue
-            req_id = request.req_id
-            on_decode_token(req_id)
-            request.record_token(now)
-            entries[req_id].buffer.deliver(now)
-            invalidate(req_id, None)
+        live = [r for r in batch if r.state is running]
+        if live:
+            self.kv.fused_decode_advance(
+                tuple([r.req_id for r in live]), 1, None
+            )
+            entries = self.tracker.entries_by_id
+            invalidate = self.tracker.occupancy_invalidator
+            for request in live:
+                # Request.record_token inlined (the timestamp-order
+                # check is vacuous here: the engine's clock is
+                # monotone, so `now` never precedes a past token).
+                if request.generated >= request.output_len:
+                    raise RuntimeError(
+                        f"request {request.req_id} already generated "
+                        f"all {request.output_len} tokens"
+                    )
+                if request.ttft is None:
+                    request.ttft = now - request.arrival_time
+                    request.first_token_time = now
+                request.generated += 1
+                request.token_times.append(now)
+                entries[request.req_id].buffer.deliver(now)
+                if request.generated >= request.output_len:
+                    # The finish hook may read this request's state
+                    # at `now`; drop its memo entry first.
+                    invalidate(request.req_id, None)
+                    self.finish(request, now)
+            # One memo sweep instead of a pop per delivery; the memo
+            # is a pure cache, so over-clearing only costs recomputes
+            # at the next query.
+            self.tracker.invalidate_occupancy_all()
             if now > self.last_token_time:
                 self.last_token_time = now
-            if request.generated >= request.output_len:
-                self.finish(request, now)
         self.executor.commit(result)
         system._sample_timeline()
         system._busy = False

@@ -2,19 +2,21 @@
 
 A :class:`TraceRecorder` collects `(time, category, event, fields)`
 records from any component that accepts one.  The serving loop emits
-iteration, token, and lifecycle events when given a recorder, which
-makes scheduling pathologies (starvation, thrash, OOM storms) visible
-without ad-hoc prints, and exports cleanly to JSONL for external
-tooling.
+executor events (one per prefill or decode event; a fused decode
+window is one record carrying its iteration count) and request
+lifecycle events when given a recorder, which makes scheduling
+pathologies (starvation, thrash, OOM storms) visible without ad-hoc
+prints, and exports cleanly to JSONL for external tooling.
 
-Recording is opt-in and the no-recorder path costs one `is None`
-check, so production-sized runs are unaffected.
+Recording is opt-in and only observes: an attached recorder never
+changes which code path runs, and the no-recorder path costs one
+`is None` check per recorded event site.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -48,7 +50,7 @@ class TraceRecorder:
     Args:
         categories: if given, only these categories are recorded.
         capacity: ring-buffer bound; oldest records are dropped beyond
-            it (None = unbounded).
+            it, in O(1) per record (None = unbounded).
     """
 
     def __init__(
@@ -59,8 +61,7 @@ class TraceRecorder:
         if capacity is not None and capacity <= 0:
             raise ValueError("capacity must be positive or None")
         self._categories = frozenset(categories) if categories is not None else None
-        self._capacity = capacity
-        self.records: list = []
+        self.records: deque = deque(maxlen=capacity)
         self.dropped = 0
 
     def wants(self, category: str) -> bool:
@@ -70,10 +71,9 @@ class TraceRecorder:
         """Append one event (dropped silently if filtered out)."""
         if not self.wants(category):
             return
-        self.records.append(TraceRecord(time, category, event, fields))
-        if self._capacity is not None and len(self.records) > self._capacity:
-            self.records.pop(0)
+        if len(self.records) == self.records.maxlen:
             self.dropped += 1
+        self.records.append(TraceRecord(time, category, event, fields))
 
     # --- queries ------------------------------------------------------------
     def __len__(self) -> int:

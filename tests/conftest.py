@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+from unittest import mock
+
 import pytest
 
 from repro.core.scheduler import TokenFlowScheduler
 from repro.serving.config import ServingConfig
 from repro.serving.server import ServingSystem
+from repro.serving.stages import DecodeStream
 from repro.sim.engine import SimEngine
 from repro.sim.rng import RngStreams
 from repro.workload.request import Request
@@ -87,3 +93,72 @@ def identity_stripped(spec):
         stream = spec.workload_stream
         changes["workload_stream"] = lambda s: map(strip, stream(s))
     return spec.with_overrides(**changes)
+
+
+SINGLE_NODE_METRICS = (
+    "n_requests", "n_finished", "makespan", "total_tokens", "throughput",
+    "effective_tokens", "effective_throughput", "qos", "ttft_mean",
+    "ttft_p50", "ttft_p99", "stall_total", "stall_mean", "preemptions",
+)
+CLUSTER_METRICS = (
+    "n_requests", "n_finished", "total_tokens", "throughput",
+    "effective_throughput", "qos", "ttft_mean", "ttft_p50", "ttft_p99",
+    "stall_total", "preemptions",
+)
+
+
+def _never_fuse(self, *args):
+    return None
+
+
+@pytest.fixture
+def per_iteration():
+    """Factory of a context manager that runs decode one event per
+    iteration: ``DecodeStream._plan_fused`` returns ``None``, so every
+    decode iteration takes the unfused ``complete_decode`` branch.
+
+    This is the fusion plane's reference path::
+
+        with per_iteration():
+            reference = run(...)
+
+    The patch lives in this process only: a cluster must run its
+    shards inline (``shards=1``) to see it.
+    """
+    return lambda: mock.patch.object(DecodeStream, "_plan_fused", _never_fuse)
+
+
+def assert_parity(reference, report, keys=SINGLE_NODE_METRICS, label="",
+                  timeline=True):
+    """``report`` matches ``reference`` on every metric in ``keys`` to
+    rel 1e-9 (float summation order in a few reporting aggregates is
+    the only permitted difference), and on the utilisation timeline
+    exactly when ``timeline`` is set (single-node reports only)."""
+    for key in keys:
+        expected, actual = getattr(reference, key), getattr(report, key)
+        assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9), (label, key)
+    if timeline:
+        assert report.timeline == reference.timeline, label
+
+
+SCALAR_DECODE_REFERENCE = Path(__file__).with_name("scalar_decode_reference.json")
+
+
+def assert_matches_scalar_reference(report, name, scale, seed):
+    """``report`` reproduces the frozen scalar decode run of registry
+    cell ``name`` at ``scale``/``seed`` (see scalar_decode_reference.json):
+    metrics to rel 1e-9; for single-node cells also the executor
+    iteration/token counts and the timeline, exactly."""
+    cells = json.loads(SCALAR_DECODE_REFERENCE.read_text())["cells"]
+    label = f"{name}@{scale}/seed{seed}"
+    entry = cells[label]
+    for key, expected in entry["metrics"].items():
+        actual = getattr(report, key)
+        assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9), (label, key)
+    if "executor" in entry:
+        for key, expected in entry["executor"].items():
+            assert report.executor_stats[key] == expected, (label, key)
+        # The reference stores the SHA-256 of the JSON list of
+        # (t, queued, running) samples.
+        blob = json.dumps([list(map(float, s)) for s in report.timeline])
+        assert hashlib.sha256(blob.encode()).hexdigest() == entry["timeline_sha256"], label

@@ -215,11 +215,6 @@ class TestProfileCommand:
         for name in ("serving", "kv", "buffer"):
             assert name in out
 
-    def test_no_vectorize_flag(self, capsys):
-        assert main(["profile", "--scale", "0.02", "--no-vectorize"]) == 0
-        out = capsys.readouterr().out
-        assert "vectorize_decode=off" in out
-
     def test_json_artifact_includes_subsystems(self, capsys, tmp_path):
         path = tmp_path / "profile.json"
         assert main(["profile", "--scale", "0.02",

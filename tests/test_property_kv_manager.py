@@ -10,11 +10,12 @@ no orphaned blocks.
 import pytest
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from repro.memory.blocks import OutOfMemory
 from repro.memory.kv_manager import HierarchicalKVManager, KVManagerConfig
 from repro.sim.engine import SimEngine
+from repro.workload.request import Request
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)
 
@@ -139,3 +140,107 @@ class TestKVManagerProperties:
             record = kv.record(rid)
             assert record.cpu_tokens <= record.gpu_tokens
             assert record.dirty_tokens >= 0
+
+
+# --- fused advance ≡ per-token rounds -------------------------------------------
+
+def _decode_ready_twin(prompts, warmup, retired, sharing, synced, capacity):
+    """A manager with resident requests ready to decode, built the same
+    way every call so two calls give identical twins.
+
+    ``retired`` earlier requests finish first: with sharing identities
+    they leave refs-0 cached blocks behind (session 2 is never resumed,
+    sessions 0 and 1 are re-attached by the live requests), so decode
+    growth has to reclaim from the cache once the pool is full.
+    ``synced`` drains every dirty tail before returning.
+    """
+    engine = SimEngine()
+    kv = HierarchicalKVManager(
+        engine=engine,
+        gpu_capacity_blocks=capacity,
+        kv_bytes_per_token=1000.0,
+        pcie_bandwidth_bytes_per_s=1e6,
+        config=KVManagerConfig(block_size=16, cpu_capacity_blocks=4096),
+    )
+
+    def admit(rid, prompt, session):
+        request = Request(
+            req_id=rid, arrival_time=0.0, prompt_len=prompt, output_len=512,
+            rate=10.0, session_id=session if sharing else None,
+        )
+        kv.register(rid, request)
+        try:
+            kv.allocate_for_prefill(rid, prompt)
+        except OutOfMemory:
+            kv.release(rid)
+            return False
+        kv.on_prefill_complete(rid, prompt)
+        return True
+
+    for j in range(retired):
+        if admit(100 + j, prompts[j % len(prompts)], 2 - j % 3):
+            kv.release(100 + j)
+    live = []
+    for rid, (prompt, extra) in enumerate(zip(prompts, warmup)):
+        if not admit(rid, prompt, rid % 2):
+            continue
+        live.append(rid)
+        for _ in range(extra):
+            try:
+                kv.on_decode_token(rid)
+            except OutOfMemory:
+                break
+    if synced:
+        kv.drain_writes(0.0, 1e3)
+    return kv, tuple(live)
+
+
+def _kv_state(kv, req_ids):
+    pool = kv.gpu_pool
+    return {
+        "gpu": (pool.used, pool.peak, pool.total_allocated, dict(pool.usage)),
+        "cpu": (kv.cpu_pool.used, dict(kv.cpu_pool.usage)),
+        "dirty": list(kv._dirty),
+        "tokens": {
+            rid: (kv.record(rid).gpu_tokens, kv.record(rid).cpu_tokens)
+            for rid in req_ids
+        },
+        "cached": list(kv.prefix.cached),
+        "stats": dict(kv.stats),
+    }
+
+
+@given(
+    prompts=st.lists(st.integers(min_value=1, max_value=90),
+                     min_size=1, max_size=N_REQUESTS),
+    warmup=st.lists(st.integers(min_value=0, max_value=20),
+                    min_size=N_REQUESTS, max_size=N_REQUESTS),
+    retired=st.integers(min_value=0, max_value=3),
+    sharing=st.booleans(),
+    synced=st.booleans(),
+    capacity=st.integers(min_value=8, max_value=48),
+    k=st.integers(min_value=1, max_value=48),
+)
+@settings(max_examples=200, deadline=None)
+def test_fused_advance_equals_per_token_rounds(prompts, warmup, retired,
+                                               sharing, synced, capacity, k):
+    """``fused_decode_advance(ids, k, None)`` leaves the same KV state
+    as ``k`` rounds of ``on_decode_token`` per id on a twin manager:
+    pool usage and peak, dirty set (in order), per-request GPU/CPU
+    tokens, the refs-0 cache and every counter (``prefix_*``
+    included)."""
+    build = lambda: _decode_ready_twin(prompts, warmup, retired, sharing,
+                                       synced, capacity)
+    fused, req_ids = build()
+    scalar, _ = build()
+    assert _kv_state(fused, req_ids) == _kv_state(scalar, req_ids)
+    # The fused path's precondition: growth fits the pool for all k.
+    k = fused.max_fused_decode_iterations(req_ids, k)
+    assume(k >= 1)
+    fused.fused_decode_advance(req_ids, k, None)
+    for _ in range(k):
+        for rid in req_ids:
+            scalar.on_decode_token(rid)
+    assert _kv_state(fused, req_ids) == _kv_state(scalar, req_ids)
+    fused.check_invariants()
+    scalar.check_invariants()

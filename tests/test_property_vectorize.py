@@ -1,35 +1,21 @@
-"""Property tests: vectorised and scalar decode delivery are equivalent.
+"""The decode path reproduces the frozen scalar decode reference.
 
-Sweeps scenario-registry cells plus hypothesis-randomised workloads,
-asserting that ``vectorize_decode=True`` (the SoA numpy batch plane)
-and ``vectorize_decode=False`` (the per-request scalar path) produce
-equal RunReport metrics to rel 1e-9 with identical timelines and
-executor accounting — including the interaction with the fusion plane
-(``fuse_decode`` off forces every delivery through the K=1 branch)
-and cancellation landing between a window's commit and completion.
+``scalar_decode_reference.json`` holds the report metrics of the
+scalar decode path (one engine event per iteration, per-request KV
+growth and token delivery) on every registry cell below × seeds
+{0, 1}, recorded before that path was deleted.  The one remaining
+decode path — fused windows delivered through the struct-of-arrays
+batch plane — must reproduce each entry: metrics to rel 1e-9, and for
+single-node cells the executor iteration counts and the timeline
+exactly.  The fast-lane subset is ``test_serving_vectorize.py``.
 """
 
 import pytest
 
-import hypothesis.strategies as st
-from hypothesis import given, settings
-
-from repro.experiments.systems import build_system
 from repro.scenarios import build_run, get_scenario
-from repro.workload.request import Request, RequestState, clone_requests
+from tests.conftest import assert_matches_scalar_reference
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)
-
-SINGLE_NODE_METRICS = (
-    "n_requests", "n_finished", "makespan", "total_tokens", "throughput",
-    "effective_tokens", "effective_throughput", "qos", "ttft_mean",
-    "ttft_p50", "ttft_p99", "stall_total", "stall_mean", "preemptions",
-)
-CLUSTER_METRICS = (
-    "n_requests", "n_finished", "total_tokens", "throughput",
-    "effective_throughput", "qos", "ttft_mean", "ttft_p50", "ttft_p99",
-    "stall_total", "preemptions",
-)
 
 REGISTRY_CELLS = [
     ("table1-h200-a", 0.10),
@@ -43,164 +29,8 @@ REGISTRY_CELLS = [
 ]
 
 
-def _execute(spec):
-    run = build_run(spec)
-    return run.target, run.execute()
-
-
-def _assert_report_parity(report_off, report_on, keys, label=""):
-    for key in keys:
-        off, on = getattr(report_off, key), getattr(report_on, key)
-        assert on == pytest.approx(off, rel=1e-9, abs=1e-9), (label, key)
-
-
 @pytest.mark.parametrize("name,scale", REGISTRY_CELLS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_registry_cell_parity(name, scale, seed):
-    spec_on = get_scenario(name, scale=scale, seed=seed)
-    spec_off = spec_on.with_overrides(vectorize_decode=False)
-    _, report_off = _execute(spec_off)
-    _, report_on = _execute(spec_on)
-    keys = CLUSTER_METRICS if spec_on.replicas > 1 else SINGLE_NODE_METRICS
-    _assert_report_parity(report_off, report_on, keys, name)
-    if spec_on.replicas == 1:
-        assert report_on.timeline == report_off.timeline
-        s_off, s_on = report_off.executor_stats, report_on.executor_stats
-        for key in ("prefill_iterations", "decode_iterations",
-                    "prefill_tokens", "decode_tokens", "fused_windows"):
-            assert s_on[key] == s_off[key], (name, key)
-
-
-@pytest.mark.parametrize("name", ["table1-h200-a", "tab02-tokenflow"])
-def test_fusion_vectorize_grid(name):
-    """All four (fuse_decode, vectorize_decode) combinations agree.
-
-    fuse off + vectorize on is the K=1 branch: every token flows
-    through the bulk KV advance + inlined per-request delivery, so the
-    grid pins both halves of the vectorised plane against both
-    scalar baselines.
-    """
-    reports = {}
-    for fuse in (False, True):
-        for vec in (False, True):
-            spec = get_scenario(name, scale=0.1, fuse_decode=fuse,
-                                vectorize_decode=vec)
-            _, reports[(fuse, vec)] = _execute(spec)
-    reference = reports[(False, False)]
-    for combo, report in reports.items():
-        _assert_report_parity(reference, report, SINGLE_NODE_METRICS,
-                              str(combo))
-    # Same fusion plane with vectorisation on or off.
-    assert (reports[(True, True)].executor_stats["fused_windows"]
-            == reports[(True, False)].executor_stats["fused_windows"])
-    assert reports[(False, True)].executor_stats["fused_windows"] == 0
-
-
-def burst(n, prompt=64, output=96, rate=10.0, start=0.0):
-    return [
-        Request(req_id=i, arrival_time=start, prompt_len=prompt,
-                output_len=output, rate=rate)
-        for i in range(n)
-    ]
-
-
-def test_cancellation_parity():
-    """Pre-scheduled cancels land identically on both paths."""
-    requests = burst(6, output=256)
-    kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
-
-    def run(vec):
-        system = build_system("tokenflow", vectorize_decode=vec, **kwargs)
-        system.submit(clone_requests(requests))
-        system.cancel_at(2, 0.45)
-        system.cancel_at(5, 0.731)
-        system.run(until=10_000.0)
-        return system
-
-    off, on = run(False), run(True)
-    r_off, r_on = off.report(), on.report()
-    _assert_report_parity(r_off, r_on, SINGLE_NODE_METRICS)
-    assert r_on.timeline == r_off.timeline
-    assert (on.tracker.get(2).request.generated
-            == off.tracker.get(2).request.generated)
-
-
-def test_external_cancel_while_window_pending():
-    """A synchronous cancel between stepped run() calls removes a
-    batch member while a fused window is in flight; the vectorised
-    completion must deliver to the survivors only."""
-
-    def drive(vec):
-        requests = burst(4, output=128)
-        system = build_system("sglang", hardware="h200", mem_frac=0.1,
-                              max_batch=8, vectorize_decode=vec)
-        system.submit(clone_requests(requests))
-        cancelled_at = None
-        for _ in range(200_000):
-            system.run(until=10_000.0, max_events=1)
-            if cancelled_at is None and 2 in system.tracker:
-                req = system.tracker.get(2).request
-                if (system._busy and req.state is RequestState.RUNNING
-                        and req.generated >= 1):
-                    system.cancel(2)
-                    cancelled_at = req.generated
-            if not system.unfinished:
-                break
-        return system, cancelled_at
-
-    results = {}
-    for vec in (False, True):
-        system, cancelled_at = drive(vec)
-        assert cancelled_at is not None, "cancel never triggered"
-        assert system.unfinished == 0
-        report = system.report()
-        assert report.n_finished == 3
-        assert system.tracker.get(2).request.generated == cancelled_at
-        survivors = [system.tracker.get(rid).request for rid in (0, 1, 3)]
-        assert all(r.generated == r.output_len for r in survivors)
-        results[vec] = (cancelled_at, report.total_tokens)
-    assert results[True] == results[False]
-
-
-@st.composite
-def workloads(draw):
-    n = draw(st.integers(min_value=2, max_value=10))
-    requests = []
-    for req_id in range(n):
-        requests.append(
-            Request(
-                req_id=req_id,
-                arrival_time=draw(st.floats(0.0, 3.0)),
-                prompt_len=draw(st.integers(8, 384)),
-                output_len=draw(st.integers(4, 256)),
-                rate=draw(st.sampled_from([5.0, 10.0, 20.0])),
-            )
-        )
-    return requests
-
-
-class TestRandomisedParity:
-    @given(
-        requests=workloads(),
-        system_name=st.sampled_from(
-            ("sglang", "andes", "mlfq", "tokenflow")
-        ),
-        mem_frac=st.sampled_from([0.002, 0.01, 0.1]),
-        fuse=st.booleans(),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_vectorized_equals_scalar(self, requests, system_name,
-                                      mem_frac, fuse):
-        reports = []
-        for vec in (False, True):
-            system = build_system(
-                system_name, hardware="h200", model="llama3-8b",
-                mem_frac=mem_frac, max_batch=6, fuse_decode=fuse,
-                vectorize_decode=vec,
-            )
-            system.submit(clone_requests(requests))
-            system.run(until=100_000.0)
-            reports.append(system.report())
-        report_off, report_on = reports
-        _assert_report_parity(report_off, report_on, SINGLE_NODE_METRICS)
-        assert report_on.timeline == report_off.timeline
+    report = build_run(get_scenario(name, scale=scale, seed=seed)).execute()
+    assert_matches_scalar_reference(report, name, scale, seed)

@@ -5,20 +5,17 @@ per-iteration decode path: every RunReport metric equal to rel 1e-9
 (identical in practice — float summation order in a few reporting
 aggregates is the only permitted difference), identical timelines and
 preemption counts, while processing strictly fewer engine events.
-``fuse_decode=False`` must run exactly today's one-event-per-iteration
-path.
+The reference is the ``per_iteration`` fixture, which patches window
+planning off so every decode iteration is its own engine event.
 """
+
+import contextlib
 
 import pytest
 
 from repro.experiments.systems import build_system
 from repro.workload.request import Request, clone_requests
-
-METRIC_KEYS = (
-    "n_requests", "n_finished", "makespan", "total_tokens", "throughput",
-    "effective_tokens", "effective_throughput", "qos", "ttft_mean",
-    "ttft_p50", "ttft_p99", "stall_total", "stall_mean", "preemptions",
-)
+from tests.conftest import assert_parity
 
 
 def burst(n, prompt=64, output=96, rate=10.0, start=0.0):
@@ -29,46 +26,42 @@ def burst(n, prompt=64, output=96, rate=10.0, start=0.0):
     ]
 
 
-def run_system(name, requests, fuse, horizon=10_000.0, **kwargs):
-    system = build_system(name, fuse_decode=fuse, **kwargs)
+def run_system(name, requests, horizon=10_000.0, **kwargs):
+    system = build_system(name, **kwargs)
     system.submit(clone_requests(requests))
     system.run(until=horizon)
     return system
 
 
-def assert_parity(report_off, report_on):
-    for key in METRIC_KEYS:
-        off, on = getattr(report_off, key), getattr(report_on, key)
-        assert on == pytest.approx(off, rel=1e-9, abs=1e-9), key
-    assert report_on.timeline == report_off.timeline
-
-
 class TestWindowFormation:
-    def test_windows_form_and_events_drop(self):
+    def test_windows_form_and_events_drop(self, per_iteration):
         requests = burst(8, output=192)
         kwargs = dict(hardware="h200", model="llama3-8b",
                       mem_frac=0.1, max_batch=16)
-        off = run_system("tokenflow", requests, fuse=False, **kwargs)
-        on = run_system("tokenflow", requests, fuse=True, **kwargs)
+        with per_iteration():
+            off = run_system("tokenflow", requests, **kwargs)
+        on = run_system("tokenflow", requests, **kwargs)
         stats = on.report().executor_stats
         assert stats["fused_windows"] > 0
         assert stats["fused_iterations"] > stats["fused_windows"]
         assert on.engine.events_processed < off.engine.events_processed
         assert_parity(off.report(), on.report())
 
-    def test_off_switch_stays_per_iteration(self):
+    def test_off_switch_stays_per_iteration(self, per_iteration):
         requests = burst(4)
-        system = run_system("tokenflow", requests, fuse=False,
-                            hardware="h200", mem_frac=0.1, max_batch=8)
+        with per_iteration():
+            system = run_system("tokenflow", requests,
+                                hardware="h200", mem_frac=0.1, max_batch=8)
         stats = system.report().executor_stats
         assert stats["fused_windows"] == 0
         assert stats["fused_iterations"] == 0
 
-    def test_iteration_accounting_matches(self):
+    def test_iteration_accounting_matches(self, per_iteration):
         requests = burst(6, output=128)
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
-        off = run_system("tokenflow", requests, fuse=False, **kwargs)
-        on = run_system("tokenflow", requests, fuse=True, **kwargs)
+        with per_iteration():
+            off = run_system("tokenflow", requests, **kwargs)
+        on = run_system("tokenflow", requests, **kwargs)
         s_off, s_on = off.report().executor_stats, on.report().executor_stats
         for key in ("prefill_iterations", "decode_iterations",
                     "prefill_tokens", "decode_tokens"):
@@ -80,14 +73,15 @@ class TestParityAcrossSystems:
     @pytest.mark.parametrize(
         "name", ["sglang", "sglang-chunked", "andes", "mlfq", "tokenflow"]
     )
-    def test_memory_pressure_parity(self, name):
+    def test_memory_pressure_parity(self, name, per_iteration):
         # The golden scenario's shape: a burst that forces admission
         # control, preemption, and resumption under a tiny KV pool.
         requests = burst(16, prompt=96, output=64)
         kwargs = dict(hardware="h200", model="llama3-8b",
                       mem_frac=0.01, max_batch=8)
-        off = run_system(name, requests, fuse=False, **kwargs)
-        on = run_system(name, requests, fuse=True, **kwargs)
+        with per_iteration():
+            off = run_system(name, requests, **kwargs)
+        on = run_system(name, requests, **kwargs)
         assert_parity(off.report(), on.report())
 
     @pytest.mark.parametrize(
@@ -95,21 +89,23 @@ class TestParityAcrossSystems:
         ["tokenflow-no-offload", "tokenflow-no-writethrough",
          "tokenflow-no-overlap"],
     )
-    def test_ablation_parity(self, name):
+    def test_ablation_parity(self, name, per_iteration):
         requests = burst(12, prompt=96, output=64)
         kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=8)
-        off = run_system(name, requests, fuse=False, **kwargs)
-        on = run_system(name, requests, fuse=True, **kwargs)
+        with per_iteration():
+            off = run_system(name, requests, **kwargs)
+        on = run_system(name, requests, **kwargs)
         assert_parity(off.report(), on.report())
 
 
 class TestParityEdgeCases:
-    def test_token_traces_bit_identical(self):
+    def test_token_traces_bit_identical(self, per_iteration):
         requests = burst(4, output=64)
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8,
                       record_token_traces=True)
-        off = run_system("tokenflow", requests, fuse=False, **kwargs)
-        on = run_system("tokenflow", requests, fuse=True, **kwargs)
+        with per_iteration():
+            off = run_system("tokenflow", requests, **kwargs)
+        on = run_system("tokenflow", requests, **kwargs)
         for req_id in range(4):
             b_off = off.tracker.get(req_id).buffer
             b_on = on.tracker.get(req_id).buffer
@@ -120,21 +116,23 @@ class TestParityEdgeCases:
             r_on = on.tracker.get(req_id).request
             assert r_on.token_times == r_off.token_times
 
-    def test_cancellation_parity(self):
+    def test_cancellation_parity(self, per_iteration):
         # Cancels are pre-scheduled engine events, so the fusion
         # horizon must stop windows strictly before them.
         requests = burst(6, output=256)
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
 
-        def run(fuse):
-            system = build_system("tokenflow", fuse_decode=fuse, **kwargs)
+        def run():
+            system = build_system("tokenflow", **kwargs)
             system.submit(clone_requests(requests))
             system.cancel_at(2, 0.45)
             system.cancel_at(5, 0.731)
             system.run(until=10_000.0)
             return system
 
-        off, on = run(False), run(True)
+        with per_iteration():
+            off = run()
+        on = run()
         r_off, r_on = off.report(), on.report()
         assert r_on.total_tokens == r_off.total_tokens
         for key in ("throughput", "qos", "stall_total", "preemptions"):
@@ -144,7 +142,7 @@ class TestParityEdgeCases:
         cancelled = on.tracker.get(2).request
         assert cancelled.generated == off.tracker.get(2).request.generated
 
-    def test_in_flight_transfer_blocks_fusion(self):
+    def test_in_flight_transfer_blocks_fusion(self, per_iteration):
         # A d2h transfer occupying the link past the window (an
         # eviction in flight) must bypass fusion even when the dirty
         # backlog is empty: the per-iteration drains inside such a
@@ -157,8 +155,8 @@ class TestParityEdgeCases:
         requests = burst(4, output=192)
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
 
-        def run(fuse):
-            system = build_system("tokenflow", fuse_decode=fuse, **kwargs)
+        def run():
+            system = build_system("tokenflow", **kwargs)
             kv = system.kv
             orig_drain = kv.drain_writes
             state = {"done": False}
@@ -194,7 +192,9 @@ class TestParityEdgeCases:
             assert state["done"], "injection never triggered"
             return system, cpu_series
 
-        (off, series_off), (on, series_on) = run(False), run(True)
+        with per_iteration():
+            off, series_off = run()
+        on, series_on = run()
         # Host-copy state must match at every sampled instant — with
         # the in-flight-transfer gate missing, the fused run's cpu
         # copies advance through the busy window while the real drains
@@ -206,7 +206,7 @@ class TestParityEdgeCases:
             r_off.kv_stats["write_through_bytes"], rel=1e-9
         )
 
-    def test_external_cancel_while_window_pending(self):
+    def test_external_cancel_while_window_pending(self, per_iteration):
         # ServingSystem.cancel() is a public synchronous call: between
         # stepped run() invocations it can remove a batch member while
         # a fused window's completion event is still pending (no
@@ -216,10 +216,10 @@ class TestParityEdgeCases:
         # and the cancelled request must receive no further tokens.
         from repro.workload.request import RequestState
 
-        def drive(fuse):
+        def drive():
             requests = burst(4, output=128)
             system = build_system("sglang", hardware="h200", mem_frac=0.1,
-                                  max_batch=8, fuse_decode=fuse)
+                                  max_batch=8)
             system.submit(clone_requests(requests))
             cancelled_at = None
             for _ in range(200_000):
@@ -234,8 +234,9 @@ class TestParityEdgeCases:
                     break
             return system, cancelled_at
 
-        for fuse in (False, True):
-            system, cancelled_at = drive(fuse)
+        for path in (per_iteration(), contextlib.nullcontext()):
+            with path:
+                system, cancelled_at = drive()
             assert cancelled_at is not None, "cancel never triggered"
             assert system.unfinished == 0
             report = system.report()
@@ -245,16 +246,16 @@ class TestParityEdgeCases:
             survivors = [system.tracker.get(rid).request for rid in (0, 1, 3)]
             assert all(r.generated == r.output_len for r in survivors)
 
-    def test_until_stepping_parity(self):
+    def test_until_stepping_parity(self, per_iteration):
         # Driving the engine in run(until=...) increments must match a
         # single drain: windows cap at the run bound so no iteration
         # completing after `until` is applied early.
         requests = burst(6, output=128)
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
 
-        one_shot = run_system("tokenflow", requests, fuse=True, **kwargs)
+        one_shot = run_system("tokenflow", requests, **kwargs)
 
-        stepped = build_system("tokenflow", fuse_decode=True, **kwargs)
+        stepped = build_system("tokenflow", **kwargs)
         stepped.submit(clone_requests(requests))
         t = 0.0
         while stepped.unfinished and t < 10_000.0:
@@ -262,6 +263,7 @@ class TestParityEdgeCases:
             stepped.run(until=t)
         stepped.run(until=10_000.0)
 
-        unfused = run_system("tokenflow", requests, fuse=False, **kwargs)
+        with per_iteration():
+            unfused = run_system("tokenflow", requests, **kwargs)
         assert_parity(unfused.report(), one_shot.report())
         assert_parity(unfused.report(), stepped.report())

@@ -78,15 +78,12 @@ class TestFeedSubmitParity:
         assert run_a.target.placements == run_b.target.placements
         assert run_a.target.placement_counts() == run_b.target.placement_counts()
 
-    def test_unfused_parity(self):
+    def test_unfused_parity(self, per_iteration):
         # The parity must not depend on the fusion plane being on.
-        spec = get_scenario("table1-h200-a", scale=0.1).with_overrides(
-            fuse_decode=False
-        )
-        run_a = build_run(spec)
-        rep_a = run_a.execute(streamed=False)
-        run_b = build_run(spec)
-        rep_b = run_b.execute(streamed=True)
+        spec = get_scenario("table1-h200-a", scale=0.1)
+        with per_iteration():
+            rep_a = build_run(spec).execute(streamed=False)
+            rep_b = build_run(spec).execute(streamed=True)
         assert report_fingerprint(rep_a) == report_fingerprint(rep_b)
 
     def test_feed_rejects_unordered_stream(self):

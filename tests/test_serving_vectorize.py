@@ -1,37 +1,28 @@
-"""Fast-lane parity tests for the vectorised batch plane.
+"""Fast-lane parity tests for the decode path.
 
-The vectorised decode core (``vectorize_decode=True``, the default)
-must reproduce the scalar per-request delivery path: every RunReport
-metric to rel 1e-9 and the utilisation timeline exactly.  This module
-is the CI fast lane's subset — a handful of registry cells covering
-memory pressure, consumer heterogeneity, clustering, and session
-callbacks; the exhaustive sweep lives in ``test_property_vectorize.py``
-(slow lane).
+A handful of registry cells covering memory pressure, consumer
+heterogeneity, clustering, and session callbacks: the default run
+(fused windows through the struct-of-arrays batch plane) and the
+per-iteration run (every decode iteration through ``complete_decode``)
+each reproduce the frozen scalar decode reference
+(``scalar_decode_reference.json``) — metrics to rel 1e-9 and the
+single-node timeline exactly.  The full registry sweep lives in
+``test_property_vectorize.py`` (slow lane).  ``deliver_batch`` is also
+checked directly against the scalar ``RequestTracker.deliver_tokens``.
 """
-
-import dataclasses
 
 import pytest
 
 from repro.core.tracker import RequestTracker
 from repro.scenarios import build_run, get_scenario
 from repro.serving.batchstate import deliver_batch
-
-SINGLE_NODE_METRICS = (
-    "n_requests", "n_finished", "makespan", "total_tokens", "throughput",
-    "effective_tokens", "effective_throughput", "qos", "ttft_mean",
-    "ttft_p50", "ttft_p99", "stall_total", "stall_mean", "preemptions",
-)
-CLUSTER_METRICS = (
-    "n_requests", "n_finished", "total_tokens", "throughput",
-    "effective_throughput", "qos", "ttft_mean", "ttft_p50", "ttft_p99",
-    "stall_total", "preemptions",
-)
+from tests.conftest import assert_matches_scalar_reference
 
 # One cell per workload family, scaled for the fast lane: Table 1
 # burst cells on both hardware targets, a multi-replica cluster
-# (routing + per-node vectorisation), and multi-turn sessions (finish
-# callbacks fire mid-run).
+# (routing + per-node decode), and multi-turn sessions (finish
+# callbacks fire mid-run).  Clusters run their shards inline, so the
+# per-iteration patch reaches every replica.
 FAST_PARITY_SCENARIOS = [
     ("table1-h200-a", 0.10),
     ("table1-rtx4090-c", 0.25),
@@ -40,49 +31,13 @@ FAST_PARITY_SCENARIOS = [
 ]
 
 
-def _execute(spec):
-    run = build_run(spec)
-    return run.target, run.execute()
-
-
 @pytest.mark.parametrize("name,scale", FAST_PARITY_SCENARIOS)
-def test_fast_parity(name, scale):
-    spec_on = get_scenario(name, scale=scale, seed=0)
-    spec_off = spec_on.with_overrides(vectorize_decode=False)
-    _, report_off = _execute(spec_off)
-    _, report_on = _execute(spec_on)
-    keys = CLUSTER_METRICS if spec_on.replicas > 1 else SINGLE_NODE_METRICS
-    for key in keys:
-        off, on = getattr(report_off, key), getattr(report_on, key)
-        assert on == pytest.approx(off, rel=1e-9, abs=1e-9), (name, key)
-    if spec_on.replicas == 1:
-        assert report_on.timeline == report_off.timeline
-        s_off, s_on = report_off.executor_stats, report_on.executor_stats
-        for key in ("prefill_iterations", "decode_iterations",
-                    "prefill_tokens", "decode_tokens", "fused_windows"):
-            assert s_on[key] == s_off[key], (name, key)
-
-
-def test_default_is_vectorized():
-    spec = get_scenario("table1-h200-a", scale=0.1)
-    assert spec.vectorize_decode is True
-    run = build_run(spec)
-    assert run.target.config.vectorize_decode is True
-
-
-def test_vectorize_off_is_scalar_path():
-    """``vectorize_decode=False`` runs today's scalar machinery:
-    identical reports on repeat runs and no bulk PCIe accounting."""
-    spec = get_scenario("table1-h200-a", scale=0.1,
-                        vectorize_decode=False)
-    run = build_run(spec)
-    assert run.target.config.vectorize_decode is False
-    assert run.target.kv.bulk_pcie_accounting is False
-    report_a = run.execute()
-    report_b = build_run(spec).execute()
-    assert dataclasses.asdict(
-        dataclasses.replace(report_a, stream_stats=None)
-    ) == dataclasses.asdict(dataclasses.replace(report_b, stream_stats=None))
+def test_fast_parity(name, scale, per_iteration):
+    spec = get_scenario(name, scale=scale, seed=0, shards=1)
+    with per_iteration():
+        unfused = build_run(spec).execute()
+    assert_matches_scalar_reference(unfused, name, scale, 0)
+    assert_matches_scalar_reference(build_run(spec).execute(), name, scale, 0)
 
 
 class TestDeliverBatchEdges:

@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.baselines import SGLangScheduler
+from repro.scenarios import build_run, get_scenario
 from repro.serving.config import ServingConfig
+from repro.serving.metrics import report_fingerprint
 from repro.serving.server import ServingSystem
 from repro.sim.trace import TraceRecorder
 from repro.workload.request import Request
@@ -27,12 +29,20 @@ class TestRecorder:
         assert not tracer.wants("drop")
 
     def test_capacity_ring_buffer(self):
-        tracer = TraceRecorder(capacity=2)
-        for idx in range(5):
+        tracer = TraceRecorder(categories=["c"], capacity=3)
+        for idx in range(3):
             tracer.record(float(idx), "c", "e")
-        assert len(tracer) == 2
-        assert tracer.dropped == 3
-        assert tracer.records[0].time == 3.0
+        # Exactly full: nothing dropped yet.
+        assert tracer.dropped == 0
+        assert [r.time for r in tracer.records] == [0.0, 1.0, 2.0]
+        tracer.record(3.0, "c", "e")
+        tracer.record(4.0, "other", "e")  # filtered, not dropped
+        tracer.record(5.0, "c", "e")
+        assert len(tracer) == 3
+        assert tracer.dropped == 2
+        # Oldest first, in arrival order.
+        assert [r.time for r in tracer.records] == [2.0, 3.0, 5.0]
+        assert [r.time for r in tracer.between(0.0, 10.0)] == [2.0, 3.0, 5.0]
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -93,3 +103,30 @@ class TestServingIntegration:
                                output_len=8, rate=10.0)])
         system.run(until=100.0)
         assert system.unfinished == 0
+
+
+@pytest.mark.parametrize("name,scale", [
+    ("table1-h200-a", 0.1),
+    ("tab02-tokenflow", 0.25),
+    ("tab02-tokenflow-no-writethrough", 0.25),
+])
+def test_tracer_observes_the_fast_path(name, scale):
+    """Attaching a recorder changes no report number, and its one
+    ``decode_start`` per executor event accounts for every decode
+    iteration, fused windows included."""
+    spec = get_scenario(name, scale=scale)
+    untraced = build_run(spec).execute()
+    run = build_run(spec)
+    tracer = run.target.tracer = TraceRecorder()
+    traced = run.execute()
+    assert report_fingerprint(traced) == report_fingerprint(untraced)
+    assert traced.timeline == untraced.timeline
+    assert traced.executor_stats == untraced.executor_stats
+    assert traced.kv_stats == untraced.kv_stats
+    stats = traced.executor_stats
+    assert stats["fused_windows"] > 0
+    decodes = tracer.by_event("decode_start")
+    assert sum(r.fields["iterations"] for r in decodes) == stats["decode_iterations"]
+    windows = [r for r in decodes if r.fields["iterations"] > 1]
+    assert len(windows) == stats["fused_windows"]
+    assert all(r.fields["duration"] > 0 for r in decodes)
