@@ -3,7 +3,9 @@
 #
 #   scripts/ci.sh          tier-1: the full pytest suite (unit +
 #                          property + golden + figure benches)
-#                          including the perf smoke
+#                          including the perf smoke, then the
+#                          perfbench report-digest check on
+#                          burst-preempt and prefix-reuse
 #   scripts/ci.sh --fast   fast lane: everything not marked `slow`
 #                          (unit/integration/scenario/orchestration
 #                          tests, including the fused-vs-per-iteration
@@ -79,10 +81,21 @@ if [[ "$FAST" -eq 1 ]]; then
 else
   echo "== tier-1: full suite (tests/ + benchmarks/, incl. perf smoke) =="
   python -m pytest -x -q || rc=$?
+  # Report digests: the only bit-exact check on the decode kernels
+  # (the frozen scalar reference compares to rel 1e-9).  burst-preempt
+  # windows mostly take the array kernel, prefix-reuse windows the row
+  # kernel; perfbench exits non-zero on any digest mismatch.
+  for workload in burst-preempt prefix-reuse; do
+    if [[ "$rc" -eq 0 ]]; then
+      echo "== tier-1: perfbench $workload report digests =="
+      python3 perfbench/run.py --workload "$workload" --seed 0 \
+        --seconds 1 --trace 0 || rc=$?
+    fi
+  done
 fi
 
 if [[ "$rc" -ne 0 ]]; then
-  echo "== CI lane FAILED (pytest exit $rc) =="
+  echo "== CI lane FAILED (exit $rc) =="
   exit "$rc"
 fi
 tree_after="$(tree_state)"

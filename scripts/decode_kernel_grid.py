@@ -1,0 +1,83 @@
+"""Time the batch plane's two decode-window kernels over a B × K grid.
+
+``repro.serving.batchstate`` delivers a fused decode window through a
+per-row kernel when rows × K is at or below
+``ROW_KERNEL_MAX_ELEMENTS`` and through the numpy array kernel above
+it.  This script times both kernels on the same buffers for every
+(rows, K) cell and prints µs per call and which kernel is faster, so
+the constant can be re-derived on other hardware::
+
+    PYTHONPATH=src python scripts/decode_kernel_grid.py [--repeat 200]
+
+The kernels only read buffer state (``deliver_batch`` writes it back),
+so each cell times repeated calls on one set of warmed-up buffers.
+Buffers get mixed states: some carry a backlog of unconsumed tokens,
+some are drained, and read rates vary, so the window has stalls.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import time
+
+from repro.client.buffer import ClientBuffer
+from repro.serving.batchstate import (
+    ROW_KERNEL_MAX_ELEMENTS,
+    _array_kernel,
+    _row_kernel,
+)
+
+ROWS = (1, 2, 4, 8, 16, 32, 64, 128)
+KS = (2, 4, 8, 16, 32, 64)
+STEP_S = 0.03  # one decode iteration
+
+
+def make_buffers(n_rows: int, rng: random.Random) -> list:
+    buffers = []
+    for _ in range(n_rows):
+        buffer = ClientBuffer(rate=rng.choice((5.0, 10.0, 20.0, 40.0)),
+                              record_trace=False)
+        # Warm up until the segment deque is empty (the kernels' entry
+        # condition), ending just before the timed window at t = 1.0.
+        warm = [1.0 - STEP_S * i for i in range(rng.randint(1, 20), 0, -1)]
+        buffer.deliver_many(warm)
+        buffer.consumed_count(warm[-1])
+        while buffer._segments:
+            buffer.consumed_count(buffer._segments[0][1])
+        buffers.append(buffer)
+    return buffers
+
+
+def best_us(kernel, buffers, times, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        rows, segments = kernel(buffers, times)
+        list(rows), list(segments)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=200,
+                        help="calls per cell and kernel; the best is kept")
+    args = parser.parse_args()
+    rng = random.Random(0)
+    print(f"ROW_KERNEL_MAX_ELEMENTS = {ROW_KERNEL_MAX_ELEMENTS}")
+    print(f"{'rows':>5} {'K':>4} {'elements':>8} {'row µs':>9} "
+          f"{'array µs':>9}  faster")
+    for n_rows in ROWS:
+        buffers = make_buffers(n_rows, rng)
+        for k in KS:
+            times = [1.0 + STEP_S * (i + 1) for i in range(k)]
+            row = best_us(_row_kernel, buffers, times, args.repeat)
+            array = best_us(_array_kernel, buffers, times, args.repeat)
+            faster = "row" if row < array else "array"
+            print(f"{n_rows:>5} {k:>4} {n_rows * k:>8} {row:>9.1f} "
+                  f"{array:>9.1f}  {faster}")
+
+
+if __name__ == "__main__":
+    main()

@@ -68,9 +68,9 @@ class ClientBuffer:
         # Compact aggregate: occupancy-at-generation histogram
         # {occupancy -> token count}, enough for Eq. 1 / §7.1.3 weights.
         self._occ_hist: dict = {}
-        # Unmerged histogram contributions from the vectorised batch
-        # plane: (values, counts) numpy-array pairs, one per fused
-        # window, folded into ``_occ_hist`` lazily on first read
+        # Unmerged histogram contributions from the batch plane:
+        # (values, counts) pairs of numpy arrays or int lists, one per
+        # fused window, folded into ``_occ_hist`` lazily on first read
         # (histogram addition commutes, so deferring is exact).
         self._occ_pending: list = []
         self._occ_max = 0
@@ -108,9 +108,10 @@ class ClientBuffer:
         """Record delivery of one token at ``timestamp``.
 
         NOTE: :meth:`deliver_many` inlines this exact logic (and the
-        cursor advance of :meth:`consumed_count`) for the fused decode
-        path — any semantic or float-op change here must be mirrored
-        there, or fused-vs-unfused bit-parity breaks.
+        cursor advance of :meth:`consumed_count`) for the batch plane's
+        scalar fallback — any semantic or float-op change here must be
+        mirrored there, and in the formulas of
+        :mod:`repro.serving.batchstate`, or decode parity breaks.
         """
         if self._last_gen is not None and timestamp < self._last_gen:
             raise ValueError("deliveries must have non-decreasing timestamps")
@@ -169,18 +170,19 @@ class ClientBuffer:
         timestamp, in order — the same float operations in the same
         order, so stall accounting, segment anchors, and the occupancy
         histogram are bit-identical — but the per-token work runs in
-        one call frame.  This is the fused decode path's bulk token
-        emission: a macro-step window delivers K tokens per request in
-        one call instead of K.
+        one call frame.  Fused decode windows reach it only through
+        :meth:`RequestTracker.deliver_tokens`, the batch plane's scalar
+        fallback for rows its kernels cannot represent (pending segment
+        anchors, an empty buffer, per-token traces, tied timestamps).
 
         ``timestamps`` must be non-decreasing (a violation raises, as
         in :meth:`deliver`).  The pacing interval is read once: a rate
         change mid-call (e.g. from a generator driving ``timestamps``)
         raises RuntimeError — the serving loop cannot hit this, since
         rate changes land at scheduler ticks, between windows.  The
-        vectorised batch plane (:mod:`repro.serving.batchstate`) bakes
-        the same assumption into its array kernel, and reads/writes
-        this buffer's private state directly under that contract.
+        batch plane (:mod:`repro.serving.batchstate`) bakes the same
+        assumption into both of its kernels, and reads/writes this
+        buffer's private state directly under that contract.
         """
         interval = self.interval
         occ_hist = self._occ_hist

@@ -170,7 +170,7 @@ class RequestTracker:
 
         Equivalent to calling :meth:`deliver_token` once per timestamp
         in order, with the per-token request/buffer bookkeeping done in
-        bulk (the fused decode path's per-request token application).
+        bulk (the batch plane's scalar fallback for one request).
         """
         entry = self._entries.get(req_id)
         if entry is None:

@@ -1,49 +1,64 @@
-"""Vectorised batch plane: struct-of-arrays decode-window delivery.
+"""Batch plane: one fused decode window's token delivery for a batch.
 
-PR 4's macro-step fusion collapsed per-iteration *events*; the hot
-path that remained is per-*request* Python work inside each fused
-window — ``ClientBuffer.deliver_many`` walks its K timestamps
-token-by-token for every batch member.  This module gathers the
-active batch's buffer state into struct-of-arrays numpy form once per
-window, advances every request with array ops, and scatters the
-results back to the per-request objects at the window boundary.
+Macro-step fusion collapsed per-iteration *events*; what remained is
+per-*request* work inside each fused window — advancing every batch
+member's client buffer by K tokens.  :func:`deliver_batch` does that
+for the whole batch at once: it reads each buffer's state, advances
+every row through the window, and writes the results back to the
+per-request objects at the window boundary.  Fused windows always
+have K >= 2 iterations (single iterations complete through
+``DecodeStream.complete_decode``).
 
 The maths: with a shared strictly-increasing timestamp vector ``t``
 (one entry per fused iteration) and per-row pacing interval ``iv``,
 the consumption recurrence ``c_i = max(c_{i-1} + iv, t_i)`` is solved
-for all rows at once through the classic transform ``d_i = c_i -
-iv*i``::
+through the classic transform ``d_i = c_i - iv*i``::
 
     d_i = max(d_{i-1}, t_i - iv*i)      (a running maximum)
     c_i = d_i + iv*i,   re-based to exactly t_i at stalls
 
 The first window column uses the untransformed scalar operations
-(``lc + iv`` and its comparison), so single-iteration windows — the
-vectorised *unfused* decode path — reproduce the scalar floats
-exactly.  Deeper columns replace K repeated additions with one
-multiply; together with the closed-form cursor advance below this is
-the rel-1e-9 half of the parity contract, checked against the frozen
-scalar reference in ``tests/scalar_decode_reference.json``.
+(``lc + iv`` and its comparison).  Deeper columns replace K repeated
+additions with one multiply; together with the closed-form cursor
+advance below this is the rel-1e-9 half of the parity contract,
+checked against the frozen scalar reference in
+``tests/scalar_decode_reference.json``.
 
 Consumption counting is closed-form instead of cursor replay: tokens
 delivered before the window sit on one arithmetic chain (the fast
 path requires the segment deque to be empty), so the number consumed
 by ``t_j`` is ``clip(floor((t_j - nxt0)/civ) + 1, 0, backlog)``;
-within-window consumptions are counted by comparing the ``c`` matrix
-against the thresholds.  Occupancy-at-generation, the stall
-accumulator, the occupancy histogram (via one ``np.unique`` over
-row-tagged keys), and the cursor/segment writeback all follow from
-those counts.
+within-window consumptions are the ``c_m <= t_j`` count.
+Occupancy-at-generation, the stall accumulator, the occupancy
+histogram, and the cursor/segment write-back all follow from those
+counts.
 
-Scatter converts every array through ``.tolist()`` first — per-row
-reads then cost plain list indexing, and no ``np.float64`` leaks into
-buffer state (the JSONL exports and fingerprint tests require native
-floats).
+Two kernels evaluate these formulas with the same float operations in
+the same order, so they agree bit for bit:
 
-Rows the kernel cannot represent fall back to the scalar
+- ``_array_kernel`` advances all rows at once in numpy array ops.  Its
+  cost is about 50 numpy calls whatever the window's size, so it wins
+  on big windows (a preemptive burst's 90-row batches).
+- ``_row_kernel`` walks each row in plain Python.  Its cost grows
+  with rows × K, so it wins on small windows (a handful of rows),
+  where the array kernel's fixed cost dominates.
+
+:func:`deliver_batch` picks by window size against
+``ROW_KERNEL_MAX_ELEMENTS``.  Both kernels return per-row results as
+native Python values for one shared write-back, so no ``np.float64``
+leaks into buffer state (the JSONL exports and fingerprint tests
+require native floats).  The stall sum is the one place where
+grouping matters: the array kernel sums each row's K−1 terms with
+numpy's pairwise ``sum``; the row kernel adds at most two non-zero
+terms directly (any grouping of two terms and zeros gives the same
+float) and otherwise runs ``np.add.reduce`` over the row's full
+K−1-term vector, zeros included, so the pairwise grouping is the same.
+
+Rows neither kernel can represent fall back to the scalar
 ``RequestTracker.deliver_tokens`` path per request: pending segment
 anchors (a stall the cursor has not reached), an empty buffer (no
-``_last_consume`` yet), or per-token trace recording.
+``_last_consume`` yet), per-token trace recording, or a window with
+tied timestamps.
 """
 
 from __future__ import annotations
@@ -52,6 +67,13 @@ import numpy as np
 
 __all__ = ["deliver_batch"]
 
+# Largest window, in rows × K, that goes to the per-row kernel.  On a
+# B × K grid (B 1–128, K 2–64) timed on a 2-CPU x86-64 container
+# (Python 3.11, numpy 2.4) the row kernel was faster in every cell up
+# to 256 elements and the array kernel in most cells from 512 up.
+# Re-time with ``scripts/decode_kernel_grid.py``.
+ROW_KERNEL_MAX_ELEMENTS = 256
+
 
 def deliver_batch(tracker, requests, times) -> None:
     """Deliver one token per instant in ``times`` to every request.
@@ -59,55 +81,212 @@ def deliver_batch(tracker, requests, times) -> None:
     Equivalent to ``tracker.deliver_tokens(r.req_id, times)`` for each
     request in order (same request bookkeeping, same buffer state
     machine), with the per-token buffer arithmetic batched across
-    requests.  ``times`` must be strictly increasing; otherwise every
-    row is routed through the scalar path, which raises exactly as
-    ``ClientBuffer.deliver`` would.
+    requests.  Every request is checked before any state moves: an
+    overflowing request, an untracked one or an out-of-order window
+    raises with the whole batch untouched.  Tied timestamps are legal
+    but route every row through the scalar path.
     """
     k = len(times)
     if k == 0 or not requests:
         return
-    entries = tracker.entries_by_id
-    deliver_scalar = tracker.deliver_tokens
-
-    prev = times[0]
-    for instant in times[1:]:
-        if instant <= prev:
-            for request in requests:
-                deliver_scalar(request.req_id, times)
-            return
-        prev = instant
-
-    t_first = times[0]
-    fast_rows = []
     for request in requests:
-        entry = entries.get(request.req_id)
-        buffer = entry.buffer if entry is not None else None
-        if (
-            buffer is None
-            or buffer._segments
-            or buffer._trace
-            or buffer._last_consume is None
-            or t_first < buffer._last_gen
-        ):
-            deliver_scalar(request.req_id, times)
-        else:
-            fast_rows.append((request, buffer))
-    if not fast_rows:
-        return
-
-    # --- request bookkeeping (mirrors RequestTracker.deliver_tokens) --
-    for request, _ in fast_rows:
         if request.generated + k > request.output_len:
             raise RuntimeError(
                 f"request {request.req_id} would exceed its "
                 f"{request.output_len} tokens"
             )
+    strict = True
+    prev = times[0]
+    for instant in times[1:]:
+        if instant < prev:
+            raise ValueError("deliveries must have non-decreasing timestamps")
+        if instant == prev:
+            strict = False
+        prev = instant
+
+    # --- classification ----------------------------------------------
+    t_first = times[0]
+    entries = tracker.entries_by_id
+    scalar_ids = []
+    fast_requests = []
+    buffers = []
+    for request in requests:
+        entry = entries.get(request.req_id)
+        if entry is None:
+            raise KeyError(f"request {request.req_id} is not tracked")
+        buffer = entry.buffer
+        last_gen = buffer._last_gen
+        if last_gen is not None and t_first < last_gen:
+            raise ValueError("deliveries must have non-decreasing timestamps")
+        if (
+            not strict
+            or buffer._segments
+            or buffer._trace
+            or buffer._last_consume is None
+        ):
+            scalar_ids.append(request.req_id)
+        else:
+            fast_requests.append(request)
+            buffers.append(buffer)
+    deliver_scalar = tracker.deliver_tokens
+    for req_id in scalar_ids:
+        deliver_scalar(req_id, times)
+    if not buffers:
+        return
+
+    # --- request bookkeeping (mirrors RequestTracker.deliver_tokens) --
+    for request in fast_requests:
         if request.ttft is None:
             request.ttft = t_first - request.arrival_time
             request.first_token_time = t_first
         request.generated += k
         request.token_times.extend(times)
 
+    if len(buffers) * k <= ROW_KERNEL_MAX_ELEMENTS:
+        rows, segments = _row_kernel(buffers, times)
+    else:
+        rows, segments = _array_kernel(buffers, times)
+
+    # --- write-back ---------------------------------------------------
+    t_last = times[-1]
+    for buffer, (c_last, stall, occ_max, consumed, nxt, rebased, hist) in zip(
+        buffers, rows
+    ):
+        buffer._delivered += k
+        buffer._last_gen = t_last
+        buffer._last_consume = c_last
+        # After any delivery the newest segment's interval is the
+        # current one (fresh anchors set it; non-fresh requires it).
+        buffer._tail_interval = buffer.interval
+        if stall != 0.0:
+            buffer._stall_time += stall
+        if occ_max > buffer._occ_max:
+            buffer._occ_max = occ_max
+        buffer._consumed = consumed
+        buffer._next_consume = nxt
+        if rebased:
+            buffer._cursor_interval = buffer.interval
+        # Merged into the buffer's histogram dict lazily at first read
+        # (ClientBuffer._flush_occ_pending).
+        buffer._occ_pending.append(hist)
+    # Fresh anchors the cursor has not consumed past become segment
+    # records, exactly the ones the scalar state machine would retain.
+    for b, index, consume in segments:
+        buffer = buffers[b]
+        buffer._segments.append((index, consume, buffer.interval))
+
+    tracker.invalidate_occupancy_all()
+
+
+# Each kernel returns ``(rows, segments)``.  ``rows`` holds one tuple
+# per buffer: (last consumption time, stall to add, window occupancy
+# max, consumed count, next cursor time or None, whether the cursor
+# moved into the window and so takes the current interval, the
+# window's occupancy histogram as a (values, counts) pair).
+# ``segments`` lists (row, token index, consumption time) for every
+# surviving fresh anchor.
+
+
+def _row_kernel(buffers, times):
+    """Advance each row in plain Python: cheap for small windows."""
+    k = len(times)
+    t_first = times[0]
+    # (column, t_j, token number j + 1 as a float) for columns >= 1.
+    deeper = [(j, times[j], j + 1.0) for j in range(1, k)]
+    rows = []
+    segments = []
+    for b, buffer in enumerate(buffers):
+        iv = buffer.interval
+        ideal = buffer._last_consume + iv
+        if t_first > ideal:
+            stall = t_first - ideal
+            c = t_first
+            fresh = [0]
+        else:
+            stall = 0.0
+            c = ideal
+            fresh = [0] if buffer._tail_interval != iv else []
+        cs = [c] * k
+        d = c - iv
+        terms = []
+        for j, t, token_no in deeper:
+            w = iv * token_no
+            a = t - w
+            if a > d:
+                terms.append(a - d)
+                fresh.append(j)
+                d = a
+                cs[j] = t
+            else:
+                cs[j] = d + w
+        if terms:
+            if len(terms) == 1:
+                stall = stall + terms[0]
+            elif len(terms) == 2:
+                stall = stall + (terms[0] + terms[1])
+            else:
+                # Zeros in the non-stall columns keep numpy's pairwise
+                # grouping identical to the array kernel's row sum.
+                full = [0.0] * (k - 1)
+                for j, term in zip(fresh[-len(terms):], terms):
+                    full[j - 1] = term
+                stall = stall + float(np.add.reduce(full))
+
+        d0 = buffer._delivered
+        con0 = buffer._consumed
+        n_back = d0 - con0
+        nxt0 = buffer._next_consume
+        civ = buffer._cursor_interval
+        civ_safe = civ if civ > 0.0 else 1.0
+        occs = [0] * k
+        hist = {}
+        m = 0
+        done = 0
+        for j, t in enumerate(times):
+            while m < k and cs[m] <= t:
+                m += 1
+            if done < n_back:
+                # floor((t - nxt0)/civ_safe) + 1 clipped at 0: int()
+                # truncation equals floor for the non-negative quotient.
+                if t >= nxt0:
+                    done = int((t - nxt0) / civ_safe) + 1
+                    if done > n_back:
+                        done = n_back
+            occ = n_back + j + 1 - done - m
+            occs[j] = occ
+            if occ in hist:
+                hist[occ] += 1
+            else:
+                hist[occ] = 1
+        consumed = con0 + done + m
+
+        # A token finding the cursor parked at the stream end re-points
+        # it directly (no segment record): first column iff there was
+        # no cursor, later columns iff everything delivered was
+        # consumed.
+        for j in fresh:
+            parked = n_back == 0 if j == 0 else occs[j - 1] == 0
+            if not parked and d0 + j > consumed:
+                segments.append((b, d0 + j, cs[j]))
+
+        if consumed >= d0:
+            nxt = None if consumed == d0 + k else cs[consumed - d0]
+            rebased = True
+        else:
+            # Cursor still in the backlog: the chain value in closed form.
+            nxt = nxt0 + civ * (consumed - con0)
+            rebased = False
+        rows.append(
+            (cs[-1], stall, max(occs), consumed, nxt, rebased,
+             (list(hist), list(hist.values())))
+        )
+    return rows, segments
+
+
+def _array_kernel(buffers, times):
+    """Advance all rows at once in numpy: cheap for big windows."""
+    k = len(times)
+    n_rows = len(buffers)
     # --- gather ------------------------------------------------------
     # One pass per row building a (B, 7) matrix; the integer columns
     # (delivered/consumed counts) round-trip through float64 exactly
@@ -121,13 +300,13 @@ def deliver_batch(tracker, requests, times) -> None:
                 buf._tail_interval,
                 buf._delivered,
                 buf._consumed,
-                 # Sentinel 0.0 for a parked cursor: those rows have an
-                 # empty backlog (n_back == 0), which zeroes every term
-                 # the sentinel feeds.
+                # Sentinel 0.0 for a parked cursor: those rows have an
+                # empty backlog (n_back == 0), which zeroes every term
+                # the sentinel feeds.
                 nxt if (nxt := buf._next_consume) is not None else 0.0,
                 buf._cursor_interval,
             )
-            for _, buf in fast_rows
+            for buf in buffers
         ]
     )
     iv = state[:, 0]
@@ -143,27 +322,23 @@ def deliver_batch(tracker, requests, times) -> None:
     # Column 0 runs the untransformed scalar float ops (exact); deeper
     # columns use the running-max transform (drift <= a few ulp,
     # covered by the rel-1e-9 parity gate).
+    t_first = times[0]
     ideal0 = lc + iv
     stall0 = t_first > ideal0
     c_first = np.where(stall0, t_first, ideal0)
     stall_amt0 = np.where(stall0, t_first - ideal0, 0.0)
-    if k > 1:
-        token_no = np.arange(2.0, k + 1.0)
-        a = t[1:][None, :] - iv[:, None] * token_no[None, :]
-        d = np.maximum.accumulate(
-            np.concatenate([(c_first - iv)[:, None], a], axis=1), axis=1
-        )
-        stall_rest = a > d[:, :-1]
-        c_rest = np.where(
-            stall_rest, t[1:][None, :], d[:, 1:] + iv[:, None] * token_no[None, :]
-        )
-        c = np.concatenate([c_first[:, None], c_rest], axis=1)
-        fresh = np.concatenate([stall0[:, None], stall_rest], axis=1)
-        stall_add = stall_amt0 + ((a - d[:, :-1]) * stall_rest).sum(axis=1)
-    else:
-        c = c_first[:, None]
-        fresh = stall0[:, None].copy()
-        stall_add = stall_amt0
+    token_no = np.arange(2.0, k + 1.0)
+    a = t[1:][None, :] - iv[:, None] * token_no[None, :]
+    d = np.maximum.accumulate(
+        np.concatenate([(c_first - iv)[:, None], a], axis=1), axis=1
+    )
+    stall_rest = a > d[:, :-1]
+    c_rest = np.where(
+        stall_rest, t[1:][None, :], d[:, 1:] + iv[:, None] * token_no[None, :]
+    )
+    c = np.concatenate([c_first[:, None], c_rest], axis=1)
+    fresh = np.concatenate([stall0[:, None], stall_rest], axis=1)
+    stall_add = stall_amt0 + ((a - d[:, :-1]) * stall_rest).sum(axis=1)
 
     # --- consumption counts / occupancy ------------------------------
     # Backlog tokens live on one arithmetic chain from the cursor;
@@ -179,7 +354,6 @@ def deliver_batch(tracker, requests, times) -> None:
     # thresholds j >= pos), and offsetting each row by (k + 1) * b
     # keeps both flattened integer arrays sorted — one searchsorted
     # then counts every (row, threshold) pair at once, exactly.
-    n_rows = len(fast_rows)
     pos = np.searchsorted(t, c.ravel(), side="left").reshape(n_rows, k)
     row_off = (k + 1) * np.arange(n_rows, dtype=np.int64)[:, None]
     window_done = np.searchsorted(
@@ -197,79 +371,52 @@ def deliver_batch(tracker, requests, times) -> None:
     # cursor, later columns iff everything delivered was consumed.
     parked = np.empty(occ.shape, dtype=bool)
     parked[:, 0] = n_back == 0
-    if k > 1:
-        parked[:, 1:] = occ[:, :-1] == 0
+    parked[:, 1:] = occ[:, :-1] == 0
     # Fresh anchors: every stall; plus column 0 on a rate change since
     # the tail segment (afterwards the tail interval equals iv, so
     # within the window fresh == stall).
     fresh[:, 0] |= tail != iv
 
-    # --- cursor writeback --------------------------------------------
+    # --- cursor ------------------------------------------------------
     consumed_f = consumed[:, -1]
     all_done = consumed_f == d0 + k
-    in_window = ~all_done & (consumed_f >= d0)
+    rebased = consumed_f >= d0
     col = np.clip(consumed_f - d0, 0, k - 1)
     cursor_c = np.take_along_axis(c, col[:, None], axis=1)[:, 0]
     # Cursor still in the backlog: the chain value in closed form.
     cursor_backlog = nxt0 + civ * (consumed_f - con0)
+    nxt = np.where(rebased, cursor_c, cursor_backlog).tolist()
+    nxt = [None if done else v for done, v in zip(all_done.tolist(), nxt)]
 
-    # Fresh anchors the cursor has not consumed past become segment
-    # records, exactly the ones the scalar state machine would retain.
     index = d0[:, None] + np.arange(0, k, dtype=np.int64)[None, :]
     survive = fresh & ~parked & (index > consumed_f[:, None])
+    rows_cols = np.argwhere(survive)
+    segments = zip(
+        rows_cols[:, 0].tolist(),
+        index[survive].tolist(),
+        c[survive].tolist(),
+    )
 
-    # Occupancy histogram: one np.unique over row-tagged keys; the
-    # per-row slices go onto each buffer's pending list and merge into
-    # its dict lazily at first read (ClientBuffer._flush_occ_pending).
+    # Occupancy histogram: one np.unique over row-tagged keys, sliced
+    # back into per-row (values, counts) pairs.
     occ_span = int(occ.max()) + 1
     row_ids = np.arange(n_rows, dtype=np.int64)
     keys = occ + occ_span * row_ids[:, None]
     uniq, counts = np.unique(keys, return_counts=True)
     hist_vals = uniq % occ_span
-    row_bounds = np.searchsorted(uniq, occ_span * (row_ids + 1)).tolist()
+    bounds = np.searchsorted(uniq, occ_span * row_ids).tolist() + [len(uniq)]
+    hists = [
+        (hist_vals[start:stop], counts[start:stop])
+        for start, stop in zip(bounds, bounds[1:])
+    ]
 
-    # --- scatter ------------------------------------------------------
-    t_last = times[-1]
-    c_last = c[:, -1].tolist()
-    stall_add_l = stall_add.tolist()
-    occ_max_l = occ.max(axis=1).tolist()
-    consumed_l = consumed_f.tolist()
-    all_done_l = all_done.tolist()
-    in_window_l = in_window.tolist()
-    cursor_c_l = cursor_c.tolist()
-    cursor_backlog_l = cursor_backlog.tolist()
-    start = 0
-    for b, (request, buffer) in enumerate(fast_rows):
-        buffer._delivered += k
-        buffer._last_gen = t_last
-        buffer._last_consume = c_last[b]
-        # After any delivery the newest segment's interval is the
-        # current one (fresh anchors set it; non-fresh requires it).
-        buffer._tail_interval = buffer.interval
-        stall = stall_add_l[b]
-        if stall != 0.0:
-            buffer._stall_time += stall
-        if occ_max_l[b] > buffer._occ_max:
-            buffer._occ_max = occ_max_l[b]
-        buffer._consumed = consumed_l[b]
-        if all_done_l[b]:
-            buffer._next_consume = None
-            buffer._cursor_interval = buffer.interval
-        elif in_window_l[b]:
-            buffer._next_consume = cursor_c_l[b]
-            buffer._cursor_interval = buffer.interval
-        else:
-            buffer._next_consume = cursor_backlog_l[b]
-        stop = row_bounds[b]
-        buffer._occ_pending.append((hist_vals[start:stop], counts[start:stop]))
-        start = stop
-
-    if survive.any():
-        rows_cols = np.argwhere(survive)
-        seg_c = c[rows_cols[:, 0], rows_cols[:, 1]].tolist()
-        d0_l = d0.tolist()
-        for (b, j), consume in zip(rows_cols.tolist(), seg_c):
-            buffer = fast_rows[b][1]
-            buffer._segments.append((d0_l[b] + j, consume, buffer.interval))
-
-    tracker.invalidate_occupancy_all()
+    rows = zip(
+        c[:, -1].tolist(),
+        stall_add.tolist(),
+        occ.max(axis=1).tolist(),
+        consumed_f.tolist(),
+        nxt,
+        rebased.tolist(),
+        hists,
+    )
+    return rows, segments

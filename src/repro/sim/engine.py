@@ -185,12 +185,12 @@ class ScopedEngine:
     per-instance reports, executor stats included, stay bit-identical
     across partitionings.
 
-    The own-event heap holds the very :class:`Event` objects pushed to
-    the shared queue; entries that were executed (``_queue`` cleared on
-    pop) or cancelled are lazily discarded when they surface.  Dead
-    entries carry timestamps at or before the clock, so each peek
-    drains them from the front — the heap stays proportional to this
-    component's live event count.
+    The own-event heap holds ``(time, seq, event)`` entries for the
+    very :class:`Event` objects pushed to the shared queue; entries
+    that were executed (``_queue`` cleared on pop) or cancelled are
+    lazily discarded when they surface.  Dead entries carry timestamps
+    at or before the clock, so each peek drains them from the front —
+    the heap stays proportional to this component's live event count.
     """
 
     def __init__(
@@ -205,12 +205,12 @@ class ScopedEngine:
     # --- scheduling (tracked) ---------------------------------------------
     def call_at(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         event = self.base.call_at(time, action, label)
-        heapq.heappush(self._own, event)
+        heapq.heappush(self._own, (event.time, event.seq, event))
         return event
 
     def call_after(self, delay: float, action: Callable[[], None], label: str = "") -> Event:
         event = self.base.call_after(delay, action, label)
-        heapq.heappush(self._own, event)
+        heapq.heappush(self._own, (event.time, event.seq, event))
         return event
 
     # --- scoped decision horizon ------------------------------------------
@@ -225,9 +225,9 @@ class ScopedEngine:
         arriving later) moves the external horizon but never this.
         """
         own = self._own
-        while own and (own[0].cancelled or own[0]._queue is None):
+        while own and (own[0][2].cancelled or own[0][2]._queue is None):
             heapq.heappop(own)
-        return own[0].time if own else None
+        return own[0][0] if own else None
 
     def next_event_time(self) -> Optional[float]:
         mine = self.own_event_time()

@@ -22,9 +22,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 
-@dataclass(order=True)
+@dataclass
 class Event:
     """A scheduled callback.
+
+    Heaps order events by ``(time, seq)`` tuple keys pushed alongside
+    them, so an ``Event`` itself is never compared.
 
     Attributes:
         time: absolute simulation time at which the event fires.
@@ -61,24 +64,26 @@ class Event:
 
 
 class EventQueue:
-    """Min-heap of events ordered by (time, insertion sequence)."""
+    """Min-heap of ``(time, seq, event)`` entries.
+
+    ``seq`` is unique per queue, so heap comparisons settle on the two
+    leading numbers and never reach the event.
+    """
 
     # Compaction threshold: never compact heaps smaller than this (the
     # O(n) rebuild must stay amortised against real dead-entry volume).
     _COMPACT_MIN_SIZE = 64
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
     def push(self, time: float, action: Callable[[], None], label: str = "") -> Event:
         """Schedule ``action`` at absolute ``time`` and return the event."""
-        event = Event(
-            time=time, seq=next(self._counter), action=action, label=label,
-            _queue=self,
-        )
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time=time, seq=seq, action=action, label=label, _queue=self)
+        heapq.heappush(self._heap, (time, seq, event))
         self._live += 1
         return event
 
@@ -88,7 +93,7 @@ class EventQueue:
         Compacts the heap when cancelled entries exceed half of it:
         each compaction removes >n/2 dead entries and costs O(n), so
         the rebuild work is amortised O(1) per cancellation, and
-        ordering is untouched (events compare by (time, seq)).
+        ordering is untouched (entries compare by (time, seq)).
         """
         self._live -= 1
         heap = self._heap
@@ -96,7 +101,7 @@ class EventQueue:
             len(heap) >= self._COMPACT_MIN_SIZE
             and (len(heap) - self._live) * 2 > len(heap)
         ):
-            self._heap = [event for event in heap if not event.cancelled]
+            self._heap = [entry for entry in heap if not entry[2].cancelled]
             heapq.heapify(self._heap)
 
     def pop(self) -> Optional[Event]:
@@ -106,7 +111,7 @@ class EventQueue:
         was already corrected at cancel time).
         """
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 continue
             event._queue = None
@@ -124,11 +129,11 @@ class EventQueue:
         strictly before this time).
         """
         heap = self._heap
-        while heap and heap[0].cancelled:
+        while heap and heap[0][2].cancelled:
             heapq.heappop(heap)
         if not heap:
             return None
-        return heap[0].time
+        return heap[0][0]
 
     def __len__(self) -> int:
         return self._live

@@ -8,14 +8,23 @@ each reproduce the frozen scalar decode reference
 (``scalar_decode_reference.json``) — metrics to rel 1e-9 and the
 single-node timeline exactly.  The full registry sweep lives in
 ``test_property_vectorize.py`` (slow lane).  ``deliver_batch`` is also
-checked directly against the scalar ``RequestTracker.deliver_tokens``.
+checked directly against the scalar ``RequestTracker.deliver_tokens``,
+and its two kernels (per-row and array) against each other, bit for
+bit.
 """
 
+import itertools
+from unittest import mock
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repro.core.tracker import RequestTracker
 from repro.scenarios import build_run, get_scenario
+from repro.serving import batchstate
 from repro.serving.batchstate import deliver_batch
+from repro.workload.request import Request
 from tests.conftest import assert_matches_scalar_reference
 
 # One cell per workload family, scaled for the fast lane: Table 1
@@ -48,7 +57,6 @@ class TestDeliverBatchEdges:
         # record_traces=False: per-token traces force the scalar
         # fallback row-by-row; the kernel requires compact buffers.
         tracker = RequestTracker(record_traces=False)
-        from repro.workload.request import Request
         requests = []
         for i, rate in enumerate(rates):
             request = Request(req_id=i, arrival_time=0.0, prompt_len=4,
@@ -125,3 +133,134 @@ class TestDeliverBatchEdges:
         request.generated = request.output_len - 1
         with pytest.raises(RuntimeError):
             deliver_batch(tracker, requests, [0.1, 0.2])
+
+        # Row 1, a kernel row, overflows; row 0 — a kernel row when
+        # warmed up, a scalar-fallback row when its buffer is empty —
+        # must come out untouched, not half-delivered.
+        for warm_row0 in (True, False):
+            tracker, requests = self._tracked([10.0, 10.0])
+            tracker.deliver_tokens(1, [0.1])
+            if warm_row0:
+                tracker.deliver_tokens(0, [0.1])
+            requests[1].generated = requests[1].output_len - 1
+            row0 = requests[0]
+            before = (row0.generated, list(row0.token_times),
+                      tracker.get(0).buffer.delivered)
+            with pytest.raises(RuntimeError):
+                deliver_batch(tracker, requests, [0.2, 0.3])
+            assert (row0.generated, row0.token_times,
+                    tracker.get(0).buffer.delivered) == before
+            assert requests[1].generated == requests[1].output_len - 1
+
+
+# --- the row kernel and the array kernel agree bit for bit ------------
+
+BUFFER_FIELDS = (
+    "_delivered", "_last_gen", "_last_consume", "_tail_interval",
+    "_next_consume", "_cursor_interval", "_consumed", "_stall_time",
+    "_occ_max",
+)
+
+# Short gaps keep tokens ahead of the reader (a backlog); long ones
+# outrun it (stalls, and a cursor parked at the stream end).
+gaps = st.one_of(st.floats(0.001, 0.06), st.floats(0.2, 1.5))
+row_specs = st.lists(
+    st.tuples(
+        st.sampled_from([2.0, 5.0, 10.0, 40.0]),  # read rate
+        st.lists(gaps, min_size=1, max_size=30),  # warm-up deliveries
+        st.floats(0.0, 3.0),  # cursor query delay after warm-up
+        st.sampled_from([None, 4.0, 20.0]),  # rate change before window
+    ),
+    min_size=1,
+    max_size=6,
+)
+windows = st.lists(st.lists(gaps, min_size=1, max_size=40),
+                   min_size=1, max_size=2)
+
+
+def _kernel_twin(specs):
+    """A tracker whose buffers sit in the states ``specs`` describe,
+    all on the kernels' path (segment deque drained), plus the instant
+    after which a window may start."""
+    tracker = RequestTracker(record_traces=False)
+    requests = []
+    start = 0.0
+    for i, (rate, warm, delay, new_rate) in enumerate(specs):
+        request = Request(req_id=i, arrival_time=0.0, prompt_len=4,
+                          output_len=10_000, rate=rate)
+        tracker.register(request)
+        requests.append(request)
+        times = list(itertools.accumulate(warm))
+        tracker.deliver_tokens(i, times)
+        buffer = tracker.get(i).buffer
+        now = times[-1] + delay
+        buffer.consumed_count(now)
+        while buffer._segments:
+            now = max(now, buffer._segments[0][1])
+            buffer.consumed_count(now)
+        if new_rate is not None:
+            buffer.set_rate(new_rate)
+        start = max(start, now)
+    return tracker, requests, start
+
+
+def _deliver_with(limit, tracker, requests, times):
+    with mock.patch.object(batchstate, "ROW_KERNEL_MAX_ELEMENTS", limit):
+        deliver_batch(tracker, requests, times)
+
+
+def _buffer_state(buffer):
+    # Types too: both kernels must write native Python values.
+    state = [(name, type(getattr(buffer, name)), getattr(buffer, name))
+             for name in BUFFER_FIELDS]
+    state.append(("_segments", list(buffer._segments)))
+    state.append(("histogram", list(buffer.occupancy_histogram.items())))
+    return state
+
+
+# Every column after the first stalls: the reader is parked and each
+# token comes 0.5 s after the last at a 0.1 s pace, so the stall sum
+# has 39 terms and runs numpy's pairwise grouping.
+@example(specs=[(10.0, [0.1], 2.0, None)], window_gaps=[[0.5] * 40])
+# A rate change since the tail segment, and a backlog of 30 tokens.
+@example(specs=[(10.0, [0.01] * 30, 0.0, 20.0)], window_gaps=[[0.01] * 8])
+@given(specs=row_specs, window_gaps=windows)
+@settings(max_examples=150, deadline=None)
+def test_row_kernel_matches_array_kernel(specs, window_gaps):
+    array_side = _kernel_twin(specs)
+    row_side = _kernel_twin(specs)
+    t = array_side[2]
+    for gaps_k in window_gaps:
+        times = [t + g for g in itertools.accumulate(gaps_k)]
+        t = times[-1]
+        _deliver_with(0, *array_side[:2], times)
+        _deliver_with(10**9, *row_side[:2], times)
+    for request_a, request_r in zip(array_side[1], row_side[1]):
+        assert request_a.generated == request_r.generated
+        assert request_a.token_times == request_r.token_times
+        assert (_buffer_state(array_side[0].get(request_a.req_id).buffer)
+                == _buffer_state(row_side[0].get(request_r.req_id).buffer))
+
+
+@pytest.mark.parametrize("extra, expected", [(0, "row"), (1, "array")])
+def test_kernel_choice_follows_window_size(extra, expected, monkeypatch):
+    # One row of K = limit (+ 1) iterations: the window's element count
+    # sits on each side of the crossover constant.
+    k = batchstate.ROW_KERNEL_MAX_ELEMENTS + extra
+    calls = []
+    for name in ("row", "array"):
+        kernel = getattr(batchstate, f"_{name}_kernel")
+        monkeypatch.setattr(
+            batchstate, f"_{name}_kernel",
+            lambda *args, name=name, kernel=kernel: (
+                calls.append(name) or kernel(*args)
+            ),
+        )
+    tracker = RequestTracker(record_traces=False)
+    request = Request(req_id=0, arrival_time=0.0, prompt_len=4,
+                      output_len=k + 1, rate=10.0)
+    tracker.register(request)
+    tracker.deliver_tokens(0, [0.1])
+    deliver_batch(tracker, [request], [0.1 + 0.05 * (i + 1) for i in range(k)])
+    assert calls == [expected]
+    assert request.generated == k + 1

@@ -118,7 +118,7 @@ class TestHeapCompaction:
         for event in events[: 128 // 2 + 1]:
             event.cancel()
         assert len(queue._heap) == len(queue)
-        assert all(not e.cancelled for e in queue._heap)
+        assert all(not event.cancelled for _, _, event in queue._heap)
 
     def test_small_heaps_are_not_compacted(self):
         queue = EventQueue()
