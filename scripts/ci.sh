@@ -5,7 +5,7 @@
 #                          property + golden + figure benches)
 #                          including the perf smoke, then the
 #                          perfbench report-digest check on
-#                          burst-preempt and prefix-reuse
+#                          every workload
 #   scripts/ci.sh --fast   fast lane: everything not marked `slow`
 #                          (unit/integration/scenario/orchestration
 #                          tests, including the fused-vs-per-iteration
@@ -82,10 +82,13 @@ else
   echo "== tier-1: full suite (tests/ + benchmarks/, incl. perf smoke) =="
   python -m pytest -x -q || rc=$?
   # Report digests: the only bit-exact check on the decode kernels
-  # (the frozen scalar reference compares to rel 1e-9).  burst-preempt
-  # windows mostly take the array kernel, prefix-reuse windows the row
-  # kernel; perfbench exits non-zero on any digest mismatch.
-  for workload in burst-preempt prefix-reuse; do
+  # and the window planner (the frozen scalar reference compares to
+  # rel 1e-9).  burst-preempt windows mostly take the array kernel,
+  # prefix-reuse windows the row kernel; steady-stream and
+  # cluster-stateful run the same windows through a lazy stream and
+  # a sharded cluster's horizons.  perfbench exits non-zero on any
+  # digest mismatch.
+  for workload in burst-preempt prefix-reuse steady-stream cluster-stateful; do
     if [[ "$rc" -eq 0 ]]; then
       echo "== tier-1: perfbench $workload report digests =="
       python3 perfbench/run.py --workload "$workload" --seed 0 \

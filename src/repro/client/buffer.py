@@ -62,6 +62,9 @@ class ClientBuffer:
         # reached yet.  Queries must come with non-decreasing ``now``
         # (true for a simulation), which keeps this O(1) amortised.
         self._consumed = 0
+        # Latest instant the cursor was walked to (a query or a batch
+        # delivery); an earlier query raises.
+        self._queried = float("-inf")
         self._next_consume: Optional[float] = None
         self._cursor_interval = 0.0
         self._segments: deque = deque()
@@ -257,14 +260,26 @@ class ClientBuffer:
         self._tail_interval = tail_interval
         self._stall_time = stall_time
         self._occ_max = occ_max
+        if last_gen is not None and last_gen > self._queried:
+            self._queried = last_gen
 
     # --- queries ---------------------------------------------------------
     def consumed_count(self, now: float) -> int:
         """Number of tokens consumed by time ``now``.
 
         Queries must come with non-decreasing ``now`` (true for a
-        simulation); the cursor never moves backwards.
+        simulation): the cursor never moves backwards, so a ``now``
+        earlier than the latest instant it was walked to — by a query,
+        or by :meth:`deliver_many` / the batch plane's
+        ``deliver_batch``, which walk it to their last timestamp —
+        raises ``ValueError`` rather than answer with a later count.
+        :meth:`peek_consumed_count` answers without moving the cursor.
         """
+        if now < self._queried:
+            raise ValueError(
+                f"consumed_count queried backwards: now={now} after {self._queried}"
+            )
+        self._queried = now
         nxt = self._next_consume
         if nxt is None or nxt > now:
             return self._consumed
@@ -286,6 +301,53 @@ class ClientBuffer:
         self._next_consume = nxt
         self._cursor_interval = interval
         return consumed
+
+    def peek_consumed_count(self, at: float) -> int:
+        """:meth:`consumed_count` at ``at`` without moving the cursor.
+
+        The same float additions from the same cursor, so the count is
+        the one a real query at ``at`` would return; ``at`` must not
+        precede the last query (the cursor may already be past it).
+        """
+        nxt = self._next_consume
+        consumed = self._consumed
+        if nxt is None or nxt > at:
+            return consumed
+        delivered = self._delivered
+        interval = self._cursor_interval
+        segments = self._segments
+        pending = 0  # segment records the cursor would have popped
+        while nxt is not None and nxt <= at:
+            consumed += 1
+            if pending < len(segments) and segments[pending][0] == consumed:
+                _, nxt, interval = segments[pending]
+                pending += 1
+            elif consumed < delivered:
+                nxt = nxt + interval
+            else:
+                nxt = None
+        return consumed
+
+    def peek_consumed_at_most(self, at: float) -> int:
+        """An O(1) upper bound on :meth:`peek_consumed_count` at ``at``.
+
+        Exact when nothing is due by ``at``; otherwise counts the
+        cursor segment's due instants in closed form with one token of
+        slack for the repeated additions' rounding.  That slack is
+        provably enough while the walk spans < 2**18 tokens and ``at``
+        < interval * 2**33 (the additions then drift by far less than
+        one interval); outside that, and when a later segment is
+        pending, the bound is simply everything delivered.
+        """
+        nxt = self._next_consume
+        if nxt is None or nxt > at:
+            return self._consumed
+        interval = self._cursor_interval
+        steps = (at - nxt) / interval
+        if self._segments or steps >= 2.0 ** 18 or at >= interval * 2.0 ** 33:
+            return self._delivered
+        bound = self._consumed + int(steps) + 2
+        return bound if bound < self._delivered else self._delivered
 
     def occupancy(self, now: float) -> int:
         """Tokens delivered but not yet consumed at ``now`` (b_rem)."""

@@ -213,6 +213,25 @@ class TokenFlowScheduler(BaseScheduler):
         js = np.arange(1.0, n_iters + 1.0)
         policy.replay_footprints((base[None, :] + js[:, None]).ravel())
 
+    def tick_is_idle(self, view: SystemView, at: float) -> bool:
+        """A tick at ``at`` is idle when :meth:`_is_stressed` would be
+        False there: nothing pending, no decode overflow, and every
+        preempted buffer still at least one tick above T_critical.
+        The queues are frozen inside a window, so only the preempted
+        buffers move with ``at``; they are peeked without moving a
+        consumption cursor.  An idle :meth:`on_tick` only counts a
+        pass, which :meth:`on_idle_ticks` replays."""
+        if view.waiting or view.prefill_queue or len(view.running) > view.max_batch:
+            return False
+        preempted = view.preempted
+        if not preempted:
+            return True
+        threshold = self.params.critical_buffer_s + self.params.tick_interval
+        return view.tracker.peek_buffers_hold(preempted, at, threshold)
+
+    def on_idle_ticks(self, n_ticks: int) -> None:
+        self.scheduling_passes += n_ticks
+
     def _route_resume(
         self, view: SystemView, request, decision: SchedulerDecision
     ) -> None:

@@ -309,6 +309,30 @@ class RequestTracker:
             raise ValueError("min_buffer_seconds needs a non-empty request set")
         return smallest
 
+    def peek_buffers_hold(self, requests: Sequence, at: float,
+                          seconds: float) -> bool:
+        """Does every request's buffer hold at least ``seconds`` at the
+        future instant ``at``?  Read without moving any consumption
+        cursor or touching the memo.
+
+        The answer is the one ``min(buffer_seconds_many(requests, at))
+        >= seconds`` would give.  The fusion plane's idle-tick
+        certificate asks this about boundaries inside a window it may
+        still reject, so a query here must leave every buffer as a
+        later real query expects.  A closed-form lower bound on each
+        buffer settles most requests; the rest take the exact walk.
+        """
+        entries = self._entries
+        for request in requests:
+            buffer = entries[request.req_id].buffer
+            delivered = buffer.delivered
+            interval = buffer.interval
+            if (delivered - buffer.peek_consumed_at_most(at)) * interval >= seconds:
+                continue
+            if (delivered - buffer.peek_consumed_count(at)) * interval < seconds:
+                return False
+        return True
+
     def snapshot(self, now: float) -> TrackerSnapshot:
         """Bulk buffer-state view at ``now`` sharing the per-instant memo."""
         return TrackerSnapshot(self, now)

@@ -11,7 +11,7 @@ batch-size/throughput trade-off the paper's scheduler exploits
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.gpu.hardware import HardwareSpec
@@ -24,6 +24,24 @@ class LatencyModel:
 
     hardware: HardwareSpec
     model: ModelSpec
+    # Roofline constants, derived once from the (frozen) specs: the
+    # decode walk reads them once per fused iteration.
+    kv_bytes_per_token: int = field(init=False, repr=False, compare=False)
+    weight_bytes: float = field(init=False, repr=False, compare=False)
+    effective_mem_bandwidth: float = field(init=False, repr=False, compare=False)
+    flops_per_token: float = field(init=False, repr=False, compare=False)
+    effective_flops: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        derived = {
+            "kv_bytes_per_token": self.model.kv_bytes_per_token,
+            "weight_bytes": self.model.weight_bytes,
+            "effective_mem_bandwidth": self.hardware.effective_mem_bandwidth,
+            "flops_per_token": self.model.flops_per_token,
+            "effective_flops": self.hardware.effective_flops,
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def prefill_time(self, prompt_tokens: Sequence[int]) -> float:
         """Duration of a prefill iteration over a batch of prompts.
@@ -37,14 +55,14 @@ class LatencyModel:
             raise ValueError("prompt token counts must be non-negative")
         if total_tokens == 0:
             return 0.0
-        linear_flops = self.model.flops_per_token * total_tokens
+        linear_flops = self.flops_per_token * total_tokens
         # Self-attention score/context matmuls: ~4 * layers * hidden *
         # n^2 FLOPs per request (quadratic in its own prompt length).
         attn_flops = sum(
             4.0 * self.model.n_layers * self.model.hidden_size * float(n) * float(n)
             for n in prompt_tokens
         )
-        compute_time = (linear_flops + attn_flops) / self.hardware.effective_flops
+        compute_time = (linear_flops + attn_flops) / self.effective_flops
         return compute_time + self.hardware.iteration_overhead_s
 
     def decode_step_time(self, context_lengths: Iterable[int]) -> float:
@@ -73,9 +91,9 @@ class LatencyModel:
         form) route through here, so their completion instants can never
         drift apart.
         """
-        kv_bytes = self.model.kv_bytes_per_token * float(total_context)
-        mem_time = (self.model.weight_bytes + kv_bytes) / self.hardware.effective_mem_bandwidth
-        compute_time = self.model.flops_per_token * batch / self.hardware.effective_flops
+        kv_bytes = self.kv_bytes_per_token * float(total_context)
+        mem_time = (self.weight_bytes + kv_bytes) / self.effective_mem_bandwidth
+        compute_time = self.flops_per_token * batch / self.effective_flops
         return max(mem_time, compute_time) + self.hardware.iteration_overhead_s
 
     def decode_throughput(self, batch: int, avg_context: int) -> float:
@@ -93,5 +111,5 @@ class LatencyModel:
         """PCIe time to move ``n_tokens`` of KV cache one way."""
         if n_tokens < 0:
             raise ValueError("n_tokens must be non-negative")
-        nbytes = self.model.kv_bytes_per_token * float(n_tokens)
+        nbytes = self.kv_bytes_per_token * float(n_tokens)
         return nbytes / self.hardware.pcie_bytes_per_s

@@ -449,12 +449,12 @@ class HierarchicalKVManager:
         if with_drains:
             n = len(req_ids)
             nbytes = self.kv_bytes_per_token
-            d2h = self.link.d2h
-            stats = self.stats
+            self.link.d2h.occupy_drains(n, nbytes, drain_starts)
             per_drain_bytes = n * nbytes
-            for start in drain_starts:
-                d2h.occupy_bulk(n, nbytes, start)
-                stats["write_through_bytes"] += per_drain_bytes
+            written = self.stats["write_through_bytes"]
+            for _ in drain_starts:
+                written += per_drain_bytes
+            self.stats["write_through_bytes"] = written
 
     def release(self, req_id: int) -> None:
         """Drop all state for a finished (or aborted) request.
@@ -553,7 +553,7 @@ class HierarchicalKVManager:
                     stats["write_through_bytes"] += nbytes
                 # The transfers are identical, so one bulk call
                 # replays the exact busy-horizon additions.
-                d2h.occupy_bulk(n_dirty, nbytes, now)
+                d2h.occupy_drains(n_dirty, nbytes, (now,))
                 return n_dirty * uniform
         if priority is not None:
             # Highest priority first; registration order breaks ties —

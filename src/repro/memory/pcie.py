@@ -97,26 +97,50 @@ class PCIeDirection:
         self._bytes_moved += nbytes
         self._busy_time += duration
 
-    def occupy_bulk(self, n: int, nbytes_each: float, now: float) -> None:
-        """Account ``n`` equal chunked-writer transfers at ``now`` at once.
+    def occupy_drains(self, n: int, nbytes_each: float, starts) -> None:
+        """Account ``n`` equal chunked-writer transfers at each instant
+        in ``starts``, in order: one drain per instant.
 
-        One call in place of ``n`` :meth:`occupy` calls with the same
-        size (the fused decode path's per-iteration uniform write
-        drain).  ``busy_until`` is *live* simulation state — future
-        budget and queueing queries read it — so it replays the exact
-        per-transfer float additions; the byte/busy-time totals only
-        feed reporting and are summed in closed form (within float
-        summation-order error of the sequential path).
+        One call in place of ``n`` :meth:`occupy` calls per drain — the
+        uniform write drain of one iteration (``starts`` of length 1)
+        or of every interior boundary of a fused decode window.
+        ``busy_until`` is *live* simulation state — future budget and
+        queueing queries read it — so a drain whose transfers the next
+        drain could observe replays the exact per-transfer float
+        additions.  Only the last drain always can: the window planner
+        sized every iteration's d2h budget to cover its drain with a
+        6.25% margin, so an earlier chain whose closed-form end (plus a
+        rounding bound far above the ``n`` additions' error) falls
+        before the next start leaves that drain starting on an idle
+        link whatever the chain's exact value, and is skipped.  The
+        byte/busy-time totals only feed reporting; each drain adds its
+        total in closed form (within float summation-order error of
+        the per-transfer path).
         """
         if n <= 0 or nbytes_each <= 0:
             return
         duration = nbytes_each / self.bandwidth
-        busy = now if now >= self._busy_until else self._busy_until
-        for _ in range(n):
-            busy = busy + duration
+        drain_bytes = nbytes_each * n
+        drain_busy = duration * n
+        moved = self._bytes_moved
+        busy_time = self._busy_time
+        busy = self._busy_until
+        last = len(starts) - 1
+        for j, start in enumerate(starts):
+            moved += drain_bytes
+            busy_time += drain_busy
+            if start >= busy:
+                busy = start
+            if j < last:
+                end = busy + drain_busy
+                if end + n * (end + duration) * 2.0 ** -50 < starts[j + 1]:
+                    busy = end
+                    continue
+            for _ in range(n):
+                busy = busy + duration
         self._busy_until = busy
-        self._bytes_moved += nbytes_each * n
-        self._busy_time += duration * n
+        self._bytes_moved = moved
+        self._busy_time = busy_time
 
 
 class PCIeLink:

@@ -164,6 +164,8 @@ def deliver_batch(tracker, requests, times) -> None:
             buffer._occ_max = occ_max
         buffer._consumed = consumed
         buffer._next_consume = nxt
+        if t_last > buffer._queried:
+            buffer._queried = t_last
         if rebased:
             buffer._cursor_interval = buffer.interval
         # Merged into the buffer's histogram dict lazily at first read

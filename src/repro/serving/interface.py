@@ -144,6 +144,37 @@ class BaseScheduler(abc.ABC):
         tokens.  Default: no bookkeeping.
         """
 
+    def tick_is_idle(self, view: SystemView, at: float) -> bool:
+        """Would a tick applied at boundary ``at`` be decision-free?
+
+        A fused window may run past a scheduler tick: the tick still
+        fires as an engine event, and its decision lands at the first
+        iteration boundary ``at`` at or after it.  The window planner
+        asks this at each such boundary inside a candidate window, with
+        the boundary-time ``view`` of the window's first iteration — its
+        queues are frozen for the window, and only time moves on to
+        ``at``.  A scheduler returns True only when :meth:`on_tick`
+        at ``at`` would return an empty decision and its only side
+        effects are the ones :meth:`on_idle_ticks` replays; the window
+        then absorbs the tick.  On False the window ends at ``at``, and
+        the tick is applied there as usual.
+
+        Buffer state at ``at`` must be read without moving any
+        consumption cursor (``RequestTracker.peek_buffers_hold``):
+        ``at`` lies in the future and the window may still be rejected.
+
+        Default: ``False`` — unknown policies apply every tick for real.
+        """
+        return False
+
+    def on_idle_ticks(self, n_ticks: int) -> None:
+        """Replay the bookkeeping of ``n_ticks`` absorbed idle ticks.
+
+        Called once per fused window that absorbed ticks certified by
+        :meth:`tick_is_idle`, in place of their :meth:`on_tick` calls.
+        Default: no bookkeeping.
+        """
+
     def select_oom_victims(self, view: SystemView, blocks_needed: int) -> list:
         """Pick RUNNING requests to evict when allocation fails.
 

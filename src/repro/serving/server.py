@@ -152,7 +152,7 @@ class ServingSystem:
         future requests are scheduled (hence in memory) at any time —
         each arrival event pops its successor before admitting, so the
         engine's decision horizon (the fusion plane's
-        ``next_event_time``) always sees the next pending arrival
+        ``decision_horizon``) always sees the next pending arrival
         exactly as the materialised :meth:`submit` path would.
         """
         self.admission.feed(stream, lookahead=lookahead)

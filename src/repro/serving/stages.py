@@ -104,7 +104,9 @@ class AdmissionStage:
         # *due* when it fires; the decision is applied at the next
         # iteration boundary (real systems never preempt mid-kernel).
         self.tick_due = False
-        self._tick_scheduled = False
+        # The pending tick event (None when no tick is scheduled); the
+        # fusion plane reads its instant and replays it.
+        self.tick_event = None
 
     def submit(self, requests: list) -> None:
         """Register future arrivals with the event engine."""
@@ -155,13 +157,14 @@ class AdmissionStage:
 
     def ensure_tick_scheduled(self) -> None:
         interval = self.scheduler.tick_interval
-        if interval is None or self._tick_scheduled or self.system._unfinished == 0:
+        if interval is None or self.tick_event is not None or self.system._unfinished == 0:
             return
-        self._tick_scheduled = True
-        self.engine.call_after(interval, self._on_tick_event, label="sched-tick")
+        self.tick_event = self.engine.call_after(
+            interval, self._on_tick_event, label="sched-tick"
+        )
 
     def _on_tick_event(self) -> None:
-        self._tick_scheduled = False
+        self.tick_event = None
         self.tick_due = True
         self.system._kick()
         self.ensure_tick_scheduled()
@@ -375,18 +378,68 @@ class MemoryPressureStage:
             self.scheduler.observe_swap_latency(tau_evict, tau_load)
 
 
+# Engine-event label prefixes that read differently as a window's cut
+# reason; any other label is reported by its prefix ("arrival",
+# "cancel", ...).
+_EVENT_CUTS = {"load-done": "load", "evict-done": "evict"}
+
+
+class DecodeWindow:
+    """One planned decode window: the value every layer consumes once.
+
+    ``k`` iterations complete at ``times`` — the floats the
+    per-iteration event chain would produce — after executor steps of
+    ``steps`` seconds.  ``drain_starts`` are the interior boundaries
+    whose write-through drains the window replays (``None`` without
+    write-through).  ``ticks`` idle scheduler ticks were absorbed at
+    interior boundaries; ``tick_due`` says a tick fired after the last
+    interior boundary, so it is applied when the window completes.
+    ``cut`` names what ended the window (see ARCHITECTURE.md, "Fusion
+    plane").  A ``k == 1`` window is an unfused iteration and carries
+    only its ``cut``.
+    """
+
+    __slots__ = ("k", "times", "steps", "drain_starts", "ticks",
+                 "tick_due", "cut")
+
+    def __init__(self, cut: str, times: Optional[list] = None,
+                 steps: Optional[list] = None,
+                 drain_starts: Optional[list] = None,
+                 ticks: int = 0, tick_due: bool = False) -> None:
+        self.k = 1 if times is None else len(times)
+        self.times = times
+        self.steps = steps
+        self.drain_starts = drain_starts
+        self.ticks = ticks
+        self.tick_due = tick_due
+        self.cut = cut
+
+
+# One shared, never-mutated ``k == 1`` window per cut reason: most
+# iterations of a busy node run unfused, and they need no fresh object.
+_UNFUSED: dict = {}
+
+
+def _unfused(cut: str) -> DecodeWindow:
+    window = _UNFUSED.get(cut)
+    if window is None:
+        window = _UNFUSED[cut] = DecodeWindow(cut)
+    return window
+
+
 class DecodeStream:
     """Runs planned iterations on the executor and streams generated
     tokens into client buffers (the per-token hot path).
 
     The decode path has a *fusion plane*: when the batch provably
     cannot change before the next decision horizon — the earliest
-    pending engine event (tick, arrival, cancel, transfer completion),
-    the earliest request completion, GPU/host capacity exhaustion, or
-    the per-iteration write-drain budget — it advances all K
-    iterations up to that horizon in one event via closed-form bulk
-    updates (see :meth:`_plan_fused` / :meth:`complete_fused` and the
-    "Fusion plane" section of ARCHITECTURE.md).
+    pending engine event (arrival, cancel, transfer completion), a
+    scheduler tick the scheduler does not certify idle, the earliest
+    request completion, GPU/host capacity exhaustion, or the
+    per-iteration write-drain budget — it advances all K iterations
+    up to that horizon in one event via closed-form bulk updates (see
+    :meth:`_plan_fused` / :meth:`complete_fused` and the "Fusion
+    plane" section of ARCHITECTURE.md).
     """
 
     def __init__(self, system: "ServingSystem", memory: MemoryPressureStage) -> None:
@@ -480,9 +533,10 @@ class DecodeStream:
         self.kv.drain_writes(now, now + duration,
                              priority=self.memory.write_priority_at(now))
         system._busy = True
-        fused = self._plan_fused(batch, result, overhead, now, duration)
-        if fused is None:
-            k, window = 1, duration
+        window = self._plan_fused(batch, result, overhead, now, duration)
+        k = window.k
+        if k == 1:
+            span = duration
             self.inflight = ("decode", now + duration, batch)
             self.engine.call_at(
                 now + duration,
@@ -490,33 +544,31 @@ class DecodeStream:
                 label="decode-done",
             )
         else:
-            times, steps, write_through = fused
-            k, window = len(times), times[-1] - now
-            self.inflight = ("fused", times[-1], (batch, k))
+            end = window.times[-1]
+            span = end - now
+            self.inflight = ("fused", end, (batch, k))
             self.engine.call_at(
-                times[-1],
-                lambda: self.complete_fused(
-                    result, batch, times, steps, write_through
-                ),
+                end,
+                lambda: self.complete_fused(result, batch, window),
                 label="decode-fused-done",
             )
         if system.tracer is not None:
             # One record per executor event: a fused window is one
-            # record carrying its iteration count.
+            # record carrying its iteration count and cut reason.
             system.tracer.record(now, "executor", "decode_start",
                                  batch=len(batch), iterations=k,
-                                 duration=window)
+                                 duration=span, cut=window.cut)
 
     # --- the fusion plane ---------------------------------------------
     def _plan_fused(self, batch: list, result, overhead: float,
-                    now: float, duration: float):
+                    now: float, duration: float) -> DecodeWindow:
         """Size a macro-step window starting with this iteration.
 
-        Returns ``(times, steps, write_through)`` — per-iteration
-        completion instants (bit-identical to the event times the
-        per-iteration path would schedule), per-iteration executor
-        step durations, and whether write drains must be replicated —
-        or ``None`` when this iteration must run unfused.
+        Returns the :class:`DecodeWindow`: per-iteration completion
+        instants (bit-identical to the event times the per-iteration
+        path would schedule), executor step durations, the write
+        drains to replay, the absorbed ticks, and the cut reason.  A
+        ``k == 1`` window means this iteration runs unfused.
 
         A window of K iterations is valid only when *nothing* else can
         observe or perturb state strictly before its last completion:
@@ -529,8 +581,19 @@ class DecodeStream:
           memory-blocked FCFS head, which free blocks only shrinking
           keeps blocked for the whole window);
         * every completion instant precedes the earliest pending engine
-          event (ticks, arrivals, cancels, transfer completions — the
-          DES decision horizon) and the engine's ``run_until`` bound;
+          event other than the scheduler tick (arrivals, cancels,
+          transfer completions — the DES decision horizon) and the
+          engine's ``run_until`` bound;
+        * scheduler ticks land where the event chain would apply them:
+          the queued tick and its successors (each ``tick_interval``
+          after the last, the floats ``call_after`` produces) are
+          applied at the first boundary at or after them.  The window
+          runs past a tick the scheduler certifies idle there
+          (:meth:`BaseScheduler.tick_is_idle`) — the next step then
+          pays the tick's scheduling cost too — and ends at any other.
+          A boundary exactly equal to a tick that is not queued yet is
+          never crossed: the two events' order would depend on their
+          insertion sequence;
         * no request finishes before the window's last iteration
           (``k_cap`` from known ``output_len``);
         * KV growth fits GPU capacity for the whole window, and — with
@@ -542,32 +605,35 @@ class DecodeStream:
         """
         system = self.system
         if system.prefill_queue:
-            return None
+            return _unfused("batch")
         n_batch = len(batch)
         if n_batch != len(self.running):
-            return None
+            return _unfused("batch")
         k_cap = min([r.output_len - r.generated for r in batch])
         if k_cap <= 1:
-            return None
+            return _unfused("completion")
         engine = self.engine
-        horizon = engine.next_event_time()
+        tick = system.admission.tick_event
+        horizon, label = engine.decision_horizon(tick)
         t1 = now + duration
         if horizon is not None and t1 >= horizon:
-            return None
+            return _unfused(self._event_cut(label))
         until = engine.run_until
         if until is not None and t1 > until:
-            return None
+            return _unfused("until")
         # The scheduler certificate last: for the stateless baselines
         # it re-evaluates the full admission boundary, so the cheap
         # arithmetic rejections above should filter first.
         view = system._iter_view
-        if view is None or not self.scheduler.can_fuse_decode(view):
-            return None
+        scheduler = self.scheduler
+        if view is None or not scheduler.can_fuse_decode(view):
+            return _unfused("scheduler")
         kv = self.kv
         req_ids = result.req_ids
-        k_cap = kv.max_fused_decode_iterations(req_ids, k_cap)
-        if k_cap <= 1:
-            return None
+        kv_cap = kv.max_fused_decode_iterations(req_ids, k_cap)
+        if kv_cap <= 1:
+            return _unfused("kv")
+        cut = "kv" if kv_cap < k_cap else "completion"
         kv_config = kv.config
         write_through = kv_config.write_through and kv_config.enable_offload
         need_bytes = d2h_bw = 0.0
@@ -575,7 +641,7 @@ class DecodeStream:
             if kv.write_backlog_tokens() != 0:
                 # This iteration's drain left a dirty tail: subsequent
                 # drains would not be uniform one-token syncs.
-                return None
+                return _unfused("d2h")
             if kv.link.d2h.busy_until() > t1:
                 # d2h occupied past this iteration's completion: this
                 # iteration's own drain is budget-bounded to finish by
@@ -585,61 +651,110 @@ class DecodeStream:
                 # uniform drains would diverge.  (The eviction's
                 # completion is a pending event, so the link stays busy
                 # for the whole candidate window.)
-                return None
+                return _unfused("evict")
             if not kv_config.load_evict_overlap and kv.link.h2d.busy_until() > now:
-                return None
+                return _unfused("load")
             need_bytes = n_batch * kv.kv_bytes_per_token * 1.0625
             d2h_bw = kv.link.d2h.bandwidth
+        # Ticks: `tick_at` is the next tick instant not yet applied at
+        # a boundary, `queued` whether it is the event already on the
+        # engine.  A rate controller adjusts rates at every applied
+        # tick, so no tick is idle then.
+        interval = scheduler.tick_interval
+        tick_at = tick.time if tick is not None else None
+        queued = True
+        absorb = system.rate_controller is None
+        ticked = False  # a tick applies at the newest boundary
+        if tick_at is not None and t1 >= tick_at:
+            if tick_at + interval <= t1:
+                return _unfused("tick")
+            ticked, tick_at, queued = True, tick_at + interval, False
         # Walk per-iteration durations through the latency model's
-        # single decode-roofline float sequence (constant batch shape;
-        # context grows by n_batch per iteration) so every completion
-        # instant is the float the per-iteration event chain would have
-        # produced.  The first iteration keeps its caller-supplied
-        # overhead (it may include an applied tick's scheduling cost);
-        # later iterations pay the plain boundary cost — no tick can
-        # fire inside a window.
-        steady_overhead = 0.0 + self.scheduler.scheduling_cost_s()
+        # decode step (constant batch shape; context grows by n_batch
+        # per iteration) so every completion instant is the float the
+        # per-iteration event chain would have produced.  The first
+        # iteration keeps its caller-supplied overhead (it may include
+        # an applied tick's scheduling cost); later iterations pay the
+        # plain boundary cost, or `(0.0 + c) + c` after an absorbed
+        # tick — the order _start_iteration adds them in.
         step_time = system.latency.decode_step_time_from_total
+        cost = scheduler.scheduling_cost_s()
+        steady_overhead = 0.0 + cost
+        tick_overhead = steady_overhead + cost
         total0 = 0
         for request in batch:
             total0 += request.prompt_len + request.generated
         times = [t1]
         steps = [result.duration]
+        ticks = 0
         t = t1
         k = 1
-        while k < k_cap:
+        while k < kv_cap:
+            if ticked:
+                if not (absorb and scheduler.tick_is_idle(view, t)):
+                    cut = "tick"
+                    break
+                boundary_overhead = tick_overhead
+            else:
+                boundary_overhead = steady_overhead
             step = step_time(total0 + n_batch * k, n_batch)
-            dur = step + steady_overhead
+            dur = step + boundary_overhead
             if write_through and dur * d2h_bw < need_bytes:
+                cut = "d2h"
                 break
             t_next = t + dur
             if horizon is not None and t_next >= horizon:
+                cut = self._event_cut(label)
                 break
             if until is not None and t_next > until:
+                cut = "until"
                 break
+            next_ticked = False
+            if tick_at is not None and t_next >= tick_at:
+                if t_next == tick_at and not queued:
+                    cut = "tie"
+                    break
+                if tick_at + interval <= t_next:
+                    # Two ticks inside one iteration: leave it unfused.
+                    cut = "tick"
+                    break
+                next_ticked, tick_at, queued = True, tick_at + interval, False
+            if ticked:
+                ticks += 1
             times.append(t_next)
             steps.append(step)
             t = t_next
             k += 1
+            ticked = next_ticked
         if k <= 1:
-            return None
+            return _unfused(cut)
         if write_through and not kv.cpu_room_for_fused_drains(req_ids, k):
-            return None
-        return times, steps, write_through
+            return _unfused("host")
+        return DecodeWindow(cut, times, steps,
+                            times[:-1] if write_through else None,
+                            ticks, ticked)
 
-    def complete_fused(self, result, batch: list, times: list,
-                       steps: list, write_through: bool) -> None:
+    @staticmethod
+    def _event_cut(label: str) -> str:
+        """The cut reason for a window ended by the engine event
+        ``label`` names (``"dispatch"`` for a cluster's next dispatch)."""
+        kind = label.partition(":")[0]
+        return _EVENT_CUTS.get(kind, kind)
+
+    def complete_fused(self, result, batch: list, window: DecodeWindow) -> None:
         """Apply a K-iteration macro-step at its final completion time.
 
-        The window was sized so no event fires inside it, so deferring
-        every mutation to this single callback is indistinguishable
-        from the per-iteration event chain — and the per-token work
-        collapses into bulk updates: one boundary-bookkeeping replay,
-        one KV advance, one buffer delivery per request.
+        The window was sized so no event but idle scheduler ticks fires
+        inside it, so deferring every mutation to this single callback
+        is indistinguishable from the per-iteration event chain — and
+        the per-token work collapses into bulk updates: one
+        boundary-bookkeeping replay, one KV advance, one buffer
+        delivery per request.
         """
         system = self.system
+        times = window.times
         now = times[-1]
-        k = len(times)
+        k = window.k
         req_ids = result.req_ids
         running_state = RequestState.RUNNING
         if any([request.state is not running_state for request in batch]):
@@ -655,11 +770,15 @@ class DecodeStream:
             req_ids = tuple(r.req_id for r in batch)
         # Skipped-boundary bookkeeping first: it observes pre-window
         # generated counts, exactly like the elided calls would have.
-        self.scheduler.on_fused_boundaries(self.running, k - 1)
-        self.kv.fused_decode_advance(
-            req_ids, k,
-            drain_starts=times[:-1] if write_through else None,
-        )
+        scheduler = self.scheduler
+        scheduler.on_fused_boundaries(self.running, k - 1)
+        if window.ticks:
+            scheduler.on_idle_ticks(window.ticks)
+        # The ticks that fired inside the window set tick_due; those
+        # applied at interior boundaries are replayed above, and only
+        # one that fired after the last of them stays due.
+        system.admission.tick_due = window.tick_due
+        self.kv.fused_decode_advance(req_ids, k, drain_starts=window.drain_starts)
         deliver_batch(self.tracker, batch, times)
         if now > self.last_token_time:
             self.last_token_time = now
@@ -669,7 +788,7 @@ class DecodeStream:
         for request in batch:
             if request.generated >= request.output_len:
                 self.finish(request, now)
-        self.executor.commit_fused(result, steps)
+        self.executor.commit_fused(result, window.steps)
         system._sample_timeline()
         self.composer.decodes_since_prefill += k - 1
         self.fused_windows += 1

@@ -33,15 +33,22 @@ class SimEngine:
         return self._events_processed
 
     # --- decision horizon -------------------------------------------------
-    def next_event_time(self) -> Optional[float]:
-        """Timestamp of the earliest pending event, or ``None``.
+    def decision_horizon(self, ignore: Optional[Event] = None) -> tuple:
+        """``(time, label)`` of the earliest pending event other than
+        ``ignore`` — ``(None, "")`` when there is none.
 
         This is the engine's *decision horizon*: no externally visible
         state can change strictly before this instant, so components
         may advance their own state in closed form up to (but not
         including) it — the macro-step decode fusion relies on this.
+        The fusion plane passes the scheduler's queued tick as
+        ``ignore``, since it replays that tick itself, and reads
+        ``label`` to name what cut a window.
         """
-        return self._queue.peek_time()
+        event = self._queue.peek(ignore)
+        if event is None:
+            return None, ""
+        return event.time, event.label
 
     @property
     def run_until(self) -> Optional[float]:
@@ -140,7 +147,7 @@ class SimEngine:
         enclosing run's safety horizon), so fused decode windows obey
         the same bound they would inside one ``run(until=...)`` call;
         ``horizon`` itself enters fusion planning through
-        :meth:`next_event_time` (pending dispatches are part of the
+        :meth:`decision_horizon` (pending dispatches are part of the
         decision horizon), not through ``run_until``.
         """
         if self._running:
@@ -171,7 +178,7 @@ class ScopedEngine:
 
     Events scheduled through it land in the shared queue (one global
     timeline, one run loop, unchanged ordering), but
-    :meth:`next_event_time` answers with the earliest pending event
+    :meth:`decision_horizon` answers with the earliest pending event
     *scheduled through this view* — merged with an optional external
     horizon callable — instead of the global minimum.
 
@@ -224,21 +231,40 @@ class ScopedEngine:
         currently ends — extending the ladder (confirmed placements
         arriving later) moves the external horizon but never this.
         """
+        event = self._own_head()
+        return event.time if event is not None else None
+
+    def _own_head(self, ignore: Optional[Event] = None) -> Optional[Event]:
+        """Earliest live own event other than ``ignore`` (see
+        :meth:`EventQueue.peek` for why skipping is order-safe)."""
         own = self._own
         while own and (own[0][2].cancelled or own[0][2]._queue is None):
             heapq.heappop(own)
-        return own[0][0] if own else None
+        if not own:
+            return None
+        head = own[0]
+        if head[2] is not ignore:
+            return head[2]
+        heapq.heappop(own)
+        while own and (own[0][2].cancelled or own[0][2]._queue is None):
+            heapq.heappop(own)
+        event = own[0][2] if own else None
+        heapq.heappush(own, head)
+        return event
 
-    def next_event_time(self) -> Optional[float]:
-        mine = self.own_event_time()
+    def decision_horizon(self, ignore: Optional[Event] = None) -> tuple:
+        """:meth:`SimEngine.decision_horizon` over this view's own events
+        merged with the external horizon, which is labelled
+        ``"dispatch"`` when it comes first."""
+        event = self._own_head(ignore)
         external = (
             self.external_horizon() if self.external_horizon is not None else None
         )
-        if mine is None:
-            return external
+        if event is not None and (external is None or event.time <= external):
+            return event.time, event.label
         if external is None:
-            return mine
-        return mine if mine <= external else external
+            return None, ""
+        return external, "dispatch"
 
     # --- shared-engine delegation -----------------------------------------
     @property

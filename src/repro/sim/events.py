@@ -135,6 +135,28 @@ class EventQueue:
             return None
         return heap[0][0]
 
+    def peek(self, ignore: Optional[Event] = None) -> Optional[Event]:
+        """The earliest live event other than ``ignore``, or ``None``.
+
+        Skipping ``ignore`` pops it off the heap and pushes it back:
+        the heap's layout may change, but entries are ordered by their
+        unique ``(time, seq)`` keys, so the pop order does not.
+        """
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
+            return None
+        head = heap[0]
+        if head[2] is not ignore:
+            return head[2]
+        heapq.heappop(heap)
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        event = heap[0][2] if heap else None
+        heapq.heappush(heap, head)
+        return event
+
     def __len__(self) -> int:
         return self._live
 

@@ -12,7 +12,7 @@ import pytest
 from repro.core.scheduler import TokenFlowScheduler
 from repro.serving.config import ServingConfig
 from repro.serving.server import ServingSystem
-from repro.serving.stages import DecodeStream
+from repro.serving.stages import DecodeStream, DecodeWindow
 from repro.sim.engine import SimEngine
 from repro.sim.rng import RngStreams
 from repro.workload.request import Request
@@ -108,14 +108,16 @@ CLUSTER_METRICS = (
 
 
 def _never_fuse(self, *args):
-    return None
+    return DecodeWindow("reference")
 
 
 @pytest.fixture
 def per_iteration():
     """Factory of a context manager that runs decode one event per
-    iteration: ``DecodeStream._plan_fused`` returns ``None``, so every
-    decode iteration takes the unfused ``complete_decode`` branch.
+    iteration: ``DecodeStream._plan_fused`` returns a one-iteration
+    window, so every decode iteration takes the unfused
+    ``complete_decode`` branch and every scheduler tick is applied by
+    ``on_tick`` itself.
 
     This is the fusion plane's reference path::
 
@@ -132,11 +134,16 @@ def assert_parity(reference, report, keys=SINGLE_NODE_METRICS, label="",
                   timeline=True):
     """``report`` matches ``reference`` on every metric in ``keys`` to
     rel 1e-9 (float summation order in a few reporting aggregates is
-    the only permitted difference), and on the utilisation timeline
+    the only permitted difference), on ``scheduler_stats`` exactly
+    (scheduling passes, fallback ticks and the offload counters — a
+    mis-replayed tick shows here), and on the utilisation timeline
     exactly when ``timeline`` is set (single-node reports only)."""
     for key in keys:
         expected, actual = getattr(reference, key), getattr(report, key)
         assert actual == pytest.approx(expected, rel=1e-9, abs=1e-9), (label, key)
+    stats = getattr(reference, "scheduler_stats", None)
+    if stats is not None:
+        assert report.scheduler_stats == stats, label
     if timeline:
         assert report.timeline == reference.timeline, label
 

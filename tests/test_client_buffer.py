@@ -60,6 +60,54 @@ class TestOccupancy:
         # the first token is consumed the instant it arrives.
         assert buffer.occupancy_at_generation == [0, 1, 2, 3, 4]
 
+    def test_backwards_query_raises(self):
+        # The cursor only moves forwards: a query earlier than the last
+        # one used to return the later instant's count silently.
+        buffer = ClientBuffer(rate=1.0)
+        for idx in range(10):
+            buffer.deliver(0.1 * idx)
+        assert buffer.consumed_count(3.0) == 4
+        with pytest.raises(ValueError):
+            buffer.consumed_count(1.0)
+        assert buffer.consumed_count(3.0) == 4  # the same instant is fine
+
+    def test_deliver_many_walks_the_query_guard(self):
+        # deliver_many advances the cursor to its last timestamp: an
+        # earlier query must raise, not return the count at 5.0.
+        buffer = ClientBuffer(rate=1.0)
+        buffer.deliver_many([0.0, 0.5, 1.0, 5.0])
+        with pytest.raises(ValueError):
+            buffer.consumed_count(2.0)
+        assert buffer.consumed_count(5.0) == 4
+
+    def test_peek_leaves_the_cursor(self):
+        buffer = ClientBuffer(rate=1.0)
+        for idx in range(5):
+            buffer.deliver(0.1 * idx)  # consumed at 0, 1, 2, 3, 4
+        buffer.set_rate(2.0)  # a segment the cursor has not reached
+        for idx in range(5, 10):
+            buffer.deliver(0.1 * idx)  # consumed at 4.5, 5, ..., 6.5
+        assert buffer.peek_consumed_count(5.2) == 7
+        assert buffer.peek_consumed_count(9.0) == 10
+        # The peeks moved nothing: an earlier real query still answers.
+        for now in (1.0, 4.5, 5.2, 9.0):
+            peeked = buffer.peek_consumed_count(now)
+            assert buffer.consumed_count(now) == peeked
+
+    @pytest.mark.parametrize("rate", [3.0, 7.0, 10.0, 29.0])
+    def test_peek_bound_never_undercounts(self, rate):
+        # The closed-form bound may overcount by the rounding slack but
+        # never undercount, and is exact when nothing is due yet.
+        buffer = ClientBuffer(rate=rate)
+        for idx in range(400):
+            buffer.deliver(0.001 * idx)
+        for step in range(1, 700):
+            at = 0.0137 * step
+            exact = buffer.peek_consumed_count(at)
+            bound = buffer.peek_consumed_at_most(at)
+            assert exact <= bound <= exact + 2
+        assert buffer.peek_consumed_at_most(-1.0) == buffer.peek_consumed_count(-1.0)
+
     def test_drain_deadline(self):
         buffer = ClientBuffer(rate=2.0)
         for idx in range(5):

@@ -47,6 +47,21 @@ class TestDelivery:
         assert tracker.drain_deadline(1, 0.1) == pytest.approx(occupancy / 10.0)
         assert tracker.buffer_seconds(1, 0.1) == tracker.drain_deadline(1, 0.1)
 
+    def test_peek_buffers_hold_matches_a_real_query(self, tracker):
+        requests = [make_request(req_id=i, output=200, rate=r)
+                    for i, r in enumerate((5.0, 10.0, 20.0))]
+        for request in requests:
+            tracker.register(request)
+            for idx in range(120):
+                tracker.deliver_token(request.req_id, 0.002 * idx)
+        for at in (0.5, 2.0, 4.0, 6.5):
+            # Peeks first: a real query would move the cursors to `at`.
+            answers = {seconds: tracker.peek_buffers_hold(requests, at, seconds)
+                       for seconds in (0.0, 1.0, 2.5, 5.0, 30.0)}
+            smallest = min(tracker.buffer_seconds_many(requests, at))
+            for seconds, holds in answers.items():
+                assert holds == (smallest >= seconds), (at, seconds)
+
     def test_rate_lookup(self, tracker):
         tracker.register(make_request(req_id=3, rate=7.0))
         assert tracker.rate(3) == 7.0

@@ -70,6 +70,18 @@ class TestDecode:
     def test_batching_improves_throughput(self, h200_llama):
         assert h200_llama.decode_throughput(32, 1024) > h200_llama.decode_throughput(1, 1024)
 
+    def test_derived_constants_match_the_specs(self, h200_llama):
+        # Derived once at construction; the roofline floats must be the
+        # ones the spec properties give, bit for bit.
+        model, hardware = h200_llama.model, h200_llama.hardware
+        for total, batch in [(512, 1), (40_000, 87), (3, 400)]:
+            kv_bytes = model.kv_bytes_per_token * float(total)
+            mem_time = (model.weight_bytes + kv_bytes) / hardware.effective_mem_bandwidth
+            compute_time = model.flops_per_token * batch / hardware.effective_flops
+            expected = max(mem_time, compute_time) + hardware.iteration_overhead_s
+            assert h200_llama.decode_step_time_from_total(total, batch) == expected
+        assert h200_llama == LatencyModel(hardware, model)
+
     def test_throughput_zero_batch(self, h200_llama):
         assert h200_llama.decode_throughput(0, 1024) == 0.0
 

@@ -54,17 +54,22 @@ class TestQueueing:
         assert direction.idle_bytes_within(0.0, 1.0) == 0.0
         assert direction.idle_bytes_within(0.0, 1.5) == pytest.approx(5e9)
 
-    def test_occupy_bulk_busy_horizon_bit_identical(self):
-        # busy_until is live simulation state: the bulk form must
-        # replay the exact per-transfer additions of n occupy() calls
+    @pytest.mark.parametrize("gap", [1e-3, 1e-9, 0.0])
+    def test_occupy_drains_busy_horizon_bit_identical(self, gap):
+        # busy_until is live simulation state: the bulk form must end
+        # on the exact per-transfer additions of n occupy() calls per
+        # drain, whether drains are spaced widely enough to skip the
+        # interior chains or so tightly they must replay them
         # (byte/busy-time totals are reporting-only and may differ in
         # summation order).
         sequential = PCIeDirection(bandwidth_bytes_per_s=64e9)
         bulk = PCIeDirection(bandwidth_bytes_per_s=64e9)
         nbytes = 12_288.0
-        for _ in range(37):
-            sequential.occupy(nbytes, 2.5)
-        bulk.occupy_bulk(37, nbytes, 2.5)
+        starts = [2.5 + gap * j for j in range(6)]
+        for start in starts:
+            for _ in range(37):
+                sequential.occupy(nbytes, start)
+        bulk.occupy_drains(37, nbytes, starts)
         assert bulk.busy_until() == sequential.busy_until()
         assert bulk.bytes_moved == pytest.approx(
             sequential.bytes_moved, rel=1e-12
@@ -73,10 +78,10 @@ class TestQueueing:
             sequential.busy_time, rel=1e-12
         )
 
-    def test_occupy_bulk_noop_on_empty(self, direction):
+    def test_occupy_drains_noop_on_empty(self, direction):
         before = direction.busy_until()
-        direction.occupy_bulk(0, 1024.0, 5.0)
-        direction.occupy_bulk(3, 0.0, 5.0)
+        direction.occupy_drains(0, 1024.0, (5.0,))
+        direction.occupy_drains(3, 0.0, (5.0, 6.0))
         assert direction.busy_until() == before
         assert direction.bytes_moved == 0.0
 

@@ -13,7 +13,10 @@ import contextlib
 
 import pytest
 
+from repro.core.scheduler import TokenFlowParams
 from repro.experiments.systems import build_system
+from repro.gpu.latency import LatencyModel
+from repro.sim.trace import TraceRecorder
 from repro.workload.request import Request, clone_requests
 from tests.conftest import assert_parity
 
@@ -95,6 +98,118 @@ class TestParityAcrossSystems:
         with per_iteration():
             off = run_system(name, requests, **kwargs)
         on = run_system(name, requests, **kwargs)
+        assert_parity(off.report(), on.report())
+
+
+def traced_tokenflow(requests, **kwargs):
+    """A tokenflow run with an executor trace and a record of every
+    idle-tick certificate: (preempted requests present, answer)."""
+    system = build_system("tokenflow", **kwargs)
+    system.tracer = TraceRecorder(categories=["executor"])
+    certificates = []
+    certify = system.scheduler.tick_is_idle
+
+    def recorded(view, at):
+        idle = certify(view, at)
+        certificates.append((bool(view.preempted), idle))
+        return idle
+
+    system.scheduler.tick_is_idle = recorded
+    system.submit(clone_requests(requests))
+    system.run(until=10_000.0)
+    windows = system.tracer.by_event("decode_start")
+    return system, windows, certificates
+
+
+class TestTickAbsorption:
+    """Fused windows run past scheduler ticks the scheduler certifies
+    idle and end at a stressed one.  Either way the ticks' bookkeeping
+    must equal the per-iteration run's: ``assert_parity`` compares
+    ``scheduler_stats`` (scheduling passes, fallback ticks, offload
+    counters) exactly."""
+
+    def test_several_idle_ticks_inside_one_window(self, per_iteration):
+        requests = burst(2, output=2000)
+        kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
+        with per_iteration():
+            off = run_system("tokenflow", requests, **kwargs)
+        on, windows, certificates = traced_tokenflow(requests, **kwargs)
+        interval = on.scheduler.tick_interval
+        assert max(w.fields["duration"] for w in windows) > 4 * interval
+        assert certificates and all(idle for _, idle in certificates)
+        assert on.scheduler.scheduling_passes > 4
+        assert on.engine.events_processed < off.engine.events_processed
+        assert_parity(off.report(), on.report())
+
+    def test_stressed_tick_inside_a_candidate_window(self, per_iteration):
+        # Preempted requests drain towards critical_buffer_s while the
+        # batch decodes: some ticks inside candidate windows find every
+        # preempted buffer above the threshold (absorbed), others find
+        # one below it (the window ends there and the tick acts).
+        requests = burst(16, prompt=96, output=256)
+        kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=4)
+        with per_iteration():
+            off = run_system("tokenflow", requests, **kwargs)
+        on, windows, certificates = traced_tokenflow(requests, **kwargs)
+        assert (True, True) in certificates
+        assert (True, False) in certificates
+        assert "tick" in {w.fields["cut"] for w in windows}
+        assert on.scheduler.active_passes > 0
+        assert_parity(off.report(), on.report())
+
+    def test_boundary_tied_with_an_unqueued_tick(self, per_iteration,
+                                                 monkeypatch):
+        # Dyadic prefill and step times, no scheduling cost and a tick
+        # every 16 steps put boundaries exactly on tick instants.  A
+        # tick that fires inside a window queues its successor after
+        # the window's own completion event.  A window ending on that
+        # successor's instant would complete first and apply the tick
+        # it predicted, and then the tick event would fire and be
+        # applied a second time, so the window must stop one boundary
+        # short ("tie").  The pacing rate is dyadic too (8 tokens/s),
+        # so every float is exact: at a 0.1 s interval generation
+        # instants land exactly on consumption instants, where the
+        # batch plane's closed-form count is not bit-exact (see
+        # test_serving_vectorize.py::test_coincident_instants).
+        monkeypatch.setattr(LatencyModel, "prefill_time",
+                            lambda self, prompt_tokens: 0.5)
+        monkeypatch.setattr(LatencyModel, "decode_step_time_from_total",
+                            lambda self, total, batch: 0.03125)
+        # Both requests finish on a tick instant (2.0 s and 13.0 s), so
+        # without the rule a window would end exactly there.
+        requests = [
+            Request(req_id=i, arrival_time=0.0, prompt_len=64,
+                    output_len=output, rate=8.0)
+            for i, output in enumerate((49, 401))
+        ]
+        kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8,
+                      tokenflow_params=TokenFlowParams(
+                          tick_interval=0.5, scheduling_cost_s=0.0))
+        with per_iteration():
+            off = run_system("tokenflow", requests, **kwargs)
+        on, windows, certificates = traced_tokenflow(requests, **kwargs)
+        cuts = {w.fields["cut"] for w in windows}
+        assert "tie" in cuts and "tick" not in cuts
+        assert certificates and all(idle for _, idle in certificates)
+        assert on.engine.events_processed < off.engine.events_processed
+        assert_parity(off.report(), on.report())
+
+    @pytest.mark.parametrize("interval,fuses", [
+        (0.004, False), (0.0173, True), (0.2, True),
+    ])
+    def test_tick_intervals_near_an_iteration(self, interval, fuses,
+                                              per_iteration):
+        # Ticks shorter than a decode step (two land inside every
+        # iteration, which then stays unfused), about one step apart,
+        # and a few steps apart, under preemption pressure so some
+        # ticks are stressed.
+        requests = burst(12, prompt=96, output=160)
+        kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=4,
+                      tokenflow_params=TokenFlowParams(tick_interval=interval))
+        with per_iteration():
+            off = run_system("tokenflow", requests, **kwargs)
+        on = run_system("tokenflow", requests, **kwargs)
+        assert (on.report().executor_stats["fused_windows"] > 0) == fuses
         assert_parity(off.report(), on.report())
 
 

@@ -11,8 +11,10 @@ and ``process`` workers).
 The reference is ``classic_cluster_digests.json``: deep-fingerprint
 digests recorded from the shared-engine cluster this coordinator
 replaced, one per router × workload × seed × intake path, and
-re-frozen once when the prefix-sharing block table became the only
-KV allocator (only ``kv_stats`` moved).  Every run here must
+re-frozen twice: when the prefix-sharing block table became the only
+KV allocator (only ``kv_stats`` moved), and when fused decode windows
+began running through idle scheduler ticks (only the executor's
+``fused_windows`` / ``fused_iterations`` moved).  Every run here must
 reproduce its frozen digest.
 
 Fingerprints round floats to 12 significant digits before hashing, so

@@ -83,11 +83,11 @@ class TestAdmissionStage:
         system = make_system()  # SGLang: tick_interval None
         system.submit(burst(1))
         system.run(until=0.0)  # deliver the arrival event
-        assert not system.admission._tick_scheduled
+        assert system.admission.tick_event is None
         ticking = make_system(scheduler=TokenFlowScheduler())
         ticking.submit(burst(1))
         ticking.run(until=0.0)
-        assert ticking.admission._tick_scheduled
+        assert ticking.admission.tick_event is not None
 
 
 class TestBatchComposer:

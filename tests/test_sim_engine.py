@@ -170,7 +170,7 @@ class TestScopedEngine:
         base, scoped = self._scoped(horizon)
         scoped.call_at(7.0, lambda: None)
         assert scoped.own_event_time() == 7.0
-        assert scoped.next_event_time() == 5.0
+        assert scoped.decision_horizon()[0] == 5.0
 
     def test_horizon_extension_under_confirmed_placements(self):
         """Extending the dispatch ladder (confirmed placements landing
@@ -179,12 +179,12 @@ class TestScopedEngine:
         horizon = [2.0]
         base, scoped = self._scoped(horizon)
         scoped.call_at(4.0, lambda: None)
-        assert scoped.next_event_time() == 2.0
+        assert scoped.decision_horizon()[0] == 2.0
         horizon[0] = 3.0   # ladder extended past the old horizon
-        assert scoped.next_event_time() == 3.0
+        assert scoped.decision_horizon()[0] == 3.0
         assert scoped.own_event_time() == 4.0
         horizon[0] = None  # ladder exhausted: own events take over
-        assert scoped.next_event_time() == 4.0
+        assert scoped.decision_horizon()[0] == 4.0
         assert scoped.own_event_time() == 4.0
 
     def test_own_event_time_skips_dead_entries(self):
@@ -204,3 +204,23 @@ class TestScopedEngine:
         scoped.call_at(3.0, lambda: None)
         base.run_before(2.0)
         assert scoped.own_event_time() == 3.0
+
+    def test_decision_horizon_skips_the_ignored_event(self):
+        horizon = [None]
+        base, scoped = self._scoped(horizon)
+        tick = scoped.call_at(1.0, lambda: None, label="sched-tick")
+        scoped.call_at(2.0, lambda: None, label="arrival:3")
+        assert scoped.decision_horizon() == (1.0, "sched-tick")
+        assert scoped.decision_horizon(tick) == (2.0, "arrival:3")
+        horizon[0] = 1.5
+        assert scoped.decision_horizon(tick) == (1.5, "dispatch")
+        assert base.decision_horizon(tick) == (2.0, "arrival:3")
+        # Skipping is a peek: the run order is untouched.
+        fired = []
+        base.call_at(2.0, lambda: fired.append("late"))
+        tick.action = lambda: fired.append("tick")
+        base.run()
+        assert fired == ["tick", "late"]
+        assert base.decision_horizon() == (None, "")
+        horizon[0] = None
+        assert scoped.decision_horizon(tick) == (None, "")

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.baselines import SGLangScheduler
+from repro.core.scheduler import TokenFlowScheduler
 from repro.scenarios import build_run, get_scenario
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import report_fingerprint
@@ -94,6 +95,30 @@ class TestServingIntegration:
         system.cancel_at(0, when=1.0)
         system.run(until=100.0)
         assert tracer.counts().get(("request", "cancel")) == 1
+
+    def test_idle_ticks_record_no_tick_cut(self):
+        # Every decode_start names what cut its window.  With nothing
+        # waiting and nothing preempted every tick is idle, so windows
+        # run through ticks and none is cut by one.
+        tracer = TraceRecorder(categories=["executor"])
+        config = ServingConfig(hardware="h200", model="llama3-8b",
+                               mem_frac=0.1, max_batch=8)
+        scheduler = TokenFlowScheduler()
+        system = ServingSystem(config, scheduler, tracer=tracer)
+        system.submit([
+            Request(req_id=i, arrival_time=0.0, prompt_len=64,
+                    output_len=600, rate=10.0)
+            for i in range(4)
+        ])
+        system.run(until=1_000.0)
+        assert system.unfinished == 0
+        assert scheduler.scheduling_passes > 2
+        assert scheduler.active_passes == 0
+        windows = tracer.by_event("decode_start")
+        cuts = [w.fields["cut"] for w in windows]
+        assert all(isinstance(cut, str) and cut for cut in cuts)
+        assert "tick" not in cuts
+        assert max(w.fields["duration"] for w in windows) > scheduler.tick_interval
 
     def test_no_tracer_path_unaffected(self):
         config = ServingConfig(hardware="h200", model="llama3-8b",
