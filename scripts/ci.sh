@@ -5,16 +5,17 @@
 #                          property + golden + figure benches)
 #                          including the perf smoke, then the
 #                          perfbench report-digest check on
-#                          every workload
+#                          every workload and one traced perfbench
+#                          run
 #   scripts/ci.sh --fast   fast lane: everything not marked `slow`
 #                          (unit/integration/scenario/orchestration
 #                          tests, including the fused-vs-per-iteration
 #                          decode parity checks in
 #                          tests/test_serving_fusion.py and the
 #                          frozen scalar-reference checks in
-#                          tests/test_serving_vectorize.py), plus a
-#                          2-worker `repro matrix` smoke cell;
-#                          targets < 60 s
+#                          tests/test_serving_vectorize.py), plus
+#                          2-worker `repro matrix` smoke cells, with
+#                          and without a deadline; targets < 60 s
 #
 # The perf wall-clock gate is relaxed in both lanes so slow/loaded
 # runners cannot fail a bit-identical build (the deterministic
@@ -57,6 +58,13 @@ if [[ "$FAST" -eq 1 ]]; then
       --jobs 2 --scale 0.1 --seeds 0 --no-cache || rc=$?
   fi
   if [[ "$rc" -eq 0 ]]; then
+    # Deadline smoke: the same runner with a per-cell deadline, on two
+    # real cells sharing the 2-worker warm pool.
+    echo "== fast lane: repro matrix --jobs 2 --timeout smoke cells =="
+    python -m repro.cli matrix table1-rtx4090-a \
+      --jobs 2 --scale 0.1 --seeds 0 1 --timeout 120 --no-cache || rc=$?
+  fi
+  if [[ "$rc" -eq 0 ]]; then
     # Sharded-cluster smoke: one cluster scenario split across 2 shard
     # worker processes, so a broken shard transport/protocol fails fast.
     echo "== fast lane: repro run --shards 2 smoke =="
@@ -95,6 +103,13 @@ else
         --seconds 1 --trace 0 || rc=$?
     fi
   done
+  # The traced run patches program methods by name
+  # (perfbench/tracing.py): renaming or deleting one fails here.
+  if [[ "$rc" -eq 0 ]]; then
+    echo "== tier-1: perfbench traced run =="
+    python3 perfbench/run.py --workload prefix-reuse --seed 0 \
+      --seconds 1 --trace 1 || rc=$?
+  fi
 fi
 
 if [[ "$rc" -ne 0 ]]; then

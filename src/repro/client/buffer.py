@@ -110,11 +110,10 @@ class ClientBuffer:
     def deliver(self, timestamp: float) -> None:
         """Record delivery of one token at ``timestamp``.
 
-        NOTE: :meth:`deliver_many` inlines this exact logic (and the
-        cursor advance of :meth:`consumed_count`) for the batch plane's
-        scalar fallback — any semantic or float-op change here must be
-        mirrored there, and in the formulas of
-        :mod:`repro.serving.batchstate`, or decode parity breaks.
+        NOTE: this is the reference recurrence.  The batch plane's two
+        kernels (:mod:`repro.serving.batchstate`) evaluate it in closed
+        form — any semantic or float-op change here must be mirrored
+        in their formulas, or decode parity breaks.
         """
         if self._last_gen is not None and timestamp < self._last_gen:
             raise ValueError("deliveries must have non-decreasing timestamps")
@@ -167,101 +166,18 @@ class ClientBuffer:
             self._occupancy_at_gen.append(occupancy)
 
     def deliver_many(self, timestamps) -> None:
-        """Record delivery of one token at each of ``timestamps``.
+        """Record delivery of one token at each of ``timestamps``, in
+        order, through :meth:`deliver`.
 
-        Exactly equivalent to calling :meth:`deliver` once per
-        timestamp, in order — the same float operations in the same
-        order, so stall accounting, segment anchors, and the occupancy
-        histogram are bit-identical — but the per-token work runs in
-        one call frame.  Fused decode windows reach it only through
-        :meth:`RequestTracker.deliver_tokens`, the batch plane's scalar
-        fallback for rows its kernels cannot represent (pending segment
-        anchors, an empty buffer, per-token traces, tied timestamps).
-
-        ``timestamps`` must be non-decreasing (a violation raises, as
-        in :meth:`deliver`).  The pacing interval is read once: a rate
-        change mid-call (e.g. from a generator driving ``timestamps``)
-        raises RuntimeError — the serving loop cannot hit this, since
-        rate changes land at scheduler ticks, between windows.  The
-        batch plane (:mod:`repro.serving.batchstate`) bakes the same
-        assumption into both of its kernels, and reads/writes this
-        buffer's private state directly under that contract.
+        The batch plane's scalar fallback for rows its kernels cannot
+        represent reaches it through :meth:`RequestTracker.deliver_tokens`.
+        Like the kernels, it walks the query guard to its last
+        timestamp, so a later query for an earlier instant raises.
         """
-        interval = self.interval
-        occ_hist = self._occ_hist
-        trace = self._trace
-        segments = self._segments
-        delivered = self._delivered
-        consumed = self._consumed
-        nxt = self._next_consume
-        cursor_interval = self._cursor_interval
-        last_gen = self._last_gen
-        last_consume = self._last_consume
-        tail_interval = self._tail_interval
-        stall_time = self._stall_time
-        occ_max = self._occ_max
         for timestamp in timestamps:
-            if self.interval != interval:
-                raise RuntimeError(
-                    "rate changed mid-delivery: set_rate must not run "
-                    "while deliver_many is iterating its timestamps"
-                )
-            if last_gen is not None and timestamp < last_gen:
-                raise ValueError("deliveries must have non-decreasing timestamps")
-            last_gen = timestamp
-            if last_consume is not None:
-                ideal = last_consume + interval
-                if timestamp > ideal:
-                    stall_time += timestamp - ideal
-                    consume = timestamp
-                    fresh_segment = True
-                else:
-                    consume = ideal
-                    fresh_segment = interval != tail_interval
-            else:
-                consume = timestamp
-                fresh_segment = True
-            index = delivered
-            if nxt is None and consumed == index:
-                nxt = consume
-                cursor_interval = interval
-            elif fresh_segment:
-                segments.append((index, consume, interval))
-            if fresh_segment:
-                tail_interval = interval
-            last_consume = consume
-            delivered = index + 1
-            if trace:
-                self._gen_times.append(timestamp)
-                self._consume_times.append(consume)
-            # Advance the consumption cursor (consumed_count inlined,
-            # with its early exit for mid-interval queries).
-            while nxt is not None and nxt <= timestamp:
-                consumed += 1
-                if segments and segments[0][0] == consumed:
-                    _, nxt, cursor_interval = segments.popleft()
-                elif consumed < delivered:
-                    nxt = nxt + cursor_interval
-                else:
-                    nxt = None
-            occupancy = delivered - consumed
-            count = occ_hist.get(occupancy)
-            occ_hist[occupancy] = 1 if count is None else count + 1
-            if occupancy > occ_max:
-                occ_max = occupancy
-            if trace:
-                self._occupancy_at_gen.append(occupancy)
-        self._delivered = delivered
-        self._consumed = consumed
-        self._next_consume = nxt
-        self._cursor_interval = cursor_interval
-        self._last_gen = last_gen
-        self._last_consume = last_consume
-        self._tail_interval = tail_interval
-        self._stall_time = stall_time
-        self._occ_max = occ_max
-        if last_gen is not None and last_gen > self._queried:
-            self._queried = last_gen
+            self.deliver(timestamp)
+        if self._last_gen is not None and self._last_gen > self._queried:
+            self._queried = self._last_gen
 
     # --- queries ---------------------------------------------------------
     def consumed_count(self, now: float) -> int:

@@ -3,12 +3,9 @@
 ``run_matrix`` expands a :class:`~repro.orchestration.matrix.MatrixSpec`
 (or takes an explicit cell list), skips cells whose ``(spec-hash,
 code-version)`` key is already in the result cache, and executes the
-rest — serially for ``jobs == 1``, else across worker processes.
-Deadline-free parallel runs reuse the shared warm pool from
+rest — serially for ``jobs == 1``, else on the shared warm pool from
 :mod:`repro.orchestration.pool` (no per-call pool spin-up; the same
-pool serves sharded-cluster runs); runs with ``timeout_s`` keep a
-dedicated :class:`concurrent.futures.ProcessPoolExecutor`, because
-enforcing a deadline can end with the pool's workers terminated.
+pool serves sharded-cluster runs).
 
 Determinism contract (tested in ``tests/test_orchestration.py``):
 
@@ -22,16 +19,15 @@ Determinism contract (tested in ``tests/test_orchestration.py``):
 
 Timeout/retry bookkeeping: a job that raises is resubmitted up to
 ``retries`` times (attempts are recorded per cell).  ``timeout_s`` is
-a *run-time* deadline: the clock starts when the job is observed
-running (at worst one poll interval after its true start), so queue
-wait behind other cells never counts.  An over-deadline job is marked
-``timeout`` and its worker slot written off (a worker cannot be
-interrupted mid-job, so the processes are terminated once all verdicts
-are in — a genuinely hung cell cannot hang the matrix); if every slot
-is written off, still-queued cells are abandoned with a timeout
-verdict rather than waiting forever.  Timeouts need process execution
-— the in-process serial shortcut cannot interrupt a cell — so any
-requested ``timeout_s`` routes through the pool, a 1-worker pool when
+a *run-time* deadline: at most ``jobs`` cells are in flight on a pool
+of at least ``jobs`` workers, so a cell starts when it is submitted
+and queue wait behind other cells never counts.  An over-deadline job
+is marked ``timeout`` and the pool is reset, which kills its worker
+(a worker cannot be interrupted mid-job, so a genuinely hung cell
+cannot hang the matrix); the other cells in flight die with the pool
+and are resubmitted without losing an attempt.  Timeouts need process
+execution — the in-process serial shortcut cannot interrupt a cell —
+so any requested ``timeout_s`` routes through the pool, even when
 ``jobs == 1``.
 """
 
@@ -40,11 +36,13 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from typing import Optional, Sequence, Union
 
 from repro.orchestration.cache import MatrixCache, code_version
 from repro.orchestration.matrix import Cell, MatrixSpec, spec_fingerprint
+from repro.orchestration.pool import get_pool, reset_pool
 from repro.orchestration.report import (
     STATUS_CACHED,
     STATUS_ERROR,
@@ -90,8 +88,8 @@ def run_matrix(
         matrix: a :class:`MatrixSpec` or an explicit cell sequence.
         jobs: worker processes (default ``os.cpu_count()``, capped at
             the cell count); ``1`` runs serially in-process.
-        timeout_s: per-job run-time deadline (measured from observed
-            run start, not submission; forces pool execution).
+        timeout_s: per-job run-time deadline (a cell is submitted only
+            when a worker is free for it; forces pool execution).
         retries: resubmissions allowed per failing job.
         cache: reuse/store per-cell results keyed on
             ``(spec-hash, code-version)``.
@@ -126,25 +124,15 @@ def run_matrix(
         else:
             misses.append(idx)
 
-    # Enforcing timeout_s needs a worker process to abandon, so any
+    # Enforcing timeout_s needs a worker process to kill, so any
     # requested deadline routes through the pool — even for jobs == 1
-    # (a 1-worker pool) or a single miss.  Only deadline-free small
-    # batches take the in-process serial shortcut.
-    serial = timeout_s is None and (jobs == 1 or len(misses) <= 1)
-    if serial:
+    # or a single miss.  Only deadline-free small batches take the
+    # in-process serial shortcut.
+    if timeout_s is None and (jobs == 1 or len(misses) <= 1):
         for idx in misses:
             results[idx] = _run_serial(cells[idx], retries)
     elif misses:
-        if timeout_s is None:
-            # No deadline to enforce: run on the shared warm pool
-            # (repro.orchestration.pool) instead of paying a pool
-            # spin-up per matrix call.  Deadline runs keep their own
-            # dedicated pool below — enforcing a timeout can require
-            # terminating the workers, which must never take the warm
-            # pool down with it.
-            _run_parallel_warm(cells, misses, results, jobs, retries)
-        else:
-            _run_parallel(cells, misses, results, jobs, timeout_s, retries)
+        _run_parallel(cells, misses, results, jobs, timeout_s, retries)
 
     if store is not None:
         for idx in misses:
@@ -182,86 +170,6 @@ def _run_serial(cell: Cell, retries: int) -> CellResult:
         )
 
 
-def _run_parallel_warm(
-    cells: list,
-    misses: list,
-    results: dict,
-    jobs: int,
-    retries: int,
-) -> None:
-    """Deadline-free parallel execution on the shared warm pool.
-
-    The warm pool may be *larger* than ``jobs`` (sharded-cluster runs
-    grow it), so submission is throttled to at most ``jobs`` cells in
-    flight — the concurrency contract of ``run_matrix`` does not
-    depend on pool size.  A broken pool (a worker died mid-cell) is
-    retired via :func:`~repro.orchestration.pool.reset_pool` and the
-    attempt retried once on a fresh pool before counting against
-    ``retries``-style bookkeeping, so one dead worker costs one
-    attempt, not the whole matrix.
-    """
-    from concurrent.futures import BrokenExecutor
-
-    from repro.orchestration.pool import get_pool, reset_pool
-
-    pool = get_pool(min_workers=jobs)
-    pending = list(misses)  # not yet submitted, expansion order
-    inflight: dict = {}     # future -> [cell index, attempt, submit time]
-
-    def submit(idx: int, attempt: int) -> bool:
-        """Queue an attempt; one fresh-pool retry if the pool is broken."""
-        nonlocal pool
-        for retried in (False, True):
-            try:
-                inflight[pool.submit(_execute_cell, cells[idx])] = [
-                    idx, attempt, time.monotonic()
-                ]
-                return True
-            except (BrokenExecutor, RuntimeError):
-                if retried:
-                    return False
-                reset_pool()
-                pool = get_pool(min_workers=jobs)
-        return False
-
-    def record_error(idx: int, attempt: int, started: float,
-                     message: str) -> None:
-        results[idx] = CellResult(
-            cell_id=cells[idx].cell_id, status=STATUS_ERROR,
-            error=message, attempts=attempt,
-            duration_s=time.monotonic() - started,
-        )
-
-    while pending or inflight:
-        while pending and len(inflight) < jobs:
-            idx = pending.pop(0)
-            if not submit(idx, 1):
-                record_error(idx, 1, time.monotonic(),
-                             "could not submit to worker pool")
-        if not inflight:
-            continue
-        done, _ = wait(set(inflight), return_when=FIRST_COMPLETED)
-        for future in done:
-            idx, attempt, t_submit = inflight.pop(future)
-            try:
-                report, duration = future.result()
-            except Exception as exc:
-                message = f"{type(exc).__name__}: {exc}"
-                if isinstance(exc, BrokenExecutor):
-                    # The shared pool is unusable for everyone now;
-                    # retire it so this loop (and later callers) fork
-                    # a fresh one instead of inheriting the corpse.
-                    reset_pool()
-                    pool = get_pool(min_workers=jobs)
-                if attempt > retries or not submit(idx, attempt + 1):
-                    record_error(idx, attempt, t_submit, message)
-            else:
-                results[idx] = CellResult(
-                    cell_id=cells[idx].cell_id, status=STATUS_OK,
-                    report=report, attempts=attempt, duration_s=duration,
-                )
-
-
 def _run_parallel(
     cells: list,
     misses: list,
@@ -270,135 +178,80 @@ def _run_parallel(
     timeout_s: Optional[float],
     retries: int,
 ) -> None:
-    """Fill ``results`` for ``misses`` using a dedicated process pool
-    (deadline enforcement may terminate its workers)."""
-    from concurrent.futures import BrokenExecutor
+    """Fill ``results`` for ``misses`` on the shared warm pool.
 
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    # Worker slots held by over-deadline jobs are treated as lost (the
-    # worker may be genuinely hung).  Once every slot is lost, queued
-    # cells can never start, so they are abandoned instead of being
-    # resubmitted forever.
-    dead_slots = 0
-    try:
-        # future -> [cell index, attempt number, submit time,
-        #            run start time (None while queued)].
-        # The deadline clock starts when the job is *observed running*
-        # (at worst one poll interval after it truly started), so queue
-        # wait never counts against timeout_s.
-        inflight = {
-            pool.submit(_execute_cell, cells[idx]):
-                [idx, 1, time.monotonic(), None]
-            for idx in misses
-        }
+    At most ``jobs`` cells are in flight, and the pool has at least
+    ``jobs`` workers, so a submitted cell starts at once and its
+    deadline clock starts at submission.  A cell past ``timeout_s`` is
+    recorded as ``timeout`` and the pool is reset, which kills its
+    worker; a broken pool (a worker died mid-cell) is reset too.  The
+    reset takes every other in-flight cell down with it, so those are
+    resubmitted at their current attempt.
+    """
+    queue = deque((idx, 1) for idx in misses)  # (cell index, attempt)
+    inflight: dict = {}  # future -> (cell index, attempt, submit time)
 
-        def resubmit(idx: int, attempt: int) -> bool:
-            """Queue another attempt; False if the pool is unusable
-            (a worker died and broke the executor)."""
-            try:
-                inflight[pool.submit(_execute_cell, cells[idx])] = [
-                    idx, attempt, time.monotonic(), None
-                ]
-                return True
-            except (BrokenExecutor, RuntimeError):
-                return False
-
-        def record_error(idx: int, attempt: int, started: float,
-                         message: str) -> None:
+    def fail(idx: int, attempt: int, started: float, message: str) -> None:
+        if attempt <= retries:
+            queue.appendleft((idx, attempt + 1))
+        else:
             results[idx] = CellResult(
                 cell_id=cells[idx].cell_id, status=STATUS_ERROR,
                 error=message, attempts=attempt,
                 duration_s=time.monotonic() - started,
             )
 
-        while inflight:
+    while queue or inflight:
+        reset = False
+        pool = get_pool(min_workers=jobs)
+        while queue and len(inflight) < jobs:
+            idx, attempt = queue.popleft()
+            now = time.monotonic()
+            try:
+                inflight[pool.submit(_execute_cell, cells[idx])] = (
+                    idx, attempt, now
+                )
+            except (BrokenExecutor, RuntimeError) as exc:
+                fail(idx, attempt, now,
+                     f"could not submit to worker pool: {exc}")
+                reset = True
+                break
+        if inflight and not reset:
             done, _ = wait(
                 set(inflight),
                 timeout=_POLL_S if timeout_s is not None else None,
                 return_when=FIRST_COMPLETED,
             )
             for future in done:
-                idx, attempt, t_submit, _t_run = inflight.pop(future)
-                cell = cells[idx]
+                idx, attempt, started = inflight.pop(future)
                 try:
                     report, duration = future.result()
                 except Exception as exc:
-                    message = f"{type(exc).__name__}: {exc}"
-                    if attempt > retries or not resubmit(idx, attempt + 1):
-                        record_error(idx, attempt, t_submit, message)
+                    if isinstance(exc, BrokenExecutor):
+                        reset = True
+                    fail(idx, attempt, started,
+                         f"{type(exc).__name__}: {exc}")
                 else:
                     results[idx] = CellResult(
-                        cell_id=cell.cell_id, status=STATUS_OK, report=report,
-                        attempts=attempt, duration_s=duration,
+                        cell_id=cells[idx].cell_id, status=STATUS_OK,
+                        report=report, attempts=attempt, duration_s=duration,
                     )
-            if timeout_s is None:
-                continue
+        if timeout_s is not None:
             now = time.monotonic()
-            # Only `jobs` cells can truly execute at once; the rest of
-            # the RUNNING-state futures merely sit in the executor's
-            # bounded call queue (Future.running() flips when a job is
-            # *buffered*, max_workers+1 deep, not when a worker picks
-            # it up).  Start at most that many deadline clocks,
-            # oldest-submission-first, counting written-off slots as
-            # permanently busy — so genuine queue wait never counts
-            # against timeout_s.
-            executing = dead_slots + sum(
-                1 for m in inflight.values() if m[3] is not None
-            )
-            for future, meta in list(inflight.items()):
-                if meta[3] is None:
-                    if executing < jobs and future.running():
-                        meta[3] = now  # presumed start; clock begins here
-                        executing += 1
-                    continue
-                if now - meta[3] <= timeout_s:
-                    continue
-                # Running past its deadline: record the timeout and
-                # treat the slot as lost.  The worker cannot be
-                # interrupted mid-cell; its late result is discarded,
-                # and the whole pool is torn down (workers terminated)
-                # once every cell has a verdict, so a hung cell cannot
-                # hang the matrix.
-                dead_slots += 1
-                del inflight[future]
-                future.add_done_callback(lambda f: f.exception())
-                idx = meta[0]
-                results[idx] = CellResult(
-                    cell_id=cells[idx].cell_id, status=STATUS_TIMEOUT,
-                    error=f"exceeded {timeout_s:.1f}s deadline",
-                    attempts=meta[1], duration_s=now - meta[3],
-                )
-            if dead_slots >= jobs and inflight:
-                # Every worker slot is held by an over-deadline job:
-                # the remaining cells can never start (items buffered
-                # in the call queue are not even cancellable), so
-                # abandon them all — the pool is torn down and its
-                # workers terminated on the way out.
-                for future, meta in inflight.items():
-                    future.cancel()
-                    future.add_done_callback(lambda f: f.exception())
-                    results[meta[0]] = CellResult(
-                        cell_id=cells[meta[0]].cell_id,
-                        status=STATUS_TIMEOUT,
-                        error=(f"abandoned: all {jobs} worker slot(s) "
-                               f"held by over-deadline jobs"),
-                        attempts=meta[1],
-                        duration_s=now - meta[2],
+            for future, (idx, attempt, started) in list(inflight.items()):
+                if now - started > timeout_s:
+                    # A worker cannot be interrupted mid-cell: record
+                    # the verdict and kill the pool under it.
+                    del inflight[future]
+                    reset = True
+                    results[idx] = CellResult(
+                        cell_id=cells[idx].cell_id, status=STATUS_TIMEOUT,
+                        error=f"exceeded {timeout_s:.1f}s deadline",
+                        attempts=attempt, duration_s=now - started,
                     )
-                inflight.clear()
-    finally:
-        if dead_slots:
-            # Don't wait for abandoned workers: drop the queue, kill
-            # the worker processes, and reap them.  The worker mapping
-            # must be snapshotted *before* shutdown clears it.  (It is
-            # a private executor attribute; if it ever disappears we
-            # degrade to waiting, which only costs time, not
-            # correctness.)
-            workers = list((getattr(pool, "_processes", None) or {}).values())
-            pool.shutdown(wait=False, cancel_futures=True)
-            for proc in workers:
-                proc.terminate()
-            for proc in workers:
-                proc.join(timeout=5.0)
-        else:
-            pool.shutdown(wait=True)
+        if reset:
+            reset_pool()
+            queue.extendleft(
+                (idx, attempt) for idx, attempt, _ in reversed(inflight.values())
+            )
+            inflight.clear()

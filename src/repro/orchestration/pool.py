@@ -13,10 +13,12 @@ keeps ONE warm pool and ONE manager per process, handed out on demand:
 * :func:`get_manager` returns the shared queue server used by the
   shard transport (queue proxies pickle into pool tasks; raw
   ``multiprocessing`` queues do not).
-* :func:`reset_pool` tears both down.  Tests that monkeypatch code the
-  forked workers must see call it to force a re-fork, and the matrix
-  executor calls it when the pool comes back broken so the next run
-  starts from a clean pool instead of inheriting the corpse.
+* :func:`reset_pool` tears both down and kills the pool's workers, so
+  a hung task cannot outlive it.  The matrix executor calls it to
+  enforce a cell deadline and when the pool comes back broken, so the
+  next run starts from a clean pool instead of inheriting the corpse;
+  tests that monkeypatch code the forked workers must see call it to
+  force a re-fork.
 
 Pool workers are forked processes: they inherit the parent's imported
 modules at creation time, which is exactly what the deterministic
@@ -119,16 +121,26 @@ def iter_messages(payload):
 
 
 def reset_pool() -> None:
-    """Tear down the warm pool and manager.
+    """Tear down the warm pool and manager, killing the pool's workers.
 
-    The next :func:`get_pool` / :func:`get_manager` call starts fresh
-    processes — use after breaking the pool (dead workers) or before
-    monkeypatching module code that forked workers must observe.
+    Queued tasks are cancelled and running ones die with their worker
+    (terminated and reaped here, so even a hung task is gone on
+    return).  The next :func:`get_pool` / :func:`get_manager` call
+    starts fresh processes — use to abandon running tasks, after
+    breaking the pool (dead workers) or before monkeypatching module
+    code that forked workers must observe.
     """
     global _pool, _pool_workers, _manager
     _disown_inherited()
     if _pool is not None:
+        # Snapshot the workers before shutdown clears the mapping (a
+        # private executor attribute; without it we only shut down).
+        workers = list((getattr(_pool, "_processes", None) or {}).values())
         _pool.shutdown(wait=False, cancel_futures=True)
+        for proc in workers:
+            proc.terminate()
+        for proc in workers:
+            proc.join(timeout=5.0)
     _pool = None
     _pool_workers = 0
     if _manager is not None:

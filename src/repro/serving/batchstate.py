@@ -55,10 +55,11 @@ float) and otherwise runs ``np.add.reduce`` over the row's full
 K−1-term vector, zeros included, so the pairwise grouping is the same.
 
 Rows neither kernel can represent fall back to the scalar
-``RequestTracker.deliver_tokens`` path per request: pending segment
-anchors (a stall the cursor has not reached), an empty buffer (no
-``_last_consume`` yet), per-token trace recording, or a window with
-tied timestamps.
+``RequestTracker.deliver_tokens`` path per request, which runs
+``ClientBuffer.deliver`` — the reference recurrence itself — once per
+token: pending segment anchors (a stall the cursor has not reached),
+an empty buffer (no ``_last_consume`` yet), per-token trace recording,
+or a window with tied timestamps.
 """
 
 from __future__ import annotations

@@ -80,6 +80,15 @@ class TestOccupancy:
             buffer.consumed_count(2.0)
         assert buffer.consumed_count(5.0) == 4
 
+    def test_deliver_many_walks_the_query_guard_with_nothing_due(self):
+        # No consumption is due at the last timestamp (the token at 0.5
+        # is consumed at 1.0), yet the guard still moves to 0.5.
+        buffer = ClientBuffer(rate=1.0)
+        buffer.deliver_many([0.0, 0.5])
+        with pytest.raises(ValueError):
+            buffer.consumed_count(0.3)
+        assert buffer.consumed_count(0.5) == 1
+
     def test_peek_leaves_the_cursor(self):
         buffer = ClientBuffer(rate=1.0)
         for idx in range(5):
@@ -178,20 +187,36 @@ class TestDeliverMany:
         assert bulk.occupancy_histogram == scalar.occupancy_histogram
         assert bulk.final_consumption_time() == scalar.final_consumption_time()
 
-    def test_rate_change_mid_delivery_raises(self):
-        # The pacing interval is read once per deliver_many call; a
-        # set_rate landing while the timestamps are being iterated
-        # (only reachable from a generator argument) must fail loudly
-        # instead of silently pacing half the window at the old rate.
-        buffer = ClientBuffer(rate=10.0)
+    def test_rate_change_mid_delivery_matches_deliver(self):
+        # A set_rate landing while the timestamps are being iterated
+        # (only reachable from a generator argument) paces the later
+        # tokens at the new rate, exactly as deliver + set_rate in the
+        # same order would.
+        bulk = ClientBuffer(rate=10.0)
+        scalar = ClientBuffer(rate=10.0)
 
         def hostile():
             yield 0.0
-            buffer.set_rate(20.0)
+            yield 0.05
+            bulk.set_rate(20.0)
             yield 0.1
+            yield 0.12
+            bulk.set_rate(4.0)
+            yield 0.5
 
-        with pytest.raises(RuntimeError, match="rate changed mid-delivery"):
-            buffer.deliver_many(hostile())
+        bulk.deliver_many(hostile())
+        scalar.deliver(0.0)
+        scalar.deliver(0.05)
+        scalar.set_rate(20.0)
+        scalar.deliver(0.1)
+        scalar.deliver(0.12)
+        scalar.set_rate(4.0)
+        scalar.deliver(0.5)
+        assert bulk.delivered == scalar.delivered == 5
+        assert bulk.stall_time == scalar.stall_time
+        assert bulk.occupancy_histogram == scalar.occupancy_histogram
+        assert bulk.final_consumption_time() == scalar.final_consumption_time()
+        assert bulk.consumption_times == scalar.consumption_times
 
     def test_rate_change_between_calls_is_fine(self):
         buffer = ClientBuffer(rate=10.0)

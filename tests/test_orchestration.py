@@ -48,6 +48,28 @@ def _kill_self(_cell):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+_REAL_EXECUTE_CELL = executor_mod._execute_cell
+
+
+def _scripted_cell(marker_dir, cell):
+    """Worker body keyed on the cell's seed: seed 0 hangs, seed 1 runs
+    after a ~0.5 s sleep, seed 2 hangs on its first run only (marked
+    by a file under ``marker_dir``), and any other seed just runs."""
+    import time as time_mod
+    from pathlib import Path
+
+    if cell.seed == 0:
+        _sleep_forever(cell)
+    elif cell.seed == 1:
+        time_mod.sleep(0.5)
+    elif cell.seed == 2:
+        marker = Path(marker_dir) / "neighbour-started"
+        if not marker.exists():
+            marker.touch()
+            time_mod.sleep(300)
+    return _REAL_EXECUTE_CELL(cell)
+
+
 def _solo_report(cell: MatrixCell):
     """The exact `repro run` code path for one cell, flattened like the
     orchestrator flattens cluster reports."""
@@ -321,6 +343,66 @@ class TestRetryAndTimeout:
             jobs=jobs, timeout_s=0.3,
         )
         assert report.cells[0].status == STATUS_TIMEOUT
+
+    def test_timeout_reset_costs_neighbours_no_attempt(self, monkeypatch,
+                                                       tmp_path):
+        # The hung cell's deadline resets the pool, which kills the
+        # neighbour mid-run; the neighbour is resubmitted at the same
+        # attempt and passes (no retries allowed), and the re-forked
+        # warm pool then serves a deadline-free run.
+        import functools
+        import multiprocessing
+
+        from repro.orchestration.pool import get_pool, reset_pool
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("worker patching requires fork start method")
+        monkeypatch.setattr(executor_mod, "_execute_cell",
+                            functools.partial(_scripted_cell, str(tmp_path)))
+        cells = [MatrixCell(scenario="cluster-burst-4x", seed=s, scale=0.02)
+                 for s in range(3)]
+        report = run_matrix(cells, jobs=2, timeout_s=4.0)
+        hung, quick, neighbour = report.cells
+        assert hung.status == STATUS_TIMEOUT
+        assert quick.status == STATUS_OK
+        assert (tmp_path / "neighbour-started").exists()
+        assert neighbour.status == STATUS_OK
+        assert neighbour.attempts == 1
+
+        warm = get_pool(min_workers=2)
+        later = [MatrixCell(scenario="cluster-burst-4x", seed=s, scale=0.02)
+                 for s in (3, 4)]
+        report = run_matrix(later, jobs=2)
+        assert [c.status for c in report.cells] == [STATUS_OK] * 2
+        assert get_pool(min_workers=2) is warm
+        # The workers were forked with the scripted body patched in.
+        reset_pool()
+
+
+class TestWarmPool:
+    def test_reset_pool_kills_hung_workers(self):
+        import os
+        import time as time_mod
+
+        from repro.orchestration.pool import get_pool, reset_pool
+
+        reset_pool()
+        pool = get_pool(min_workers=2)
+        pool.submit(_sleep_forever, None)
+        time_mod.sleep(0.5)  # let a worker pick the task up
+        pids = list(pool._processes)
+        assert len(pids) >= 2
+        reset_pool()
+        alive = set(pids)
+        deadline = time_mod.monotonic() + 5.0
+        while alive and time_mod.monotonic() < deadline:
+            for pid in list(alive):
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    alive.discard(pid)
+            time_mod.sleep(0.05)
+        assert not alive, f"workers {sorted(alive)} outlived reset_pool()"
 
 
 class TestCache:
