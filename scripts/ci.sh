@@ -15,7 +15,9 @@
 #                          frozen scalar-reference checks in
 #                          tests/test_serving_vectorize.py), plus
 #                          2-worker `repro matrix` smoke cells, with
-#                          and without a deadline; targets < 60 s
+#                          and without a deadline, and one untimed
+#                          pass of scripts/decode_kernel_grid.py;
+#                          targets < 60 s
 #
 # The perf wall-clock gate is relaxed in both lanes so slow/loaded
 # runners cannot fail a bit-identical build (the deterministic
@@ -75,6 +77,12 @@ if [[ "$FAST" -eq 1 ]]; then
     # table's prefix sharing inside the shard worker processes.
     echo "== fast lane: repro run bursty-sessions --shards 2 smoke =="
     python -m repro.cli run bursty-sessions --shards 2 --scale 0.25 || rc=$?
+  fi
+  if [[ "$rc" -eq 0 ]]; then
+    # Delivery-path smoke: one untimed pass over the batch plane's
+    # B x K grid, so a renamed kernel or delivery branch fails fast.
+    echo "== fast lane: decode kernel grid --repeat 1 =="
+    python scripts/decode_kernel_grid.py --repeat 1 > /dev/null || rc=$?
   fi
   if [[ "$rc" -eq 0 ]]; then
     # Catalogue smoke: the long listing renders every ScenarioSpec.doc,

@@ -1,23 +1,30 @@
-"""Time the batch plane's two decode-window kernels over a B × K grid.
+"""Time the batch plane's delivery paths over a B × K grid.
 
-``repro.serving.batchstate`` delivers a fused decode window through a
-per-row kernel when rows × K is at or below
-``ROW_KERNEL_MAX_ELEMENTS`` and through the numpy array kernel above
-it.  This script times both kernels on the same buffers for every
-(rows, K) cell and prints µs per call and which kernel is faster, so
-the constant can be re-derived on other hardware::
+``repro.serving.batchstate.deliver_batch`` delivers a K = 1 window
+(an unfused iteration) with one ``ClientBuffer.deliver`` per row, a
+larger window through a per-row kernel when rows × K is at or below
+``ROW_KERNEL_MAX_ELEMENTS``, and through the numpy array kernel above
+it.  This script times the paths on the same buffers for every
+(rows, K) cell and prints µs per call and which path is faster, so
+both choices can be re-derived on other hardware::
 
     PYTHONPATH=src python scripts/decode_kernel_grid.py [--repeat 200]
 
 The kernels only read buffer state (``deliver_batch`` writes it back),
 so each cell times repeated calls on one set of warmed-up buffers.
-Buffers get mixed states: some carry a backlog of unconsumed tokens,
-some are drained, and read rates vary, so the window has stalls.
+The K = 1 column times ``deliver`` against the row kernel; ``deliver``
+mutates its buffer, so each of its calls gets a fresh copy (copied
+outside the timed region), and the row kernel is timed without its
+write-back, which favours it.  Buffers get mixed states: some carry a
+backlog of unconsumed tokens, some are drained, and read rates vary,
+so the window has stalls.  ``--repeat 1`` is a quick smoke that every
+path still runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
 import random
 import time
 
@@ -59,6 +66,17 @@ def best_us(kernel, buffers, times, repeat: int) -> float:
     return best * 1e6
 
 
+def deliver_us(buffers, instant: float, repeat: int) -> float:
+    best = float("inf")
+    for _ in range(repeat):
+        fresh = copy.deepcopy(buffers)
+        t0 = time.perf_counter()
+        for buffer in fresh:
+            buffer.deliver(instant)
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e6
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=200,
@@ -77,7 +95,15 @@ def main() -> None:
             faster = "row" if row < array else "array"
             print(f"{n_rows:>5} {k:>4} {n_rows * k:>8} {row:>9.1f} "
                   f"{array:>9.1f}  {faster}")
-
+    print("K = 1: one ClientBuffer.deliver per row against the row kernel")
+    print(f"{'rows':>5} {'row µs':>9} {'deliver µs':>10}  faster")
+    for n_rows in ROWS:
+        buffers = make_buffers(n_rows, rng)
+        instant = 1.0 + STEP_S
+        row = best_us(_row_kernel, buffers, [instant], args.repeat)
+        deliver = deliver_us(buffers, instant, args.repeat)
+        faster = "deliver" if deliver < row else "row"
+        print(f"{n_rows:>5} {row:>9.1f} {deliver:>10.1f}  {faster}")
 
 if __name__ == "__main__":
     main()

@@ -76,7 +76,6 @@ class ClientBuffer:
         # fused window, folded into ``_occ_hist`` lazily on first read
         # (histogram addition commutes, so deferring is exact).
         self._occ_pending: list = []
-        self._occ_max = 0
         # Optional unbounded per-token traces (plots, JSONL export).
         self._trace = record_trace
         self._gen_times: Optional[list] = [] if record_trace else None
@@ -100,11 +99,6 @@ class ClientBuffer:
     def rate_changes(self) -> int:
         """Number of mid-stream rate adjustments applied."""
         return self._rate_changes
-
-    @property
-    def records_trace(self) -> bool:
-        """Whether per-token timestamp traces are being kept."""
-        return self._trace
 
     # --- delivery --------------------------------------------------------
     def deliver(self, timestamp: float) -> None:
@@ -160,8 +154,6 @@ class ClientBuffer:
             occupancy = self._delivered - self.consumed_count(timestamp)
         count = self._occ_hist.get(occupancy)
         self._occ_hist[occupancy] = 1 if count is None else count + 1
-        if occupancy > self._occ_max:
-            self._occ_max = occupancy
         if self._trace:
             self._occupancy_at_gen.append(occupancy)
 
@@ -326,11 +318,6 @@ class ClientBuffer:
         if self._occ_pending:
             self._flush_occ_pending()
         return self._occ_hist
-
-    @property
-    def max_occupancy(self) -> int:
-        """Largest buffer occupancy observed at any generation instant."""
-        return self._occ_max
 
     def _require_trace(self) -> None:
         if not self._trace:

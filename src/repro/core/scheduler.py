@@ -281,9 +281,6 @@ class TokenFlowScheduler(BaseScheduler):
                 return True
         return False
 
-    def _working_set_members(self, view: SystemView) -> list:
-        return list(view.prefill_queue) + list(view.running) + list(view.loading) + list(view.preempted)
-
     def _working_set_size(self, view: SystemView) -> int:
         return len(view.prefill_queue) + len(view.running) + len(view.loading) + len(view.preempted)
 

@@ -102,11 +102,6 @@ class RequestTracker:
             self._min_arrival = request.arrival_time
         return entry
 
-    @property
-    def retire_sink(self):
-        """The streaming-telemetry sink (None in retained mode)."""
-        return self._retire_sink
-
     def get(self, req_id: int) -> TrackedRequest:
         if req_id not in self._entries:
             raise KeyError(f"request {req_id} is not tracked")
@@ -122,27 +117,10 @@ class RequestTracker:
     def entries_by_id(self) -> dict:
         """Live ``{req_id -> TrackedRequest}`` map (treat read-only).
 
-        Exposed for the serving loop's token-emission hot path, which
-        pairs each delivery with :meth:`invalidate_occupancy`.
+        Exposed for the batch plane's token delivery, which mutates
+        buffers directly and then calls :meth:`invalidate_occupancy_all`.
         """
         return self._entries
-
-    def invalidate_occupancy(self, req_id: int) -> None:
-        """Drop the memoised occupancy for one request.
-
-        Must be called whenever a buffer is mutated out-of-band (e.g.
-        a token delivered directly through the entry) at the memoised
-        instant; :meth:`deliver_token` does this automatically.
-        """
-        self._memo_occ.pop(req_id, None)
-
-    @property
-    def occupancy_invalidator(self):
-        """Bound ``dict.pop`` implementing :meth:`invalidate_occupancy`
-        without a wrapper call — invoke as ``invalidator(req_id, None)``.
-        (The memo dict is cleared in place, never rebound, so the bound
-        method stays valid for the tracker's lifetime.)"""
-        return self._memo_occ.pop
 
     def invalidate_occupancy_all(self) -> None:
         """Drop every memoised occupancy in one call.
@@ -347,9 +325,6 @@ class RequestTracker:
             for rid in self._finished_order
             if self._entries[rid].request.state is RequestState.FINISHED
         ]
-
-    def all_requests(self) -> list:
-        return [entry.request for entry in self._entries.values()]
 
     def first_arrival(self) -> Optional[float]:
         """Earliest arrival ever registered (tracked incrementally, so

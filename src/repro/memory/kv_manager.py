@@ -174,9 +174,6 @@ class HierarchicalKVManager:
         cached = self.prefix.cached
         return free + len(cached) if cached else free
 
-    def can_allocate_tokens(self, n_tokens: int) -> bool:
-        return self.blocks_for_tokens(n_tokens) <= self.gpu_free_blocks()
-
     def _reclaim_for(self, n_blocks: int) -> None:
         """Evict cached prefix blocks until ``n_blocks`` fit (or give up).
 
@@ -647,7 +644,10 @@ class HierarchicalKVManager:
             record.gpu_tokens = 0
             self.stats["recompute_drops"] += 1
             return now
-        total_blocks = self.gpu_pool.used_by(req_id)
+        # Blocks an earlier eviction still owns (a preempt, resume_load
+        # and preempt inside one transfer) are freed by its deferred
+        # completion, not here.
+        total_blocks = self.gpu_pool.used_by(req_id) - record.pending_free_blocks
         dirty_blocks = self.gpu_pool.blocks_for_tokens(dirty)
         if shares and dirty_blocks > total_blocks:
             # The dirty tail spans blocks the request maps from the

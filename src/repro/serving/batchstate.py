@@ -1,13 +1,18 @@
-"""Batch plane: one fused decode window's token delivery for a batch.
+"""Batch plane: one decode window's token delivery for a batch.
 
-Macro-step fusion collapsed per-iteration *events*; what remained is
-per-*request* work inside each fused window — advancing every batch
-member's client buffer by K tokens.  :func:`deliver_batch` does that
-for the whole batch at once: it reads each buffer's state, advances
-every row through the window, and writes the results back to the
-per-request objects at the window boundary.  Fused windows always
-have K >= 2 iterations (single iterations complete through
-``DecodeStream.complete_decode``).
+:func:`deliver_batch` is the only way a generated token reaches a
+request and its client buffer: every decode window, fused (K >= 2) or
+not (K = 1), and every prefill's first token go through it.  A K = 1
+call runs the reference recurrence ``ClientBuffer.deliver`` once per
+request, which is cheaper than either kernel below (the K = 1 column
+of ``scripts/decode_kernel_grid.py``).
+
+Macro-step fusion collapsed per-iteration *events*; what remained
+inside a K >= 2 window is per-*request* work — advancing every batch
+member's client buffer by K tokens.  For those windows
+:func:`deliver_batch` works on the whole batch at once: it reads each
+buffer's state, advances every row through the window, and writes the
+results back to the per-request objects at the window boundary.
 
 The maths: with a shared strictly-increasing timestamp vector ``t``
 (one entry per fused iteration) and per-row pacing interval ``iv``,
@@ -79,25 +84,51 @@ ROW_KERNEL_MAX_ELEMENTS = 256
 def deliver_batch(tracker, requests, times) -> None:
     """Deliver one token per instant in ``times`` to every request.
 
-    Equivalent to ``tracker.deliver_tokens(r.req_id, times)`` for each
-    request in order (same request bookkeeping, same buffer state
-    machine), with the per-token buffer arithmetic batched across
-    requests.  Every request is checked before any state moves: an
-    overflowing request, an untracked one or an out-of-order window
-    raises with the whole batch untouched.  Tied timestamps are legal
-    but route every row through the scalar path.
+    The one way a generated token reaches a request and its client
+    buffer.  Equivalent to ``tracker.deliver_tokens(r.req_id, times)``
+    for each request in order (same request bookkeeping, same buffer
+    state machine).  Every request is checked before any state moves:
+    an overflowing request, an untracked one or an out-of-order window
+    raises with the whole batch untouched.
+
+    A one-token window (an unfused iteration, a prefill's first token)
+    runs ``ClientBuffer.deliver`` once per request; longer windows
+    batch the buffer arithmetic across requests.  Tied timestamps are
+    legal but route every row through the scalar path.
     """
     k = len(times)
     if k == 0 or not requests:
         return
-    for request in requests:
+    t_first = times[0]
+    entries = tracker.entries_by_id
+    try:
+        buffers = [entries[request.req_id].buffer for request in requests]
+    except KeyError as error:
+        raise KeyError(f"request {error.args[0]} is not tracked") from None
+    for request, buffer in zip(requests, buffers):
         if request.generated + k > request.output_len:
             raise RuntimeError(
                 f"request {request.req_id} would exceed its "
                 f"{request.output_len} tokens"
             )
+        last_gen = buffer._last_gen
+        if last_gen is not None and t_first < last_gen:
+            raise ValueError("deliveries must have non-decreasing timestamps")
+
+    if k == 1:
+        # Request.record_token without its checks (done above).
+        for request, buffer in zip(requests, buffers):
+            if request.ttft is None:
+                request.ttft = t_first - request.arrival_time
+                request.first_token_time = t_first
+            request.generated += 1
+            request.token_times.append(t_first)
+            buffer.deliver(t_first)
+        tracker.invalidate_occupancy_all()
+        return
+
     strict = True
-    prev = times[0]
+    prev = t_first
     for instant in times[1:]:
         if instant < prev:
             raise ValueError("deliveries must have non-decreasing timestamps")
@@ -106,19 +137,10 @@ def deliver_batch(tracker, requests, times) -> None:
         prev = instant
 
     # --- classification ----------------------------------------------
-    t_first = times[0]
-    entries = tracker.entries_by_id
     scalar_ids = []
     fast_requests = []
-    buffers = []
-    for request in requests:
-        entry = entries.get(request.req_id)
-        if entry is None:
-            raise KeyError(f"request {request.req_id} is not tracked")
-        buffer = entry.buffer
-        last_gen = buffer._last_gen
-        if last_gen is not None and t_first < last_gen:
-            raise ValueError("deliveries must have non-decreasing timestamps")
+    fast_buffers = []
+    for request, buffer in zip(requests, buffers):
         if (
             not strict
             or buffer._segments
@@ -128,7 +150,8 @@ def deliver_batch(tracker, requests, times) -> None:
             scalar_ids.append(request.req_id)
         else:
             fast_requests.append(request)
-            buffers.append(buffer)
+            fast_buffers.append(buffer)
+    buffers = fast_buffers
     deliver_scalar = tracker.deliver_tokens
     for req_id in scalar_ids:
         deliver_scalar(req_id, times)
@@ -150,7 +173,7 @@ def deliver_batch(tracker, requests, times) -> None:
 
     # --- write-back ---------------------------------------------------
     t_last = times[-1]
-    for buffer, (c_last, stall, occ_max, consumed, nxt, rebased, hist) in zip(
+    for buffer, (c_last, stall, consumed, nxt, rebased, hist) in zip(
         buffers, rows
     ):
         buffer._delivered += k
@@ -161,8 +184,6 @@ def deliver_batch(tracker, requests, times) -> None:
         buffer._tail_interval = buffer.interval
         if stall != 0.0:
             buffer._stall_time += stall
-        if occ_max > buffer._occ_max:
-            buffer._occ_max = occ_max
         buffer._consumed = consumed
         buffer._next_consume = nxt
         if t_last > buffer._queried:
@@ -182,10 +203,10 @@ def deliver_batch(tracker, requests, times) -> None:
 
 
 # Each kernel returns ``(rows, segments)``.  ``rows`` holds one tuple
-# per buffer: (last consumption time, stall to add, window occupancy
-# max, consumed count, next cursor time or None, whether the cursor
-# moved into the window and so takes the current interval, the
-# window's occupancy histogram as a (values, counts) pair).
+# per buffer: (last consumption time, stall to add, consumed count,
+# next cursor time or None, whether the cursor moved into the window
+# and so takes the current interval, the window's occupancy histogram
+# as a (values, counts) pair).
 # ``segments`` lists (row, token index, consumption time) for every
 # surviving fresh anchor.
 
@@ -280,7 +301,7 @@ def _row_kernel(buffers, times):
             nxt = nxt0 + civ * (consumed - con0)
             rebased = False
         rows.append(
-            (cs[-1], stall, max(occs), consumed, nxt, rebased,
+            (cs[-1], stall, consumed, nxt, rebased,
              (list(hist), list(hist.values())))
         )
     return rows, segments
@@ -416,7 +437,6 @@ def _array_kernel(buffers, times):
     rows = zip(
         c[:, -1].tolist(),
         stall_add.tolist(),
-        occ.max(axis=1).tolist(),
         consumed_f.tolist(),
         nxt,
         rebased.tolist(),

@@ -30,8 +30,9 @@ class ServingConfig:
         block_size: tokens per KV block.
         max_batch: hard cap on concurrent decode requests.
         max_prefill_tokens: per-iteration prefill token budget.
-        chunked_prefill: split prompts into chunks (SGLang-chunked).
-        prefill_chunk_size: chunk size when chunking is active.
+        prefill_chunk_size: chunk size when chunking is active (the
+            scheduler asks for it with ``wants_chunked_prefill``, as
+            SGLang-chunked does).
         kv: KV-manager behaviour switches (Table 2 ablations).
         retain_per_request: keep every finished request's tracker entry
             (and its :class:`~repro.serving.metrics.RequestMetrics`
@@ -63,7 +64,6 @@ class ServingConfig:
     block_size: int = 16
     max_batch: int = 128
     max_prefill_tokens: int = 8192
-    chunked_prefill: bool = False
     prefill_chunk_size: int = 2048
     kv: KVManagerConfig = field(default_factory=KVManagerConfig)
     retain_per_request: bool = True

@@ -263,7 +263,7 @@ class LeastLoadedRouter(Router):
                     else:
                         survivors.append(_decode_tokens_left(r))
         else:
-            batch, k = (payload, 1) if kind == "decode" else payload
+            batch, k = payload
             # Each batch member gains k tokens by ``end``; the fusion
             # planner guarantees none finishes strictly earlier.
             for r in batch:

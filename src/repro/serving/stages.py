@@ -189,9 +189,7 @@ class BatchComposer:
         self.config = system.config
         self.running = system.running
         self.prefill_queue = system.prefill_queue
-        self.chunked = system.config.chunked_prefill or getattr(
-            system.scheduler, "wants_chunked_prefill", False
-        )
+        self.chunked = getattr(system.scheduler, "wants_chunked_prefill", False)
         # Per-iteration cache (reset by the shell at iteration start).
         self.iter_min_buffer: Optional[float] = None
         self.decodes_since_prefill = 0
@@ -438,7 +436,7 @@ class DecodeStream:
     request completion, GPU/host capacity exhaustion, or the
     per-iteration write-drain budget — it advances all K iterations
     up to that horizon in one event via closed-form bulk updates (see
-    :meth:`_plan_fused` / :meth:`complete_fused` and the "Fusion
+    :meth:`_plan_fused` / :meth:`complete_decode` and the "Fusion
     plane" section of ARCHITECTURE.md).
     """
 
@@ -460,14 +458,14 @@ class DecodeStream:
         self.composer = system.composer
         self.last_token_time = 0.0
         # The executor event currently in flight, as a picklable-free
-        # descriptor ``(kind, end_time, payload)`` with kind one of
-        # "prefill" (payload: the (request, chunk) entries),
-        # "decode" (payload: the batch), or "fused" (payload:
-        # (batch, k) for a k-iteration window).  Routers use it to
-        # take *trajectory snapshots* for speculative dispatch in the
-        # sharded plane (see Router.instance_snapshot): the descriptor
-        # names exactly which requests can finish at the next
-        # completion instant.  Only meaningful while ``system._busy``.
+        # descriptor ``(kind, end_time, payload)`` with kind either
+        # "prefill" (payload: the (request, chunk) entries) or "decode"
+        # (payload: (batch, k) for a k-iteration window, k == 1 when
+        # unfused).  Routers use it to take *trajectory snapshots* for
+        # speculative dispatch in the sharded plane (see
+        # Router.instance_snapshot): the descriptor names exactly which
+        # requests can finish at the next completion instant.  Only
+        # meaningful while ``system._busy``.
         self.inflight = None
         # Fusion-plane counters (surfaced in RunReport.executor_stats).
         self.fused_windows = 0
@@ -497,7 +495,7 @@ class DecodeStream:
 
     def complete_prefill(self, result, entries: list, duration: float) -> None:
         system = self.system
-        now = self.engine.now()
+        first = []
         for request, chunk in entries:
             if request.state is not RequestState.PREFILLING:
                 continue
@@ -510,7 +508,9 @@ class DecodeStream:
                 self.running.append(request)
                 if request.generated == 0:
                     # Prefill produces the first output token.
-                    self.emit_token(request, now)
+                    first.append(request)
+        if first:
+            self.emit_tokens(first, [self.engine.now()])
         if hasattr(self.scheduler, "observe_prefill"):
             self.scheduler.observe_prefill(result.tokens, duration)
         self.executor.commit(result)
@@ -535,29 +535,20 @@ class DecodeStream:
         system._busy = True
         window = self._plan_fused(batch, result, overhead, now, duration)
         k = window.k
-        if k == 1:
-            span = duration
-            self.inflight = ("decode", now + duration, batch)
-            self.engine.call_at(
-                now + duration,
-                lambda: self.complete_decode(result, batch),
-                label="decode-done",
-            )
-        else:
-            end = window.times[-1]
-            span = end - now
-            self.inflight = ("fused", end, (batch, k))
-            self.engine.call_at(
-                end,
-                lambda: self.complete_fused(result, batch, window),
-                label="decode-fused-done",
-            )
+        end = now + duration if k == 1 else window.times[-1]
+        self.inflight = ("decode", end, (batch, k))
+        self.engine.call_at(
+            end,
+            lambda: self.complete_decode(result, batch, window),
+            label="decode-done",
+        )
         if system.tracer is not None:
             # One record per executor event: a fused window is one
             # record carrying its iteration count and cut reason.
             system.tracer.record(now, "executor", "decode_start",
                                  batch=len(batch), iterations=k,
-                                 duration=span, cut=window.cut)
+                                 duration=duration if k == 1 else end - now,
+                                 cut=window.cut)
 
     # --- the fusion plane ---------------------------------------------
     def _plan_fused(self, batch: list, result, overhead: float,
@@ -741,35 +732,62 @@ class DecodeStream:
         kind = label.partition(":")[0]
         return _EVENT_CUTS.get(kind, kind)
 
-    def complete_fused(self, result, batch: list, window: DecodeWindow) -> None:
-        """Apply a K-iteration macro-step at its final completion time.
+    def complete_decode(self, result, batch: list, window: DecodeWindow) -> None:
+        """Apply a decode window of ``window.k`` iterations at its last
+        completion instant; a ``k == 1`` window is an unfused iteration.
 
         The window was sized so no event but idle scheduler ticks fires
-        inside it, so deferring every mutation to this single callback
-        is indistinguishable from the per-iteration event chain — and
-        the per-token work collapses into bulk updates: one
-        boundary-bookkeeping replay, one KV advance, one buffer
-        delivery per request.
+        inside it, so deferring every mutation to this one callback is
+        indistinguishable from the per-iteration event chain.  A K >= 2
+        window first replays its skipped boundaries
+        (:meth:`complete_fused`); then one KV advance and one
+        :func:`deliver_batch` move every batch member by K tokens, and
+        the members that reached their output length finish.  Growing
+        KV ahead of the deliveries is safe: plan_decode's fitting pass
+        guaranteed every allocation fits, with or without blocks freed
+        by batch members finishing here.
         """
         system = self.system
-        times = window.times
-        now = times[-1]
-        k = window.k
+        now = self.engine.now()
         req_ids = result.req_ids
-        running_state = RequestState.RUNNING
-        if any([request.state is not running_state for request in batch]):
-            # A batch member left RUNNING while this window's event was
-            # pending.  No in-simulation event can do that (the window
-            # is silent by construction) — only an external call
-            # between stepped run() invocations, e.g. the public
-            # ServingSystem.cancel().  Mirror complete_decode's
-            # skip-departed behaviour: the window applies to the
-            # survivors only (the departed request's KV record is
-            # already released, and it must not receive tokens).
-            batch = [r for r in batch if r.state is running_state]
-            req_ids = tuple(r.req_id for r in batch)
-        # Skipped-boundary bookkeeping first: it observes pre-window
-        # generated counts, exactly like the elided calls would have.
+        running = RequestState.RUNNING
+        for request in batch:
+            if request.state is not running:
+                # A batch member left RUNNING while this event was
+                # pending: a cancel event during an unfused iteration,
+                # or, inside a fused window (silent by construction),
+                # an external call between stepped run() invocations
+                # such as the public ServingSystem.cancel().  Its KV
+                # record is already released and it must not receive
+                # tokens: the window applies to the survivors only.
+                batch = [r for r in batch if r.state is running]
+                req_ids = tuple([r.req_id for r in batch])
+                break
+        k = window.k
+        if k == 1:
+            self.executor.commit(result)
+            times = [now]
+        else:
+            self.complete_fused(result, window)
+            times = window.times
+        self.kv.fused_decode_advance(req_ids, k, window.drain_starts)
+        if batch:
+            self.emit_tokens(batch, times)
+        system._sample_timeline()
+        system._busy = False
+        self.inflight = None
+        system._kick()
+
+    def complete_fused(self, result, window: DecodeWindow) -> None:
+        """The part of :meth:`complete_decode` only a K >= 2 window has:
+        the work of its K - 1 skipped boundaries, replayed at once.
+
+        It runs before the window's tokens are delivered: the boundary
+        bookkeeping observes pre-window generated counts, exactly like
+        the elided calls would have.
+        """
+        system = self.system
+        k = window.k
         scheduler = self.scheduler
         scheduler.on_fused_boundaries(self.running, k - 1)
         if window.ticks:
@@ -778,90 +796,25 @@ class DecodeStream:
         # applied at interior boundaries are replayed above, and only
         # one that fired after the last of them stays due.
         system.admission.tick_due = window.tick_due
-        self.kv.fused_decode_advance(req_ids, k, drain_starts=window.drain_starts)
-        deliver_batch(self.tracker, batch, times)
-        if now > self.last_token_time:
-            self.last_token_time = now
-        # Intermediate samples: queue/batch sizes are frozen inside the
-        # window, so only the timestamps differ.
-        system._sample_timeline_many(times[:-1])
-        for request in batch:
-            if request.generated >= request.output_len:
-                self.finish(request, now)
+        # Interior samples: the queues are frozen inside the window, so
+        # only the timestamps differ.
+        system._sample_timeline_many(window.times[:-1])
         self.executor.commit_fused(result, window.steps)
-        system._sample_timeline()
         self.composer.decodes_since_prefill += k - 1
         self.fused_windows += 1
         self.fused_iterations += k
-        system._busy = False
-        self.inflight = None
-        system._kick()
-
-    def complete_decode(self, result, batch: list) -> None:
-        """Apply one unfused decode iteration.
-
-        The KV growth is bulked into one call (the same allocations
-        and busy arithmetic as a per-request ``on_decode_token`` each).
-        Delivery stays scalar: with one token per request there is no
-        K dimension to vectorise, and the array kernel's per-row
-        gather/scatter overhead loses to the O(1) scalar step.
-        Reordering KV growth ahead of the deliveries is safe —
-        plan_decode's fitting pass guaranteed every allocation fits,
-        with or without blocks freed by batch members finishing this
-        iteration.
-        """
-        system = self.system
-        now = self.engine.now()
-        running = RequestState.RUNNING
-        live = [r for r in batch if r.state is running]
-        if live:
-            self.kv.fused_decode_advance(
-                tuple([r.req_id for r in live]), 1, None
-            )
-            entries = self.tracker.entries_by_id
-            invalidate = self.tracker.occupancy_invalidator
-            for request in live:
-                # Request.record_token inlined (the timestamp-order
-                # check is vacuous here: the engine's clock is
-                # monotone, so `now` never precedes a past token).
-                if request.generated >= request.output_len:
-                    raise RuntimeError(
-                        f"request {request.req_id} already generated "
-                        f"all {request.output_len} tokens"
-                    )
-                if request.ttft is None:
-                    request.ttft = now - request.arrival_time
-                    request.first_token_time = now
-                request.generated += 1
-                request.token_times.append(now)
-                entries[request.req_id].buffer.deliver(now)
-                if request.generated >= request.output_len:
-                    # The finish hook may read this request's state
-                    # at `now`; drop its memo entry first.
-                    invalidate(request.req_id, None)
-                    self.finish(request, now)
-            # One memo sweep instead of a pop per delivery; the memo
-            # is a pure cache, so over-clearing only costs recomputes
-            # at the next query.
-            self.tracker.invalidate_occupancy_all()
-            if now > self.last_token_time:
-                self.last_token_time = now
-        self.executor.commit(result)
-        system._sample_timeline()
-        system._busy = False
-        self.inflight = None
-        system._kick()
 
     # --- token delivery / completion ----------------------------------
-    def emit_token(self, request: Request, now: float) -> None:
-        # NOTE: complete_decode inlines this exact sequence (delivery,
-        # last-token-time update, finish check) for the per-token hot
-        # loop — any semantic change here must be mirrored there.
-        self.tracker.deliver_token(request.req_id, now)
+    def emit_tokens(self, requests: list, times: list) -> None:
+        """Deliver one token per instant in ``times`` to every request,
+        then finish each request that reached its output length."""
+        deliver_batch(self.tracker, requests, times)
+        now = times[-1]
         if now > self.last_token_time:
             self.last_token_time = now
-        if request.generated >= request.output_len:
-            self.finish(request, now)
+        for request in requests:
+            if request.generated >= request.output_len:
+                self.finish(request, now)
 
     def finish(self, request: Request, now: float) -> None:
         system = self.system

@@ -114,9 +114,10 @@ def _never_fuse(self, *args):
 @pytest.fixture
 def per_iteration():
     """Factory of a context manager that runs decode one event per
-    iteration: ``DecodeStream._plan_fused`` returns a one-iteration
-    window, so every decode iteration takes the unfused
-    ``complete_decode`` branch and every scheduler tick is applied by
+    iteration: ``DecodeStream._plan_fused`` returns a ``k == 1``
+    window, so ``complete_decode`` never replays skipped boundaries
+    (``complete_fused``), every token reaches ``deliver_batch`` one
+    iteration at a time, and every scheduler tick is applied by
     ``on_tick`` itself.
 
     This is the fusion plane's reference path::

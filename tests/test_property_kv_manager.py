@@ -10,7 +10,7 @@ no orphaned blocks.
 import pytest
 
 import hypothesis.strategies as st
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 
 from repro.memory.blocks import OutOfMemory
 from repro.memory.kv_manager import HierarchicalKVManager, KVManagerConfig
@@ -103,6 +103,10 @@ class TestKVManagerProperties:
         engine.run()  # flush deferred frees
         kv.check_invariants()
 
+    # A second preempt inside the first eviction's transfer must not
+    # free the blocks that eviction's deferred free still owns.
+    @example(ops=[("prefill", 3, 21), ("preempt", 3, 1), ("resume_load", 3, 1),
+                  ("preempt", 3, 1), ("resume_load", 3, 1)])
     @given(ops=operations)
     @settings(max_examples=100, deadline=None)
     def test_write_back_mode_invariants(self, ops):

@@ -7,7 +7,7 @@ batch compositions and all paper hardware/model pairings.
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.gpu.hardware import HARDWARE_SPECS, get_hardware
 from repro.gpu.latency import LatencyModel
@@ -46,13 +46,23 @@ class TestDecodeProperties:
         longer[0] += extra
         assert latency.decode_step_time(longer) >= latency.decode_step_time(ctx)
 
-    @given(ctx=contexts, pair=st.sampled_from(PAIRINGS))
+    # Adding one long request can lower tokens/s in a memory-bound
+    # step (here 3874.6 -> 3870.7 for a copy of the 7281-token head),
+    # so the added request is at most the batch mean.
+    @example(ctx=[7281] + [1] * 25, pair=("h200", "llama3-8b"), share=1.0)
+    @given(ctx=contexts, pair=st.sampled_from(PAIRINGS),
+           share=st.floats(0.0, 1.0))
     @settings(max_examples=150, deadline=None)
-    def test_batching_never_reduces_step_throughput(self, ctx, pair):
-        """Adding a request to the batch never lowers tokens/s."""
+    def test_batching_never_reduces_step_throughput(self, ctx, pair, share):
+        """Adding a request no longer than the batch mean never lowers
+        tokens/s.  With step time ``max(W + b*S, c*n) + o`` over total
+        context ``S`` and batch ``n``, an added ``s <= S/n`` gives
+        ``n*(W + o + b*(S + s)) <= (n + 1)*(W + o + b*S)`` and
+        ``n*c*(n + 1) = (n + 1)*c*n``, so neither regime loses."""
         latency = model_for(pair)
         base = len(ctx) / latency.decode_step_time(ctx)
-        bigger = ctx + [ctx[0]]
+        added = max(1, int(share * (sum(ctx) // len(ctx))))
+        bigger = ctx + [added]
         grown = len(bigger) / latency.decode_step_time(bigger)
         assert grown >= base * 0.999
 

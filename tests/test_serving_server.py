@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import SGLangScheduler
+from repro.baselines import SGLangChunkedScheduler, SGLangScheduler
 from repro.core.scheduler import TokenFlowScheduler
 from repro.serving.config import ServingConfig
 from repro.serving.server import ServingSystem
@@ -132,7 +132,8 @@ class TestMemoryPressure:
 
 class TestChunkedPrefill:
     def test_chunked_config_splits_prompts(self):
-        system = make_system(chunked_prefill=True, prefill_chunk_size=128)
+        system = make_system(scheduler=SGLangChunkedScheduler(),
+                             prefill_chunk_size=128)
         system.submit(burst(1, prompt=512, output=8))
         system.run(until=1_000.0)
         assert system.executor.stats.prefill_iterations >= 4

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import SGLangScheduler
+from repro.baselines import SGLangChunkedScheduler, SGLangScheduler
 from repro.core.scheduler import TokenFlowScheduler
 from repro.serving.config import ServingConfig
 from repro.serving.server import ServingSystem
@@ -53,9 +53,10 @@ class TestWiring:
         system = make_system()
         assert system.offload._on_swap_observed == system.memory.observe_swap
 
-    def test_chunked_flag_from_config(self):
-        system = make_system(chunked_prefill=True)
+    def test_chunked_flag_from_sglang_chunked(self):
+        system = make_system(scheduler=SGLangChunkedScheduler())
         assert system.composer.chunked
+        assert not make_system().composer.chunked
 
     def test_chunked_flag_from_scheduler(self):
         class ChunkWanting(SGLangScheduler):

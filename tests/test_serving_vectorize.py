@@ -3,14 +3,14 @@
 A handful of registry cells covering memory pressure, consumer
 heterogeneity, clustering, and session callbacks: the default run
 (fused windows through the struct-of-arrays batch plane) and the
-per-iteration run (every decode iteration through ``complete_decode``)
-each reproduce the frozen scalar decode reference
-(``scalar_decode_reference.json``) — metrics to rel 1e-9 and the
-single-node timeline exactly.  The full registry sweep lives in
-``test_property_vectorize.py`` (slow lane).  ``deliver_batch`` is also
-checked directly against the scalar ``RequestTracker.deliver_tokens``,
-and its two kernels (per-row and array) against each other, bit for
-bit.
+per-iteration run (every decode window one iteration, delivered by
+``deliver_batch``'s K = 1 branch) each reproduce the frozen scalar
+decode reference (``scalar_decode_reference.json``) — metrics to rel
+1e-9 and the single-node timeline exactly.  The full registry sweep
+lives in ``test_property_vectorize.py`` (slow lane).  ``deliver_batch``
+is also checked directly against the scalar
+``RequestTracker.deliver_tokens`` at K = 1 and above, and its two
+kernels (per-row and array) against each other, bit for bit.
 """
 
 import itertools
@@ -20,6 +20,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+from repro.client.buffer import ClientBuffer
 from repro.core.tracker import RequestTracker
 from repro.scenarios import build_run, get_scenario
 from repro.serving import batchstate
@@ -109,6 +110,40 @@ class TestDeliverBatchEdges:
             for probe in (later[-1], later[-1] + 0.3, 2 * later[-1], 100.0):
                 assert buf_v.occupancy(probe) == buf_s.occupancy(probe)
 
+    def test_k1_matches_scalar_deliver_tokens(self):
+        # Three buffers the kernels cannot take: an empty one receiving
+        # its first token, a traced one, and one whose rate changed
+        # since its last token.  K = 1 runs ClientBuffer.deliver on
+        # each, which must leave the state deliver_tokens leaves.
+        def twin():
+            tracker, requests = self._tracked([10.0, 10.0, 10.0])
+            tracker.get(1).buffer = ClientBuffer(rate=10.0, record_trace=True)
+            for req_id in (1, 2):
+                tracker.deliver_tokens(req_id, [0.1, 0.15])
+            tracker.get(2).buffer.set_rate(40.0)
+            return tracker, requests
+
+        tracker_v, requests_v = twin()
+        tracker_s, requests_s = twin()
+        for t in (0.3, 0.32, 0.9):
+            deliver_batch(tracker_v, requests_v, [t])
+            for request in requests_s:
+                tracker_s.deliver_tokens(request.req_id, [t])
+        for request_v, request_s in zip(requests_v, requests_s):
+            assert request_v.generated == request_s.generated
+            assert request_v.token_times == request_s.token_times
+            assert request_v.ttft == request_s.ttft
+            buf_v = tracker_v.get(request_v.req_id).buffer
+            buf_s = tracker_s.get(request_s.req_id).buffer
+            assert _buffer_state(buf_v) == _buffer_state(buf_s)
+            for probe in (0.9, 1.0, 5.0):
+                assert buf_v.occupancy(probe) == buf_s.occupancy(probe)
+        traced_v, traced_s = tracker_v.get(1).buffer, tracker_s.get(1).buffer
+        assert traced_v.generation_times == traced_s.generation_times
+        assert traced_v.consumption_times == traced_s.consumption_times
+        assert (traced_v.occupancy_at_generation
+                == traced_s.occupancy_at_generation)
+
     @pytest.mark.parametrize("warm", [True, False])
     def test_delivery_walks_the_query_guard(self, warm):
         # Kernel rows (warm) and scalar-fallback rows (a fresh buffer)
@@ -172,6 +207,30 @@ class TestDeliverBatchEdges:
         with pytest.raises(RuntimeError):
             deliver_batch(tracker, requests, [0.1, 0.2])
 
+        # K = 1 delivers row by row through ClientBuffer.deliver: a
+        # failing last row must still find the rows before it
+        # untouched.  Row 0 has an empty buffer (a scalar-fallback row
+        # at K >= 2), row 1 a warm one; row 2 overflows or is not
+        # tracked at all.
+        def snapshot(tracker, requests):
+            return [(r.generated, list(r.token_times), r.ttft,
+                     _buffer_state(tracker.get(r.req_id).buffer))
+                    for r in requests[:2]]
+
+        for failing, error in (("overflow", RuntimeError),
+                               ("untracked", KeyError)):
+            tracker, requests = self._tracked([10.0, 10.0, 10.0])
+            tracker.deliver_tokens(1, [0.1])
+            if failing == "overflow":
+                requests[2].generated = requests[2].output_len
+            else:
+                requests[2] = Request(req_id=9, arrival_time=0.0,
+                                      prompt_len=4, output_len=64, rate=10.0)
+            before = snapshot(tracker, requests)
+            with pytest.raises(error):
+                deliver_batch(tracker, requests, [0.2])
+            assert snapshot(tracker, requests) == before
+
         # Row 1, a kernel row, overflows; row 0 — a kernel row when
         # warmed up, a scalar-fallback row when its buffer is empty —
         # must come out untouched, not half-delivered.
@@ -196,7 +255,6 @@ class TestDeliverBatchEdges:
 BUFFER_FIELDS = (
     "_delivered", "_last_gen", "_last_consume", "_tail_interval",
     "_next_consume", "_cursor_interval", "_consumed", "_stall_time",
-    "_occ_max",
 )
 
 # Short gaps keep tokens ahead of the reader (a backlog); long ones
