@@ -15,9 +15,11 @@
 #                          frozen scalar-reference checks in
 #                          tests/test_serving_vectorize.py), plus
 #                          2-worker `repro matrix` smoke cells, with
-#                          and without a deadline, and one untimed
-#                          pass of scripts/decode_kernel_grid.py;
-#                          targets < 60 s
+#                          and without a deadline, one untimed
+#                          pass of scripts/decode_kernel_grid.py,
+#                          and the perfbench report-digest check on
+#                          burst-preempt (about 12 s on 2 CPUs);
+#                          targets < 90 s
 #
 # The perf wall-clock gate is relaxed in both lanes so slow/loaded
 # runners cannot fail a bit-identical build (the deterministic
@@ -83,6 +85,15 @@ if [[ "$FAST" -eq 1 ]]; then
     # B x K grid, so a renamed kernel or delivery branch fails fast.
     echo "== fast lane: decode kernel grid --repeat 1 =="
     python scripts/decode_kernel_grid.py --repeat 1 > /dev/null || rc=$?
+  fi
+  if [[ "$rc" -eq 0 ]]; then
+    # Bit-exact smoke: the not-slow tests compare the decode plane to
+    # the frozen scalar reference only to rel 1e-9, so one perfbench
+    # report digest (burst-preempt: preemption, offload and the array
+    # kernel) checks it exactly on every push.
+    echo "== fast lane: perfbench burst-preempt report digest =="
+    python3 perfbench/run.py --workload burst-preempt --seed 0 \
+      --seconds 1 --trace 0 || rc=$?
   fi
   if [[ "$rc" -eq 0 ]]; then
     # Catalogue smoke: the long listing renders every ScenarioSpec.doc,

@@ -261,14 +261,6 @@ class ClientBuffer:
         """Tokens delivered but not yet consumed at ``now`` (b_rem)."""
         return self._delivered - self.consumed_count(now)
 
-    def drain_deadline(self, now: float) -> float:
-        """Seconds until the buffer empties at the required rate.
-
-        This is the slack a scheduler has before preempting this
-        request would cause a stall.  Returns 0 for an empty buffer.
-        """
-        return self.occupancy(now) * self.interval
-
     @property
     def delivered(self) -> int:
         """Total tokens delivered so far."""

@@ -150,7 +150,7 @@ class TokenFlowScheduler(BaseScheduler):
             # original index reproduces a key-stable nsmallest without
             # a per-element key callback.
             preempted = view.preempted
-            seconds = view.buffer_state().buffer_seconds_many(preempted)
+            seconds = view.tracker.buffer_seconds_many(preempted, view.now)
             decorated = sorted([(s, i) for i, s in enumerate(seconds)])[:slots]
             starved_first = [preempted[i] for _, i in decorated]
             for request in starved_first:
@@ -276,7 +276,7 @@ class TokenFlowScheduler(BaseScheduler):
         threshold = self.params.critical_buffer_s + self.params.tick_interval
         preempted = view.preempted
         if preempted:
-            seconds = view.buffer_state().buffer_seconds_many(preempted)
+            seconds = view.tracker.buffer_seconds_many(preempted, view.now)
             if min(seconds) < threshold:
                 return True
         return False
@@ -349,9 +349,9 @@ class TokenFlowScheduler(BaseScheduler):
         tau_evict: float,
         tau_load: float,
     ) -> bool:
-        buffers = view.buffer_state()
+        tracker, now = view.tracker, view.now
         for request in view.running:
-            buffered = buffers.occupancy(request.req_id)
+            buffered = tracker.occupancy(request.req_id, now)
             if policy.is_preemption_safe(buffered, request.rate, tau_evict, tau_load):
                 return True
         return False
@@ -405,7 +405,7 @@ class TokenFlowScheduler(BaseScheduler):
         # _assign_resume_modes relies on — it must not re-sort.
         resident_after = len(view.running) + len(view.loading) - len(preempts)
         slots = max(0, view.max_batch - resident_after)
-        seconds = view.buffer_state().buffer_seconds_many(resumes)
+        seconds = view.tracker.buffer_seconds_many(resumes, view.now)
         resumes = [
             resumes[i]
             for _, i in sorted([(s, i) for i, s in enumerate(seconds)])[:slots]
@@ -422,9 +422,8 @@ class TokenFlowScheduler(BaseScheduler):
         tau_evict: float,
         tau_load: float,
     ) -> Candidate:
-        buffers = view.buffer_state()
-        occupancy = buffers.occupancy(request.req_id)
-        buffer_s = buffers.buffer_seconds(request.req_id)
+        occupancy = view.tracker.occupancy(request.req_id, view.now)
+        buffer_s = view.tracker.buffer_seconds(request.req_id, view.now)
         t_eff = max(0.0, self.params.tick_interval - t_overhead)
         priority = request_priority(
             buffer_occupancy=occupancy,
@@ -489,10 +488,10 @@ class TokenFlowScheduler(BaseScheduler):
     # --- reactive OOM path ------------------------------------------------------------
     def select_oom_victims(self, view: SystemView, blocks_needed: int) -> list:
         """Evict the requests with the fattest buffers first (§4.1)."""
-        buffers = view.buffer_state()
+        tracker, now = view.tracker, view.now
         ranked = sorted(
             view.running,
-            key=lambda r: buffers.buffer_seconds(r.req_id),
+            key=lambda r: tracker.buffer_seconds(r.req_id, now),
             reverse=True,
         )
         victims: list = []

@@ -2,15 +2,13 @@
 
 Monitors each request's runtime status: buffer token counts, required
 consumption rate, per-token generation timestamps, preemption history,
-and resource usage.  Both the scheduler (buffer occupancy, drain
-deadlines) and the metrics pipeline (QoS inputs) read from here.
+and resource usage.  Both the scheduler (buffer occupancy in tokens and
+in seconds of playback) and the metrics pipeline (QoS inputs) read from
+here.
 
-The serving loop and the scheduler query the same (request, now)
-pairs many times per iteration — the tracker therefore memoises
-occupancy per simulation timestamp, so each request's buffer state is
-computed at most once per instant no matter how many consumers ask.
-:meth:`snapshot` exposes that shared memo as a bulk view both the
-server and the scheduler can pass around.
+Every buffer query reads the request's :class:`ClientBuffer` cursor
+directly at ``now``; queries come at non-decreasing ``now``, so the
+cursor walk is O(1) amortised and no per-instant cache is kept.
 """
 
 from __future__ import annotations
@@ -28,36 +26,6 @@ class TrackedRequest:
 
     request: Request
     buffer: ClientBuffer
-
-
-class TrackerSnapshot:
-    """Bulk buffer-state view at one instant, backed by the tracker memo.
-
-    All consumers of the same snapshot (server planning, scheduler
-    candidates, write priorities) share one occupancy computation per
-    request; the memo is invalidated automatically when a token is
-    delivered at the same instant.
-    """
-
-    __slots__ = ("_tracker", "now")
-
-    def __init__(self, tracker: "RequestTracker", now: float) -> None:
-        self._tracker = tracker
-        self.now = now
-
-    def occupancy(self, req_id: int) -> int:
-        return self._tracker.occupancy(req_id, self.now)
-
-    def buffer_seconds(self, req_id: int) -> float:
-        return self._tracker.buffer_seconds(req_id, self.now)
-
-    def buffer_seconds_many(self, requests: Sequence) -> list:
-        """Bulk :meth:`buffer_seconds`, one float per request."""
-        return self._tracker.buffer_seconds_many(requests, self.now)
-
-    def min_buffer_seconds(self, requests: Sequence) -> float:
-        """Smallest buffer (seconds) across ``requests`` (non-empty)."""
-        return self._tracker.min_buffer_seconds(requests, self.now)
 
 
 class RequestTracker:
@@ -81,13 +49,6 @@ class RequestTracker:
         self._retire_sink = retire_into
         self._min_arrival: Optional[float] = None
         self._retired_last_activity: Optional[float] = None
-        # Per-instant memo: {req_id -> (occupancy, buffer)} valid for
-        # queries at `_memo_now`.  Caching the buffer alongside keeps
-        # hits to plain dict/attribute access (the interval is read
-        # live off the buffer, so mid-stream rate changes are seen
-        # immediately even on a hit).
-        self._memo_now: Optional[float] = None
-        self._memo_occ: dict = {}
 
     # --- registration ------------------------------------------------------
     def register(self, request: Request) -> TrackedRequest:
@@ -117,20 +78,10 @@ class RequestTracker:
     def entries_by_id(self) -> dict:
         """Live ``{req_id -> TrackedRequest}`` map (treat read-only).
 
-        Exposed for the batch plane's token delivery, which mutates
-        buffers directly and then calls :meth:`invalidate_occupancy_all`.
+        Exposed for the batch plane's token delivery, which mutates the
+        requests and buffers directly.
         """
         return self._entries
-
-    def invalidate_occupancy_all(self) -> None:
-        """Drop every memoised occupancy in one call.
-
-        The vectorised decode plane mutates a whole batch of buffers at
-        once; clearing the memo outright is always semantically safe
-        (it is a pure cache — misses recompute the identical value) and
-        cheaper than one ``pop`` per batch member.
-        """
-        self._memo_occ.clear()
 
     # --- event hooks --------------------------------------------------------
     def deliver_token(self, req_id: int, timestamp: float) -> None:
@@ -140,8 +91,6 @@ class RequestTracker:
             raise KeyError(f"request {req_id} is not tracked")
         entry.request.record_token(timestamp)
         entry.buffer.deliver(timestamp)
-        # The buffer's occupancy at this very instant changed.
-        self._memo_occ.pop(req_id, None)
 
     def deliver_tokens(self, req_id: int, timestamps: list) -> None:
         """Bulk :meth:`deliver_token`: one token at each instant.
@@ -166,7 +115,6 @@ class RequestTracker:
         request.generated += n
         request.token_times.extend(timestamps)
         entry.buffer.deliver_many(timestamps)
-        self._memo_occ.pop(req_id, None)
 
     def mark_finished(self, req_id: int, timestamp: float) -> None:
         entry = self.get(req_id)
@@ -191,96 +139,44 @@ class RequestTracker:
                 latest = candidate
         self._retired_last_activity = latest
         del self._entries[req_id]
-        self._memo_occ.pop(req_id, None)
 
     # --- scheduler queries -----------------------------------------------------
-    def _memo_entry(self, req_id: int, now: float) -> tuple:
-        """(occupancy, buffer) at ``now``, computed at most once per
-        (request, now) — repeated queries at the same instant hit the
-        memo."""
-        if now != self._memo_now:
-            self._memo_now = now
-            self._memo_occ.clear()
-            cached = None
-        else:
-            cached = self._memo_occ.get(req_id)
-        if cached is None:
-            buffer = self.get(req_id).buffer
-            cached = (buffer.occupancy(now), buffer)
-            self._memo_occ[req_id] = cached
-        return cached
-
     def occupancy(self, req_id: int, now: float) -> int:
         """b_rem: unread tokens currently buffered for this request."""
-        return self._memo_entry(req_id, now)[0]
-
-    def drain_deadline(self, req_id: int, now: float) -> float:
-        """Seconds until this request's buffer runs dry at rate r.
-
-        Derived from the memoised occupancy and the buffer's *current*
-        interval, so a mid-stream :meth:`ClientBuffer.set_rate` is
-        reflected immediately even on a memo hit.
-        """
-        occ, buffer = self._memo_entry(req_id, now)
-        return occ * buffer.interval
-
-    def rate(self, req_id: int) -> float:
-        return self.get(req_id).request.rate
+        return self._entries[req_id].buffer.occupancy(now)
 
     def buffer_seconds(self, req_id: int, now: float) -> float:
-        """Buffer occupancy measured in seconds of consumption."""
-        occ, buffer = self._memo_entry(req_id, now)
-        return occ * buffer.interval
+        """Buffer occupancy measured in seconds of consumption: the
+        slack before this request's buffer runs dry at its current rate."""
+        buffer = self._entries[req_id].buffer
+        return buffer.occupancy(now) * buffer.interval
 
     def buffer_seconds_many(self, requests: Sequence, now: float) -> list:
         """:meth:`buffer_seconds` for each request, one flat pass.
 
-        Same values as the per-request query (it fills the same
-        per-instant memo); batched for the scheduler's ranking passes,
-        which decorate-sort the result instead of paying a key
-        callback per element.
+        Batched for the scheduler's ranking passes, which
+        decorate-sort the result instead of paying a key callback per
+        element.
         """
-        if now != self._memo_now:
-            self._memo_now = now
-            self._memo_occ.clear()
-        memo = self._memo_occ
-        memo_get = memo.get
         entries = self._entries
         out = []
         append = out.append
         for request in requests:
-            req_id = request.req_id
-            cached = memo_get(req_id)
-            if cached is None:
-                buffer = entries[req_id].buffer
-                cached = (buffer.occupancy(now), buffer)
-                memo[req_id] = cached
-            occ, buffer = cached
-            append(occ * buffer.interval)
+            buffer = entries[request.req_id].buffer
+            append(buffer.occupancy(now) * buffer.interval)
         return out
 
     def min_buffer_seconds(self, requests: Sequence, now: float) -> float:
         """Smallest ``buffer_seconds`` across ``requests`` (non-empty).
 
-        One flat pass over the shared memo — the bulk query behind the
-        serving loop's per-iteration min-buffer index.
+        The bulk query behind the serving loop's per-iteration
+        min-buffer index.
         """
-        if now != self._memo_now:
-            self._memo_now = now
-            self._memo_occ.clear()
-        memo = self._memo_occ
-        memo_get = memo.get
         entries = self._entries
         smallest: Optional[float] = None
         for request in requests:
-            req_id = request.req_id
-            cached = memo_get(req_id)
-            if cached is None:
-                buffer = entries[req_id].buffer
-                cached = (buffer.occupancy(now), buffer)
-                memo[req_id] = cached
-            occ, buffer = cached
-            seconds = occ * buffer.interval
+            buffer = entries[request.req_id].buffer
+            seconds = buffer.occupancy(now) * buffer.interval
             if smallest is None or seconds < smallest:
                 smallest = seconds
         if smallest is None:
@@ -291,7 +187,7 @@ class RequestTracker:
                           seconds: float) -> bool:
         """Does every request's buffer hold at least ``seconds`` at the
         future instant ``at``?  Read without moving any consumption
-        cursor or touching the memo.
+        cursor.
 
         The answer is the one ``min(buffer_seconds_many(requests, at))
         >= seconds`` would give.  The fusion plane's idle-tick
@@ -310,10 +206,6 @@ class RequestTracker:
             if (delivered - buffer.peek_consumed_count(at)) * interval < seconds:
                 return False
         return True
-
-    def snapshot(self, now: float) -> TrackerSnapshot:
-        """Bulk buffer-state view at ``now`` sharing the per-instant memo."""
-        return TrackerSnapshot(self, now)
 
     # --- metric queries --------------------------------------------------------
     def entries(self) -> Iterable[TrackedRequest]:

@@ -277,31 +277,13 @@ class HierarchicalKVManager:
             self._dirty[req_id] = record
         record.gpu_tokens = tokens + 1
 
-    def decode_growth_blocks(self, req_id: int) -> int:
-        """GPU blocks the next decode token of ``req_id`` would claim.
-
-        Pure query (no allocation) — the serving loop's batch-fitting
-        input, flattened to plain arithmetic over the record state.
-        """
-        record = self._records.get(req_id)
-        if record is None:
-            raise KeyError(f"request {req_id} is not registered with the KV manager")
-        held = (
-            self.gpu_pool.usage.get(req_id, 0)
-            - record.pending_free_blocks
-            + record.shared_blocks
-        )
-        needed = -(-(record.gpu_tokens + 1) // self._block_size)
-        if held <= 0:
-            return needed
-        growth = needed - held
-        return growth if growth > 0 else 0
-
     def decode_growth_blocks_bulk(self, requests: Sequence) -> dict:
-        """:meth:`decode_growth_blocks` for a whole decode batch.
+        """GPU blocks the next decode token of each request would claim,
+        keyed by ``req_id``.
 
-        One call per planning pass instead of one per request; same
-        integer arithmetic, keyed by ``req_id``.
+        Pure query (no allocation), one call per planning pass — the
+        serving loop's batch-fitting input, flattened to plain
+        arithmetic over the record state.
         """
         records = self._records
         usage_get = self.gpu_pool.usage.get

@@ -64,7 +64,10 @@ Rows neither kernel can represent fall back to the scalar
 ``ClientBuffer.deliver`` — the reference recurrence itself — once per
 token: pending segment anchors (a stall the cursor has not reached),
 an empty buffer (no ``_last_consume`` yet), per-token trace recording,
-or a window with tied timestamps.
+or a window with tied timestamps.  A row whose window holds a
+*near-tie* — a comparison the kernels' few ulp of drift could flip —
+goes there too, found by the kernels themselves before any write-back
+(see ``DRIFT`` below).
 """
 
 from __future__ import annotations
@@ -94,7 +97,8 @@ def deliver_batch(tracker, requests, times) -> None:
     A one-token window (an unfused iteration, a prefill's first token)
     runs ``ClientBuffer.deliver`` once per request; longer windows
     batch the buffer arithmetic across requests.  Tied timestamps are
-    legal but route every row through the scalar path.
+    legal but route every row through the scalar path; a row with a
+    near-tie (module docstring) takes it alone.
     """
     k = len(times)
     if k == 0 or not requests:
@@ -124,7 +128,6 @@ def deliver_batch(tracker, requests, times) -> None:
             request.generated += 1
             request.token_times.append(t_first)
             buffer.deliver(t_first)
-        tracker.invalidate_occupancy_all()
         return
 
     strict = True
@@ -158,14 +161,6 @@ def deliver_batch(tracker, requests, times) -> None:
     if not buffers:
         return
 
-    # --- request bookkeeping (mirrors RequestTracker.deliver_tokens) --
-    for request in fast_requests:
-        if request.ttft is None:
-            request.ttft = t_first - request.arrival_time
-            request.first_token_time = t_first
-        request.generated += k
-        request.token_times.extend(times)
-
     if len(buffers) * k <= ROW_KERNEL_MAX_ELEMENTS:
         rows, segments = _row_kernel(buffers, times)
     else:
@@ -173,9 +168,18 @@ def deliver_batch(tracker, requests, times) -> None:
 
     # --- write-back ---------------------------------------------------
     t_last = times[-1]
-    for buffer, (c_last, stall, consumed, nxt, rebased, hist) in zip(
-        buffers, rows
-    ):
+    for request, buffer, row in zip(fast_requests, buffers, rows):
+        if row is None:
+            # A near-tie the closed-form counts cannot settle.
+            deliver_scalar(request.req_id, times)
+            continue
+        # Request bookkeeping (mirrors RequestTracker.deliver_tokens).
+        if request.ttft is None:
+            request.ttft = t_first - request.arrival_time
+            request.first_token_time = t_first
+        request.generated += k
+        request.token_times.extend(times)
+        c_last, stall, consumed, nxt, rebased, hist = row
         buffer._delivered += k
         buffer._last_gen = t_last
         buffer._last_consume = c_last
@@ -199,29 +203,59 @@ def deliver_batch(tracker, requests, times) -> None:
         buffer = buffers[b]
         buffer._segments.append((index, consume, buffer.interval))
 
-    tracker.invalidate_occupancy_all()
-
 
 # Each kernel returns ``(rows, segments)``.  ``rows`` holds one tuple
 # per buffer: (last consumption time, stall to add, consumed count,
 # next cursor time or None, whether the cursor moved into the window
 # and so takes the current interval, the window's occupancy histogram
-# as a (values, counts) pair).
+# as a (values, counts) pair), or None for a row with a near-tie.
 # ``segments`` lists (row, token index, consumption time) for every
-# surviving fresh anchor.
+# surviving fresh anchor of the other rows.
+#
+# Near-ties.  The kernels' consumption times drift from the scalar
+# addition chains by a few ulp per token: deeper window columns are
+# ``d + iv*(j+1)`` rather than repeated additions, and backlog counts
+# are a quotient rather than the cursor's walk.  A comparison against
+# a drifted instant can therefore come out the other way when the two
+# sides nearly coincide.  Each row's drift is bounded by ``tol =
+# (n_back + k + 8) * DRIFT * span``, where ``span`` bounds every time
+# the row's arithmetic touches; a row is a near-tie, and goes to the
+# scalar path, when one of these falls within that bound:
+#
+# - a stall the kernel takes, ``a_j - d`` (a stall it does not take
+#   leaves ``c_j`` drifted next to ``t_j``, caught below);
+# - a drifted window instant ``c_m`` (not column 0, which runs the
+#   scalar's own float ops, nor a stall anchor, exactly ``t_m``)
+#   consumed in the window, against the generation instants either
+#   side of it, and the first one left unconsumed, against ``t_last``
+#   (anchors are always consumed);
+# - a generation instant against the backlog chain instants either
+#   side of it, ``nxt0 + q*civ``, on the quotient's fractional part.
+#
+# Both kernels evaluate these tests with the same float operations, so
+# they still agree bit for bit.  ``DRIFT`` is 2**-52: twice the unit
+# roundoff, a safety factor of two over one rounding per operation.
+DRIFT = 2.0 ** -52
 
 
 def _row_kernel(buffers, times):
     """Advance each row in plain Python: cheap for small windows."""
     k = len(times)
     t_first = times[0]
+    t_last = times[-1]
     # (column, t_j, token number j + 1 as a float) for columns >= 1.
     deeper = [(j, times[j], j + 1.0) for j in range(1, k)]
     rows = []
     segments = []
     for b, buffer in enumerate(buffers):
         iv = buffer.interval
-        ideal = buffer._last_consume + iv
+        lc = buffer._last_consume
+        d0 = buffer._delivered
+        con0 = buffer._consumed
+        n_back = d0 - con0
+        tol = (n_back + k + 8) * DRIFT * ((lc if lc > t_last else t_last) + iv * k)
+        tie = False
+        ideal = lc + iv
         if t_first > ideal:
             stall = t_first - ideal
             c = t_first
@@ -237,7 +271,10 @@ def _row_kernel(buffers, times):
             w = iv * token_no
             a = t - w
             if a > d:
-                terms.append(a - d)
+                gap = a - d
+                if gap <= tol:
+                    tie = True
+                terms.append(gap)
                 fresh.append(j)
                 d = a
                 cs[j] = t
@@ -256,32 +293,47 @@ def _row_kernel(buffers, times):
                     full[j - 1] = term
                 stall = stall + float(np.add.reduce(full))
 
-        d0 = buffer._delivered
-        con0 = buffer._consumed
-        n_back = d0 - con0
         nxt0 = buffer._next_consume
         civ = buffer._cursor_interval
         civ_safe = civ if civ > 0.0 else 1.0
+        tol_q = tol / civ_safe
+        hi_q = 1.0 - tol_q
         occs = [0] * k
         hist = {}
         m = 0
         done = 0
         for j, t in enumerate(times):
             while m < k and cs[m] <= t:
+                if m and m not in fresh and (
+                    t - cs[m] <= tol or j and cs[m] - times[j - 1] <= tol
+                ):
+                    tie = True
                 m += 1
             if done < n_back:
-                # floor((t - nxt0)/civ_safe) + 1 clipped at 0: int()
-                # truncation equals floor for the non-negative quotient.
+                x = (t - nxt0) / civ_safe
                 if t >= nxt0:
-                    done = int((t - nxt0) / civ_safe) + 1
+                    # floor(x) + 1 clipped at 0: int() truncation
+                    # equals floor for the non-negative quotient.
+                    q = int(x)
+                    f = x - q
+                    if f <= tol_q and q < n_back or f >= hi_q and q + 1 < n_back:
+                        tie = True
+                    done = q + 1
                     if done > n_back:
                         done = n_back
+                elif x >= -1.0 and x + 1.0 >= hi_q:
+                    tie = True
             occ = n_back + j + 1 - done - m
             occs[j] = occ
             if occ in hist:
                 hist[occ] += 1
             else:
                 hist[occ] = 1
+        if m and m < k and cs[m] - t_last <= tol:
+            tie = True
+        if tie:
+            rows.append(None)
+            continue
         consumed = con0 + done + m
 
         # A token finding the cursor parked at the stream end re-points
@@ -341,6 +393,7 @@ def _array_kernel(buffers, times):
     nxt0 = state[:, 5]
     civ = state[:, 6]
     n_back = d0 - con0  # rows with no cursor have an empty backlog
+    tol = (n_back + (k + 8)) * DRIFT * (np.maximum(lc, times[-1]) + iv * k)
 
     # --- consumption times -------------------------------------------
     # Column 0 runs the untransformed scalar float ops (exact); deeper
@@ -356,21 +409,32 @@ def _array_kernel(buffers, times):
     d = np.maximum.accumulate(
         np.concatenate([(c_first - iv)[:, None], a], axis=1), axis=1
     )
+    gap = a - d[:, :-1]
     stall_rest = a > d[:, :-1]
+    tie = (stall_rest & (gap <= tol[:, None])).any(axis=1)
     c_rest = np.where(
         stall_rest, t[1:][None, :], d[:, 1:] + iv[:, None] * token_no[None, :]
     )
     c = np.concatenate([c_first[:, None], c_rest], axis=1)
     fresh = np.concatenate([stall0[:, None], stall_rest], axis=1)
-    stall_add = stall_amt0 + ((a - d[:, :-1]) * stall_rest).sum(axis=1)
+    stall_add = stall_amt0 + (gap * stall_rest).sum(axis=1)
 
     # --- consumption counts / occupancy ------------------------------
     # Backlog tokens live on one arithmetic chain from the cursor;
     # count those consumed by each threshold in closed form.
     civ_safe = np.where(civ > 0.0, civ, 1.0)
-    backlog_done = np.floor((t[None, :] - nxt0[:, None]) / civ_safe[:, None])
-    backlog_done = backlog_done.astype(np.int64) + 1
+    quotient = (t[None, :] - nxt0[:, None]) / civ_safe[:, None]
+    q = np.floor(quotient)
+    backlog_done = q.astype(np.int64) + 1
     np.clip(backlog_done, 0, n_back[:, None], out=backlog_done)
+    # Near-ties with the chain instants q and q + 1 either side of t.
+    tol_q = (tol / civ_safe)[:, None]
+    frac = quotient - q
+    back = n_back[:, None]
+    tie |= (
+        (frac <= tol_q) & (q >= 0.0) & (q < back)
+        | (frac >= 1.0 - tol_q) & (q >= -1.0) & (q + 1.0 < back)
+    ).any(axis=1)
     # Window tokens: each row's c is strictly increasing (c_i >=
     # c_{i-1} + iv), so counting entries <= each threshold is binary
     # search, done for all rows in two flat calls: pos[b, m] is the
@@ -386,6 +450,23 @@ def _array_kernel(buffers, times):
         side="right",
     ).reshape(n_rows, k)
     window_done -= k * np.arange(n_rows, dtype=np.int64)[:, None]
+    # Near-ties with drifted window instants: only rows that consume
+    # one in the window, or leave one first in line at t_last.
+    last_done = window_done[:, -1]
+    drifting = np.flatnonzero(last_done)
+    if drifting.size:
+        cw = c[drifting]
+        at = pos[drifting]
+        tol_w = tol[drifting][:, None]
+        first = last_done[drifting][:, None]
+        columns = np.arange(k)
+        near = (
+            (columns >= 1) & (columns < first) & ~fresh[drifting]
+            & ((t[np.minimum(at, k - 1)] - cw <= tol_w)
+               | (at > 0) & (cw - t[np.maximum(at - 1, 0)] <= tol_w))
+            | (columns == first) & (cw - times[-1] <= tol_w)
+        )
+        tie[drifting] |= near.any(axis=1)
     consumed = con0[:, None] + backlog_done + window_done
     token_idx = np.arange(1, k + 1, dtype=np.int64)
     occ = (d0[:, None] + token_idx[None, :]) - consumed
@@ -413,7 +494,7 @@ def _array_kernel(buffers, times):
     nxt = [None if done else v for done, v in zip(all_done.tolist(), nxt)]
 
     index = d0[:, None] + np.arange(0, k, dtype=np.int64)[None, :]
-    survive = fresh & ~parked & (index > consumed_f[:, None])
+    survive = fresh & ~parked & (index > consumed_f[:, None]) & ~tie[:, None]
     rows_cols = np.argwhere(survive)
     segments = zip(
         rows_cols[:, 0].tolist(),
@@ -442,4 +523,6 @@ def _array_kernel(buffers, times):
         rebased.tolist(),
         hists,
     )
+    if tie.any():
+        rows = [None if near else row for near, row in zip(tie.tolist(), rows)]
     return rows, segments

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.core.tracker import RequestTracker, TrackerSnapshot
+    from repro.core.tracker import RequestTracker
     from repro.gpu.executor import LLMExecutor
     from repro.gpu.latency import LatencyModel
     from repro.memory.kv_manager import HierarchicalKVManager
@@ -63,14 +63,12 @@ class SystemView:
         running: the current decode batch.
         preempted: offloaded/dropped requests awaiting resumption.
         loading: requests whose KV load is in flight.
-        tracker: per-request runtime state (buffers, rates).
+        tracker: per-request runtime state; buffer queries take
+            ``now`` explicitly (``tracker.buffer_seconds(req_id, now)``).
         kv: the hierarchical KV manager (memory + I/O state).
         executor: iteration planner (capacity estimate Γ).
         latency: the latency model (recompute estimates).
         max_batch: hard cap on concurrent decode requests.
-        snapshot: bulk buffer-state view at ``now`` backed by the
-            tracker's per-instant memo — schedulers and the serving
-            loop share one occupancy computation per request.
     """
 
     now: float
@@ -84,14 +82,6 @@ class SystemView:
     executor: "LLMExecutor"
     latency: "LatencyModel"
     max_batch: int
-    snapshot: Optional["TrackerSnapshot"] = None
-
-    def buffer_state(self) -> "TrackerSnapshot":
-        """The shared buffer snapshot at ``now`` (created lazily for
-        views built without one, e.g. in unit tests)."""
-        if self.snapshot is None:
-            self.snapshot = self.tracker.snapshot(self.now)
-        return self.snapshot
 
 
 class BaseScheduler(abc.ABC):

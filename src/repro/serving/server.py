@@ -144,18 +144,18 @@ class ServingSystem:
         """Register future arrivals with the event engine."""
         self.admission.submit(requests)
 
-    def feed(self, stream, lookahead: int = 1) -> None:
+    def feed(self, stream) -> None:
         """Drive arrivals from a lazy workload stream.
 
         ``stream`` yields :class:`~repro.workload.request.Request`
-        objects in non-decreasing arrival order; only ``lookahead``
-        future requests are scheduled (hence in memory) at any time —
+        objects in non-decreasing arrival order; only one future
+        request is scheduled (hence in memory) at any time —
         each arrival event pops its successor before admitting, so the
         engine's decision horizon (the fusion plane's
         ``decision_horizon``) always sees the next pending arrival
         exactly as the materialised :meth:`submit` path would.
         """
-        self.admission.feed(stream, lookahead=lookahead)
+        self.admission.feed(stream)
 
     # --- the loop --------------------------------------------------------------
     def _kick(self) -> None:
@@ -184,9 +184,8 @@ class ServingSystem:
         self.offload.execute(boundary)
         overhead += self.scheduler.scheduling_cost_s()
 
-        # Planning below shares one buffer snapshot: the min-buffer
-        # pass and all tracker queries are computed at most once per
-        # iteration for this instant.
+        # The running set's min buffer is computed at most once per
+        # iteration: the prefill budget and the defer decision share it.
         composer = self.composer
         composer.iter_min_buffer = None
         entries = composer.plan_prefill()
@@ -312,7 +311,6 @@ class ServingSystem:
             executor=self.executor,
             latency=self.latency,
             max_batch=self.config.max_batch,
-            snapshot=self.tracker.snapshot(now),
         )
 
     # --- run + report ----------------------------------------------------------

@@ -440,9 +440,17 @@ class ShardedServingCluster:
 
     # --- workload intake --------------------------------------------------
     def submit(self, requests: Sequence) -> None:
-        """Record arrivals; routing happens inside :meth:`run`."""
+        """Record arrivals; routing happens inside :meth:`run`.
+
+        A cluster takes either submitted requests or one fed stream,
+        not both: raises ``ValueError`` once a stream is fed.
+        """
         if self._ran:
             raise RuntimeError("cluster already ran")
+        if self._stream is not None:
+            raise ValueError(
+                "cluster already has a fed stream; submit or feed, not both"
+            )
         for request in requests:
             if request.arrival_time < 0.0:
                 raise ValueError(
@@ -450,19 +458,22 @@ class ShardedServingCluster:
                 )
         self._pending.extend(requests)
 
-    def feed(self, stream, lookahead: int = 1) -> None:
+    def feed(self, stream) -> None:
         """Record a lazy arrival stream; consumed inside :meth:`run`.
 
         The coordinator pops one request at a time (the streamed-run
         memory contract), validating arrival order exactly like
-        :func:`~repro.serving.stages.feed_stream_arrivals`.
+        :func:`~repro.serving.stages.feed_stream_arrivals`.  Raises
+        ``ValueError`` when requests were already submitted.
         """
         if self._ran:
             raise RuntimeError("cluster already ran")
-        if lookahead <= 0:
-            raise ValueError(f"lookahead must be positive, got {lookahead}")
         if self._stream is not None:
             raise RuntimeError("cluster already has a pending stream")
+        if self._pending:
+            raise ValueError(
+                "cluster already has submitted requests; submit or feed, not both"
+            )
         self._stream = iter(stream)
 
     def _iter_dispatches(self, until: Optional[float]):

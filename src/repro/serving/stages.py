@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serving.server import ServingSystem
 
 
-def feed_stream_arrivals(engine, stream, lookahead, on_pop, on_request, label):
+def feed_stream_arrivals(engine, stream, on_pop, on_request, label):
     """Schedule a lazy request stream as a self-refilling event chain.
 
     The streaming-admission implementation behind
@@ -44,7 +44,7 @@ def feed_stream_arrivals(engine, stream, lookahead, on_pop, on_request, label):
     arrival pops its successor off the stream *before* processing its
     own request, so
 
-    * at most ``lookahead`` future requests exist in memory, and
+    * at most one future request exists in memory, and
     * the engine's pending-event horizon always contains the next
       arrival at the instant any work is planned — the fusion plane
       therefore sizes exactly the windows the materialised submit path
@@ -56,14 +56,12 @@ def feed_stream_arrivals(engine, stream, lookahead, on_pop, on_request, label):
     horizon still reports scheduled-but-unserved requests as
     unfinished.
     """
-    if lookahead <= 0:
-        raise ValueError(f"lookahead must be positive, got {lookahead}")
     iterator = iter(stream)
 
-    def schedule_next() -> bool:
+    def schedule_next() -> None:
         request = next(iterator, None)
         if request is None:
-            return False
+            return
         if request.arrival_time < engine.now():
             raise ValueError(
                 f"request {request.req_id} arrives in the past "
@@ -76,7 +74,6 @@ def feed_stream_arrivals(engine, stream, lookahead, on_pop, on_request, label):
             lambda r=request: fire(r),
             label=f"{label}:{request.req_id}",
         )
-        return True
 
     def fire(request: Request) -> None:
         # Refill before processing: planning triggered by this request
@@ -84,9 +81,7 @@ def feed_stream_arrivals(engine, stream, lookahead, on_pop, on_request, label):
         schedule_next()
         on_request(request)
 
-    for _ in range(lookahead):
-        if not schedule_next():
-            break
+    schedule_next()
 
 
 class AdmissionStage:
@@ -126,14 +121,11 @@ class AdmissionStage:
             )
 
     # --- streaming admission ---------------------------------------------
-    def feed(self, stream, lookahead: int = 1) -> None:
+    def feed(self, stream) -> None:
         """Drive arrivals from a lazy request stream.
 
         See :func:`feed_stream_arrivals` for the self-refilling chain
-        and its parity guarantees.  ``lookahead`` > 1 simply primes
-        that many arrivals up front; ordering is unchanged since
-        arrival events fire in time order and same-instant arrivals
-        keep stream order.
+        and its parity guarantees.
         """
         system = self.system
 
@@ -141,7 +133,7 @@ class AdmissionStage:
             system._unfinished += 1
 
         feed_stream_arrivals(
-            self.engine, stream, lookahead, on_pop, self.on_arrival, "arrival"
+            self.engine, stream, on_pop, self.on_arrival, "arrival"
         )
 
     def on_arrival(self, request: Request) -> None:

@@ -6,7 +6,7 @@ objects in non-decreasing ``arrival_time`` order.  Where the classic
 materialises every request of a workload up front — O(total) memory
 before the first event fires — a stream yields them one at a time, so
 the serving layer's :meth:`feed <repro.serving.server.ServingSystem.feed>`
-keeps only a bounded lookahead window of future requests in memory.
+keeps only one future request in memory at a time.
 This is what makes million-request soak scenarios run at O(active)
 footprint (see ARCHITECTURE.md, "Streaming plane").
 

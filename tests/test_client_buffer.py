@@ -122,7 +122,7 @@ class TestOccupancy:
         for idx in range(5):
             buffer.deliver(0.01 * idx)
         # 4 unread tokens at 2 tok/s = 2 s of slack (1 consumed at start).
-        assert buffer.drain_deadline(0.1) == pytest.approx(4 * 0.5)
+        assert buffer.occupancy(0.1) * buffer.interval == pytest.approx(4 * 0.5)
 
 
 class TestStalls:

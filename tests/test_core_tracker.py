@@ -44,8 +44,10 @@ class TestDelivery:
             tracker.deliver_token(1, 0.01 * idx)
         occupancy = tracker.occupancy(1, 0.1)
         assert occupancy == 10 - 2  # two consumed by t=0.1
-        assert tracker.drain_deadline(1, 0.1) == pytest.approx(occupancy / 10.0)
-        assert tracker.buffer_seconds(1, 0.1) == tracker.drain_deadline(1, 0.1)
+        assert tracker.buffer_seconds(1, 0.1) == pytest.approx(occupancy / 10.0)
+        assert tracker.buffer_seconds_many([tracker.get(1).request], 0.1) == [
+            tracker.buffer_seconds(1, 0.1)
+        ]
 
     def test_peek_buffers_hold_matches_a_real_query(self, tracker):
         requests = [make_request(req_id=i, output=200, rate=r)
@@ -63,8 +65,13 @@ class TestDelivery:
                 assert holds == (smallest >= seconds), (at, seconds)
 
     def test_rate_lookup(self, tracker):
-        tracker.register(make_request(req_id=3, rate=7.0))
-        assert tracker.rate(3) == 7.0
+        # Buffer seconds are paced at the request's own rate: 8 tokens
+        # at t=0, one consumed on arrival, 7 left at 7 tok/s.
+        tracker.register(make_request(req_id=3, output=16, rate=7.0))
+        for _ in range(8):
+            tracker.deliver_token(3, 0.0)
+        assert tracker.occupancy(3, 0.0) == 7
+        assert tracker.buffer_seconds(3, 0.0) == 7 * (1.0 / 7.0)
 
 
 class TestFinish:

@@ -1,14 +1,14 @@
 """Equivalence and whitebox tests for the incremental hot paths.
 
-The perf refactor (closed-form buffer occupancy, tracker memoisation,
-KV dirty-set, drain fast path) must be *behaviour-preserving to the
-bit*.  These tests pin that claim:
+The perf refactor (closed-form buffer occupancy, KV dirty-set, drain
+fast path) must be *behaviour-preserving to the bit*.  These tests pin
+that claim:
 
 * the segment-cursor :class:`ClientBuffer` against a reference
   re-implementation of the original per-token pointer scan, over
   random delivery/stall/rate-change traces;
-* tracker memo invalidation on same-instant deliveries and mid-stream
-  ``set_rate``;
+* tracker queries seeing same-instant deliveries (scalar and batch
+  plane) and mid-stream ``set_rate``;
 * run reports with token traces on vs off;
 * chunked-write drain ordering (priority desc, registration asc) and
   the uniform-backlog fast path.
@@ -22,6 +22,8 @@ from repro.client.buffer import ClientBuffer
 from repro.core.scheduler import TokenFlowScheduler
 from repro.core.tracker import RequestTracker
 from repro.memory.kv_manager import HierarchicalKVManager, KVManagerConfig
+from repro.serving import batchstate
+from repro.serving.batchstate import deliver_batch
 from repro.serving.config import ServingConfig
 from repro.serving.export import report_to_dict
 from repro.serving.server import ServingSystem
@@ -77,7 +79,7 @@ class ReferenceBuffer:
     def occupancy(self, now):
         return len(self._gen_times) - self.consumed_count(now)
 
-    def drain_deadline(self, now):
+    def buffer_seconds(self, now):
         return self.occupancy(now) * self._interval
 
 
@@ -111,7 +113,8 @@ class TestClosedFormEquivalence:
             # Queries are non-decreasing (monotone simulation time).
             now = t + query_offset
             assert fast.occupancy(now) == reference.occupancy(now)
-            assert fast.drain_deadline(now) == reference.drain_deadline(now)
+            assert (fast.occupancy(now) * fast.interval
+                    == reference.buffer_seconds(now))
             t = now
         assert fast.stall_time == reference._stall_time
         assert fast.consumption_times == reference._consume_times
@@ -160,30 +163,31 @@ class TestDeliveryGuards:
             buffer.deliver(0.999)
 
 
-class TestTrackerMemo:
-    def test_same_instant_queries_are_memoised(self):
-        tracker = RequestTracker()
-        tracker.register(make_request(req_id=1, output=32, rate=10.0))
-        for idx in range(10):
-            tracker.deliver_token(1, 0.01 * idx)
-        first = tracker.occupancy(1, 0.1)
-        # A second query at the same instant must hit the memo (same
-        # object identity for the cached tuple entry).
-        entry = tracker._memo_occ[1]
-        assert tracker.occupancy(1, 0.1) == first
-        assert tracker._memo_occ[1] is entry
-
-    def test_deliver_invalidates_memo_at_same_instant(self):
-        tracker = RequestTracker()
-        tracker.register(make_request(req_id=1, output=32, rate=10.0))
+class TestTrackerQueries:
+    @pytest.mark.parametrize("limit", [256, 0], ids=["row", "array"])
+    def test_delivery_is_seen_at_same_instant(self, limit, monkeypatch):
+        # Queries read the buffer cursor directly, so a delivery at the
+        # query instant shows in the next query at that instant — by
+        # the tracker's own deliver_token, by deliver_batch at K = 1
+        # (ClientBuffer.deliver per row) and by a K >= 2 window ending
+        # at the query instant (each kernel writes the buffer back).
+        monkeypatch.setattr(batchstate, "ROW_KERNEL_MAX_ELEMENTS", limit)
+        tracker = RequestTracker(record_traces=False)
+        request = make_request(req_id=1, output=32, rate=10.0)
+        tracker.register(request)
         tracker.deliver_token(1, 0.0)
         assert tracker.occupancy(1, 0.05) == 0  # token 0 consumed at 0.0
         tracker.deliver_token(1, 0.05)
-        # Same `now`, but the delivery just changed the buffer: the
-        # memo entry must have been dropped and recomputed.
         assert tracker.occupancy(1, 0.05) == 1
+        deliver_batch(tracker, [request], [0.05])
+        assert tracker.occupancy(1, 0.05) == 2
+        assert tracker.occupancy(1, 0.07) == 2
+        deliver_batch(tracker, [request], [0.06, 0.07])
+        assert tracker.occupancy(1, 0.07) == 4
+        assert tracker.buffer_seconds(1, 0.07) == 4 * 0.1
+        assert tracker.min_buffer_seconds([request], 0.07) == 4 * 0.1
 
-    def test_set_rate_mid_stream_bypasses_memoised_seconds(self):
+    def test_set_rate_mid_stream_changes_seconds(self):
         tracker = RequestTracker()
         tracker.register(make_request(req_id=1, output=64, rate=10.0))
         for idx in range(10):
@@ -191,9 +195,9 @@ class TestTrackerMemo:
         now = 0.1
         occupancy = tracker.occupancy(1, now)
         assert tracker.buffer_seconds(1, now) == occupancy * (1.0 / 10.0)
-        # Adaptive controllers mutate the buffer's rate directly; the
-        # occupancy memo must still be valid while the derived seconds
-        # pick up the new interval immediately.
+        # Adaptive controllers mutate the buffer's rate directly: the
+        # occupancy at this instant is unchanged while the derived
+        # seconds pick up the new interval immediately.
         tracker.get(1).buffer.set_rate(20.0)
         assert tracker.occupancy(1, now) == occupancy
         assert tracker.buffer_seconds(1, now) == occupancy * (1.0 / 20.0)

@@ -245,6 +245,27 @@ def test_run_twice_raises():
         cluster.submit(_requests(1))
 
 
+@pytest.mark.parametrize("submit_first", [True, False])
+def test_submit_and_feed_do_not_mix(submit_first):
+    """Submitted requests and a fed stream cannot share one run: the
+    second intake raises instead of one of them being dropped."""
+    cluster = _cluster(n=2, router="round_robin", shards=1)
+    requests = _requests(5)
+    if submit_first:
+        cluster.submit(requests[:3])
+        with pytest.raises(ValueError, match="submit or feed"):
+            cluster.feed(iter(requests[3:]))
+    else:
+        cluster.feed(iter(requests[3:]))
+        with pytest.raises(ValueError, match="submit or feed"):
+            cluster.submit(requests[:3])
+    # The intake that was accepted still runs in full.
+    cluster.run()
+    report = cluster.report()
+    assert report.aggregate.n_requests == (3 if submit_first else 2)
+    assert cluster.unfinished == 0
+
+
 def test_report_before_run_raises():
     with pytest.raises(RuntimeError, match="before report"):
         _cluster().report()

@@ -116,7 +116,7 @@ class TestFeedSubmitParity:
         assert report.n_finished == report.n_requests > 0
 
     def test_lookahead_window_is_bounded(self):
-        # With lookahead=1 at most one future arrival is scheduled:
+        # A fed stream keeps at most one future arrival scheduled:
         # pending events never exceed in-flight work + 1 arrival +
         # tick, regardless of how many requests the stream holds.
         run = build_run(get_scenario("table1-h200-a", scale=0.1))
