@@ -5,8 +5,9 @@
 #                          property + golden + figure benches)
 #                          including the perf smoke, then the
 #                          perfbench report-digest check on
-#                          every workload and one traced perfbench
-#                          run
+#                          every workload, one traced perfbench
+#                          run, and scripts/check_digests.py over
+#                          seeds 0-3
 #   scripts/ci.sh --fast   fast lane: everything not marked `slow`
 #                          (unit/integration/scenario/orchestration
 #                          tests, including the fused-vs-per-iteration
@@ -128,6 +129,11 @@ else
     echo "== tier-1: perfbench traced run =="
     python3 perfbench/run.py --workload prefix-reuse --seed 0 \
       --seconds 1 --trace 1 || rc=$?
+  fi
+  # More seeds of the same digests: one execute per seed, no timing.
+  if [[ "$rc" -eq 0 ]]; then
+    echo "== tier-1: perfbench digests, seeds 0-3 x every workload =="
+    python3 scripts/check_digests.py --seeds 0-3 || rc=$?
   fi
 fi
 

@@ -3,8 +3,8 @@
 * :mod:`repro.core.qos` — the streaming QoS metric (paper Eq. 1–2) and
   the effective-throughput token weighting (§7.1.3).
 * :mod:`repro.core.tracker` — the Request Tracker component.
-* :mod:`repro.core.estimator` — sliding-window estimators for prefill
-  cost, queueing delay, and the recompute-vs-load decision (§4.2.3).
+* :mod:`repro.core.estimator` — the sliding-window prefill-cost
+  estimator behind the recompute-vs-load decision (§4.2.3).
 * :mod:`repro.core.utility` — the per-request utility/priority
   function (Eq. 3, §4.2.2).
 * :mod:`repro.core.working_set` — working-set sizing and admission
@@ -26,7 +26,7 @@ from repro.core.qos import (
     effective_token_count,
 )
 from repro.core.tracker import RequestTracker, TrackedRequest
-from repro.core.estimator import SlidingWindowMean, PrefillCostEstimator, QueueDelayEstimator
+from repro.core.estimator import SlidingWindowMean, PrefillCostEstimator
 from repro.core.utility import UtilityParams, stall_risk, token_value, request_priority
 from repro.core.working_set import WorkingSetPolicy, WorkingSetParams
 from repro.core.balancer import BufferBalancer, BalanceResult
@@ -44,7 +44,6 @@ __all__ = [
     "TrackedRequest",
     "SlidingWindowMean",
     "PrefillCostEstimator",
-    "QueueDelayEstimator",
     "UtilityParams",
     "stall_risk",
     "token_value",

@@ -28,10 +28,8 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
 
-import numpy as np
-
 from repro.core.balancer import BufferBalancer, Candidate
-from repro.core.estimator import PrefillCostEstimator, QueueDelayEstimator
+from repro.core.estimator import PrefillCostEstimator
 from repro.core.utility import UtilityParams, request_priority
 from repro.core.working_set import WorkingSetParams, WorkingSetPolicy
 from repro.serving.interface import BaseScheduler, SchedulerDecision, SystemView
@@ -89,7 +87,6 @@ class TokenFlowScheduler(BaseScheduler):
         self.params = params if params is not None else TokenFlowParams()
         self.tick_interval = self.params.tick_interval
         self.prefill_cost = PrefillCostEstimator()
-        self.queue_delay = QueueDelayEstimator()
         self._balancer = BufferBalancer(local_search_passes=2)
         self._working_set: Optional[WorkingSetPolicy] = None
         # Profiled swap latencies (moving estimates for the admission rule).
@@ -133,7 +130,7 @@ class TokenFlowScheduler(BaseScheduler):
         """
         decision = SchedulerDecision()
         policy = self._policy(view)
-        self._observe_contexts(view, policy)
+        policy.observe_footprints(view.running)
         ws_size = self._working_set_size(view)
         w_limit = policy.w_scheduled(len(view.running))
         watermark = int(view.kv.gpu_pool.capacity * self.params.admission_watermark_frac)
@@ -192,26 +189,9 @@ class TokenFlowScheduler(BaseScheduler):
         return True
 
     def on_fused_boundaries(self, running, n_iters: int) -> None:
-        """Replay the β observations of the skipped boundary calls.
-
-        Skipped boundary ``j`` (1-based) would have observed every
-        running request at its then-current context length — ``j``
-        tokens past the value at the window's first (real) boundary.
-        """
-        policy = self._working_set
-        if policy is None or n_iters <= 0:
-            return
-        if not running:
-            return
-        # Outer-add the j offsets over the batch's context lengths in
-        # one array op; ravel order (j-major) matches the skipped
-        # per-boundary call order, and all values are exact small
-        # integers, so the estimator sees bit-identical observations.
-        base = np.array(
-            [r.prompt_len + r.generated for r in running], dtype=np.float64
-        )
-        js = np.arange(1.0, n_iters + 1.0)
-        policy.replay_footprints((base[None, :] + js[:, None]).ravel())
+        """Replay the β observations of the skipped boundary calls."""
+        if self._working_set is not None:
+            self._working_set.replay_footprints(running, n_iters)
 
     def tick_is_idle(self, view: SystemView, at: float) -> bool:
         """A tick at ``at`` is idle when :meth:`_is_stressed` would be
@@ -254,7 +234,7 @@ class TokenFlowScheduler(BaseScheduler):
             return self._fcfs_fallback(view)
         decision = SchedulerDecision()
         policy = self._policy(view)
-        self._observe_contexts(view, policy)
+        policy.observe_footprints(view.running)
         self._admit_into_working_set(view, policy, decision)
         self._balance_buffers(view, policy, decision)
         decision.validate()
@@ -316,18 +296,12 @@ class TokenFlowScheduler(BaseScheduler):
         return decision
 
     # --- step 1: working-set determination ---------------------------------------------
-    def _observe_contexts(self, view: SystemView, policy: WorkingSetPolicy) -> None:
-        policy.observe_footprints(view.running)
-
-    def _swap_taus(self) -> tuple:
-        return self._tau_evict, self._tau_load
-
     def _admit_into_working_set(
         self, view: SystemView, policy: WorkingSetPolicy, decision: SchedulerDecision
     ) -> None:
         ws_size = self._working_set_size(view)
         w_limit = policy.w_scheduled(len(view.running))
-        tau_evict, tau_load = self._swap_taus()
+        tau_evict, tau_load = self._tau_evict, self._tau_load
         free = view.kv.gpu_free_blocks()
         for request in view.waiting:
             if ws_size >= w_limit:
@@ -360,7 +334,7 @@ class TokenFlowScheduler(BaseScheduler):
     def _balance_buffers(
         self, view: SystemView, policy: WorkingSetPolicy, decision: SchedulerDecision
     ) -> None:
-        tau_evict, tau_load = self._swap_taus()
+        tau_evict, tau_load = self._tau_evict, self._tau_load
         candidates = []
         # Candidate construction doubles as the working-set id map —
         # balance() only ever names running/preempted members, so no

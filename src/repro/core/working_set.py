@@ -25,10 +25,9 @@ knob).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.core.estimator import SlidingWindowMean
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,8 @@ class WorkingSetParams:
             raise ValueError("safety_factor (mu) must be >= 1")
         if self.schedule_latency < 0:
             raise ValueError("schedule_latency must be non-negative")
+        if self.beta_window <= 0:
+            raise ValueError("beta_window must be positive")
 
 
 class WorkingSetPolicy:
@@ -76,45 +77,53 @@ class WorkingSetPolicy:
             raise ValueError("gpu_capacity_tokens must be positive")
         self.params = params if params is not None else WorkingSetParams()
         self._capacity_tokens = float(gpu_capacity_tokens)
-        self._beta = SlidingWindowMean(
-            self.params.beta_window, initial=self.params.initial_beta_tokens
-        )
+        self._contexts: deque = deque(maxlen=self.params.beta_window)
+        self._context_sum = 0
 
     # --- footprint estimation (β) -------------------------------------------
+    # β is the mean of the last ``beta_window`` observed context lengths.
+    # They are integers, so the window sum is exact and recomputing it
+    # equals any running float sum of the same values; ``S / n`` on ints
+    # is the same correctly rounded quotient as ``float(S) / n``.
     def observe_footprint(self, context_tokens: int) -> None:
         """Feed an observed request context length into the β estimate."""
         if context_tokens <= 0:
             raise ValueError("context_tokens must be positive")
-        self._beta.observe(float(context_tokens))
+        self._contexts.append(context_tokens)
+        self._context_sum = sum(self._contexts)
 
     def observe_footprints(self, requests) -> None:
         """Bulk β update from a batch of requests' context lengths.
 
         Equivalent to calling :meth:`observe_footprint` for each
-        request with a positive context, in order — the scheduler runs
-        this once per iteration over the whole decode batch.  (Request
-        validates ``prompt_len > 0``, so every context is positive and
-        no filter is needed.)
+        request in order — the scheduler runs this once per iteration
+        over the whole decode batch.  (Request validates
+        ``prompt_len > 0``, so every context is positive.)
         """
-        self._beta.observe_many(
-            [float(r.prompt_len + r.generated) for r in requests]
-        )
+        self._contexts.extend([r.prompt_len + r.generated for r in requests])
+        self._context_sum = sum(self._contexts)
 
-    def replay_footprints(self, context_tokens: list) -> None:
-        """Exact bulk replay of skipped :meth:`observe_footprints` calls.
+    def replay_footprints(self, running, n_iters: int) -> None:
+        """Replay ``n_iters`` skipped :meth:`observe_footprints` calls.
 
-        The fused decode path skips per-iteration scheduler boundaries
-        whose only side effect is this β observation; it hands the
-        full (ordered) observation sequence here so the estimator ends
-        in the bit-identical state the per-iteration calls would have
-        produced.
+        Skipped call ``j`` (1-based) would have observed every running
+        request at its context length plus ``j``.  Only the last
+        ``beta_window`` observations of that j-major sequence stay in
+        the window, so only its last ⌈beta_window / B⌉ calls are built.
         """
-        self._beta.observe_bulk(context_tokens)
+        if not running or n_iters <= 0:
+            return
+        contexts = [r.prompt_len + r.generated for r in running]
+        calls = min(n_iters, -(-self.params.beta_window // len(contexts)))
+        window = self._contexts
+        window.extend([c + j for j in range(n_iters - calls + 1, n_iters + 1)
+                       for c in contexts])
+        self._context_sum = sum(window)
 
     def beta(self) -> float:
-        mean = self._beta.mean()
-        assert mean is not None
-        return max(1.0, mean)
+        if not self._contexts:
+            return max(1.0, self.params.initial_beta_tokens)
+        return max(1.0, self._context_sum / len(self._contexts))
 
     # --- sizing (Eq. 4 / Eq. 5) ------------------------------------------------
     def w_static(self) -> int:

@@ -105,6 +105,14 @@ class BaseScheduler(abc.ABC):
         """Periodic decision (preemptions/resumptions); default: nothing."""
         return SchedulerDecision()
 
+    # --- feedback from the serving loop -------------------------------------
+    def observe_prefill(self, n_tokens: int, duration: float) -> None:
+        """A prefill iteration of ``n_tokens`` took ``duration`` seconds;
+        default: ignored."""
+
+    def observe_swap_latency(self, tau_evict: float, tau_load: float) -> None:
+        """Measured evict/load durations of one swap; default: ignored."""
+
     # --- macro-step decode fusion protocol ---------------------------------
     def can_fuse_decode(self, view: SystemView) -> bool:
         """May the serving loop skip boundary calls during a fused window?

@@ -238,45 +238,23 @@ class ServingSystem:
     # --- glue ------------------------------------------------------------------
     def _sample_timeline(self) -> None:
         """Record a (t, queued, running) sample at the current instant."""
-        self._sample_timeline_at(self.engine.now())
+        self._sample_timeline_many((self.engine.now(),))
 
-    def _sample_timeline_at(self, now: float) -> None:
-        """Record a (t, queued, running) sample, downsampling over time.
+    def _sample_timeline_many(self, instants) -> None:
+        """Record a (t, queued, running) sample at each of ``instants``,
+        downsampling over time.
 
         Long runs would otherwise grow the timeline without bound: when
         the sample list reaches ``config.timeline_cap`` it is decimated
         2:1 and the stride doubles, bounding memory at the cap while
         keeping an evenly-spaced record.  Runs shorter than the cap
-        (every test/figure workload) are recorded exactly as before.
+        (every test/figure workload) are recorded exactly.
 
-        ``now`` is a parameter (not read off the engine) because the
-        fused decode path emits the samples of a whole macro-step
+        The fused decode path emits the samples of a whole macro-step
         window — at its historical iteration boundaries — from the
-        window's final completion event.
-        """
-        self._timeline_pending += 1
-        if self._timeline_pending < self._timeline_stride:
-            return
-        self._timeline_pending = 0
-        timeline = self.timeline
-        timeline.append(
-            (
-                now,
-                len(self.waiting) + len(self.prefill_queue),
-                len(self.running),
-            )
-        )
-        if len(timeline) >= self.config.timeline_cap:
-            del timeline[1::2]
-            self._timeline_stride *= 2
-
-    def _sample_timeline_many(self, instants) -> None:
-        """:meth:`_sample_timeline_at` for a fused window's boundaries.
-
-        Queue lengths are frozen across a fused window (no admission,
-        completion, or preemption between its interior boundaries), so
-        the lengths are read once and the stride/decimation bookkeeping
-        runs in one pass — identical samples, one call per window.
+        window's final completion event.  Queue lengths are frozen
+        across a fused window (no admission, completion, or preemption
+        between its interior boundaries), so they are read once.
         """
         stride = self._timeline_stride
         pending = self._timeline_pending

@@ -364,8 +364,7 @@ class MemoryPressureStage:
         return lambda req_id: buffer_seconds(req_id, now)
 
     def observe_swap(self, tau_evict: float, tau_load: float) -> None:
-        if hasattr(self.scheduler, "observe_swap_latency"):
-            self.scheduler.observe_swap_latency(tau_evict, tau_load)
+        self.scheduler.observe_swap_latency(tau_evict, tau_load)
 
 
 # Engine-event label prefixes that read differently as a window's cut
@@ -503,8 +502,7 @@ class DecodeStream:
                     first.append(request)
         if first:
             self.emit_tokens(first, [self.engine.now()])
-        if hasattr(self.scheduler, "observe_prefill"):
-            self.scheduler.observe_prefill(result.tokens, duration)
+        self.scheduler.observe_prefill(result.tokens, duration)
         self.executor.commit(result)
         system._sample_timeline()
         system._busy = False

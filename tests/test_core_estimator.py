@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.estimator import (
-    PrefillCostEstimator,
-    QueueDelayEstimator,
-    SlidingWindowMean,
-)
+from repro.core.estimator import PrefillCostEstimator, SlidingWindowMean
 
 
 class TestSlidingWindowMean:
@@ -30,29 +26,6 @@ class TestSlidingWindowMean:
     def test_invalid_window(self):
         with pytest.raises(ValueError):
             SlidingWindowMean(0)
-
-    def test_bulk_bit_identical_to_sequential(self):
-        # Contract behind the fused decode path's boundary replay:
-        # observe_bulk/observe_many must leave the running sum and
-        # window contents *bit*-identical to per-sample observe calls,
-        # chunked any which way (the sum carries the whole observation
-        # history's float error, so only an exact replay matches).
-        import random
-
-        rng = random.Random(7)
-        values = [rng.uniform(1.0, 4096.0) for _ in range(500)]
-        sequential = SlidingWindowMean(64)
-        for value in values:
-            sequential.observe(value)
-        bulk = SlidingWindowMean(64)
-        i = 0
-        while i < len(values):
-            step = rng.randint(1, 97)
-            bulk.observe_bulk(values[i:i + step])
-            i += step
-        assert bulk._sum == sequential._sum
-        assert list(bulk._values) == list(sequential._values)
-        assert bulk.mean() == sequential.mean()
 
 
 class TestPrefillCostEstimator:
@@ -78,43 +51,3 @@ class TestPrefillCostEstimator:
             est.estimate_recompute(-1)
         with pytest.raises(ValueError):
             PrefillCostEstimator(initial_per_token=0.0)
-
-
-class TestQueueDelayEstimator:
-    def test_initial_default(self):
-        assert QueueDelayEstimator().current() == pytest.approx(0.05)
-
-    def test_moving_average(self):
-        est = QueueDelayEstimator(window=2, initial=0.0)
-        est.observe_delay(0.1)
-        est.observe_delay(0.3)
-        assert est.current() == pytest.approx(0.2)
-
-    def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
-            QueueDelayEstimator().observe_delay(-0.1)
-
-    def test_ndarray_bulk_bit_identical_to_sequential(self):
-        # The vectorised decode plane hands footprint observations to
-        # the estimator as numpy arrays; the array fold must leave the
-        # same bits as per-sample observe calls (same contract as the
-        # list path above).
-        import random
-
-        import numpy as np
-
-        rng = random.Random(11)
-        for window in (3, 64, 200):
-            values = [rng.uniform(1.0, 4096.0) for _ in range(300)]
-            sequential = SlidingWindowMean(window)
-            for value in values:
-                sequential.observe(value)
-            bulk = SlidingWindowMean(window)
-            i = 0
-            while i < len(values):
-                step = rng.randint(1, 97)
-                bulk.observe_bulk(np.asarray(values[i:i + step]))
-                i += step
-            assert bulk._sum == sequential._sum
-            assert list(bulk._values) == list(sequential._values)
-            assert bulk.mean() == sequential.mean()

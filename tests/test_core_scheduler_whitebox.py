@@ -78,7 +78,7 @@ class TestDecisionSafety:
             policy = scheduler._working_set
             if policy is None:
                 continue
-            tau_e, tau_l = scheduler._swap_taus()
+            tau_e, tau_l = scheduler._tau_evict, scheduler._tau_load
             for request in decision.preempt:
                 occupancy = view.tracker.occupancy(request.req_id, view.now)
                 assert policy.is_preemption_safe(

@@ -1,7 +1,12 @@
 """Unit tests for working-set sizing and admission (Eq. 4-5)."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro.core.estimator import SlidingWindowMean
+from repro.core.scheduler import TokenFlowScheduler
 from repro.core.working_set import WorkingSetParams, WorkingSetPolicy
 
 
@@ -23,6 +28,74 @@ class TestBeta:
     def test_invalid_footprint_rejected(self):
         with pytest.raises(ValueError):
             make_policy().observe_footprint(0)
+
+
+def make_running(rng, batch):
+    return [
+        SimpleNamespace(prompt_len=rng.randint(1, 60_000),
+                        generated=rng.randint(0, 4_000))
+        for _ in range(batch)
+    ]
+
+
+def at_boundary(running, j):
+    """The running requests as boundary ``j`` of a window observes them."""
+    return [SimpleNamespace(prompt_len=r.prompt_len, generated=r.generated + j)
+            for r in running]
+
+
+class TestBetaReplay:
+    """A fused window's β replay keeps only the last ``beta_window``
+    observations; it must leave the window exactly as the skipped
+    per-boundary :meth:`observe_footprints` calls would."""
+
+    @pytest.mark.parametrize("batch, n_iters", [
+        (1, 200),    # B = 1
+        (100, 3),    # B > beta_window
+        (5, 4),      # K·B < beta_window: older observations survive
+        (7, 500),    # K·B >> beta_window
+        (64, 1),     # K = 1
+    ])
+    def test_replay_matches_sequential_boundaries(self, batch, n_iters):
+        rng = random.Random(batch * 1000 + n_iters)
+        warm = make_running(rng, 9)
+        running = make_running(rng, batch)
+        sequential = make_policy()
+        replayed = make_policy()
+        for policy in (sequential, replayed):
+            policy.observe_footprints(warm)
+        for j in range(1, n_iters + 1):
+            sequential.observe_footprints(at_boundary(running, j))
+        replayed.replay_footprints(running, n_iters)
+        assert list(replayed._contexts) == list(sequential._contexts)
+        assert replayed.beta() == sequential.beta()
+
+    def test_integer_window_equals_float_running_mean(self):
+        # The float running sum the window replaces: every partial sum
+        # is an integer far below 2**53, so it is exact and both means
+        # are the same correctly rounded quotient.
+        rng = random.Random(3)
+        running = make_running(rng, 13)
+        policy = make_policy()
+        policy.replay_footprints(running, 1000)
+        floats = SlidingWindowMean(policy.params.beta_window)
+        for j in range(1, 1001):
+            for r in running:
+                floats.observe(float(r.prompt_len + r.generated + j))
+        assert policy.beta() == floats.mean()
+
+    def test_fused_boundaries_without_work_are_noops(self):
+        rng = random.Random(5)
+        running = make_running(rng, 4)
+        scheduler = TokenFlowScheduler()
+        scheduler.on_fused_boundaries(running, 5)   # no policy yet
+        assert scheduler._working_set is None
+        policy = scheduler._working_set = make_policy()
+        policy.observe_footprints(running)
+        before = (list(policy._contexts), policy.beta())
+        scheduler.on_fused_boundaries(running, 0)
+        scheduler.on_fused_boundaries([], 7)
+        assert (list(policy._contexts), policy.beta()) == before
 
 
 class TestSizing:
@@ -94,5 +167,7 @@ class TestParams:
             WorkingSetParams(safety_factor=0.5)
         with pytest.raises(ValueError):
             WorkingSetParams(schedule_latency=-1.0)
+        with pytest.raises(ValueError):
+            WorkingSetParams(beta_window=0)
         with pytest.raises(ValueError):
             WorkingSetPolicy(0.0)

@@ -58,6 +58,20 @@ class TestBaseSchedulerDefaults:
         assert scheduler.tick_interval is None
         assert scheduler.scheduling_cost_s() == 0.0
 
+    def test_default_feedback_hooks_are_noops(self):
+        """The serving loop calls both feedback hooks on every
+        scheduler; the defaults accept the measurement and keep
+        nothing."""
+
+        class Minimal(BaseScheduler):
+            def on_iteration_boundary(self, view):
+                return SchedulerDecision()
+
+        scheduler = Minimal()
+        assert scheduler.observe_prefill(128, 0.01) is None
+        assert scheduler.observe_swap_latency(0.02, 0.03) is None
+        assert vars(scheduler) == {}
+
     def test_default_oom_victims_newest_first(self):
         """The default reactive policy mirrors vLLM: evict the most
         recently admitted requests first."""
