@@ -18,9 +18,10 @@
 #                          2-worker `repro matrix` smoke cells, with
 #                          and without a deadline, one untimed
 #                          pass of scripts/decode_kernel_grid.py,
-#                          and the perfbench report-digest check on
-#                          burst-preempt (about 12 s on 2 CPUs);
-#                          targets < 90 s
+#                          the perfbench report-digest check on
+#                          burst-preempt (about 12 s on 2 CPUs), and
+#                          scripts/check_digests.py on burst-preempt
+#                          seeds 1-3 (about 7 s); targets < 90 s
 #
 # The perf wall-clock gate is relaxed in both lanes so slow/loaded
 # runners cannot fail a bit-identical build (the deterministic
@@ -95,6 +96,13 @@ if [[ "$FAST" -eq 1 ]]; then
     echo "== fast lane: perfbench burst-preempt report digest =="
     python3 perfbench/run.py --workload burst-preempt --seed 0 \
       --seconds 1 --trace 0 || rc=$?
+  fi
+  if [[ "$rc" -eq 0 ]]; then
+    # burst-preempt is the only workload whose digests see the buffer
+    # balancer's choices, so three more of its seeds run here too.
+    echo "== fast lane: perfbench digests, burst-preempt seeds 1-3 =="
+    python3 scripts/check_digests.py --workloads burst-preempt \
+      --seeds 1-3 || rc=$?
   fi
   if [[ "$rc" -eq 0 ]]; then
     # Catalogue smoke: the long listing renders every ScenarioSpec.doc,

@@ -14,7 +14,7 @@ from repro.baselines.sglang import SGLangScheduler
 
 
 class SGLangChunkedScheduler(SGLangScheduler):
-    """FCFS + chunked prefill marker (serving loop reads ``wants_chunked``)."""
+    """FCFS + chunked prefill marker (serving loop reads ``wants_chunked_prefill``)."""
 
     name = "sglang-chunked"
     wants_chunked_prefill = True

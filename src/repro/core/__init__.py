@@ -9,8 +9,8 @@
   function (Eq. 3, §4.2.2).
 * :mod:`repro.core.working_set` — working-set sizing and admission
   control (§4.2.1, Eq. 4–5).
-* :mod:`repro.core.balancer` — buffer balancing: greedy selection plus
-  adjacent-swap local search (§4.2.2).
+* :mod:`repro.core.balancer` — buffer balancing: one greedy fill in
+  priority order (§4.2.2).
 * :mod:`repro.core.scheduler` — the two-step buffer-aware scheduler
   with the FCFS fallback (§4.3).
 * :mod:`repro.core.offload` — the Request Offload Manager bridging
@@ -29,7 +29,7 @@ from repro.core.tracker import RequestTracker, TrackedRequest
 from repro.core.estimator import SlidingWindowMean, PrefillCostEstimator
 from repro.core.utility import UtilityParams, stall_risk, token_value, request_priority
 from repro.core.working_set import WorkingSetPolicy, WorkingSetParams
-from repro.core.balancer import BufferBalancer, BalanceResult
+from repro.core.balancer import BalanceResult, balance
 from repro.core.scheduler import TokenFlowScheduler, TokenFlowParams
 from repro.core.offload import RequestOffloadManager
 
@@ -50,8 +50,8 @@ __all__ = [
     "request_priority",
     "WorkingSetPolicy",
     "WorkingSetParams",
-    "BufferBalancer",
     "BalanceResult",
+    "balance",
     "TokenFlowScheduler",
     "TokenFlowParams",
     "RequestOffloadManager",

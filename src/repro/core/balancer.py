@@ -7,10 +7,13 @@ subset should occupy the GPU for the next interval:
 2. pin resident requests whose buffers could *not* survive a swap
    (preempting them would stall playback);
 3. greedily pack the highest-priority candidates into the memory and
-   batch budget;
-4. improve the greedy pick with an adjacent-swap local search — for
-   each adjacent pair across the selection boundary, apply the swap if
-   it raises total utility without violating the constraints.
+   batch budget.
+
+The paper follows the greedy pass with an adjacent-swap local search.
+Over this sort order that search can never act: for finite priorities
+no adjacent pair across the selection boundary both raises the total
+priority and fits the budget (ARCHITECTURE.md, "TokenFlow tick"), so
+the greedy pick is the answer.
 
 The output is a diff against the current placement: requests to
 preempt (resident but not selected) and requests to resume (selected
@@ -29,7 +32,7 @@ class Candidate:
 
     Attributes:
         req_id: request id.
-        priority: utility-derived score (higher = keep on GPU).
+        priority: utility-derived score (higher = keep on GPU); finite.
         blocks: GPU blocks the request needs to be resident.
         resident: currently decodable on the GPU.
         pinned: must stay resident (buffer too thin to swap out).
@@ -55,113 +58,49 @@ class BalanceResult:
     selected: list = field(default_factory=list)      # req_ids on GPU next
     to_preempt: list = field(default_factory=list)    # resident -> offload
     to_resume: list = field(default_factory=list)     # offloaded -> GPU
-    total_priority: float = 0.0
-    blocks_used: int = 0
 
 
-class BufferBalancer:
-    """Greedy + local-search subset selection under memory/batch caps."""
+def balance(
+    candidates: Sequence, block_budget: int, max_batch: int
+) -> BalanceResult:
+    """Choose the GPU-resident subset with one greedy pass.
 
-    def __init__(self, local_search_passes: int = 2) -> None:
-        if local_search_passes < 0:
-            raise ValueError("local_search_passes must be non-negative")
-        self.local_search_passes = local_search_passes
+    Args:
+        candidates: :class:`Candidate` entries for the working set.
+        block_budget: GPU blocks available for these requests.
+        max_batch: maximum concurrent resident requests.
+    """
+    if block_budget < 0:
+        raise ValueError("block_budget must be non-negative")
+    if max_batch <= 0:
+        raise ValueError("max_batch must be positive")
+    ids = [c.req_id for c in candidates]
+    if len(set(ids)) != len(ids):
+        raise ValueError("duplicate req_ids among candidates")
 
-    def balance(
-        self,
-        candidates: Sequence,
-        block_budget: int,
-        max_batch: int,
-    ) -> BalanceResult:
-        """Choose the GPU-resident subset.
+    chosen: set = set()
+    used_blocks = 0
+    for candidate in sorted(
+        candidates, key=lambda c: (not c.pinned, -c.priority, c.req_id)
+    ):
+        if len(chosen) >= max_batch:
+            break
+        # Pinned requests are already resident; they keep their memory
+        # even if the nominal budget is exceeded.
+        if used_blocks + candidate.blocks > block_budget and not candidate.pinned:
+            continue
+        chosen.add(candidate.req_id)
+        used_blocks += candidate.blocks
 
-        Args:
-            candidates: :class:`Candidate` entries for the working set.
-            block_budget: GPU blocks available for these requests.
-            max_batch: maximum concurrent resident requests.
-        """
-        if block_budget < 0:
-            raise ValueError("block_budget must be non-negative")
-        if max_batch <= 0:
-            raise ValueError("max_batch must be positive")
-        ids = [c.req_id for c in candidates]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate req_ids among candidates")
-
-        order = sorted(candidates, key=lambda c: (not c.pinned, -c.priority, c.req_id))
-        chosen = self._greedy(order, block_budget, max_batch)
-        if self.local_search_passes > 0:
-            chosen = self._local_search(order, chosen, block_budget, max_batch)
-        return self._as_result(candidates, chosen)
-
-    # --- internals ------------------------------------------------------------
-    def _greedy(
-        self, order: Sequence, block_budget: int, max_batch: int
-    ) -> set:
-        chosen: set = set()
-        used_blocks = 0
-        for candidate in order:
-            if len(chosen) >= max_batch:
-                break
-            if used_blocks + candidate.blocks > block_budget and not candidate.pinned:
-                continue
-            if candidate.pinned and used_blocks + candidate.blocks > block_budget:
-                # Pinned requests are already resident; they keep their
-                # memory even if the nominal budget is exceeded.
-                chosen.add(candidate.req_id)
-                used_blocks += candidate.blocks
-                continue
-            chosen.add(candidate.req_id)
-            used_blocks += candidate.blocks
-        return chosen
-
-    def _local_search(
-        self,
-        order: Sequence,
-        chosen: set,
-        block_budget: int,
-        max_batch: int,
-    ) -> set:
-        """Adjacent-swap refinement over the priority ordering."""
-        chosen = set(chosen)
-        for _ in range(self.local_search_passes):
-            improved = False
-            for left, right in zip(order, order[1:]):
-                inside, outside = None, None
-                if left.req_id in chosen and right.req_id not in chosen:
-                    inside, outside = left, right
-                elif right.req_id in chosen and left.req_id not in chosen:
-                    inside, outside = right, left
-                if inside is None or outside is None or inside.pinned:
-                    continue
-                gain = outside.priority - inside.priority
-                if gain <= 0:
-                    continue
-                used = sum(c.blocks for c in order if c.req_id in chosen)
-                if used - inside.blocks + outside.blocks > block_budget:
-                    continue
-                chosen.discard(inside.req_id)
-                chosen.add(outside.req_id)
-                improved = True
-            if not improved:
-                break
-        # max_batch can never be violated by 1-for-1 swaps.
-        assert len(chosen) <= max_batch
-        return chosen
-
-    def _as_result(self, candidates: Sequence, chosen: set) -> BalanceResult:
-        result = BalanceResult()
-        for candidate in candidates:
-            selected = candidate.req_id in chosen
-            if selected:
-                result.selected.append(candidate.req_id)
-                result.total_priority += candidate.priority
-                result.blocks_used += candidate.blocks
-                if not candidate.resident:
-                    result.to_resume.append(candidate.req_id)
-            elif candidate.resident and not candidate.pinned:
-                # Pinned residents outside the selection stay resident:
-                # swapping them out would stall their playback, which
-                # defeats the point of buffer balancing.
-                result.to_preempt.append(candidate.req_id)
-        return result
+    result = BalanceResult()
+    for candidate in candidates:
+        if candidate.req_id in chosen:
+            result.selected.append(candidate.req_id)
+            if not candidate.resident:
+                result.to_resume.append(candidate.req_id)
+        elif candidate.resident and not candidate.pinned:
+            # Pinned residents outside the selection stay resident:
+            # swapping them out would stall their playback, which
+            # defeats the point of buffer balancing.
+            result.to_preempt.append(candidate.req_id)
+    return result

@@ -15,20 +15,21 @@ Each tick (Δt, the paper's reschedule interval):
   the μ·r·(τ_evict+τ_load+τ_sched) criterion).
 * **Step 2, buffer balancing** — score every working-set member with
   the utility-derived priority, pin residents that could not survive
-  a swap, and run greedy + local-search selection; the diff becomes
-  preempt/resume actions.  Resumptions choose load vs recompute by
-  comparing the live t_IO estimate with the sliding-window recompute
-  estimate (§4.2.3), and in-flight I/O caps how many swaps are issued
-  (I/O-aware preemption).
+  a swap, and fill the GPU greedily in priority order; the diff
+  becomes preempt/resume actions.  Resumptions choose load vs
+  recompute by comparing the live t_IO estimate with the
+  sliding-window recompute estimate (§4.2.3), and in-flight I/O caps
+  how many swaps are issued (I/O-aware preemption).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
 
-from repro.core.balancer import BufferBalancer, Candidate
+from repro.core.balancer import Candidate, balance
 from repro.core.estimator import PrefillCostEstimator
 from repro.core.utility import UtilityParams, request_priority
 from repro.core.working_set import WorkingSetParams, WorkingSetPolicy
@@ -65,10 +66,13 @@ class TokenFlowParams:
     scheduling_cost_s: float = 0.0004
 
     def __post_init__(self) -> None:
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
-        if self.critical_buffer_s < 0:
-            raise ValueError("critical_buffer_s must be non-negative")
+        # NaN passes a sign check.  An infinite interval makes a
+        # priority 0 * inf = NaN, and the greedy balancer is optimal
+        # only over finite priorities (see repro.core.balancer).
+        if not math.isfinite(self.tick_interval) or self.tick_interval <= 0:
+            raise ValueError("tick_interval must be positive and finite")
+        if not math.isfinite(self.critical_buffer_s) or self.critical_buffer_s < 0:
+            raise ValueError("critical_buffer_s must be non-negative and finite")
         if self.max_loads_per_tick <= 0 or self.max_preempts_per_tick <= 0:
             raise ValueError("per-tick action caps must be positive")
         if not 0 <= self.admission_watermark_frac < 1:
@@ -87,7 +91,6 @@ class TokenFlowScheduler(BaseScheduler):
         self.params = params if params is not None else TokenFlowParams()
         self.tick_interval = self.params.tick_interval
         self.prefill_cost = PrefillCostEstimator()
-        self._balancer = BufferBalancer(local_search_passes=2)
         self._working_set: Optional[WorkingSetPolicy] = None
         # Profiled swap latencies (moving estimates for the admission rule).
         self._tau_evict = 0.05
@@ -194,20 +197,12 @@ class TokenFlowScheduler(BaseScheduler):
             self._working_set.replay_footprints(running, n_iters)
 
     def tick_is_idle(self, view: SystemView, at: float) -> bool:
-        """A tick at ``at`` is idle when :meth:`_is_stressed` would be
-        False there: nothing pending, no decode overflow, and every
-        preempted buffer still at least one tick above T_critical.
-        The queues are frozen inside a window, so only the preempted
-        buffers move with ``at``; they are peeked without moving a
-        consumption cursor.  An idle :meth:`on_tick` only counts a
-        pass, which :meth:`on_idle_ticks` replays."""
-        if view.waiting or view.prefill_queue or len(view.running) > view.max_batch:
-            return False
-        preempted = view.preempted
-        if not preempted:
-            return True
-        threshold = self.params.critical_buffer_s + self.params.tick_interval
-        return view.tracker.peek_buffers_hold(preempted, at, threshold)
+        """A tick at ``at`` is idle when the system is not stressed
+        there (:meth:`_stressed_at`).  The queues are frozen inside a
+        window, so only the preempted buffers move with ``at``.  An
+        idle :meth:`on_tick` only counts a pass, which
+        :meth:`on_idle_ticks` replays."""
+        return not self._stressed_at(view, at)
 
     def on_idle_ticks(self, n_ticks: int) -> None:
         self.scheduling_passes += n_ticks
@@ -226,7 +221,7 @@ class TokenFlowScheduler(BaseScheduler):
     # --- the two-step tick -------------------------------------------------------
     def on_tick(self, view: SystemView) -> SchedulerDecision:
         self.scheduling_passes += 1
-        if not self._is_stressed(view):
+        if not self._stressed_at(view, view.now):
             return SchedulerDecision()
         self.active_passes += 1
         if not self._is_schedulable(view):
@@ -241,8 +236,14 @@ class TokenFlowScheduler(BaseScheduler):
         return decision
 
     # --- stress / schedulability ---------------------------------------------------
-    def _is_stressed(self, view: SystemView) -> bool:
-        """§4.2.1: pending demand or buffer-critical preempted requests."""
+    def _stressed_at(self, view: SystemView, at: float) -> bool:
+        """§4.2.1: pending demand or buffer-critical preempted requests.
+
+        ``on_tick`` asks at ``view.now``; the fusion planner asks about
+        future tick instants inside a window it may still reject, so
+        the preempted buffers are peeked without moving a consumption
+        cursor.
+        """
         if view.waiting or view.prefill_queue:
             return True
         # More residents than decode slots: buffer balancing must trim
@@ -254,12 +255,7 @@ class TokenFlowScheduler(BaseScheduler):
         # §3.3): a preempted request that will cross T_critical before
         # the next pass counts as critical now.
         threshold = self.params.critical_buffer_s + self.params.tick_interval
-        preempted = view.preempted
-        if preempted:
-            seconds = view.tracker.buffer_seconds_many(preempted, view.now)
-            if min(seconds) < threshold:
-                return True
-        return False
+        return not view.tracker.peek_buffers_hold(view.preempted, at, threshold)
 
     def _working_set_size(self, view: SystemView) -> int:
         return len(view.prefill_queue) + len(view.running) + len(view.loading) + len(view.preempted)
@@ -301,34 +297,36 @@ class TokenFlowScheduler(BaseScheduler):
     ) -> None:
         ws_size = self._working_set_size(view)
         w_limit = policy.w_scheduled(len(view.running))
-        tau_evict, tau_load = self._tau_evict, self._tau_load
         free = view.kv.gpu_free_blocks()
+        # The victim test reads only the running set, so it is asked at
+        # most once per tick, and only once memory runs short.
+        has_victim = None
         for request in view.waiting:
             if ws_size >= w_limit:
                 break
             needed = view.kv.blocks_for_tokens(request.prompt_len)
             has_memory = needed <= free
-            has_victim = self._exists_safe_victim(view, policy, tau_evict, tau_load)
-            if not (has_memory or has_victim):
-                break
+            if not has_memory:
+                if has_victim is None:
+                    has_victim = self._exists_safe_victim(view, policy)
+                if not has_victim:
+                    break
             decision.admit.append(request)
             ws_size += 1
             if has_memory:
                 free -= needed
 
-    def _exists_safe_victim(
-        self,
-        view: SystemView,
-        policy: WorkingSetPolicy,
-        tau_evict: float,
-        tau_load: float,
-    ) -> bool:
+    def _exists_safe_victim(self, view: SystemView, policy: WorkingSetPolicy) -> bool:
+        """Could some running request be swapped out without stalling?"""
         tracker, now = view.tracker, view.now
-        for request in view.running:
-            buffered = tracker.occupancy(request.req_id, now)
-            if policy.is_preemption_safe(buffered, request.rate, tau_evict, tau_load):
-                return True
-        return False
+        tau_evict, tau_load = self._tau_evict, self._tau_load
+        return any(
+            policy.is_preemption_safe(
+                tracker.occupancy(request.req_id, now), request.rate,
+                tau_evict, tau_load,
+            )
+            for request in view.running
+        )
 
     # --- step 2: buffer balancing --------------------------------------------------------
     def _balance_buffers(
@@ -362,7 +360,7 @@ class TokenFlowScheduler(BaseScheduler):
         for request in chain(view.prefill_queue, decision.admit):
             reserve += view.kv.blocks_for_tokens(request.prompt_len)
         budget = max(0, view.kv.gpu_pool.capacity - reserve)
-        result = self._balancer.balance(candidates, budget, view.max_batch)
+        result = balance(candidates, budget, view.max_batch)
 
         preempts = [by_id[rid] for rid in result.to_preempt][: self.params.max_preempts_per_tick]
         decision.preempt.extend(preempts)
@@ -437,14 +435,15 @@ class TokenFlowScheduler(BaseScheduler):
         """
         loads_left = self.params.max_loads_per_tick
         block_budget = view.kv.gpu_free_blocks() + extra_free_blocks
+        # I/O-awareness: stop queueing loads once the h2d direction is
+        # backed up beyond one scheduling interval.  No transfer is
+        # issued while deciding, so the backlog is read once.
+        io_ok = view.kv.link.h2d.queueing_delay(view.now) < self.params.tick_interval
         for request in resumes:
             record = view.kv.record(request.req_id)
             needed = view.kv.blocks_for_tokens(max(1, record.cpu_tokens))
             t_io = view.kv.estimate_io_time(request.context_len, 0, view.now)
             t_rec = self.prefill_cost.estimate_recompute(request.context_len)
-            # I/O-awareness: stop queueing loads once the h2d direction
-            # is backed up beyond one scheduling interval.
-            io_ok = view.kv.link.h2d.queueing_delay(view.now) < self.params.tick_interval
             can_load = (
                 record.cpu_tokens > 0
                 and view.kv.config.enable_offload

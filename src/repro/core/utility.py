@@ -52,12 +52,12 @@ class UtilityParams:
     stall_scale: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
-        if self.stall_scale <= 0:
-            raise ValueError("stall_scale must be positive")
-        if not 0 < self.tau1_frac < self.tau2_frac:
-            raise ValueError("need 0 < tau1_frac < tau2_frac")
+        if not math.isfinite(self.gamma) or self.gamma < 0:
+            raise ValueError("gamma must be non-negative and finite")
+        if not math.isfinite(self.stall_scale) or self.stall_scale <= 0:
+            raise ValueError("stall_scale must be positive and finite")
+        if not 0 < self.tau1_frac < self.tau2_frac or not math.isfinite(self.tau2_frac):
+            raise ValueError("need 0 < tau1_frac < tau2_frac, both finite")
 
 
 def stall_risk(buffer_seconds: float, params: UtilityParams) -> float:
@@ -97,14 +97,3 @@ def request_priority(
     value = token_value(buffer_occupancy, output_len, params)
     return value * effective_time + params.gamma * stall_risk(buffer_seconds, params)
 
-
-def eq3_utility(
-    token_value_v: float,
-    effective_time: float,
-    buffer_seconds: float,
-    params: UtilityParams,
-) -> float:
-    """Literal Eq. 3 form, U = v·t − γ·φ(b), exposed for analysis."""
-    return token_value_v * effective_time - params.gamma * stall_risk(
-        buffer_seconds, params
-    )

@@ -25,6 +25,7 @@ knob).
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional
@@ -53,14 +54,14 @@ class WorkingSetParams:
     initial_beta_tokens: float = 1024.0
 
     def __post_init__(self) -> None:
-        if self.overcommit_factor < 1.0:
-            raise ValueError("overcommit_factor must be >= 1")
+        if not math.isfinite(self.overcommit_factor) or self.overcommit_factor < 1.0:
+            raise ValueError("overcommit_factor must be finite and >= 1")
         if not 0.0 <= self.adjust_rate <= 1.0:
             raise ValueError("adjust_rate must be in [0, 1]")
-        if self.safety_factor < 1.0:
-            raise ValueError("safety_factor (mu) must be >= 1")
-        if self.schedule_latency < 0:
-            raise ValueError("schedule_latency must be non-negative")
+        if not math.isfinite(self.safety_factor) or self.safety_factor < 1.0:
+            raise ValueError("safety_factor (mu) must be finite and >= 1")
+        if not math.isfinite(self.schedule_latency) or self.schedule_latency < 0:
+            raise ValueError("schedule_latency must be non-negative and finite")
         if self.beta_window <= 0:
             raise ValueError("beta_window must be positive")
 

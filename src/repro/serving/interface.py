@@ -96,6 +96,10 @@ class BaseScheduler(abc.ABC):
 
     name: str = "base"
     tick_interval: Optional[float] = None
+    # Opt-ins read by the serving loop's stages: buffer-aware
+    # prefill/decode interleaving (§4.2.3), and chunked prefill.
+    decode_priority_aware: bool = False
+    wants_chunked_prefill: bool = False
 
     @abc.abstractmethod
     def on_iteration_boundary(self, view: SystemView) -> SchedulerDecision:

@@ -181,7 +181,7 @@ class BatchComposer:
         self.config = system.config
         self.running = system.running
         self.prefill_queue = system.prefill_queue
-        self.chunked = getattr(system.scheduler, "wants_chunked_prefill", False)
+        self.chunked = system.scheduler.wants_chunked_prefill
         # Per-iteration cache (reset by the shell at iteration start).
         self.iter_min_buffer: Optional[float] = None
         self.decodes_since_prefill = 0
@@ -212,7 +212,7 @@ class BatchComposer:
         cap bounds how often that floor is exercised).
         """
         budget = self.config.max_prefill_tokens
-        if not getattr(self.scheduler, "decode_priority_aware", False) or not self.running:
+        if not self.scheduler.decode_priority_aware or not self.running:
             return budget
         slack = self.min_running_buffer() - self.prefill_defer_margin
         dyn = int(slack / self.per_token_prefill_s) if slack > 0 else 0
@@ -227,7 +227,7 @@ class BatchComposer:
         drain during it — latency-sensitive decodes bypass the prefill
         batch.  A progress cap guarantees prefill is never starved.
         """
-        if not getattr(self.scheduler, "decode_priority_aware", False):
+        if not self.scheduler.decode_priority_aware:
             return False
         if not self.running:
             return False
@@ -256,7 +256,7 @@ class BatchComposer:
         budget = self.prefill_token_budget()
         if budget <= 0:
             return entries
-        if len(queue) > 1 and getattr(self.scheduler, "decode_priority_aware", False):
+        if len(queue) > 1 and self.scheduler.decode_priority_aware:
             # Recompute-resumes have live consumers draining a buffer;
             # they bypass fresh admissions (§4.2.3 latency-sensitive
             # bypass).  Fresh requests keep FCFS order among themselves.
@@ -291,9 +291,7 @@ class BatchComposer:
         """Assemble the decode batch, resolving memory pressure first."""
         if not self.running:
             return []
-        if len(self.running) > self.config.max_batch and getattr(
-            self.scheduler, "decode_priority_aware", False
-        ):
+        if len(self.running) > self.config.max_batch and self.scheduler.decode_priority_aware:
             # More residents than decode slots: serve the most starved.
             # Bulk seconds + decorate-sort == a stable nsmallest by
             # buffer seconds, without a key callback per element.

@@ -1,5 +1,7 @@
 """Unit tests for the TokenFlow scheduler (two-step algorithm, §4)."""
 
+import math
+
 import pytest
 
 from repro.core.scheduler import TokenFlowParams, TokenFlowScheduler
@@ -39,13 +41,21 @@ class TestParams:
             TokenFlowParams(max_loads_per_tick=0)
         with pytest.raises(ValueError):
             TokenFlowParams(admission_watermark_frac=1.0)
+        # NaN passes a `< 0` check, and an infinite interval makes a
+        # priority 0 * inf = NaN: both are rejected.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                TokenFlowParams(tick_interval=bad)
+            with pytest.raises(ValueError):
+                TokenFlowParams(critical_buffer_s=bad)
 
 
 class TestStressGating:
     def test_idle_system_not_stressed(self):
         system = make_system()
         scheduler = system.scheduler
-        assert not scheduler._is_stressed(system.view())
+        view = system.view()
+        assert not scheduler._stressed_at(view, view.now)
 
     def test_waiting_requests_stress(self):
         system = make_system()
@@ -54,7 +64,7 @@ class TestStressGating:
         # At least one request still waiting or prefilling right after arrival.
         view = system.view()
         if view.waiting or view.prefill_queue:
-            assert system.scheduler._is_stressed(view)
+            assert system.scheduler._stressed_at(view, view.now)
 
     def test_oversized_running_set_stresses(self):
         system = make_system(max_batch=2)
@@ -62,7 +72,32 @@ class TestStressGating:
         system.run(until=3.0)
         view = system.view()
         if len(view.running) > view.max_batch:
-            assert system.scheduler._is_stressed(view)
+            assert system.scheduler._stressed_at(view, view.now)
+
+    def test_predicate_decides_every_active_tick(self):
+        """on_tick and tick_is_idle share one stress predicate: on a
+        preempting burst, a tick counts an active pass exactly when the
+        predicate holds at that tick's instant.  The predicate only
+        peeks at buffers, so asking it first changes nothing."""
+        system = make_system(max_batch=4)
+        scheduler = system.scheduler
+        on_tick = scheduler.on_tick
+        outcomes = []
+
+        def checked_tick(view):
+            stressed = scheduler._stressed_at(view, view.now)
+            assert scheduler.tick_is_idle(view, view.now) is not stressed
+            before = scheduler.active_passes
+            decision = on_tick(view)
+            outcomes.append((stressed, scheduler.active_passes - before))
+            return decision
+
+        scheduler.on_tick = checked_tick
+        system.submit(burst(12, output=256))
+        system.run(until=10_000.0)
+        assert system.report().preemptions > 0
+        assert all(active == int(stressed) for stressed, active in outcomes)
+        assert {stressed for stressed, _ in outcomes} == {True, False}
 
 
 class TestSchedulability:

@@ -1,10 +1,11 @@
 """Unit tests for the utility/priority function (Eq. 3)."""
 
+import math
+
 import pytest
 
 from repro.core.utility import (
     UtilityParams,
-    eq3_utility,
     request_priority,
     stall_risk,
     token_value,
@@ -63,12 +64,6 @@ class TestPriority:
         assert p_urgent > p_gentle
 
 
-class TestEq3:
-    def test_literal_form(self, params):
-        value = eq3_utility(1.0, 0.5, 2.0, params)
-        assert value == pytest.approx(0.5 - 4.0 * stall_risk(2.0, params))
-
-
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -77,3 +72,14 @@ class TestParams:
             UtilityParams(stall_scale=0.0)
         with pytest.raises(ValueError):
             UtilityParams(tau1_frac=0.3, tau2_frac=0.2)
+        # Non-finite knobs would make request_priority return NaN or
+        # ±inf (e.g. 0 * inf), and the balancer needs finite priorities.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                UtilityParams(gamma=bad)
+            with pytest.raises(ValueError):
+                UtilityParams(stall_scale=bad)
+            with pytest.raises(ValueError):
+                UtilityParams(tau2_frac=bad)
+        with pytest.raises(ValueError):
+            UtilityParams(tau1_frac=math.nan)

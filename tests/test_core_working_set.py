@@ -1,5 +1,6 @@
 """Unit tests for working-set sizing and admission (Eq. 4-5)."""
 
+import math
 import random
 from types import SimpleNamespace
 
@@ -169,5 +170,14 @@ class TestParams:
             WorkingSetParams(schedule_latency=-1.0)
         with pytest.raises(ValueError):
             WorkingSetParams(beta_window=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                WorkingSetParams(overcommit_factor=bad)
+            with pytest.raises(ValueError):
+                WorkingSetParams(adjust_rate=bad)
+            with pytest.raises(ValueError):
+                WorkingSetParams(safety_factor=bad)
+            with pytest.raises(ValueError):
+                WorkingSetParams(schedule_latency=bad)
         with pytest.raises(ValueError):
             WorkingSetPolicy(0.0)

@@ -5,9 +5,16 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.balancer import BufferBalancer, Candidate
+from repro.core.balancer import Candidate, balance
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)
+
+
+# Finite priorities, with ties (and -0.0 tying 0.0) drawn often.
+priorities = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 4.0]),
+    st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
+)
 
 
 @st.composite
@@ -20,8 +27,8 @@ def candidate_sets(draw):
         candidates.append(
             Candidate(
                 req_id=req_id,
-                priority=draw(st.floats(0.0, 10.0)),
-                blocks=draw(st.integers(0, 50)),
+                priority=draw(priorities),
+                blocks=draw(st.one_of(st.just(0), st.integers(0, 50))),
                 resident=resident,
                 pinned=pinned,
             )
@@ -37,7 +44,7 @@ class TestBalancerProperties:
     )
     @settings(max_examples=300, deadline=None)
     def test_selection_is_consistent_partition(self, candidates, budget, max_batch):
-        result = BufferBalancer().balance(candidates, budget, max_batch)
+        result = balance(candidates, budget, max_batch)
         selected = set(result.selected)
         by_id = {c.req_id: c for c in candidates}
         # Diff lists are consistent with the selection.
@@ -58,7 +65,7 @@ class TestBalancerProperties:
     @settings(max_examples=300, deadline=None)
     def test_budget_respected_for_unpinned(self, candidates, budget, max_batch):
         """Unpinned selections fit the budget (pinned keep their memory)."""
-        result = BufferBalancer().balance(candidates, budget, max_batch)
+        result = balance(candidates, budget, max_batch)
         by_id = {c.req_id: c for c in candidates}
         unpinned_blocks = sum(
             by_id[rid].blocks for rid in result.selected if not by_id[rid].pinned
@@ -73,12 +80,23 @@ class TestBalancerProperties:
         budget=st.integers(0, 200),
         max_batch=st.integers(1, 16),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_local_search_never_worse_than_greedy(self, candidates, budget, max_batch):
-        greedy = BufferBalancer(local_search_passes=0).balance(
-            candidates, budget, max_batch
-        )
-        refined = BufferBalancer(local_search_passes=3).balance(
-            candidates, budget, max_batch
-        )
-        assert refined.total_priority >= greedy.total_priority - 1e-9
+    @settings(max_examples=300, deadline=None)
+    def test_greedy_admits_no_improving_adjacent_swap(self, candidates, budget,
+                                                      max_batch):
+        """The paper's local search swaps an unpinned selected candidate
+        with an unselected neighbour in priority order when that raises
+        the total priority and fits the budget.  Over the greedy pick no
+        such pair exists, so the search is omitted (ARCHITECTURE.md,
+        "TokenFlow tick")."""
+        chosen = set(balance(candidates, budget, max_batch).selected)
+        order = sorted(candidates, key=lambda c: (not c.pinned, -c.priority, c.req_id))
+        used = sum(c.blocks for c in candidates if c.req_id in chosen)
+        for left, right in zip(order, order[1:]):
+            if (left.req_id in chosen) == (right.req_id in chosen):
+                continue
+            inside, outside = (left, right) if left.req_id in chosen else (right, left)
+            if inside.pinned:
+                continue
+            raises = outside.priority > inside.priority
+            fits = used - inside.blocks + outside.blocks <= budget
+            assert not (raises and fits)

@@ -72,6 +72,26 @@ class TestBaseSchedulerDefaults:
         assert scheduler.observe_swap_latency(0.02, 0.03) is None
         assert vars(scheduler) == {}
 
+    def test_default_opt_in_flags_are_off(self):
+        """The serving stages read both opt-ins as plain attributes; a
+        scheduler that declares neither gets unchunked prefill with the
+        full per-iteration budget."""
+
+        class Minimal(BaseScheduler):
+            def on_iteration_boundary(self, view):
+                return SchedulerDecision()
+
+        scheduler = Minimal()
+        assert scheduler.decode_priority_aware is False
+        assert scheduler.wants_chunked_prefill is False
+        config = ServingConfig(hardware="h200", model="llama3-8b",
+                               mem_frac=0.01, max_batch=8)
+        system = ServingSystem(config, scheduler)
+        system.submit(burst(4))
+        system.run(until=0.5)
+        assert system.composer.chunked is False
+        assert system.composer.prefill_token_budget() == config.max_prefill_tokens
+
     def test_default_oom_victims_newest_first(self):
         """The default reactive policy mirrors vLLM: evict the most
         recently admitted requests first."""
