@@ -21,7 +21,8 @@
 #                          the perfbench report-digest check on
 #                          burst-preempt (about 12 s on 2 CPUs), and
 #                          scripts/check_digests.py on burst-preempt
-#                          seeds 1-3 (about 7 s); targets < 90 s
+#                          seeds 1-3 (about 7 s); about 105 s wall
+#                          on a 2-CPU container, 80 s of it in pytest
 #
 # The perf wall-clock gate is relaxed in both lanes so slow/loaded
 # runners cannot fail a bit-identical build (the deterministic

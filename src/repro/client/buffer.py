@@ -21,11 +21,14 @@ path performed, so results are bit-identical to a per-token scan.
 
 The buffer also records ``B_{i,j}`` — the buffered-token count at the
 moment token ``j`` was generated — which both the QoS metric (Eq. 1)
-and the effective-throughput weight need.  It is kept as a compact
-occupancy histogram; full per-token traces (generation/consumption
-timestamps) are recorded only when ``record_trace`` is enabled, so
-memory-lean simulations can switch them off without changing any
-metric.
+and the effective-throughput weight need.  It is kept as a dense count
+list, ``counts[B]`` tokens generated at occupancy ``B``: the first
+token always sees ``B = 0`` and ``B`` rises by at most one per
+delivered token, so the counts of ``0..n-1`` are all non-zero and a
+list indexed by ``B`` stores the histogram exactly.  Full per-token
+traces (generation/consumption timestamps) are recorded only when
+``record_trace`` is enabled, so memory-lean simulations can switch
+them off without changing any metric.
 """
 
 from __future__ import annotations
@@ -68,14 +71,10 @@ class ClientBuffer:
         self._next_consume: Optional[float] = None
         self._cursor_interval = 0.0
         self._segments: deque = deque()
-        # Compact aggregate: occupancy-at-generation histogram
-        # {occupancy -> token count}, enough for Eq. 1 / §7.1.3 weights.
-        self._occ_hist: dict = {}
-        # Unmerged histogram contributions from the batch plane:
-        # (values, counts) pairs of numpy arrays or int lists, one per
-        # fused window, folded into ``_occ_hist`` lazily on first read
-        # (histogram addition commutes, so deferring is exact).
-        self._occ_pending: list = []
+        # Compact aggregate: ``_occ_counts[B]`` tokens were generated
+        # at occupancy B, enough for Eq. 1 / §7.1.3 weights.  The batch
+        # plane adds its windows' counts in place.
+        self._occ_counts: list = []
         # Optional unbounded per-token traces (plots, JSONL export).
         self._trace = record_trace
         self._gen_times: Optional[list] = [] if record_trace else None
@@ -152,8 +151,12 @@ class ClientBuffer:
             occupancy = self._delivered - self._consumed
         else:
             occupancy = self._delivered - self.consumed_count(timestamp)
-        count = self._occ_hist.get(occupancy)
-        self._occ_hist[occupancy] = 1 if count is None else count + 1
+        counts = self._occ_counts
+        if occupancy < len(counts):
+            counts[occupancy] += 1
+        else:
+            # A new top bucket: occupancy == len(counts) (module docstring).
+            counts.append(1)
         if self._trace:
             self._occupancy_at_gen.append(occupancy)
 
@@ -271,45 +274,16 @@ class ClientBuffer:
         """Accumulated rebuffer time (seconds), excluding startup delay."""
         return self._stall_time
 
-    def _flush_occ_pending(self) -> None:
-        """Fold the batch plane's deferred histogram slices into the dict.
-
-        The dict's own entries and every pending slice are merged with
-        one dense ``np.bincount`` (occupancies are small non-negative
-        ints) and the dict is rebuilt with C-level ``dict(zip(...))`` —
-        no per-bucket Python loop.  Counts are integers, so the merge
-        is exact regardless of grouping; keys come back sorted.
-        """
-        import numpy as np
-
-        pending = self._occ_pending
-        hist = self._occ_hist
-        vals = [v for v, _ in pending]
-        counts = [c for _, c in pending]
-        if hist:
-            n = len(hist)
-            vals.append(np.fromiter(hist.keys(), np.int64, count=n))
-            counts.append(np.fromiter(hist.values(), np.int64, count=n))
-        total = np.bincount(
-            np.concatenate(vals), weights=np.concatenate(counts)
-        )
-        nonzero = np.nonzero(total)[0]
-        self._occ_hist = dict(
-            zip(nonzero.tolist(), total[nonzero].astype(np.int64).tolist())
-        )
-        pending.clear()
-
     @property
-    def occupancy_histogram(self) -> dict:
-        """``{B -> count}`` over all delivered tokens (treat read-only).
+    def occupancy_counts(self) -> list:
+        """Tokens generated at each occupancy ``B = 0, 1, ...``
+        (treat read-only); every entry is at least one.
 
         ``B`` is the buffered-token count at a token's generation
         instant — the compact aggregate behind Eq. 1 and the §7.1.3
         effective-throughput weights.
         """
-        if self._occ_pending:
-            self._flush_occ_pending()
-        return self._occ_hist
+        return self._occ_counts
 
     def _require_trace(self) -> None:
         if not self._trace:

@@ -77,6 +77,10 @@ class TokenFlowParams:
             raise ValueError("per-tick action caps must be positive")
         if not 0 <= self.admission_watermark_frac < 1:
             raise ValueError("admission_watermark_frac must be in [0, 1)")
+        # The cost is added to every iteration's overhead and so to the
+        # simulated clock.
+        if not math.isfinite(self.scheduling_cost_s) or self.scheduling_cost_s < 0:
+            raise ValueError("scheduling_cost_s must be non-negative and finite")
 
 
 class TokenFlowScheduler(BaseScheduler):

@@ -64,6 +64,10 @@ class WorkingSetParams:
             raise ValueError("schedule_latency must be non-negative and finite")
         if self.beta_window <= 0:
             raise ValueError("beta_window must be positive")
+        # beta() clamps the prior at 1: an infinite one would pin
+        # W_static to 1 and a NaN or non-positive one would read as 1.
+        if not math.isfinite(self.initial_beta_tokens) or self.initial_beta_tokens <= 0:
+            raise ValueError("initial_beta_tokens must be positive and finite")
 
 
 class WorkingSetPolicy:

@@ -36,7 +36,11 @@ by ``t_j`` is ``clip(floor((t_j - nxt0)/civ) + 1, 0, backlog)``;
 within-window consumptions are the ``c_m <= t_j`` count.
 Occupancy-at-generation, the stall accumulator, the occupancy
 histogram, and the cursor/segment write-back all follow from those
-counts.
+counts.  The histogram is the buffer's dense count list
+(``ClientBuffer.occupancy_counts``): a kernel returns each row's
+window as its lowest occupancy ``lo`` and a dense count list over
+``lo..hi``, and the write-back adds it into the buffer's list in
+place.
 
 Two kernels evaluate these formulas with the same float operations in
 the same order, so they agree bit for bit:
@@ -71,6 +75,8 @@ goes there too, found by the kernels themselves before any write-back
 """
 
 from __future__ import annotations
+
+from operator import add
 
 import numpy as np
 
@@ -179,7 +185,7 @@ def deliver_batch(tracker, requests, times) -> None:
             request.first_token_time = t_first
         request.generated += k
         request.token_times.extend(times)
-        c_last, stall, consumed, nxt, rebased, hist = row
+        c_last, stall, consumed, nxt, rebased, lo, window = row
         buffer._delivered += k
         buffer._last_gen = t_last
         buffer._last_consume = c_last
@@ -194,9 +200,20 @@ def deliver_batch(tracker, requests, times) -> None:
             buffer._queried = t_last
         if rebased:
             buffer._cursor_interval = buffer.interval
-        # Merged into the buffer's histogram dict lazily at first read
-        # (ClientBuffer._flush_occ_pending).
-        buffer._occ_pending.append(hist)
+        # Add the window's counts in place: buckets the buffer has are
+        # summed, new top buckets extend the list (they are contiguous,
+        # see ClientBuffer.occupancy_counts).
+        counts = buffer._occ_counts
+        n = len(counts)
+        if lo == n:
+            counts.extend(window)
+        else:
+            top = lo + len(window)
+            if top <= n:
+                counts[lo:top] = map(add, counts[lo:top], window)
+            else:
+                counts[lo:] = map(add, counts[lo:], window)
+                counts.extend(window[n - lo:])
     # Fresh anchors the cursor has not consumed past become segment
     # records, exactly the ones the scalar state machine would retain.
     for b, index, consume in segments:
@@ -207,8 +224,9 @@ def deliver_batch(tracker, requests, times) -> None:
 # Each kernel returns ``(rows, segments)``.  ``rows`` holds one tuple
 # per buffer: (last consumption time, stall to add, consumed count,
 # next cursor time or None, whether the cursor moved into the window
-# and so takes the current interval, the window's occupancy histogram
-# as a (values, counts) pair), or None for a row with a near-tie.
+# and so takes the current interval, and the window's occupancy
+# histogram as ``lo`` and ``window``, window[i] tokens generated at
+# occupancy lo + i), or None for a row with a near-tie.
 # ``segments`` lists (row, token index, consumption time) for every
 # surviving fresh anchor of the other rows.
 #
@@ -299,7 +317,6 @@ def _row_kernel(buffers, times):
         tol_q = tol / civ_safe
         hi_q = 1.0 - tol_q
         occs = [0] * k
-        hist = {}
         m = 0
         done = 0
         for j, t in enumerate(times):
@@ -323,12 +340,7 @@ def _row_kernel(buffers, times):
                         done = n_back
                 elif x >= -1.0 and x + 1.0 >= hi_q:
                     tie = True
-            occ = n_back + j + 1 - done - m
-            occs[j] = occ
-            if occ in hist:
-                hist[occ] += 1
-            else:
-                hist[occ] = 1
+            occs[j] = n_back + j + 1 - done - m
         if m and m < k and cs[m] - t_last <= tol:
             tie = True
         if tie:
@@ -352,10 +364,11 @@ def _row_kernel(buffers, times):
             # Cursor still in the backlog: the chain value in closed form.
             nxt = nxt0 + civ * (consumed - con0)
             rebased = False
-        rows.append(
-            (cs[-1], stall, consumed, nxt, rebased,
-             (list(hist), list(hist.values())))
-        )
+        lo = min(occs)
+        window = [0] * (max(occs) + 1 - lo)
+        for occ in occs:
+            window[occ - lo] += 1
+        rows.append((cs[-1], stall, consumed, nxt, rebased, lo, window))
     return rows, segments
 
 
@@ -502,26 +515,23 @@ def _array_kernel(buffers, times):
         c[survive].tolist(),
     )
 
-    # Occupancy histogram: one np.unique over row-tagged keys, sliced
-    # back into per-row (values, counts) pairs.
-    occ_span = int(occ.max()) + 1
-    row_ids = np.arange(n_rows, dtype=np.int64)
-    keys = occ + occ_span * row_ids[:, None]
-    uniq, counts = np.unique(keys, return_counts=True)
-    hist_vals = uniq % occ_span
-    bounds = np.searchsorted(uniq, occ_span * row_ids).tolist() + [len(uniq)]
-    hists = [
-        (hist_vals[start:stop], counts[start:stop])
-        for start, stop in zip(bounds, bounds[1:])
-    ]
-
+    # Occupancy histogram: each row's window counts over lo..hi, laid
+    # end to end (row b's slot for occupancy o is ends[b] - 1 - (hi[b]
+    # - o)) and tallied by one np.bincount.
+    lo = occ.min(axis=1)
+    hi = occ.max(axis=1)
+    ends = np.cumsum(hi + 1 - lo)
+    flat = np.bincount((occ + (ends - 1 - hi)[:, None]).ravel()).tolist()
+    ends = ends.tolist()
+    windows = [flat[a:b] for a, b in zip([0] + ends, ends)]
     rows = zip(
         c[:, -1].tolist(),
         stall_add.tolist(),
         consumed_f.tolist(),
         nxt,
         rebased.tolist(),
-        hists,
+        lo.tolist(),
+        windows,
     )
     if tie.any():
         rows = [None if near else row for near, row in zip(tie.tolist(), rows)]

@@ -219,9 +219,8 @@ class StreamingRunStats:
         """Retire one request: fold its final metrics and let the
         caller drop the per-request state."""
         params = self.qos_params
-        occ_hist = buffer.occupancy_histogram
         effective, utility_sum = fold_hist_metrics(
-            occ_hist, request.output_len, params
+            buffer.occupancy_counts, request.output_len, params
         )
         ttft = request.ttft
         rebuffer = 0.0 if request.is_agent else buffer.stall_time
@@ -433,12 +432,11 @@ def build_report(
     n_finished = 0
     for entry in tracker.entries():
         request, buffer = entry.request, entry.buffer
-        # The compact occupancy histogram stands in for the per-token
-        # B_{i,j} list — it works whether or not the buffer keeps full
-        # traces, and evaluates each weight once per distinct value.
-        occ_hist = buffer.occupancy_histogram
+        # The dense occupancy counts stand in for the per-token
+        # B_{i,j} list — they work whether or not the buffer keeps full
+        # traces, and evaluate each weight once per distinct value.
         effective, utility_sum = fold_hist_metrics(
-            occ_hist, request.output_len, params
+            buffer.occupancy_counts, request.output_len, params
         )
         ttft = request.ttft
         # Agent clients (§8) have no real-time consumer: their

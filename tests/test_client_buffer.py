@@ -174,7 +174,7 @@ class TestDeliverMany:
         buffer.deliver_many([])
         assert buffer.delivered == 0
         assert buffer.stall_time == 0.0
-        assert buffer.occupancy_histogram == {}
+        assert buffer.occupancy_counts == []
 
     def test_single_timestamp_equals_deliver(self):
         bulk = ClientBuffer(rate=10.0)
@@ -184,7 +184,7 @@ class TestDeliverMany:
             scalar.deliver(t)
         assert bulk.delivered == scalar.delivered
         assert bulk.stall_time == scalar.stall_time
-        assert bulk.occupancy_histogram == scalar.occupancy_histogram
+        assert bulk.occupancy_counts == scalar.occupancy_counts
         assert bulk.final_consumption_time() == scalar.final_consumption_time()
 
     def test_rate_change_mid_delivery_matches_deliver(self):
@@ -214,7 +214,7 @@ class TestDeliverMany:
         scalar.deliver(0.5)
         assert bulk.delivered == scalar.delivered == 5
         assert bulk.stall_time == scalar.stall_time
-        assert bulk.occupancy_histogram == scalar.occupancy_histogram
+        assert bulk.occupancy_counts == scalar.occupancy_counts
         assert bulk.final_consumption_time() == scalar.final_consumption_time()
         assert bulk.consumption_times == scalar.consumption_times
 

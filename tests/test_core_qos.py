@@ -106,18 +106,31 @@ class TestQoSScore:
 
 
 class TestFoldHistMetrics:
-    def test_matches_standalone_folds(self):
-        from repro.core.qos import (
-            effective_token_count_hist,
-            fold_hist_metrics,
-            request_qos_terms_hist,
-        )
+    def test_matches_per_token_references(self):
+        # Both branches (loop below _FOLD_VECTOR_MIN buckets, array
+        # fold from it up) against the per-token folds on the expanded
+        # B_{i,j} list.  count * w and w added count times round
+        # differently, so the comparison is to a relative 1e-12.
+        import itertools
+        import random
 
+        from repro.core import qos as qos_module
+        from repro.core.qos import fold_hist_metrics
+
+        rng = random.Random(7)
         params = QoSParams()
-        hist = {0: 12, 3: 4, 17: 9, 40: 2, 90: 1}
-        effective, utility = fold_hist_metrics(hist, 100, params)
-        assert effective == effective_token_count_hist(hist, 100)
-        assert utility == request_qos_terms_hist(hist, 100, 0.0, 0.0, params)
+        edge = qos_module._FOLD_VECTOR_MIN
+        for n_buckets, output_len in itertools.product(
+                (5, edge - 1, edge, 300), (1, 37, 100, 2000)):
+            counts = [rng.randint(1, 9) for _ in range(n_buckets)]
+            occupancies = [b for b, count in enumerate(counts)
+                           for _ in range(count)]
+            effective, utility = fold_hist_metrics(counts, output_len, params)
+            assert effective == pytest.approx(
+                effective_token_count(occupancies, output_len), rel=1e-12)
+            assert utility == pytest.approx(
+                request_qos_terms(occupancies, output_len, 0.0, 0.0, params),
+                rel=1e-12)
 
     def test_array_fold_bit_identical_to_loop(self, monkeypatch):
         # Histograms at least _FOLD_VECTOR_MIN buckets long take a
@@ -130,13 +143,12 @@ class TestFoldHistMetrics:
         rng = random.Random(3)
         params = QoSParams()
         for _ in range(50):
-            n = rng.randint(64, 400)
-            hist = {b: rng.randint(1, 9) for b in
-                    rng.sample(range(2000), n)}
+            n = rng.randint(qos_module._FOLD_VECTOR_MIN, 2000)
+            counts = [rng.randint(1, 9) for _ in range(n)]
             output_len = rng.randint(1, 600)
-            vec = qos_module.fold_hist_metrics(hist, output_len, params)
+            vec = qos_module.fold_hist_metrics(counts, output_len, params)
             monkeypatch.setattr(qos_module, "_FOLD_VECTOR_MIN", 10**9)
-            scalar = qos_module.fold_hist_metrics(hist, output_len, params)
+            scalar = qos_module.fold_hist_metrics(counts, output_len, params)
             monkeypatch.undo()
             assert vec == scalar
 
@@ -144,7 +156,7 @@ class TestFoldHistMetrics:
         from repro.core.qos import fold_hist_metrics
 
         with pytest.raises(ValueError):
-            fold_hist_metrics({0: 1}, 0, QoSParams())
+            fold_hist_metrics([1], 0, QoSParams())
         with pytest.raises(ValueError):
-            fold_hist_metrics({0: 1}, 10, QoSParams(),
+            fold_hist_metrics([1], 10, QoSParams(),
                               tau1_frac=0.3, tau2_frac=0.2)

@@ -48,6 +48,11 @@ class TestParams:
                 TokenFlowParams(tick_interval=bad)
             with pytest.raises(ValueError):
                 TokenFlowParams(critical_buffer_s=bad)
+        # scheduling_cost_s is added to every iteration's overhead.
+        for bad in (math.nan, math.inf, -math.inf, -1e-4):
+            with pytest.raises(ValueError):
+                TokenFlowParams(scheduling_cost_s=bad)
+        assert TokenFlowParams(scheduling_cost_s=0.0).scheduling_cost_s == 0.0
 
 
 class TestStressGating:

@@ -179,5 +179,8 @@ class TestParams:
                 WorkingSetParams(safety_factor=bad)
             with pytest.raises(ValueError):
                 WorkingSetParams(schedule_latency=bad)
+        for bad in (math.nan, math.inf, -math.inf, -5.0, 0.0):
+            with pytest.raises(ValueError):
+                WorkingSetParams(initial_beta_tokens=bad)
         with pytest.raises(ValueError):
             WorkingSetPolicy(0.0)

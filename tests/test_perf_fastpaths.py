@@ -120,10 +120,10 @@ class TestClosedFormEquivalence:
         assert fast.consumption_times == reference._consume_times
         assert fast.generation_times == reference._gen_times
         assert fast.occupancy_at_generation == reference._occupancy_at_gen
-        hist = {}
+        tally = [0] * (max(reference._occupancy_at_gen) + 1)
         for occ in reference._occupancy_at_gen:
-            hist[occ] = hist.get(occ, 0) + 1
-        assert dict(fast.occupancy_histogram) == hist
+            tally[occ] += 1
+        assert fast.occupancy_counts == tally
 
     @given(rate=rates, trace=steps)
     @settings(max_examples=100, deadline=None)
@@ -142,7 +142,7 @@ class TestClosedFormEquivalence:
             assert lean.occupancy(now) == full.occupancy(now)
             t = now
         assert lean.stall_time == full.stall_time
-        assert dict(lean.occupancy_histogram) == dict(full.occupancy_histogram)
+        assert lean.occupancy_counts == full.occupancy_counts
         assert lean.final_consumption_time() == full.final_consumption_time()
         with pytest.raises(RuntimeError):
             lean.consumption_times

@@ -100,7 +100,7 @@ class TestDeliverBatchEdges:
             assert request_v.token_times == request_s.token_times
             buf_v = tracker_v.get(request_v.req_id).buffer
             buf_s = tracker_s.get(request_s.req_id).buffer
-            assert buf_v.occupancy_histogram == buf_s.occupancy_histogram
+            assert buf_v.occupancy_counts == buf_s.occupancy_counts
             assert buf_v.stall_time == buf_s.stall_time
             assert buf_v.delivered == buf_s.delivered
             assert (buf_v.final_consumption_time()
@@ -178,7 +178,7 @@ class TestDeliverBatchEdges:
         buf_v = tracker_v.get(0).buffer
         buf_s = tracker_s.get(0).buffer
         assert requests_v[0].generated == requests_s[0].generated == 2
-        assert buf_v.occupancy_histogram == buf_s.occupancy_histogram
+        assert buf_v.occupancy_counts == buf_s.occupancy_counts
         assert buf_v.occupancy(1.0) == buf_s.occupancy(1.0)
 
     @pytest.mark.parametrize("limit", [256, 0], ids=["row", "array"])
@@ -314,7 +314,7 @@ def _buffer_state(buffer):
     state = [(name, type(getattr(buffer, name)), getattr(buffer, name))
              for name in BUFFER_FIELDS]
     state.append(("_segments", list(buffer._segments)))
-    state.append(("histogram", list(buffer.occupancy_histogram.items())))
+    state.append(("histogram", list(buffer.occupancy_counts)))
     return state
 
 
@@ -371,3 +371,78 @@ def test_kernel_choice_follows_window_size(extra, expected, monkeypatch):
     deliver_batch(tracker, [request], [0.1 + 0.05 * (i + 1) for i in range(k)])
     assert calls == [expected]
     assert request.generated == k + 1
+
+
+# One step of a delivery schedule: the path it takes, the window's
+# generation gaps (one gap is a K = 1 window), an optional rate change
+# (row, new rate) before it, and how long after it the buffers are
+# queried (long delays drain backlogs and pending stall anchors).
+schedule_steps = st.lists(
+    st.tuples(
+        st.sampled_from(["deliver", "deliver_many", "row", "array"]),
+        st.lists(st.floats(min_value=1e-3, max_value=0.4),
+                 min_size=1, max_size=12),
+        st.one_of(st.none(), st.tuples(st.integers(0, 3),
+                                       st.sampled_from([2.0, 7.0, 30.0]))),
+        st.floats(min_value=0.0, max_value=1.5),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+# Backlogs built fast, then stalls, through both kernels.
+@example(rates=[10.0, 40.0],
+         steps=[("deliver", [0.1], None, 0.0),
+                ("array", [0.01] * 8, None, 0.0),
+                ("row", [0.01] * 8, (1, 7.0), 0.05),
+                ("array", [0.3] * 6, None, 0.0),
+                ("row", [0.3] * 6, None, 1.0)])
+@given(rates=st.lists(st.sampled_from([3.0, 10.0, 25.0, 60.0]),
+                      min_size=1, max_size=4),
+       steps=schedule_steps)
+@settings(max_examples=150, deadline=None)
+def test_occupancy_counts_match_reference_tally(rates, steps):
+    # Whatever path delivered them, a buffer's occupancy counts are the
+    # tally of the per-token B_{i,j} a trace-on buffer records for the
+    # same deliveries: dense over 0..max, every entry at least one.
+    tracker = RequestTracker(record_traces=False)
+    requests = []
+    references = []
+    for i, rate in enumerate(rates):
+        request = Request(req_id=i, arrival_time=0.0, prompt_len=4,
+                          output_len=10**6, rate=rate)
+        tracker.register(request)
+        requests.append(request)
+        references.append(ClientBuffer(rate=rate, record_trace=True))
+    t = 0.0
+    for path, gaps, rate_change, delay in steps:
+        if rate_change is not None and rate_change[0] < len(rates):
+            row, rate = rate_change
+            tracker.get(row).buffer.set_rate(rate)
+            references[row].set_rate(rate)
+        times = [t + gap for gap in itertools.accumulate(gaps)]
+        if path == "deliver":
+            for request in requests:
+                for instant in times:
+                    tracker.deliver_token(request.req_id, instant)
+        elif path == "deliver_many":
+            for request in requests:
+                tracker.deliver_tokens(request.req_id, times)
+        else:
+            _deliver_with(10**9 if path == "row" else 0,
+                          tracker, requests, times)
+        for reference in references:
+            for instant in times:
+                reference.deliver(instant)
+        t = times[-1] + delay
+        for request in requests:
+            tracker.get(request.req_id).buffer.consumed_count(t)
+    for request, reference in zip(requests, references):
+        occupancies = reference.occupancy_at_generation
+        tally = [0] * (max(occupancies) + 1)
+        for occ in occupancies:
+            tally[occ] += 1
+        counts = tracker.get(request.req_id).buffer.occupancy_counts
+        assert counts == tally
+        assert min(counts) >= 1
