@@ -19,6 +19,12 @@ write-back, which favours it.  Buffers get mixed states: some carry a
 backlog of unconsumed tokens, some are drained, and read rates vary,
 so the window has stalls.  ``--repeat 1`` is a quick smoke that every
 path still runs.
+
+A third table times burst-shaped windows (96 rows × K from a
+preemptive burst's fused windows) through the array kernel's row
+slicing at several caps, with the ``tracemalloc`` peak of one call,
+so ``ARRAY_KERNEL_MAX_ELEMENTS`` can be re-derived the same way; a
+cap of 0 means one unsliced call.
 """
 
 from __future__ import annotations
@@ -27,16 +33,25 @@ import argparse
 import copy
 import random
 import time
+import tracemalloc
 
 from repro.client.buffer import ClientBuffer
+from repro.serving import batchstate
 from repro.serving.batchstate import (
+    ARRAY_KERNEL_MAX_ELEMENTS,
     ROW_KERNEL_MAX_ELEMENTS,
     _array_kernel,
+    _array_kernel_sliced,
     _row_kernel,
 )
 
 ROWS = (1, 2, 4, 8, 16, 32, 64, 128)
 KS = (2, 4, 8, 16, 32, 64)
+# Burst-shaped windows: a preemptive burst decodes about 96 rows, and
+# its longest fused windows run hundreds of iterations.
+BURST_ROWS = 96
+BURST_KS = (156, 576, 698)
+CAPS = (0, 4096, 8192, 16384)
 # One decode iteration.  Not 0.03: its multiples meet the read
 # intervals' (0.3 = 3 × 0.1), and the kernels hand such near-tie rows
 # to the scalar path, which the timing would then leave out.
@@ -80,6 +95,35 @@ def deliver_us(buffers, instant: float, repeat: int) -> float:
     return best * 1e6
 
 
+def peak_mib(kernel, buffers, times) -> float:
+    tracemalloc.start()
+    rows, segments = kernel(buffers, times)
+    list(rows), list(segments)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak / 2**20
+
+
+def burst_table(rng: random.Random, repeat: int) -> None:
+    print(f"Array kernel row slicing, {BURST_ROWS} rows "
+          f"(ARRAY_KERNEL_MAX_ELEMENTS = {ARRAY_KERNEL_MAX_ELEMENTS}; "
+          "cap 0 = unsliced)")
+    print(f"{'K':>5} {'cap':>6} {'slice rows':>10} {'ms':>8} {'peak MiB':>9}")
+    buffers = make_buffers(BURST_ROWS, rng)
+    try:
+        for k in BURST_KS:
+            times = [1.0 + STEP_S * (i + 1) for i in range(k)]
+            for cap in CAPS:
+                batchstate.ARRAY_KERNEL_MAX_ELEMENTS = cap or BURST_ROWS * k
+                step = max(1, batchstate.ARRAY_KERNEL_MAX_ELEMENTS // k)
+                ms = best_us(_array_kernel_sliced, buffers, times, repeat) / 1e3
+                peak = peak_mib(_array_kernel_sliced, buffers, times)
+                print(f"{k:>5} {cap:>6} {min(step, BURST_ROWS):>10} "
+                      f"{ms:>8.2f} {peak:>9.2f}")
+    finally:
+        batchstate.ARRAY_KERNEL_MAX_ELEMENTS = ARRAY_KERNEL_MAX_ELEMENTS
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=200,
@@ -107,6 +151,8 @@ def main() -> None:
         deliver = deliver_us(buffers, instant, args.repeat)
         faster = "deliver" if deliver < row else "row"
         print(f"{n_rows:>5} {row:>9.1f} {deliver:>10.1f}  {faster}")
+    burst_table(rng, args.repeat)
+
 
 if __name__ == "__main__":
     main()

@@ -89,8 +89,12 @@ class RequestTracker:
         entry = self._entries.get(req_id)
         if entry is None:
             raise KeyError(f"request {req_id} is not tracked")
+        buffer = entry.buffer
+        last_gen = buffer._last_gen
+        if last_gen is not None and timestamp < last_gen:
+            raise ValueError("deliveries must have non-decreasing timestamps")
         entry.request.record_token(timestamp)
-        entry.buffer.deliver(timestamp)
+        buffer.deliver(timestamp)
 
     def deliver_tokens(self, req_id: int, timestamps: list) -> None:
         """Bulk :meth:`deliver_token`: one token at each instant.
@@ -108,13 +112,16 @@ class RequestTracker:
             raise RuntimeError(
                 f"request {req_id} would exceed its {request.output_len} tokens"
             )
+        buffer = entry.buffer
+        first = timestamps[0]
+        last_gen = buffer._last_gen
+        if last_gen is not None and first < last_gen:
+            raise ValueError("deliveries must have non-decreasing timestamps")
         if request.ttft is None:
-            first = timestamps[0]
             request.ttft = first - request.arrival_time
             request.first_token_time = first
         request.generated += n
-        request.token_times.extend(timestamps)
-        entry.buffer.deliver_many(timestamps)
+        buffer.deliver_many(timestamps)
 
     def mark_finished(self, req_id: int, timestamp: float) -> None:
         entry = self.get(req_id)

@@ -5,6 +5,10 @@ token trajectories.  SGLang shows head-of-line blocking — later
 requests wait for earlier ones — while TokenFlow starts every stream
 early and paces each near its required speed, with visible plateaus
 where a request was preempted on its buffer.
+
+The trajectories come from the client buffers' per-token traces, so
+every run here sets ``record_token_traces``; requests themselves keep
+no per-token timestamps.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ def run_timelines(
     for name in systems:
         run = build_run(
             ScenarioSpec(name=name, system=name, hardware=hardware,
-                         model=model, max_batch=max_batch),
+                         model=model, max_batch=max_batch,
+                         record_token_traces=True),
             requests=requests,
         )
         run.execute()
@@ -66,7 +71,7 @@ def run_timelines(
         rates = {}
         for entry in system.tracker.entries():
             request = entry.request
-            token_times[request.req_id] = np.asarray(request.token_times)
+            token_times[request.req_id] = np.asarray(entry.buffer.generation_times)
             ttfts[request.req_id] = request.ttft
             rates[request.req_id] = request.rate
         results[name] = TimelineResult(

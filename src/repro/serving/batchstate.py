@@ -2,10 +2,14 @@
 
 :func:`deliver_batch` is the only way a generated token reaches a
 request and its client buffer: every decode window, fused (K >= 2) or
-not (K = 1), and every prefill's first token go through it.  A K = 1
-call runs the reference recurrence ``ClientBuffer.deliver`` once per
-request, which is cheaper than either kernel below (the K = 1 column
-of ``scripts/decode_kernel_grid.py``).
+not (K = 1), and every prefill's first token go through it.  Nothing
+here is kept per token: a request counts its tokens, and a buffer
+keeps closed-form state plus its occupancy counts (and per-token
+traces only when it records them, which routes it to the scalar
+path).  A K = 1 call runs the reference recurrence
+``ClientBuffer.deliver`` once per request, which is cheaper than
+either kernel below (the K = 1 column of
+``scripts/decode_kernel_grid.py``).
 
 Macro-step fusion collapsed per-iteration *events*; what remained
 inside a K >= 2 window is per-*request* work — advancing every batch
@@ -47,7 +51,11 @@ the same order, so they agree bit for bit:
 
 - ``_array_kernel`` advances all rows at once in numpy array ops.  Its
   cost is about 50 numpy calls whatever the window's size, so it wins
-  on big windows (a preemptive burst's 90-row batches).
+  on big windows (a preemptive burst's 90-row batches).  Its scratch
+  arrays are rows × K, so a window above ``ARRAY_KERNEL_MAX_ELEMENTS``
+  runs as row slices of at most that many elements each
+  (``_array_kernel_sliced``); every op is per row, so the slices'
+  concatenated results are the one call's.
 - ``_row_kernel`` walks each row in plain Python.  Its cost grows
   with rows × K, so it wins on small windows (a handful of rows),
   where the array kernel's fixed cost dominates.
@@ -88,6 +96,18 @@ __all__ = ["deliver_batch"]
 # to 256 elements and the array kernel in most cells from 512 up.
 # Re-time with ``scripts/decode_kernel_grid.py``.
 ROW_KERNEL_MAX_ELEMENTS = 256
+
+# Largest slice, in rows × K, that one array-kernel call takes.  The
+# kernel's scratch arrays are B × K, so a burst's biggest window (96
+# rows × 698 iterations) would peak near 9 MiB; bigger windows run as
+# row slices of ``ARRAY_KERNEL_MAX_ELEMENTS // K`` rows (at least one).
+# Every kernel op is per row, so slicing changes no result.  On the
+# same container, 96 × 698 took 5.6–6.2 ms and peaked at 9.3 MiB
+# traced unsliced, 7.2–7.9 ms and 1.3 MiB at this cap, 9.5 ms and
+# 2.4 MiB at 16384 (best of 60, pinned to one CPU); 11 of a burst's
+# 301 array-kernel windows exceed it.  Re-time with
+# ``scripts/decode_kernel_grid.py``.
+ARRAY_KERNEL_MAX_ELEMENTS = 8192
 
 
 def deliver_batch(tracker, requests, times) -> None:
@@ -132,7 +152,6 @@ def deliver_batch(tracker, requests, times) -> None:
                 request.ttft = t_first - request.arrival_time
                 request.first_token_time = t_first
             request.generated += 1
-            request.token_times.append(t_first)
             buffer.deliver(t_first)
         return
 
@@ -170,7 +189,7 @@ def deliver_batch(tracker, requests, times) -> None:
     if len(buffers) * k <= ROW_KERNEL_MAX_ELEMENTS:
         rows, segments = _row_kernel(buffers, times)
     else:
-        rows, segments = _array_kernel(buffers, times)
+        rows, segments = _array_kernel_sliced(buffers, times)
 
     # --- write-back ---------------------------------------------------
     t_last = times[-1]
@@ -184,7 +203,6 @@ def deliver_batch(tracker, requests, times) -> None:
             request.ttft = t_first - request.arrival_time
             request.first_token_time = t_first
         request.generated += k
-        request.token_times.extend(times)
         c_last, stall, consumed, nxt, rebased, lo, window = row
         buffer._delivered += k
         buffer._last_gen = t_last
@@ -369,6 +387,24 @@ def _row_kernel(buffers, times):
         for occ in occs:
             window[occ - lo] += 1
         rows.append((cs[-1], stall, consumed, nxt, rebased, lo, window))
+    return rows, segments
+
+
+def _array_kernel_sliced(buffers, times):
+    """:func:`_array_kernel` over row slices of bounded size.
+
+    Each slice's segment records name rows of that slice, so they are
+    re-numbered by the slice's first row.
+    """
+    step = max(1, ARRAY_KERNEL_MAX_ELEMENTS // len(times))
+    rows = []
+    segments = []
+    for start in range(0, len(buffers), step):
+        part_rows, part_segments = _array_kernel(buffers[start:start + step], times)
+        rows.extend(part_rows)
+        segments.extend(
+            (start + b, index, consume) for b, index, consume in part_segments
+        )
     return rows, segments
 
 

@@ -38,7 +38,8 @@ class RateMixture:
     """A categorical mixture of consumption rates.
 
     ``rates`` and ``weights`` must have equal length; weights are
-    normalised.  A single-entry mixture is a fixed rate.
+    normalised once, at construction.  A single-entry mixture is a
+    fixed rate.
     """
 
     rates: Sequence[float]
@@ -53,11 +54,14 @@ class RateMixture:
             raise ValueError("all rates must be positive")
         if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
             raise ValueError("weights must be non-negative and sum > 0")
+        # The normalised weights every draw hands to ``rng.choice``.
+        # A plain attribute, not a field: equality, hashing and repr
+        # read ``weights`` only.
+        weights = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "_p", weights / weights.sum())
 
     def sample(self, rng: np.random.Generator) -> float:
-        weights = np.asarray(self.weights, dtype=float)
-        weights = weights / weights.sum()
-        idx = rng.choice(len(self.rates), p=weights)
+        idx = rng.choice(len(self.rates), p=self._p)
         return float(self.rates[idx])
 
     @classmethod

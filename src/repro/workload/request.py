@@ -68,8 +68,13 @@ class Request:
     Identity semantics (``eq=False``): req_ids are unique within a run
     and queue membership always means "this very object", so list
     ``remove``/``in`` on the serving queues compare by identity instead
-    of field-by-field dataclass equality (which would walk the
-    ever-growing ``token_times`` list on every scan).
+    of field-by-field dataclass equality.
+
+    A request keeps no per-token state: it counts its tokens and
+    remembers the first one's time.  Per-token timestamps live in the
+    client buffer's opt-in traces (``ServingConfig.record_token_traces``,
+    read through ``ClientBuffer.generation_times``), and the buffer's
+    last generation time is what orders deliveries.
 
     Attributes:
         req_id: unique id within a run.
@@ -109,7 +114,6 @@ class Request:
     ttft: Optional[float] = None            # first-token latency (seconds)
     first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
-    token_times: list = field(default_factory=list)  # per-token gen timestamps
     preemption_count: int = 0
     admitted_time: Optional[float] = None
     prefill_progress: int = 0               # tokens prefilled this pass
@@ -185,25 +189,20 @@ class Request:
         self.state = new_state
 
     def record_token(self, timestamp: float) -> None:
-        """Record generation of one output token at ``timestamp``."""
+        """Count one output token generated at ``timestamp``.
+
+        Only the count and the first token's time are kept.  Whether
+        ``timestamp`` is in order is the client buffer's to check
+        (``RequestTracker.deliver_token`` does so before calling this).
+        """
         if self.generated >= self.output_len:
             raise RuntimeError(
                 f"request {self.req_id} already generated all {self.output_len} tokens"
             )
-        if self.token_times and timestamp < self.token_times[-1]:
-            raise ValueError("token timestamps must be non-decreasing")
         if self.ttft is None:
             self.ttft = timestamp - self.arrival_time
             self.first_token_time = timestamp
         self.generated += 1
-        self.token_times.append(timestamp)
-
-    def inter_token_latencies(self) -> list:
-        """The δ_{i,1..L-1} sequence from the paper's QoS definition."""
-        return [
-            self.token_times[j + 1] - self.token_times[j]
-            for j in range(len(self.token_times) - 1)
-        ]
 
     def __repr__(self) -> str:
         return (

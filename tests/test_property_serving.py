@@ -47,7 +47,7 @@ class TestServingInvariants:
     def test_conservation_laws(self, requests, system_name, seed_mem):
         system = build_system(
             system_name, hardware="h200", model="llama3-8b",
-            mem_frac=seed_mem, max_batch=4,
+            mem_frac=seed_mem, max_batch=4, record_token_traces=True,
         )
         system.submit(requests)
         system.run(until=100_000.0)
@@ -59,9 +59,9 @@ class TestServingInvariants:
             assert request.state is RequestState.FINISHED
             # Exactly output_len tokens, no more, no fewer.
             assert request.generated == request.output_len
-            assert len(request.token_times) == request.output_len
+            times = entry.buffer.generation_times
+            assert len(times) == request.output_len
             # Timestamps monotone and after arrival.
-            times = request.token_times
             assert all(a <= b for a, b in zip(times, times[1:]))
             assert times[0] >= request.arrival_time
             # Client buffer saw every token.

@@ -229,7 +229,9 @@ class TestParityEdgeCases:
             assert b_on.occupancy_at_generation == b_off.occupancy_at_generation
             r_off = off.tracker.get(req_id).request
             r_on = on.tracker.get(req_id).request
-            assert r_on.token_times == r_off.token_times
+            assert ((r_on.generated, r_on.ttft, r_on.first_token_time)
+                    == (r_off.generated, r_off.ttft, r_off.first_token_time))
+            assert b_on._last_gen == b_off._last_gen
 
     def test_cancellation_parity(self, per_iteration):
         # Cancels are pre-scheduled engine events, so the fusion

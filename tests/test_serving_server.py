@@ -63,10 +63,10 @@ class TestSingleRequest:
         assert entry.request.ttft >= min_prefill * 0.9
 
     def test_token_timestamps_monotone(self):
-        system = make_system()
+        system = make_system(record_token_traces=True)
         system.submit(burst(1, output=32))
         system.run(until=1_000.0)
-        times = system.tracker.get(0).request.token_times
+        times = system.tracker.get(0).buffer.generation_times
         assert all(a <= b for a, b in zip(times, times[1:]))
         assert len(times) == 32
 

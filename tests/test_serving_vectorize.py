@@ -96,10 +96,10 @@ class TestDeliverBatchEdges:
         for request in requests_s:
             tracker_s.deliver_tokens(request.req_id, later)
         for request_v, request_s in zip(requests_v, requests_s):
-            assert request_v.generated == request_s.generated
-            assert request_v.token_times == request_s.token_times
             buf_v = tracker_v.get(request_v.req_id).buffer
             buf_s = tracker_s.get(request_s.req_id).buffer
+            assert (_request_state(request_v, buf_v)
+                    == _request_state(request_s, buf_s))
             assert buf_v.occupancy_counts == buf_s.occupancy_counts
             assert buf_v.stall_time == buf_s.stall_time
             assert buf_v.delivered == buf_s.delivered
@@ -130,11 +130,10 @@ class TestDeliverBatchEdges:
             for request in requests_s:
                 tracker_s.deliver_tokens(request.req_id, [t])
         for request_v, request_s in zip(requests_v, requests_s):
-            assert request_v.generated == request_s.generated
-            assert request_v.token_times == request_s.token_times
-            assert request_v.ttft == request_s.ttft
             buf_v = tracker_v.get(request_v.req_id).buffer
             buf_s = tracker_s.get(request_s.req_id).buffer
+            assert (_request_state(request_v, buf_v)
+                    == _request_state(request_s, buf_s))
             assert _buffer_state(buf_v) == _buffer_state(buf_s)
             for probe in (0.9, 1.0, 5.0):
                 assert buf_v.occupancy(probe) == buf_s.occupancy(probe)
@@ -200,9 +199,11 @@ class TestDeliverBatchEdges:
             times = [start + m / 32 for m in range(1, 33)]
             deliver_batch(tracker_v, requests_v, times)
             tracker_s.deliver_tokens(0, times)
-            assert (_buffer_state(tracker_v.get(0).buffer)
-                    == _buffer_state(tracker_s.get(0).buffer)), warm
-            assert requests_v[0].token_times == requests_s[0].token_times
+            buf_v = tracker_v.get(0).buffer
+            buf_s = tracker_s.get(0).buffer
+            assert _buffer_state(buf_v) == _buffer_state(buf_s), warm
+            assert (_request_state(requests_v[0], buf_v)
+                    == _request_state(requests_s[0], buf_s))
 
     def test_overflow_raises_before_mutation(self):
         tracker, requests = self._tracked([10.0])
@@ -217,7 +218,7 @@ class TestDeliverBatchEdges:
         # at K >= 2), row 1 a warm one; row 2 overflows or is not
         # tracked at all.
         def snapshot(tracker, requests):
-            return [(r.generated, list(r.token_times), r.ttft,
+            return [(_request_state(r, tracker.get(r.req_id).buffer),
                      _buffer_state(tracker.get(r.req_id).buffer))
                     for r in requests[:2]]
 
@@ -245,12 +246,11 @@ class TestDeliverBatchEdges:
                 tracker.deliver_tokens(0, [0.1])
             requests[1].generated = requests[1].output_len - 1
             row0 = requests[0]
-            before = (row0.generated, list(row0.token_times),
-                      tracker.get(0).buffer.delivered)
+            buffer0 = tracker.get(0).buffer
+            before = (_request_state(row0, buffer0), buffer0.delivered)
             with pytest.raises(RuntimeError):
                 deliver_batch(tracker, requests, [0.2, 0.3])
-            assert (row0.generated, row0.token_times,
-                    tracker.get(0).buffer.delivered) == before
+            assert (_request_state(row0, buffer0), buffer0.delivered) == before
             assert requests[1].generated == requests[1].output_len - 1
 
 
@@ -264,16 +264,13 @@ BUFFER_FIELDS = (
 # Short gaps keep tokens ahead of the reader (a backlog); long ones
 # outrun it (stalls, and a cursor parked at the stream end).
 gaps = st.one_of(st.floats(0.001, 0.06), st.floats(0.2, 1.5))
-row_specs = st.lists(
-    st.tuples(
-        st.sampled_from([2.0, 5.0, 10.0, 40.0]),  # read rate
-        st.lists(gaps, min_size=1, max_size=30),  # warm-up deliveries
-        st.floats(0.0, 3.0),  # cursor query delay after warm-up
-        st.sampled_from([None, 4.0, 20.0]),  # rate change before window
-    ),
-    min_size=1,
-    max_size=6,
+row_spec = st.tuples(
+    st.sampled_from([2.0, 5.0, 10.0, 40.0]),  # read rate
+    st.lists(gaps, min_size=1, max_size=30),  # warm-up deliveries
+    st.floats(0.0, 3.0),  # cursor query delay after warm-up
+    st.sampled_from([None, 4.0, 20.0]),  # rate change before window
 )
+row_specs = st.lists(row_spec, min_size=1, max_size=6)
 windows = st.lists(st.lists(gaps, min_size=1, max_size=40),
                    min_size=1, max_size=2)
 
@@ -307,6 +304,13 @@ def _kernel_twin(specs):
 def _deliver_with(limit, tracker, requests, times):
     with mock.patch.object(batchstate, "ROW_KERNEL_MAX_ELEMENTS", limit):
         deliver_batch(tracker, requests, times)
+
+
+def _request_state(request, buffer):
+    # Requests keep no per-token timestamps: their count, their first
+    # token, and the buffer's last generation time pin a delivery.
+    return (request.generated, request.ttft, request.first_token_time,
+            buffer._last_gen)
 
 
 def _buffer_state(buffer):
@@ -343,10 +347,76 @@ def test_row_kernel_matches_array_kernel(specs, window_gaps):
         _deliver_with(0, *array_side[:2], times)
         _deliver_with(10**9, *row_side[:2], times)
     for request_a, request_r in zip(array_side[1], row_side[1]):
-        assert request_a.generated == request_r.generated
-        assert request_a.token_times == request_r.token_times
-        assert (_buffer_state(array_side[0].get(request_a.req_id).buffer)
-                == _buffer_state(row_side[0].get(request_r.req_id).buffer))
+        buffer_a = array_side[0].get(request_a.req_id).buffer
+        buffer_r = row_side[0].get(request_r.req_id).buffer
+        assert (_request_state(request_a, buffer_a)
+                == _request_state(request_r, buffer_r))
+        assert _buffer_state(buffer_a) == _buffer_state(buffer_r)
+
+
+# --- the array kernel gives the same result in row slices -------------
+
+def _recording_sliced_kernel(calls):
+    """``_array_kernel_sliced`` that also records what it returned."""
+    kernel = batchstate._array_kernel_sliced
+
+    def record(buffers, times):
+        rows, segments = kernel(buffers, times)
+        calls.append((list(rows), list(segments)))
+        return calls[-1]
+
+    return record
+
+
+# Rows whose window leaves a fresh anchor unconsumed (a rate change on
+# a backlog) sit in later slices, so a segment record must be
+# re-numbered by its slice's first row.
+@example(specs=[(10.0, [0.3], 0.0, None),
+                (10.0, [0.01] * 30, 0.0, 20.0),
+                (5.0, [0.01] * 20, 0.0, 2.0),
+                (10.0, [0.01] * 30, 0.0, 40.0)],
+         window_gaps=[[0.01] * 8, [0.02] * 5], slice_rows=1)
+# Near-tie rows (test_coincident_instants' two cases) in the second
+# and third slices: their None rows must keep their places.
+@example(specs=[(5.0, [0.3], 0.0, None), (2.0, [0.4], 0.0, None),
+                (10.0, [0.5], 0.0, None),
+                (10.0, [0.5] + [1 / 64] * 15, 1 / 64, None),
+                (3.0, [0.7], 0.0, None)],
+         window_gaps=[[1 / 32] * 32], slice_rows=2)
+@given(specs=st.lists(row_spec, min_size=2, max_size=8),
+       window_gaps=windows, slice_rows=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_array_kernel_slices_match_one_call(specs, window_gaps, slice_rows):
+    # The same windows through the array kernel at the module's cap
+    # (one call for windows this small) and with the cap cut to
+    # slice_rows rows: equal kernel output, segment records included,
+    # and equal buffers after the write-back.
+    whole_side = _kernel_twin(specs)
+    sliced_side = _kernel_twin(specs)
+    whole_calls = []
+    sliced_calls = []
+    t = whole_side[2]
+    with mock.patch.object(batchstate, "ROW_KERNEL_MAX_ELEMENTS", 0):
+        for gaps_k in window_gaps:
+            times = [t + g for g in itertools.accumulate(gaps_k)]
+            t = times[-1]
+            assert len(specs) * len(times) <= batchstate.ARRAY_KERNEL_MAX_ELEMENTS
+            with mock.patch.object(batchstate, "_array_kernel_sliced",
+                                   _recording_sliced_kernel(whole_calls)):
+                deliver_batch(*whole_side[:2], times)
+            with mock.patch.object(batchstate, "ARRAY_KERNEL_MAX_ELEMENTS",
+                                   slice_rows * len(times)), \
+                    mock.patch.object(batchstate, "_array_kernel_sliced",
+                                      _recording_sliced_kernel(sliced_calls)):
+                deliver_batch(*sliced_side[:2], times)
+    assert sliced_calls == whole_calls
+    for request_w, request_s in zip(whole_side[1], sliced_side[1]):
+        buffer_w = whole_side[0].get(request_w.req_id).buffer
+        buffer_s = sliced_side[0].get(request_s.req_id).buffer
+        assert (_request_state(request_w, buffer_w)
+                == _request_state(request_s, buffer_s))
+        assert _buffer_state(buffer_w) == _buffer_state(buffer_s)
+        assert vars(buffer_w) == vars(buffer_s)
 
 
 @pytest.mark.parametrize("extra, expected", [(0, "row"), (1, "array")])

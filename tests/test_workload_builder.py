@@ -21,6 +21,29 @@ class TestRateMixture:
         frac_20 = sum(1 for s in samples if s == 20.0) / len(samples)
         assert abs(frac_20 - 0.7) < 0.05
 
+    @pytest.mark.parametrize("weights", [(0.3, 0.7), (1.0, 1.0, 1.0),
+                                         (0.1, 0.0, 2.5, 7.0)])
+    def test_draws_match_per_call_normalisation(self, weights):
+        # The weights are normalised once at construction; 10,000
+        # seeded draws must equal the per-call formula they replace.
+        rates = tuple(5.0 * (i + 1) for i in range(len(weights)))
+        mixture = RateMixture(rates=rates, weights=weights)
+        rng_once = np.random.default_rng(7)
+        rng_per_call = np.random.default_rng(7)
+
+        def per_call():
+            p = np.asarray(weights, dtype=float)
+            p = p / p.sum()
+            return float(rates[rng_per_call.choice(len(rates), p=p)])
+
+        assert ([mixture.sample(rng_once) for _ in range(10_000)]
+                == [per_call() for _ in range(10_000)])
+
+    def test_equality_reads_fields_only(self):
+        assert (RateMixture(rates=(10.0, 20.0), weights=(1.0, 3.0))
+                == RateMixture(rates=(10.0, 20.0), weights=(1.0, 3.0)))
+        assert len({RateMixture.fixed(10.0), RateMixture.fixed(10.0)}) == 1
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RateMixture(rates=(), weights=())

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tracker import RequestTracker
 from repro.workload.request import InvalidTransition, Request, RequestState
 from tests.conftest import make_request
 
@@ -90,16 +91,18 @@ class TestTokens:
             request.record_token(2.0)
 
     def test_decreasing_timestamps_rejected(self):
+        # Order is checked against the client buffer's last generation
+        # time, before the request or its buffer moves.
+        tracker = RequestTracker(record_traces=False)
         request = make_request(output=4)
-        request.record_token(1.0)
-        with pytest.raises(ValueError):
-            request.record_token(0.5)
-
-    def test_inter_token_latencies(self):
-        request = make_request(output=8)
-        for t in (0.0, 0.1, 0.3, 0.6):
-            request.record_token(t)
-        assert request.inter_token_latencies() == pytest.approx([0.1, 0.2, 0.3])
+        tracker.register(request)
+        tracker.deliver_token(request.req_id, 1.0)
+        buffer = tracker.get(request.req_id).buffer
+        for deliver, late in ((tracker.deliver_token, 0.5),
+                              (tracker.deliver_tokens, [0.5, 2.0])):
+            with pytest.raises(ValueError):
+                deliver(request.req_id, late)
+            assert (request.generated, buffer.delivered) == (1, 1)
 
     def test_repr_is_informative(self):
         request = make_request(req_id=7)
