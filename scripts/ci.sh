@@ -8,7 +8,9 @@
 #                          every workload, one traced perfbench
 #                          run, and scripts/check_digests.py over
 #                          seeds 0-3
-#   scripts/ci.sh --fast   fast lane: everything not marked `slow`
+#   scripts/ci.sh --fast   fast lane: first the test-only code scan
+#                          (scripts/find_test_only.py, under a
+#                          second), then everything not marked `slow`
 #                          (unit/integration/scenario/orchestration
 #                          tests, including the fused-vs-per-iteration
 #                          decode parity checks in
@@ -55,8 +57,13 @@ tree_before="$(tree_state)"
 # what trailing steps are added after this block.
 rc=0
 if [[ "$FAST" -eq 1 ]]; then
-  echo "== fast lane: pytest -m 'not slow' (incl. fusion + scalar-reference parity) =="
-  python -m pytest -x -q -m "not slow" || rc=$?
+  # src/ code that only tests read fails here, before the pytest run.
+  echo "== fast lane: test-only code scan =="
+  python3 scripts/find_test_only.py || rc=$?
+  if [[ "$rc" -eq 0 ]]; then
+    echo "== fast lane: pytest -m 'not slow' (incl. fusion + scalar-reference parity) =="
+    python -m pytest -x -q -m "not slow" || rc=$?
+  fi
   if [[ "$rc" -eq 0 ]]; then
     # Orchestrator smoke: one tiny scenario cell across 2 worker
     # processes, uncached, so a broken pool/pickling path fails fast.

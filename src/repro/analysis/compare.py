@@ -51,10 +51,6 @@ class Delta:
             return 1.0 - self.ratio
         return self.ratio - 1.0
 
-    @property
-    def improved(self) -> bool:
-        return self.improvement > 0
-
 
 def compare_reports(candidate, baseline) -> dict:
     """{metric: Delta} for the headline metrics of two RunReports."""

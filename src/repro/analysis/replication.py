@@ -27,10 +27,6 @@ class MetricAggregate:
     maximum: float
     n: int
 
-    def as_row(self) -> list:
-        return [self.name, round(self.mean, 3), round(self.std, 3),
-                round(self.minimum, 3), round(self.maximum, 3), self.n]
-
 
 def replicate(
     experiment: Callable[[int], dict],

@@ -48,7 +48,6 @@ class ClientBuffer:
         # (1/rate).  A plain attribute (not a property) because the
         # scheduler reads it on every buffer-seconds query.
         self.interval = 1.0 / rate
-        self._rate_changes = 0
         self._delivered = 0
         self._stall_time = 0.0
         self._last_gen: Optional[float] = None
@@ -92,12 +91,6 @@ class ClientBuffer:
         if rate != self.rate:
             self.rate = rate
             self.interval = 1.0 / rate
-            self._rate_changes += 1
-
-    @property
-    def rate_changes(self) -> int:
-        """Number of mid-stream rate adjustments applied."""
-        return self._rate_changes
 
     # --- delivery --------------------------------------------------------
     def deliver(self, timestamp: float) -> None:

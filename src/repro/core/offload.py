@@ -37,7 +37,6 @@ class RequestOffloadManager:
         loading: list,
         on_state_change: Optional[Callable[[], None]] = None,
         on_swap_observed: Optional[Callable[[float, float], None]] = None,
-        record_events: bool = True,
     ) -> None:
         self.engine = engine
         self.tracker = tracker
@@ -49,17 +48,8 @@ class RequestOffloadManager:
         self.loading = loading
         self._on_state_change = on_state_change or (lambda: None)
         self._on_swap_observed = on_swap_observed or (lambda evict, load: None)
+        # Lifecycle transition counts; no per-transition log is kept.
         self.stats = {"admissions": 0, "preemptions": 0, "loads": 0, "recomputes": 0}
-        # (timestamp, event, req_id) trace of lifecycle transitions;
-        # feeds the timeline analyses (paper Figs. 14/15/18).  Streaming
-        # runs (record_events=False) keep only the counters above — one
-        # tuple per transition would be the last O(total) log standing.
-        self.record_events = record_events
-        self.events: list = []
-
-    def _record(self, timestamp: float, kind: str, req_id: int) -> None:
-        if self.record_events:
-            self.events.append((timestamp, kind, req_id))
 
     # --- decision execution ----------------------------------------------------
     def execute(self, decision: SchedulerDecision) -> None:
@@ -87,7 +77,6 @@ class RequestOffloadManager:
         request.prefill_progress = 0
         self.prefill_queue.append(request)
         self.stats["admissions"] += 1
-        self._record(self.engine.now(), "admit", request.req_id)
 
     def preempt(self, request: Request) -> None:
         """RUNNING -> PREEMPTED: offload (or drop) the KV cache."""
@@ -102,7 +91,6 @@ class RequestOffloadManager:
         done = self.kv.preempt(request.req_id, now)
         self.preempted.append(request)
         self.stats["preemptions"] += 1
-        self._record(now, "preempt", request.req_id)
         self._on_swap_observed(max(0.0, done - now), 0.0)
 
     def resume_load(self, request: Request) -> None:
@@ -124,7 +112,6 @@ class RequestOffloadManager:
         done = self.kv.resume_load(request.req_id, now)
         self.loading.append(request)
         self.stats["loads"] += 1
-        self._record(now, "load", request.req_id)
         self._on_swap_observed(0.0, max(0.0, done - now))
         self.engine.call_at(
             done, lambda: self._finish_load(request), label=f"load-done:{request.req_id}"
@@ -150,4 +137,3 @@ class RequestOffloadManager:
         request.prefill_progress = 0
         self.prefill_queue.append(request)
         self.stats["recomputes"] += 1
-        self._record(self.engine.now(), "recompute", request.req_id)

@@ -1,10 +1,9 @@
 """Request Tracker (paper §3.1, first component).
 
 Monitors each request's runtime status: buffer token counts, required
-consumption rate, per-token generation timestamps, preemption history,
-and resource usage.  Both the scheduler (buffer occupancy in tokens and
-in seconds of playback) and the metrics pipeline (QoS inputs) read from
-here.
+consumption rate, preemption history, and resource usage.  Both the
+scheduler (buffer occupancy in tokens and in seconds of playback) and
+the metrics pipeline (QoS inputs) read from here.
 
 Every buffer query reads the request's :class:`ClientBuffer` cursor
 directly at ``now``; queries come at non-decreasing ``now``, so the
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from repro.client.buffer import ClientBuffer
-from repro.workload.request import Request, RequestState
+from repro.workload.request import Request
 
 
 @dataclass
@@ -34,21 +33,18 @@ class RequestTracker:
     With ``retire_into`` set (streaming telemetry, see
     :class:`~repro.serving.metrics.StreamingRunStats`), a finished
     request is *retired* the moment :meth:`mark_finished` runs: its
-    final metrics fold into the sink and its entry — request object,
-    buffer, token timestamps — is dropped, so tracker memory is
-    O(active requests) rather than O(total).  The aggregates report
-    building needs across retirements (earliest arrival, latest
-    activity) are maintained incrementally.
+    final metrics fold into the sink and its entry — request object
+    and buffer — is dropped, so tracker memory is O(active requests)
+    rather than O(total).  The earliest arrival, which report building
+    needs across retirements, is maintained incrementally.
     """
 
     def __init__(self, record_traces: bool = True, retire_into=None) -> None:
         self._entries: dict[int, TrackedRequest] = {}
-        self._finished_order: list = []
         self._record_traces = record_traces
         # Retirement sink: any object with observe(request, buffer).
         self._retire_sink = retire_into
         self._min_arrival: Optional[float] = None
-        self._retired_last_activity: Optional[float] = None
 
     # --- registration ------------------------------------------------------
     def register(self, request: Request) -> TrackedRequest:
@@ -84,24 +80,15 @@ class RequestTracker:
         return self._entries
 
     # --- event hooks --------------------------------------------------------
-    def deliver_token(self, req_id: int, timestamp: float) -> None:
-        """Record one generated token flowing into the client buffer."""
-        entry = self._entries.get(req_id)
-        if entry is None:
-            raise KeyError(f"request {req_id} is not tracked")
-        buffer = entry.buffer
-        last_gen = buffer._last_gen
-        if last_gen is not None and timestamp < last_gen:
-            raise ValueError("deliveries must have non-decreasing timestamps")
-        entry.request.record_token(timestamp)
-        buffer.deliver(timestamp)
-
     def deliver_tokens(self, req_id: int, timestamps: list) -> None:
-        """Bulk :meth:`deliver_token`: one token at each instant.
+        """Record ``len(timestamps)`` generated tokens, one at each
+        (non-decreasing) instant, flowing into the client buffer.
 
-        Equivalent to calling :meth:`deliver_token` once per timestamp
-        in order, with the per-token request/buffer bookkeeping done in
-        bulk (the batch plane's scalar fallback for one request).
+        The one per-request delivery entry point outside the batch
+        plane's :func:`~repro.serving.batchstate.deliver_batch` (its
+        scalar fallback for one request calls it).  Raises before any
+        state moves if the tokens would exceed ``output_len`` or the
+        first timestamp precedes the buffer's last delivery.
         """
         entry = self._entries.get(req_id)
         if entry is None:
@@ -119,7 +106,6 @@ class RequestTracker:
             raise ValueError("deliveries must have non-decreasing timestamps")
         if request.ttft is None:
             request.ttft = first - request.arrival_time
-            request.first_token_time = first
         request.generated += n
         buffer.deliver_many(timestamps)
 
@@ -127,25 +113,8 @@ class RequestTracker:
         entry = self.get(req_id)
         entry.request.finish_time = timestamp
         if self._retire_sink is not None:
-            self._retire(req_id, entry, timestamp)
-        else:
-            self._finished_order.append(req_id)
-
-    def _retire(self, req_id: int, entry: TrackedRequest, timestamp: float) -> None:
-        """Fold a finished entry into the sink and drop it.
-
-        The entry's contribution to :meth:`last_activity` — its final
-        consumption time and finish time — is captured first, so the
-        report-time makespan is unchanged by retirement.
-        """
-        self._retire_sink.observe(entry.request, entry.buffer)
-        latest = self._retired_last_activity
-        final = entry.buffer.final_consumption_time()
-        for candidate in (final, timestamp):
-            if candidate is not None and (latest is None or candidate > latest):
-                latest = candidate
-        self._retired_last_activity = latest
-        del self._entries[req_id]
+            self._retire_sink.observe(entry.request, entry.buffer)
+            del self._entries[req_id]
 
     # --- scheduler queries -----------------------------------------------------
     def occupancy(self, req_id: int, now: float) -> int:
@@ -218,24 +187,7 @@ class RequestTracker:
     def entries(self) -> Iterable[TrackedRequest]:
         return self._entries.values()
 
-    def finished_entries(self) -> list:
-        return [
-            self._entries[rid]
-            for rid in self._finished_order
-            if self._entries[rid].request.state is RequestState.FINISHED
-        ]
-
     def first_arrival(self) -> Optional[float]:
         """Earliest arrival ever registered (tracked incrementally, so
         the answer survives retirement of the entry that set it)."""
         return self._min_arrival
-
-    def last_activity(self) -> Optional[float]:
-        """Latest token-generation or consumption timestamp observed."""
-        latest: Optional[float] = self._retired_last_activity
-        for entry in self._entries.values():
-            final = entry.buffer.final_consumption_time()
-            for candidate in (final, entry.request.finish_time):
-                if candidate is not None and (latest is None or candidate > latest):
-                    latest = candidate
-        return latest

@@ -90,20 +90,13 @@ class WorkingSetPolicy:
     # They are integers, so the window sum is exact and recomputing it
     # equals any running float sum of the same values; ``S / n`` on ints
     # is the same correctly rounded quotient as ``float(S) / n``.
-    def observe_footprint(self, context_tokens: int) -> None:
-        """Feed an observed request context length into the β estimate."""
-        if context_tokens <= 0:
-            raise ValueError("context_tokens must be positive")
-        self._contexts.append(context_tokens)
-        self._context_sum = sum(self._contexts)
-
     def observe_footprints(self, requests) -> None:
-        """Bulk β update from a batch of requests' context lengths.
+        """Feed the context lengths of a batch of requests, in order,
+        into the β estimate.
 
-        Equivalent to calling :meth:`observe_footprint` for each
-        request in order — the scheduler runs this once per iteration
-        over the whole decode batch.  (Request validates
-        ``prompt_len > 0``, so every context is positive.)
+        The scheduler runs this once per iteration over the whole
+        decode batch.  (Request validates ``prompt_len > 0``, so every
+        context is positive.)
         """
         self._contexts.extend([r.prompt_len + r.generated for r in requests])
         self._context_sum = sum(self._contexts)

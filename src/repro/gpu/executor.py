@@ -137,15 +137,3 @@ class LLMExecutor:
                 return tokens / seconds
         step = self.latency.decode_step_time([512])
         return 1.0 / step if step > 0 else float("inf")
-
-    def chunk_prompt(self, prompt_len: int, chunk_size: int) -> list:
-        """Split a prompt into chunked-prefill pieces."""
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        chunks = []
-        remaining = prompt_len
-        while remaining > 0:
-            piece = min(chunk_size, remaining)
-            chunks.append(piece)
-            remaining -= piece
-        return chunks

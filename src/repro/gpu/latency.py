@@ -95,21 +95,3 @@ class LatencyModel:
         mem_time = (self.weight_bytes + kv_bytes) / self.effective_mem_bandwidth
         compute_time = self.flops_per_token * batch / self.effective_flops
         return max(mem_time, compute_time) + self.hardware.iteration_overhead_s
-
-    def decode_throughput(self, batch: int, avg_context: int) -> float:
-        """Steady-state tokens/s for a homogeneous batch (for sizing)."""
-        if batch <= 0:
-            return 0.0
-        step = self.decode_step_time([avg_context] * batch)
-        return batch / step if step > 0 else float("inf")
-
-    def recompute_time(self, context_length: int) -> float:
-        """Time to re-prefill a preempted request's full context."""
-        return self.prefill_time([context_length])
-
-    def transfer_time(self, n_tokens: int) -> float:
-        """PCIe time to move ``n_tokens`` of KV cache one way."""
-        if n_tokens < 0:
-            raise ValueError("n_tokens must be non-negative")
-        nbytes = self.kv_bytes_per_token * float(n_tokens)
-        return nbytes / self.hardware.pcie_bytes_per_s

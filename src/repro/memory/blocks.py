@@ -19,7 +19,6 @@ by the property suites):
 
 from __future__ import annotations
 
-from typing import Iterable
 
 
 class OutOfMemory(RuntimeError):
@@ -67,9 +66,6 @@ class BlockPool:
 
     def used_by(self, owner: int) -> int:
         return self._owners.get(owner, 0)
-
-    def owners(self) -> Iterable[int]:
-        return self._owners.keys()
 
     def can_allocate(self, n_blocks: int) -> bool:
         return n_blocks <= self.free

@@ -132,11 +132,6 @@ class PrefixBlockTable:
             self.identities[req_id] = identity
 
     # --- capacity ---------------------------------------------------------
-    @property
-    def evictable_blocks(self) -> int:
-        """Cached (refs-0) blocks the pool can reclaim on demand."""
-        return len(self.cached)
-
     def reclaim(self, n_blocks: int) -> int:
         """Evict up to ``n_blocks`` cached blocks (LRU first)."""
         freed = 0

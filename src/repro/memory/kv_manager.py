@@ -44,7 +44,7 @@ so the fused and vectorised decode planes never see the difference.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.memory.blocks import BlockPool, OutOfMemory
 from repro.memory.blocktable import PrefixBlockTable
@@ -462,9 +462,6 @@ class HierarchicalKVManager:
             for record in self._dirty.values()
         )
 
-    def write_backlog_bytes(self) -> float:
-        return self._tokens_to_bytes(self.write_backlog_tokens())
-
     def drain_writes(
         self,
         now: float,
@@ -747,9 +744,6 @@ class HierarchicalKVManager:
         t_load_q = self.link.h2d.queueing_delay(now)
         t_load = self.link.h2d.transfer_seconds(load_bytes)
         return t_evict_q + t_evict + t_load_q + t_load
-
-    def resident_requests(self) -> Iterable[int]:
-        return [rid for rid, record in self._records.items() if record.resident]
 
     def check_invariants(self) -> None:
         """Pool-level consistency checks for property tests."""

@@ -35,7 +35,6 @@ class PCIeDirection:
         self.bandwidth = bandwidth_bytes_per_s
         self.name = name
         self._busy_until = 0.0
-        self._bytes_moved = 0.0
         self._busy_time = 0.0
 
     # --- queries -----------------------------------------------------------
@@ -48,10 +47,6 @@ class PCIeDirection:
 
     def transfer_seconds(self, nbytes: float) -> float:
         return nbytes / self.bandwidth
-
-    @property
-    def bytes_moved(self) -> float:
-        return self._bytes_moved
 
     @property
     def busy_time(self) -> float:
@@ -71,7 +66,6 @@ class PCIeDirection:
         duration = self.transfer_seconds(nbytes)
         end = start + duration
         self._busy_until = end
-        self._bytes_moved += nbytes
         self._busy_time += duration
         return TransferJob(nbytes=nbytes, start=start, end=end)
 
@@ -86,15 +80,14 @@ class PCIeDirection:
         """Account a chunked-writer transfer without a reservation.
 
         Same state mutations as :meth:`submit` (start at
-        ``max(now, busy_until)``, extend the busy horizon, count bytes
-        and busy time) but skips building a :class:`TransferJob` — the
+        ``max(now, busy_until)``, extend the busy horizon, count busy
+        time) but skips building a :class:`TransferJob` — the
         chunked writer issues one of these per dirty record per
         iteration and never needs the reservation back.
         """
         start = now if now >= self._busy_until else self._busy_until
         duration = nbytes / self.bandwidth
         self._busy_until = start + duration
-        self._bytes_moved += nbytes
         self._busy_time += duration
 
     def occupy_drains(self, n: int, nbytes_each: float, starts) -> None:
@@ -113,21 +106,18 @@ class PCIeDirection:
         rounding bound far above the ``n`` additions' error) falls
         before the next start leaves that drain starting on an idle
         link whatever the chain's exact value, and is skipped.  The
-        byte/busy-time totals only feed reporting; each drain adds its
+        busy-time total only feeds reporting; each drain adds its
         total in closed form (within float summation-order error of
         the per-transfer path).
         """
         if n <= 0 or nbytes_each <= 0:
             return
         duration = nbytes_each / self.bandwidth
-        drain_bytes = nbytes_each * n
         drain_busy = duration * n
-        moved = self._bytes_moved
         busy_time = self._busy_time
         busy = self._busy_until
         last = len(starts) - 1
         for j, start in enumerate(starts):
-            moved += drain_bytes
             busy_time += drain_busy
             if start >= busy:
                 busy = start
@@ -139,7 +129,6 @@ class PCIeDirection:
             for _ in range(n):
                 busy = busy + duration
         self._busy_until = busy
-        self._bytes_moved = moved
         self._busy_time = busy_time
 
 

@@ -87,11 +87,6 @@ def get_manager():
     return _manager
 
 
-def pool_workers() -> int:
-    """Current warm-pool size (0 when no pool is alive)."""
-    return _pool_workers if _pool is not None else 0
-
-
 # --- message batching ---------------------------------------------------
 #
 # Manager-queue puts pay one proxy round-trip (pickle + socket) each.

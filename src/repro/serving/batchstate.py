@@ -146,11 +146,10 @@ def deliver_batch(tracker, requests, times) -> None:
             raise ValueError("deliveries must have non-decreasing timestamps")
 
     if k == 1:
-        # Request.record_token without its checks (done above).
+        # RequestTracker.deliver_tokens without its checks (done above).
         for request, buffer in zip(requests, buffers):
             if request.ttft is None:
                 request.ttft = t_first - request.arrival_time
-                request.first_token_time = t_first
             request.generated += 1
             buffer.deliver(t_first)
         return
@@ -201,7 +200,6 @@ def deliver_batch(tracker, requests, times) -> None:
         # Request bookkeeping (mirrors RequestTracker.deliver_tokens).
         if request.ttft is None:
             request.ttft = t_first - request.arrival_time
-            request.first_token_time = t_first
         request.generated += k
         c_last, stall, consumed, nxt, rebased, lo, window = row
         buffer._delivered += k

@@ -8,7 +8,7 @@ separately and passed alongside the config, so the same
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 from repro.gpu.hardware import HardwareSpec, get_hardware
@@ -92,9 +92,10 @@ class ServingConfig:
                 "record_token_traces needs retain_per_request: streaming "
                 "telemetry drops each request's traces at retirement"
             )
-        # Keep the KV config's block size consistent with ours.
+        # Keep the KV config's block size consistent with ours, on a
+        # copy: the caller's frozen KVManagerConfig may be shared.
         if self.kv.block_size != self.block_size:
-            object.__setattr__(self.kv, "block_size", self.block_size)
+            self.kv = replace(self.kv, block_size=self.block_size)
         if self.resolved_mem_frac() <= 0:
             raise ValueError(
                 f"model {self.model.name} weights do not leave KV room on "

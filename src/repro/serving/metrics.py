@@ -367,11 +367,6 @@ class RunReport:
     # empty per_request); retained runs leave it None.
     stream_stats: Optional[StreamingRunStats] = None
 
-    @property
-    def is_streaming(self) -> bool:
-        """True when this report is sketch-backed (no per-request rows)."""
-        return self.stream_stats is not None
-
     def summary_row(self) -> list:
         """The four headline metrics as a table row."""
         return [

@@ -102,7 +102,6 @@ class ServingSystem:
         self.running: list = []
         self.preempted: list = []
         self.loading: list = []
-        self.finished: list = []
 
         self._busy = False            # an iteration is in flight
         self._in_scheduler = False    # re-entrancy guard for _kick
@@ -136,7 +135,6 @@ class ServingSystem:
             loading=self.loading,
             on_state_change=self._kick,
             on_swap_observed=self.memory.observe_swap,
-            record_events=config.retain_per_request,
         )
 
     # --- submission -----------------------------------------------------------
@@ -228,12 +226,6 @@ class ServingSystem:
         self._unfinished -= 1
         self._kick()
         return True
-
-    def cancel_at(self, req_id: int, when: float) -> None:
-        """Schedule a cancellation at a future simulation time."""
-        self.engine.call_at(
-            when, lambda: self.cancel(req_id), label=f"cancel:{req_id}"
-        )
 
     # --- glue ------------------------------------------------------------------
     def _sample_timeline(self) -> None:

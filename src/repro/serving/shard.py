@@ -417,27 +417,6 @@ class ShardedServingCluster:
         self.speculation_hits = 0      # stateful dispatches the mirror resolved
         self.shard_events: List[int] = []
 
-    @classmethod
-    def homogeneous(
-        cls,
-        n_instances: int,
-        scheduler_factory: Callable[[], object],
-        router: Union[str, Router] = "least_loaded",
-        shards: int = 1,
-        transport: Optional[str] = None,
-        **config_kwargs,
-    ) -> "ShardedServingCluster":
-        """Build ``n_instances`` identical nodes."""
-        from repro.serving.config import ServingConfig
-
-        if n_instances <= 0:
-            raise ValueError("n_instances must be positive")
-        configs = [ServingConfig(**config_kwargs) for _ in range(n_instances)]
-        return cls(
-            configs, scheduler_factory, router=router,
-            shards=shards, transport=transport,
-        )
-
     # --- workload intake --------------------------------------------------
     def submit(self, requests: Sequence) -> None:
         """Record arrivals; routing happens inside :meth:`run`.

@@ -439,11 +439,6 @@ class DecodeStream:
         self.executor = system.executor
         self.running = system.running
         self.prefill_queue = system.prefill_queue
-        self.finished = system.finished
-        # Streaming telemetry retires finished requests — the shell's
-        # `finished` list must not pin every Request (and its token
-        # timestamps) for the whole run in that mode.
-        self.keep_finished = system.stream_stats is None
         self.composer = system.composer
         self.last_token_time = 0.0
         # The executor event currently in flight, as a picklable-free
@@ -819,8 +814,6 @@ class DecodeStream:
                 break
         self.kv.release(request.req_id)
         self.tracker.mark_finished(request.req_id, now)
-        if self.keep_finished:
-            self.finished.append(request)
         system._unfinished -= 1
         if system.on_request_finished is not None:
             system.on_request_finished(request)

@@ -41,7 +41,3 @@ class RngStreams:
             seed_seq = np.random.SeedSequence([self._root_seed, name_hash])
             self._streams[name] = np.random.default_rng(seed_seq)
         return self._streams[name]
-
-    def spawn(self, salt: int) -> "RngStreams":
-        """Derive an independent family of streams (e.g. per repetition)."""
-        return RngStreams(root_seed=zlib.crc32(f"{self._root_seed}:{salt}".encode()))

@@ -68,36 +68,6 @@ class RateMixture:
     def fixed(cls, rate: float) -> "RateMixture":
         return cls(rates=(rate,), weights=(1.0,))
 
-    @classmethod
-    def from_population(
-        cls,
-        mode: str = "reading",
-        languages: Optional[Sequence] = None,
-        speed_multiplier: float = 1.0,
-    ) -> "RateMixture":
-        """Uniform mixture over the paper's Fig. 1 consumption rates.
-
-        Builds a rate mixture from the reading/listening speed tables
-        (age groups x languages), optionally restricted to some
-        languages.  ``speed_multiplier`` scales every rate — the paper
-        serves at ~2x reading speed as a responsiveness margin.
-        """
-        from repro.client.rates import rate_table_rows
-
-        if speed_multiplier <= 0:
-            raise ValueError("speed_multiplier must be positive")
-        wanted = None if languages is None else {l.lower() for l in languages}
-        rows = [
-            (language, rate)
-            for language, _age, rate in rate_table_rows(mode)
-            if wanted is None or language in wanted
-        ]
-        if not rows:
-            raise ValueError("no population cells match the given languages")
-        rates = tuple(rate * speed_multiplier for _, rate in rows)
-        weights = tuple(1.0 for _ in rows)
-        return cls(rates=rates, weights=weights)
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:

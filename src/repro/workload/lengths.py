@@ -55,18 +55,3 @@ class LogNormalLengthSampler(LengthSampler):
         prompt = self._clamp(rng.lognormal(np.log(self.prompt_median), self.prompt_sigma))
         output = self._clamp(rng.lognormal(np.log(self.output_median), self.output_sigma))
         return prompt, output
-
-
-# Mean lengths used in Table 1: "S" (short) and "L" (long) settings for
-# the RTX 4090; H200 outputs are scaled 2x by the experiment configs.
-SHORT_LENGTHS = NormalLengthSampler(
-    prompt_mean=512.0, prompt_std=128.0, output_mean=1024.0, output_std=256.0
-)
-LONG_LENGTHS = NormalLengthSampler(
-    prompt_mean=1024.0, prompt_std=256.0, output_mean=2048.0, output_std=512.0
-)
-
-
-def sharegpt_like() -> LogNormalLengthSampler:
-    """Sampler tuned to ShareGPT's published length statistics."""
-    return LogNormalLengthSampler()

@@ -71,8 +71,10 @@ class Request:
     of field-by-field dataclass equality.
 
     A request keeps no per-token state: it counts its tokens and
-    remembers the first one's time.  Per-token timestamps live in the
-    client buffer's opt-in traces (``ServingConfig.record_token_traces``,
+    remembers its first-token latency (``ttft``).  Token bookkeeping
+    happens in ``RequestTracker.deliver_tokens`` and the batch plane's
+    ``deliver_batch`` only.  Per-token timestamps live in the client
+    buffer's opt-in traces (``ServingConfig.record_token_traces``,
     read through ``ClientBuffer.generation_times``), and the buffer's
     last generation time is what orders deliveries.
 
@@ -112,7 +114,6 @@ class Request:
     state: RequestState = field(default=RequestState.QUEUED)
     generated: int = 0                      # output tokens produced so far
     ttft: Optional[float] = None            # first-token latency (seconds)
-    first_token_time: Optional[float] = None
     finish_time: Optional[float] = None
     preemption_count: int = 0
     admitted_time: Optional[float] = None
@@ -141,11 +142,6 @@ class Request:
     def context_len(self) -> int:
         """Prompt plus generated tokens — the KV-cache footprint."""
         return self.prompt_len + self.generated
-
-    @property
-    def remaining_output(self) -> int:
-        """Output tokens still to generate."""
-        return self.output_len - self.generated
 
     @property
     def is_finished(self) -> bool:
@@ -187,22 +183,6 @@ class Request:
                 f"{self.state.value} -> {new_state.value}"
             )
         self.state = new_state
-
-    def record_token(self, timestamp: float) -> None:
-        """Count one output token generated at ``timestamp``.
-
-        Only the count and the first token's time are kept.  Whether
-        ``timestamp`` is in order is the client buffer's to check
-        (``RequestTracker.deliver_token`` does so before calling this).
-        """
-        if self.generated >= self.output_len:
-            raise RuntimeError(
-                f"request {self.req_id} already generated all {self.output_len} tokens"
-            )
-        if self.ttft is None:
-            self.ttft = timestamp - self.arrival_time
-            self.first_token_time = timestamp
-        self.generated += 1
 
     def __repr__(self) -> str:
         return (

@@ -128,10 +128,6 @@ class SessionDriver:
         self._submit_turn(spec, turn + 1, next_arrival)
 
     # --- queries ----------------------------------------------------------
-    def turns_completed(self, session_id: int) -> int:
-        """Turns of ``session_id`` whose answer has finished generating."""
-        return self._turn[session_id]
-
     @property
     def all_done(self) -> bool:
         return len(self.completed_sessions) == len(self.sessions)

@@ -5,8 +5,10 @@ model lands in the right *regimes*: single-stream decode speeds in the
 published ballpark, batch scaling saturating where memory bandwidth
 says it must, prefill far faster per token than decode, and PCIe
 transfers cheaper than recompute for contexts past a small crossover.
-This module computes those checkpoints so tests (and users picking
-custom specs) can verify a hardware/model pairing behaves sanely.
+This helper computes those checkpoints from a
+:class:`~repro.gpu.latency.LatencyModel` so the tests can verify a
+hardware/model pairing behaves sanely.  No simulation run reads these
+operating points, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -16,6 +18,27 @@ from dataclasses import dataclass
 from repro.gpu.hardware import HardwareSpec
 from repro.gpu.latency import LatencyModel
 from repro.gpu.models import ModelSpec
+
+
+def decode_throughput(latency: LatencyModel, batch: int, avg_context: int) -> float:
+    """Steady-state tokens/s for a homogeneous batch."""
+    if batch <= 0:
+        return 0.0
+    step = latency.decode_step_time([avg_context] * batch)
+    return batch / step if step > 0 else float("inf")
+
+
+def recompute_time(latency: LatencyModel, context_length: int) -> float:
+    """Time to re-prefill a preempted request's full context."""
+    return latency.prefill_time([context_length])
+
+
+def transfer_time(latency: LatencyModel, n_tokens: int) -> float:
+    """PCIe time to move ``n_tokens`` of KV cache one way."""
+    if n_tokens < 0:
+        raise ValueError("n_tokens must be non-negative")
+    nbytes = latency.kv_bytes_per_token * float(n_tokens)
+    return nbytes / latency.hardware.pcie_bytes_per_s
 
 
 @dataclass(frozen=True)
@@ -53,11 +76,11 @@ def _load_recompute_crossover(latency: LatencyModel, limit: int = 65536) -> int:
     sits at small contexts. Returns ``limit`` if recompute always wins.
     """
     low, high = 1, limit
-    if latency.transfer_time(high) >= latency.recompute_time(high):
+    if transfer_time(latency, high) >= recompute_time(latency, high):
         return limit
     while low < high:
         mid = (low + high) // 2
-        if latency.transfer_time(mid) < latency.recompute_time(mid):
+        if transfer_time(latency, mid) < recompute_time(latency, mid):
             high = mid
         else:
             low = mid + 1
@@ -68,7 +91,7 @@ def calibrate(hardware: HardwareSpec, model: ModelSpec) -> CalibrationReport:
     """Compute the calibration checkpoints for one pairing."""
     latency = LatencyModel(hardware, model)
     single = 1.0 / latency.decode_step_time([512])
-    batch32 = latency.decode_throughput(32, 512)
+    batch32 = decode_throughput(latency, 32, 512)
     prefill_time = latency.prefill_time([2048])
     prefill_rate = 2048.0 / prefill_time if prefill_time > 0 else float("inf")
     decode_per_token = latency.decode_step_time([2048])

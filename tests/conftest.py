@@ -12,6 +12,7 @@ import pytest
 from repro.core.scheduler import TokenFlowScheduler
 from repro.serving.config import ServingConfig
 from repro.serving.server import ServingSystem
+from repro.serving.shard import ShardedServingCluster
 from repro.serving.stages import DecodeStream, DecodeWindow
 from repro.sim.engine import SimEngine
 from repro.sim.rng import RngStreams
@@ -39,6 +40,14 @@ def small_config() -> ServingConfig:
 @pytest.fixture
 def tokenflow_system(small_config) -> ServingSystem:
     return ServingSystem(small_config, TokenFlowScheduler())
+
+
+def homogeneous_cluster(n_instances, scheduler_factory, router="least_loaded",
+                        shards=1, transport=None, **config_kwargs):
+    """A cluster of ``n_instances`` identical nodes."""
+    configs = [ServingConfig(**config_kwargs) for _ in range(n_instances)]
+    return ShardedServingCluster(configs, scheduler_factory, router=router,
+                                 shards=shards, transport=transport)
 
 
 def make_request(

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.analysis.replication import (
-    MetricAggregate,
     paired_win_rate,
     replicate,
     report_metrics,
@@ -32,11 +31,6 @@ class TestReplicate:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             replicate(lambda seed: {}, seeds=[])
-
-    def test_as_row(self):
-        aggregate = MetricAggregate("m", 1.0, 0.1, 0.9, 1.1, 4)
-        assert aggregate.as_row()[0] == "m"
-        assert len(aggregate.as_row()) == 6
 
 
 class TestWinRate:

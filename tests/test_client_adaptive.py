@@ -59,12 +59,12 @@ class TestBufferRateChange:
         buffer.set_rate(2.0)          # 0.5 s interval from now on
         buffer.deliver(0.02)          # consumed at 0.1 + 0.5
         assert buffer.consumption_times == pytest.approx([0.0, 0.1, 0.6])
-        assert buffer.rate_changes == 1
+        assert buffer.interval == 0.5
 
     def test_same_rate_is_noop(self):
         buffer = ClientBuffer(rate=10.0)
         buffer.set_rate(10.0)
-        assert buffer.rate_changes == 0
+        assert (buffer.rate, buffer.interval) == (10.0, 0.1)
 
     def test_invalid_rate_rejected(self):
         with pytest.raises(ValueError):

@@ -118,11 +118,12 @@ class TestResume:
         assert queues["prefill_queue"] == [request]
 
     def test_events_recorded(self, setup):
+        """Each lifecycle transition is counted in ``stats``."""
         engine, tracker, kv, queues, manager = setup
         request = self._preempted(setup)
         manager.resume_load(request)
-        kinds = [kind for _, kind, _ in manager.events]
-        assert kinds == ["preempt", "load"]
+        assert manager.stats == {"admissions": 0, "preemptions": 1,
+                                 "loads": 1, "recomputes": 0}
 
 
 class TestExecute:

@@ -32,7 +32,7 @@ class TestRegistration:
 class TestDelivery:
     def test_deliver_updates_request_and_buffer(self, tracker):
         tracker.register(make_request(req_id=1, output=4))
-        tracker.deliver_token(1, 0.5)
+        tracker.deliver_tokens(1, [0.5])
         entry = tracker.get(1)
         assert entry.request.generated == 1
         assert entry.buffer.delivered == 1
@@ -41,7 +41,7 @@ class TestDelivery:
     def test_occupancy_and_deadline(self, tracker):
         tracker.register(make_request(req_id=1, output=32, rate=10.0))
         for idx in range(10):
-            tracker.deliver_token(1, 0.01 * idx)
+            tracker.deliver_tokens(1, [0.01 * idx])
         occupancy = tracker.occupancy(1, 0.1)
         assert occupancy == 10 - 2  # two consumed by t=0.1
         assert tracker.buffer_seconds(1, 0.1) == pytest.approx(occupancy / 10.0)
@@ -55,7 +55,7 @@ class TestDelivery:
         for request in requests:
             tracker.register(request)
             for idx in range(120):
-                tracker.deliver_token(request.req_id, 0.002 * idx)
+                tracker.deliver_tokens(request.req_id, [0.002 * idx])
         for at in (0.5, 2.0, 4.0, 6.5):
             # Peeks first: a real query would move the cursors to `at`.
             answers = {seconds: tracker.peek_buffers_hold(requests, at, seconds)
@@ -69,7 +69,7 @@ class TestDelivery:
         # at t=0, one consumed on arrival, 7 left at 7 tok/s.
         tracker.register(make_request(req_id=3, output=16, rate=7.0))
         for _ in range(8):
-            tracker.deliver_token(3, 0.0)
+            tracker.deliver_tokens(3, [0.0])
         assert tracker.occupancy(3, 0.0) == 7
         assert tracker.buffer_seconds(3, 0.0) == 7 * (1.0 / 7.0)
 
@@ -81,23 +81,23 @@ class TestFinish:
             tracker.register(request)
             request.transition(RequestState.PREFILLING)
             request.transition(RequestState.RUNNING)
-        tracker.deliver_token(2, 1.0)
+        tracker.deliver_tokens(2, [1.0])
         tracker.get(2).request.transition(RequestState.FINISHED)
         tracker.mark_finished(2, 1.0)
-        tracker.deliver_token(1, 2.0)
+        tracker.deliver_tokens(1, [2.0])
         tracker.get(1).request.transition(RequestState.FINISHED)
         tracker.mark_finished(1, 2.0)
-        finished = tracker.finished_entries()
-        assert [e.request.req_id for e in finished] == [2, 1]
+        # Without a retirement sink the entries stay, in registration order.
+        assert [(e.request.req_id, e.request.finish_time)
+                for e in tracker.entries()] == [(1, 2.0), (2, 1.0)]
 
-    def test_first_arrival_and_last_activity(self, tracker):
+    def test_first_arrival(self, tracker):
         tracker.register(make_request(req_id=1, arrival=1.0, output=4))
         tracker.register(make_request(req_id=2, arrival=0.5, output=4))
         assert tracker.first_arrival() == 0.5
-        tracker.deliver_token(1, 3.0)
-        assert tracker.last_activity() == pytest.approx(3.0)
+        tracker.deliver_tokens(1, [3.0])
+        assert tracker.first_arrival() == 0.5
 
     def test_empty_tracker_queries(self, tracker):
         assert tracker.first_arrival() is None
-        assert tracker.last_activity() is None
-        assert tracker.finished_entries() == []
+        assert list(tracker.entries()) == []

@@ -9,6 +9,7 @@ import pytest
 from repro.core.estimator import SlidingWindowMean
 from repro.core.scheduler import TokenFlowScheduler
 from repro.core.working_set import WorkingSetParams, WorkingSetPolicy
+from repro.workload.request import Request
 
 
 def make_policy(capacity_tokens=64_000, **kwargs) -> WorkingSetPolicy:
@@ -23,12 +24,14 @@ class TestBeta:
     def test_beta_learns_from_observations(self):
         policy = make_policy(beta_window=4)
         for _ in range(4):
-            policy.observe_footprint(2000)
+            policy.observe_footprints([SimpleNamespace(prompt_len=1500, generated=500)])
         assert policy.beta() == pytest.approx(2000.0)
 
     def test_invalid_footprint_rejected(self):
+        # β observes prompt + generated tokens; a request cannot have a
+        # non-positive prompt, so no observed footprint is ever <= 0.
         with pytest.raises(ValueError):
-            make_policy().observe_footprint(0)
+            Request(req_id=0, arrival_time=0.0, prompt_len=0, output_len=1, rate=1.0)
 
 
 def make_running(rng, batch):

@@ -35,7 +35,8 @@ class TestCloneRequests:
     def test_clone_resets_runtime_state(self):
         original = small_workload(1)
         original[0].transition(RequestState.PREFILLING)
-        original[0].record_token(1.0)
+        original[0].generated = 1
+        original[0].ttft = 1.0
         clone = clone_requests(original)[0]
         assert clone.state is RequestState.QUEUED
         assert clone.generated == 0

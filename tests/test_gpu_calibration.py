@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.gpu.calibration import calibrate, sanity_check
 from repro.gpu.hardware import HARDWARE_SPECS, get_hardware
 from repro.gpu.models import get_model
+from tests.calibration import calibrate, sanity_check
 
 
 class TestPairings:

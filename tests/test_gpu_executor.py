@@ -69,19 +69,6 @@ class TestAccounting:
 
 
 class TestChunking:
-    def test_chunk_prompt_exact(self, executor):
-        assert executor.chunk_prompt(4096, 2048) == [2048, 2048]
-
-    def test_chunk_prompt_remainder(self, executor):
-        assert executor.chunk_prompt(1000, 300) == [300, 300, 300, 100]
-
-    def test_chunk_smaller_than_size(self, executor):
-        assert executor.chunk_prompt(100, 2048) == [100]
-
-    def test_zero_chunk_size_rejected(self, executor):
-        with pytest.raises(ValueError):
-            executor.chunk_prompt(100, 0)
-
     def test_max_prefill_tokens_validated(self):
         latency = LatencyModel(get_hardware("h200"), get_model("llama3-8b"))
         with pytest.raises(ValueError):

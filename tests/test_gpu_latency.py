@@ -5,6 +5,7 @@ import pytest
 from repro.gpu.hardware import get_hardware
 from repro.gpu.latency import LatencyModel
 from repro.gpu.models import get_model
+from tests.calibration import decode_throughput, recompute_time, transfer_time
 
 
 @pytest.fixture
@@ -68,7 +69,7 @@ class TestDecode:
             h200_llama.decode_step_time([-1])
 
     def test_batching_improves_throughput(self, h200_llama):
-        assert h200_llama.decode_throughput(32, 1024) > h200_llama.decode_throughput(1, 1024)
+        assert decode_throughput(h200_llama, 32, 1024) > decode_throughput(h200_llama, 1, 1024)
 
     def test_derived_constants_match_the_specs(self, h200_llama):
         # Derived once at construction; the roofline floats must be the
@@ -83,24 +84,24 @@ class TestDecode:
         assert h200_llama == LatencyModel(hardware, model)
 
     def test_throughput_zero_batch(self, h200_llama):
-        assert h200_llama.decode_throughput(0, 1024) == 0.0
+        assert decode_throughput(h200_llama, 0, 1024) == 0.0
 
 
 class TestTransfersAndRecompute:
     def test_transfer_time_linear(self, h200_llama):
-        assert h200_llama.transfer_time(2000) == pytest.approx(
-            2 * h200_llama.transfer_time(1000)
+        assert transfer_time(h200_llama, 2000) == pytest.approx(
+            2 * transfer_time(h200_llama, 1000)
         )
 
     def test_transfer_negative_rejected(self, h200_llama):
         with pytest.raises(ValueError):
-            h200_llama.transfer_time(-1)
+            transfer_time(h200_llama, -1)
 
     def test_load_beats_recompute_on_h200(self, h200_llama):
         # The §4.2.3 crossover: with idle PCIe, loading 2k tokens of KV
         # is much cheaper than re-prefilling them.
         ctx = 2048
-        assert h200_llama.transfer_time(ctx) < h200_llama.recompute_time(ctx)
+        assert transfer_time(h200_llama, ctx) < recompute_time(h200_llama, ctx)
 
     def test_recompute_equals_prefill(self, h200_llama):
-        assert h200_llama.recompute_time(1024) == h200_llama.prefill_time([1024])
+        assert recompute_time(h200_llama, 1024) == h200_llama.prefill_time([1024])

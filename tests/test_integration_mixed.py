@@ -55,7 +55,7 @@ def mixed_run():
     system.submit(agents)
 
     # One user disconnects mid-stream.
-    system.cancel_at(10_000, when=4.0)
+    system.engine.call_at(4.0, lambda: system.cancel(10_000))
 
     system.run(until=100_000.0)
     return system, driver, tracer, controller
@@ -83,7 +83,7 @@ class TestMixedRun:
         kv = system.kv
         # Finished session turns donate their chains to the refs-0
         # prefix cache: still resident, but every block is reclaimable.
-        assert kv.gpu_pool.used == kv.prefix.evictable_blocks
+        assert kv.gpu_pool.used == len(kv.prefix.cached)
         assert kv.gpu_free_blocks() == kv.gpu_pool.capacity
         assert kv.cpu_pool.used == 0
 

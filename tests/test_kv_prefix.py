@@ -95,7 +95,7 @@ class TestSessionReuse:
         kv.check_invariants()
         kv.release(0)
         # The whole 168-token chain (10 full + 1 partial) is donated.
-        assert kv.prefix.evictable_blocks == 11
+        assert len(kv.prefix.cached) == 11
         assert kv.gpu_pool.used_by(SHARED_OWNER) == 11
         allocated_before = kv.gpu_pool.total_allocated
 
@@ -167,13 +167,13 @@ class TestRefcountEviction:
         kv.allocate_for_prefill(0, 112)          # 7 blocks
         kv.on_prefill_complete(0, 112)
         kv.release(0)
-        assert kv.prefix.evictable_blocks == 7
+        assert len(kv.prefix.cached) == 7
         assert kv.gpu_free_blocks() == 12        # cached counts as free
         # An unrelated request needs 7 blocks; only 5 are truly free.
         kv.register(1, make_request(1, 112))
         kv.allocate_for_prefill(1, 112)
         assert kv.stats["prefix_evictions"] == 2
-        assert kv.prefix.evictable_blocks == 5
+        assert len(kv.prefix.cached) == 5
         kv.check_invariants()
 
     def test_referenced_blocks_are_never_reclaimed(self):
@@ -181,7 +181,7 @@ class TestRefcountEviction:
         kv.register(0, make_request(0, 112, session=1))
         kv.allocate_for_prefill(0, 112)
         kv.on_prefill_complete(0, 112)           # 7 published, all refs=1
-        assert kv.prefix.evictable_blocks == 0
+        assert len(kv.prefix.cached) == 0
         assert kv.prefix.reclaim(100) == 0       # nothing evictable
         assert kv.gpu_pool.used_by(SHARED_OWNER) == 7
 
@@ -328,11 +328,27 @@ def _single_node_scenarios():
 @pytest.mark.parametrize("name", _single_node_scenarios())
 def test_end_of_run_kv_conservation(name):
     """A finished run leaves no records, an empty host pool, and only
-    cached (refs-0) prefix blocks on the GPU."""
+    cached (refs-0) prefix blocks on the GPU; every token generated was
+    delivered; and the PCIe links were busy exactly as long as the
+    bytes the KV manager counts take at link bandwidth.
+
+    Traces are off here, so decode windows go through the batch
+    kernels, not the per-token scalar path."""
     run = build_run(get_scenario(name, scale=_PARITY_SCALES.get(name, 0.10)))
     run.execute()
     kv = run.target.kv
     assert not kv._records
     assert kv.cpu_pool.used == 0
-    assert kv.gpu_pool.used == len(kv.prefix.index) == kv.prefix.evictable_blocks
+    assert kv.gpu_pool.used == len(kv.prefix.index) == len(kv.prefix.cached)
     kv.check_invariants()
+
+    for entry in run.target.tracker.entries():
+        request = entry.request
+        assert request.generated == request.output_len == entry.buffer.delivered, (
+            request.req_id)
+
+    stats, link = kv.stats, kv.link
+    written = stats["write_through_bytes"] + stats["eviction_tail_bytes"]
+    assert link.d2h.busy_time * link.d2h.bandwidth == pytest.approx(written, rel=1e-9)
+    assert link.h2d.busy_time * link.h2d.bandwidth == pytest.approx(
+        stats["load_bytes"], rel=1e-9)

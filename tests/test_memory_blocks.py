@@ -91,7 +91,8 @@ class TestRelease:
     def test_full_release_removes_owner(self, pool):
         pool.allocate(1, 5)
         pool.release(1, 5)
-        assert 1 not in list(pool.owners())
+        assert pool.used_by(1) == 0
+        assert 1 not in pool._owners
 
     def test_invariants_hold(self, pool):
         pool.allocate(1, 10)

@@ -101,7 +101,6 @@ class TestWriteThrough:
         _, kv = make_kv()
         self._resident(kv, tokens=64)
         assert kv.write_backlog_tokens() == 64
-        assert kv.write_backlog_bytes() == 64_000.0
 
     def test_drain_writes_syncs_prefix(self):
         _, kv = make_kv()

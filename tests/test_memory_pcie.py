@@ -38,8 +38,8 @@ class TestSubmit:
     def test_stats_accumulate(self, direction):
         direction.submit(4e9, now=0.0)
         direction.submit(6e9, now=0.0)
-        assert direction.bytes_moved == pytest.approx(10e9)
         assert direction.busy_time == pytest.approx(1.0)
+        assert direction.busy_time * direction.bandwidth == pytest.approx(10e9)
 
 
 class TestQueueing:
@@ -60,7 +60,7 @@ class TestQueueing:
         # on the exact per-transfer additions of n occupy() calls per
         # drain, whether drains are spaced widely enough to skip the
         # interior chains or so tightly they must replay them
-        # (byte/busy-time totals are reporting-only and may differ in
+        # (the busy-time total is reporting-only and may differ in
         # summation order).
         sequential = PCIeDirection(bandwidth_bytes_per_s=64e9)
         bulk = PCIeDirection(bandwidth_bytes_per_s=64e9)
@@ -71,9 +71,6 @@ class TestQueueing:
                 sequential.occupy(nbytes, start)
         bulk.occupy_drains(37, nbytes, starts)
         assert bulk.busy_until() == sequential.busy_until()
-        assert bulk.bytes_moved == pytest.approx(
-            sequential.bytes_moved, rel=1e-12
-        )
         assert bulk.busy_time == pytest.approx(
             sequential.busy_time, rel=1e-12
         )
@@ -83,7 +80,7 @@ class TestQueueing:
         direction.occupy_drains(0, 1024.0, (5.0,))
         direction.occupy_drains(3, 0.0, (5.0, 6.0))
         assert direction.busy_until() == before
-        assert direction.bytes_moved == 0.0
+        assert direction.busy_time == 0.0
 
     def test_bad_bandwidth_rejected(self):
         with pytest.raises(ValueError):

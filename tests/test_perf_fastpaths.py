@@ -168,16 +168,16 @@ class TestTrackerQueries:
     def test_delivery_is_seen_at_same_instant(self, limit, monkeypatch):
         # Queries read the buffer cursor directly, so a delivery at the
         # query instant shows in the next query at that instant — by
-        # the tracker's own deliver_token, by deliver_batch at K = 1
+        # the tracker's own deliver_tokens, by deliver_batch at K = 1
         # (ClientBuffer.deliver per row) and by a K >= 2 window ending
         # at the query instant (each kernel writes the buffer back).
         monkeypatch.setattr(batchstate, "ROW_KERNEL_MAX_ELEMENTS", limit)
         tracker = RequestTracker(record_traces=False)
         request = make_request(req_id=1, output=32, rate=10.0)
         tracker.register(request)
-        tracker.deliver_token(1, 0.0)
+        tracker.deliver_tokens(1, [0.0])
         assert tracker.occupancy(1, 0.05) == 0  # token 0 consumed at 0.0
-        tracker.deliver_token(1, 0.05)
+        tracker.deliver_tokens(1, [0.05])
         assert tracker.occupancy(1, 0.05) == 1
         deliver_batch(tracker, [request], [0.05])
         assert tracker.occupancy(1, 0.05) == 2
@@ -191,7 +191,7 @@ class TestTrackerQueries:
         tracker = RequestTracker()
         tracker.register(make_request(req_id=1, output=64, rate=10.0))
         for idx in range(10):
-            tracker.deliver_token(1, 0.01 * idx)
+            tracker.deliver_tokens(1, [0.01 * idx])
         now = 0.1
         occupancy = tracker.occupancy(1, now)
         assert tracker.buffer_seconds(1, now) == occupancy * (1.0 / 10.0)
@@ -210,7 +210,7 @@ class TestTrackerQueries:
             tracker.register(request)
             requests.append(request)
             for idx in range(rid * 3):
-                tracker.deliver_token(rid, 0.01 * idx)
+                tracker.deliver_tokens(rid, [0.01 * idx])
         now = 0.5
         expected = min(tracker.buffer_seconds(r.req_id, now) for r in requests)
         assert tracker.min_buffer_seconds(requests, now) == expected

@@ -185,9 +185,9 @@ def test_lifecycle_preserves_invariants(ops, capacity, offload):
     engine.run(until=engine.now() + 1e9)
     check()
     # Every non-shared block left belongs to the cache (refs == 0).
-    assert kv.gpu_pool.used == kv.prefix.evictable_blocks
+    assert kv.gpu_pool.used == len(kv.prefix.cached)
     # Reclaiming the whole cache returns the pool to empty.
-    kv.prefix.reclaim(kv.prefix.evictable_blocks)
+    kv.prefix.reclaim(len(kv.prefix.cached))
     check()
     assert kv.gpu_pool.used == 0
 
@@ -227,4 +227,4 @@ def test_group_fanout_refcounts_balance(prompts, prefix_len):
         kv.release(rid)
         kv.check_invariants()
     assert all(b.refs == 0 for b in kv.prefix.index.values())
-    assert kv.gpu_pool.used == kv.prefix.evictable_blocks
+    assert kv.gpu_pool.used == len(kv.prefix.cached)

@@ -140,7 +140,7 @@ class TestKVManagerProperties:
     def test_cpu_copy_never_exceeds_context(self, ops):
         engine, kv = fresh_manager()
         drive(engine, kv, ops)
-        for rid in list(kv.resident_requests()):
+        for rid in [r for r, rec in kv._records.items() if rec.resident]:
             record = kv.record(rid)
             assert record.cpu_tokens <= record.gpu_tokens
             assert record.dirty_tokens >= 0

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from repro.gpu.hardware import HARDWARE_SPECS, get_hardware
 from repro.gpu.latency import LatencyModel
 from repro.gpu.models import MODEL_SPECS, get_model
+from tests.calibration import transfer_time
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)
 
@@ -100,12 +101,12 @@ class TestTransferProperties:
     @settings(max_examples=150, deadline=None)
     def test_transfer_additive(self, n, m, pair):
         latency = model_for(pair)
-        combined = latency.transfer_time(n + m)
-        parts = latency.transfer_time(n) + latency.transfer_time(m)
+        combined = transfer_time(latency, n + m)
+        parts = transfer_time(latency, n) + transfer_time(latency, m)
         assert combined == pytest.approx(parts, rel=1e-9, abs=1e-12)
 
     @given(n=st.integers(1, 100_000), pair=st.sampled_from(PAIRINGS))
     @settings(max_examples=100, deadline=None)
     def test_transfer_monotone(self, n, pair):
         latency = model_for(pair)
-        assert latency.transfer_time(n + 1) > latency.transfer_time(n)
+        assert transfer_time(latency, n + 1) > transfer_time(latency, n)

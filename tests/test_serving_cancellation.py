@@ -84,7 +84,7 @@ class TestCancelStates:
     def test_cancel_at_schedules_future_cancel(self):
         system = make_system()
         system.submit(burst(1, output=2000))
-        system.cancel_at(0, when=3.0)
+        system.engine.call_at(3.0, lambda: system.cancel(0))
         system.run(until=10_000.0)
         request = system.tracker.get(0).request
         assert request.state is RequestState.CANCELLED
@@ -94,7 +94,7 @@ class TestCancelStates:
     def test_report_counts_cancelled_as_unfinished(self):
         system = make_system()
         system.submit(burst(2, output=512))
-        system.cancel_at(0, when=2.0)
+        system.engine.call_at(2.0, lambda: system.cancel(0))
         system.run(until=10_000.0)
         report = system.report()
         assert report.n_requests == 2

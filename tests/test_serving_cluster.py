@@ -15,8 +15,8 @@ from repro.serving.routers import (
     register_router,
 )
 from repro.serving.server import ServingSystem
-from repro.serving.shard import ShardedServingCluster
 from repro.workload.request import Request
+from tests.conftest import homogeneous_cluster
 
 NODE = dict(hardware="h200", model="llama3-8b", mem_frac=0.01, max_batch=8)
 
@@ -31,7 +31,7 @@ def burst(n, prompt=64, output=32, rate=10.0, start=0.0, id_base=0,
 
 
 def make_cluster(n=2, router="least_loaded", shards=1):
-    return ShardedServingCluster.homogeneous(
+    return homogeneous_cluster(
         n, TokenFlowScheduler, router=router, shards=shards, **NODE
     )
 
@@ -50,7 +50,7 @@ class TestConstruction:
 
     def test_zero_instances_rejected(self):
         with pytest.raises(ValueError):
-            ShardedServingCluster.homogeneous(0, TokenFlowScheduler)
+            homogeneous_cluster(0, TokenFlowScheduler)
 
     def test_policies_enumerated(self):
         assert set(ROUTERS) == {
@@ -63,7 +63,7 @@ class TestConstruction:
         assert {"buffer_aware", "session_affinity"} <= set(ROUTERS)
 
     def test_router_instance_accepted(self):
-        cluster = ShardedServingCluster.homogeneous(
+        cluster = homogeneous_cluster(
             2, TokenFlowScheduler, router=BufferAwareRouter(target_buffer_s=0.5),
             **NODE,
         )
@@ -180,7 +180,7 @@ class TestRouters:
 
     def test_sticky_map_records_sessions(self):
         router = SessionAffinityRouter()
-        cluster = ShardedServingCluster.homogeneous(
+        cluster = homogeneous_cluster(
             2, TokenFlowScheduler, router=router, **NODE
         )
         cluster.submit(burst(2, session_id=7, id_base=7000))
@@ -211,7 +211,7 @@ class TestEndToEnd:
     def test_two_nodes_beat_one_on_burst_ttft(self):
         """Scaling out absorbs a burst: P99 TTFT drops."""
         def run(n_instances):
-            cluster = ShardedServingCluster.homogeneous(
+            cluster = homogeneous_cluster(
                 n_instances, TokenFlowScheduler,
                 hardware="h200", model="llama3-8b",
                 mem_frac=0.005, max_batch=8,

@@ -1,5 +1,7 @@
 """Unit tests for the serving configuration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.gpu.hardware import get_hardware
@@ -57,6 +59,18 @@ class TestCapacity:
     def test_kv_block_size_synchronised(self):
         config = ServingConfig(block_size=32, kv=KVManagerConfig(block_size=16))
         assert config.kv.block_size == 32
+
+    def test_shared_kv_config_is_not_mutated(self):
+        # The caller's frozen KVManagerConfig is copied, never written:
+        # one object passed to two configs keeps its own block size,
+        # hash and equality.
+        kv = KVManagerConfig()
+        before = (kv.block_size, hash(kv))
+        first = ServingConfig(block_size=32, kv=kv)
+        second = ServingConfig(block_size=16, kv=kv)
+        assert (first.kv.block_size, second.kv.block_size) == (32, 16)
+        assert (kv.block_size, hash(kv)) == before
+        assert first.kv == replace(kv, block_size=32)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -25,9 +25,9 @@ def tracked_run():
         request.transition(RequestState.PREFILLING)
         request.transition(RequestState.RUNNING)
     for idx in range(5):
-        tracker.deliver_token(1, 0.5 + 0.1 * idx)      # ttft 0.5, steady
+        tracker.deliver_tokens(1, [0.5 + 0.1 * idx])      # ttft 0.5, steady
     for idx in range(5):
-        tracker.deliver_token(2, 5.0 + 1.0 * idx)      # ttft 5, stalls
+        tracker.deliver_tokens(2, [5.0 + 1.0 * idx])      # ttft 5, stalls
     for request in (fast, slow):
         request.transition(RequestState.FINISHED)
     tracker.mark_finished(1, 0.9)

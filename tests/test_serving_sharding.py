@@ -43,6 +43,7 @@ from repro.serving.metrics import report_fingerprint
 from repro.serving.routers import ROUTERS, LeastQueuedRouter, Router
 from repro.serving.shard import ShardedServingCluster
 from repro.workload.request import Request
+from tests.conftest import homogeneous_cluster
 
 # Registry cluster scenarios with a scale that keeps each run small
 # enough for an exhaustive sweep (the soak scenario runs 64 replicas,
@@ -141,7 +142,7 @@ def _requests(n=48):
 
 
 def _cluster(n=4, router="least_loaded", shards=2, transport="inline"):
-    return ShardedServingCluster.homogeneous(
+    return homogeneous_cluster(
         n, SchedulerRecipe("tokenflow"), router=router,
         shards=shards, transport=transport,
         mem_frac=0.02, max_batch=16,

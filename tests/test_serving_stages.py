@@ -47,7 +47,6 @@ class TestWiring:
         assert system.composer.prefill_queue is system.prefill_queue
         assert system.admission.waiting is system.waiting
         assert system.decode_stream.running is system.running
-        assert system.decode_stream.finished is system.finished
 
     def test_offload_reports_swaps_to_memory_stage(self):
         system = make_system()

@@ -307,10 +307,10 @@ def _deliver_with(limit, tracker, requests, times):
 
 
 def _request_state(request, buffer):
-    # Requests keep no per-token timestamps: their count, their first
-    # token, and the buffer's last generation time pin a delivery.
-    return (request.generated, request.ttft, request.first_token_time,
-            buffer._last_gen)
+    # Requests keep no per-token timestamps: their count, their
+    # first-token latency, and the buffer's last generation time pin a
+    # delivery.
+    return (request.generated, request.ttft, buffer._last_gen)
 
 
 def _buffer_state(buffer):
@@ -495,7 +495,7 @@ def test_occupancy_counts_match_reference_tally(rates, steps):
         if path == "deliver":
             for request in requests:
                 for instant in times:
-                    tracker.deliver_token(request.req_id, instant)
+                    tracker.deliver_tokens(request.req_id, [instant])
         elif path == "deliver_many":
             for request in requests:
                 tracker.deliver_tokens(request.req_id, times)

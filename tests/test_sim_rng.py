@@ -42,15 +42,3 @@ class TestRngStreams:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             RngStreams(-1)
-
-    def test_spawn_derives_independent_family(self):
-        parent = RngStreams(3)
-        child = parent.spawn(1)
-        a = parent.stream("x").uniform(size=8)
-        b = child.stream("x").uniform(size=8)
-        assert not np.allclose(a, b)
-
-    def test_spawn_reproducible(self):
-        a = RngStreams(3).spawn(9).stream("x").uniform(size=4)
-        b = RngStreams(3).spawn(9).stream("x").uniform(size=4)
-        np.testing.assert_array_equal(a, b)

@@ -92,7 +92,7 @@ class TestServingIntegration:
         system = ServingSystem(config, SGLangScheduler(), tracer=tracer)
         system.submit([Request(req_id=0, arrival_time=0.0, prompt_len=64,
                                output_len=2000, rate=10.0)])
-        system.cancel_at(0, when=1.0)
+        system.engine.call_at(1.0, lambda: system.cancel(0))
         system.run(until=100.0)
         assert tracer.counts().get(("request", "cancel")) == 1
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.client.rates import rate_table_rows
 from repro.sim.rng import RngStreams
 from repro.workload.builder import RateMixture, WorkloadBuilder, WorkloadSpec
 from repro.workload.request import Request
@@ -117,37 +118,29 @@ class TestBuilder:
         assert set(r.rate for r in requests) == {15.0, 20.0}
 
 
+def population_rates(mode, languages=None):
+    """Fig. 1 consumption rates (tokens/s), optionally for some languages."""
+    return [rate for language, _age, rate in rate_table_rows(mode)
+            if languages is None or language in languages]
+
+
 class TestPopulationMixture:
     def test_covers_all_fig1_cells(self):
-        mixture = RateMixture.from_population("reading")
-        assert len(mixture.rates) == 24  # 3 languages x 8 age groups
+        assert len(population_rates("reading")) == 24  # 3 languages x 8 age groups
 
     def test_language_restriction(self):
-        mixture = RateMixture.from_population("reading", languages=["english"])
-        assert len(mixture.rates) == 8
-        assert max(mixture.rates) < 8.0  # english reading tops out ~5.8
-
-    def test_speed_multiplier(self):
-        base = RateMixture.from_population("reading", languages=["english"])
-        doubled = RateMixture.from_population(
-            "reading", languages=["english"], speed_multiplier=2.0
-        )
-        assert max(doubled.rates) == pytest.approx(2 * max(base.rates))
+        rates = population_rates("reading", languages=["english"])
+        assert len(rates) == 8
+        assert max(rates) < 8.0  # english reading tops out ~5.8
 
     def test_listening_mode(self):
-        mixture = RateMixture.from_population("listening")
-        assert all(r < 5.0 for r in mixture.rates)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RateMixture.from_population("reading", speed_multiplier=0.0)
-        with pytest.raises(ValueError):
-            RateMixture.from_population("reading", languages=["klingon"])
+        assert all(r < 5.0 for r in population_rates("listening"))
 
     def test_end_to_end_sampling(self):
+        rates = [2.0 * r for r in population_rates("reading")]
         spec = WorkloadSpec(
             arrival="burst", n_requests=32,
-            rates=RateMixture.from_population("reading", speed_multiplier=2.0),
+            rates=RateMixture(rates=tuple(rates), weights=tuple(1.0 for _ in rates)),
         )
         requests = WorkloadBuilder(spec, RngStreams(0)).build()
         assert len({r.rate for r in requests}) > 3  # genuinely mixed

@@ -2,13 +2,7 @@
 
 import numpy as np
 
-from repro.workload.lengths import (
-    LONG_LENGTHS,
-    SHORT_LENGTHS,
-    LogNormalLengthSampler,
-    NormalLengthSampler,
-    sharegpt_like,
-)
+from repro.workload.lengths import LogNormalLengthSampler, NormalLengthSampler
 
 
 class TestNormalSampler:
@@ -40,8 +34,13 @@ class TestNormalSampler:
 
     def test_long_regime_longer_than_short(self):
         rng = np.random.default_rng(1)
-        short = np.mean([SHORT_LENGTHS.sample(rng)[0] for _ in range(500)])
-        long_ = np.mean([LONG_LENGTHS.sample(rng)[0] for _ in range(500)])
+        # Table 1's "S" and "L" mean lengths.
+        short_lengths = NormalLengthSampler(prompt_mean=512.0, prompt_std=128.0,
+                                            output_mean=1024.0, output_std=256.0)
+        long_lengths = NormalLengthSampler(prompt_mean=1024.0, prompt_std=256.0,
+                                           output_mean=2048.0, output_std=512.0)
+        short = np.mean([short_lengths.sample(rng)[0] for _ in range(500)])
+        long_ = np.mean([long_lengths.sample(rng)[0] for _ in range(500)])
         assert long_ > short * 1.5
 
 
@@ -58,6 +57,3 @@ class TestLogNormalSampler:
         sampler = LogNormalLengthSampler(prompt_median=256, prompt_sigma=0.5)
         prompts = np.array([sampler.sample(rng)[0] for _ in range(3000)])
         assert abs(np.median(prompts) - 256) < 30
-
-    def test_sharegpt_factory(self):
-        assert isinstance(sharegpt_like(), LogNormalLengthSampler)

@@ -70,38 +70,44 @@ class TestTransitions:
 
 
 class TestTokens:
-    def test_record_token_sets_ttft(self):
-        request = make_request(arrival=1.0)
-        request.record_token(3.5)
+    @staticmethod
+    def tracked(**kwargs):
+        tracker = RequestTracker(record_traces=False)
+        request = make_request(**kwargs)
+        tracker.register(request)
+        return tracker, request
+
+    def test_first_delivery_sets_ttft(self):
+        tracker, request = self.tracked(arrival=1.0)
+        tracker.deliver_tokens(request.req_id, [3.5])
         assert request.ttft == pytest.approx(2.5)
-        assert request.first_token_time == 3.5
+        assert tracker.get(request.req_id).buffer._last_gen == 3.5
         assert request.generated == 1
 
     def test_context_len_tracks_generation(self):
-        request = make_request(prompt=64, output=4)
+        tracker, request = self.tracked(prompt=64, output=4)
         assert request.context_len == 64
-        request.record_token(1.0)
+        tracker.deliver_tokens(request.req_id, [1.0])
         assert request.context_len == 65
-        assert request.remaining_output == 3
+        assert request.output_len - request.generated == 3
 
     def test_over_generation_rejected(self):
-        request = make_request(output=1)
-        request.record_token(1.0)
+        tracker, request = self.tracked(output=1)
+        tracker.deliver_tokens(request.req_id, [1.0])
+        buffer = tracker.get(request.req_id).buffer
         with pytest.raises(RuntimeError):
-            request.record_token(2.0)
+            tracker.deliver_tokens(request.req_id, [2.0])
+        assert (request.generated, buffer.delivered) == (1, 1)
 
     def test_decreasing_timestamps_rejected(self):
         # Order is checked against the client buffer's last generation
         # time, before the request or its buffer moves.
-        tracker = RequestTracker(record_traces=False)
-        request = make_request(output=4)
-        tracker.register(request)
-        tracker.deliver_token(request.req_id, 1.0)
+        tracker, request = self.tracked(output=4)
+        tracker.deliver_tokens(request.req_id, [1.0])
         buffer = tracker.get(request.req_id).buffer
-        for deliver, late in ((tracker.deliver_token, 0.5),
-                              (tracker.deliver_tokens, [0.5, 2.0])):
+        for late in ([0.5], [0.5, 2.0]):
             with pytest.raises(ValueError):
-                deliver(request.req_id, late)
+                tracker.deliver_tokens(request.req_id, late)
             assert (request.generated, buffer.delivered) == (1, 1)
 
     def test_repr_is_informative(self):
