@@ -92,7 +92,8 @@ if [[ "$FAST" -eq 1 ]]; then
   fi
   if [[ "$rc" -eq 0 ]]; then
     # Delivery-path smoke: one untimed pass over the batch plane's
-    # B x K grid, so a renamed kernel or delivery branch fails fast.
+    # B x K grid and burst slicing table, so a renamed kernel or
+    # delivery path fails fast.
     echo "== fast lane: decode kernel grid --repeat 1 =="
     python scripts/decode_kernel_grid.py --repeat 1 > /dev/null || rc=$?
   fi
@@ -125,10 +126,10 @@ if [[ "$FAST" -eq 1 ]]; then
 else
   echo "== tier-1: full suite (tests/ + benchmarks/, incl. perf smoke) =="
   python -m pytest -x -q || rc=$?
-  # Report digests: the only bit-exact check on the decode kernels
-  # and the window planner (the frozen scalar reference compares to
-  # rel 1e-9).  burst-preempt windows mostly take the array kernel,
-  # prefix-reuse windows the row kernel; steady-stream and
+  # Report digests: the only bit-exact check on the decode paths and
+  # the window planner (the frozen scalar reference compares to rel
+  # 1e-9).  burst-preempt windows mostly take the array kernel,
+  # prefix-reuse windows the reference recurrence; steady-stream and
   # cluster-stateful run the same windows through a lazy stream and
   # a sharded cluster's horizons.  perfbench exits non-zero on any
   # digest mismatch.

@@ -96,10 +96,11 @@ class ClientBuffer:
     def deliver(self, timestamp: float) -> None:
         """Record delivery of one token at ``timestamp``.
 
-        NOTE: this is the reference recurrence.  The batch plane's two
-        kernels (:mod:`repro.serving.batchstate`) evaluate it in closed
-        form — any semantic or float-op change here must be mirrored
-        in their formulas, or decode parity breaks.
+        NOTE: this is the reference recurrence.  The batch plane runs
+        it as is for small windows and evaluates it in closed form in
+        its array kernel (:mod:`repro.serving.batchstate`) for large
+        ones; any semantic or float-op change here must be mirrored in
+        the kernel's formulas, or decode parity breaks.
         """
         if self._last_gen is not None and timestamp < self._last_gen:
             raise ValueError("deliveries must have non-decreasing timestamps")
@@ -157,10 +158,12 @@ class ClientBuffer:
         """Record delivery of one token at each of ``timestamps``, in
         order, through :meth:`deliver`.
 
-        The batch plane's scalar fallback for rows its kernels cannot
-        represent reaches it through :meth:`RequestTracker.deliver_tokens`.
-        Like the kernels, it walks the query guard to its last
-        timestamp, so a later query for an earlier instant raises.
+        The batch plane's reference path: ``deliver_batch`` calls it
+        per request for small windows, and for the rows of a large
+        window its array kernel cannot represent, through
+        :meth:`RequestTracker.deliver_tokens`.  Like the kernel, it
+        walks the query guard to its last timestamp, so a later query
+        for an earlier instant raises.
         """
         for timestamp in timestamps:
             self.deliver(timestamp)

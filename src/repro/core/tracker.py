@@ -85,10 +85,12 @@ class RequestTracker:
         (non-decreasing) instant, flowing into the client buffer.
 
         The one per-request delivery entry point outside the batch
-        plane's :func:`~repro.serving.batchstate.deliver_batch` (its
-        scalar fallback for one request calls it).  Raises before any
-        state moves if the tokens would exceed ``output_len`` or the
-        first timestamp precedes the buffer's last delivery.
+        plane's :func:`~repro.serving.batchstate.deliver_batch`, which
+        calls it for the rows of a large window its array kernel
+        cannot represent (small windows inline the same bookkeeping).
+        Raises before any state moves if the tokens would exceed
+        ``output_len`` or the first timestamp precedes the buffer's
+        last delivery.
         """
         entry = self._entries.get(req_id)
         if entry is None:

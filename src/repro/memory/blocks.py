@@ -48,13 +48,6 @@ class BlockPool:
         # the method call); the dict object is never rebound.
         self.usage = self._owners
 
-    # --- size helpers -----------------------------------------------------
-    def blocks_for_tokens(self, n_tokens: int) -> int:
-        """Blocks required to hold ``n_tokens`` of KV cache."""
-        if n_tokens < 0:
-            raise ValueError(f"n_tokens must be non-negative, got {n_tokens}")
-        return -(-n_tokens // self.block_size)  # ceil division
-
     # --- queries ------------------------------------------------------------
     @property
     def used(self) -> int:

@@ -576,7 +576,7 @@ class HierarchicalKVManager:
 
     def _grow_cpu_copy(self, record: KVRecord, target_tokens: int) -> bool:
         """Ensure the host pool holds blocks for ``target_tokens``."""
-        needed = self.cpu_pool.blocks_for_tokens(target_tokens)
+        needed = self.blocks_for_tokens(target_tokens)
         held = self.cpu_pool.used_by(record.req_id)
         if needed <= held:
             return True
@@ -627,7 +627,7 @@ class HierarchicalKVManager:
         # and preempt inside one transfer) are freed by its deferred
         # completion, not here.
         total_blocks = self.gpu_pool.used_by(req_id) - record.pending_free_blocks
-        dirty_blocks = self.gpu_pool.blocks_for_tokens(dirty)
+        dirty_blocks = self.blocks_for_tokens(dirty)
         if shares and dirty_blocks > total_blocks:
             # The dirty tail spans blocks the request maps from the
             # prefix index; those were detached above, so the deferred
@@ -759,7 +759,7 @@ class HierarchicalKVManager:
             )
             if record.resident:
                 held = self.gpu_pool.used_by(record.req_id) + record.shared_blocks
-                assert held >= self.gpu_pool.blocks_for_tokens(record.gpu_tokens) - record.pending_free_blocks
+                assert held >= self.blocks_for_tokens(record.gpu_tokens) - record.pending_free_blocks
         # The dirty set is exactly {resident records with a dirty tail}.
         expected_dirty = {
             rid

@@ -5,18 +5,18 @@ request and its client buffer: every decode window, fused (K >= 2) or
 not (K = 1), and every prefill's first token go through it.  Nothing
 here is kept per token: a request counts its tokens, and a buffer
 keeps closed-form state plus its occupancy counts (and per-token
-traces only when it records them, which routes it to the scalar
-path).  A K = 1 call runs the reference recurrence
-``ClientBuffer.deliver`` once per request, which is cheaper than
-either kernel below (the K = 1 column of
-``scripts/decode_kernel_grid.py``).
+traces only when it records them).
 
-Macro-step fusion collapsed per-iteration *events*; what remained
-inside a K >= 2 window is per-*request* work — advancing every batch
-member's client buffer by K tokens.  For those windows
-:func:`deliver_batch` works on the whole batch at once: it reads each
-buffer's state, advances every row through the window, and writes the
-results back to the per-request objects at the window boundary.
+Two paths, chosen by the window's size:
+
+- A small window, one token or at most ``REFERENCE_MAX_ELEMENTS``
+  rows × K, runs the reference recurrence itself:
+  ``ClientBuffer.deliver_many`` per request, one
+  ``ClientBuffer.deliver`` per token.  For so few tokens that is
+  cheaper than batching them (``scripts/decode_kernel_grid.py``).
+- A larger window goes to the array kernel, which advances every row
+  through the window at once in numpy and writes the results back to
+  the per-request objects at the window boundary.
 
 The maths: with a shared strictly-increasing timestamp vector ``t``
 (one entry per fused iteration) and per-row pacing interval ``iv``,
@@ -28,58 +28,46 @@ through the classic transform ``d_i = c_i - iv*i``::
 
 The first window column uses the untransformed scalar operations
 (``lc + iv`` and its comparison).  Deeper columns replace K repeated
-additions with one multiply; together with the closed-form cursor
-advance below this is the rel-1e-9 half of the parity contract,
-checked against the frozen scalar reference in
-``tests/scalar_decode_reference.json``.
+additions with one multiply.
 
 Consumption counting is closed-form instead of cursor replay: tokens
-delivered before the window sit on one arithmetic chain (the fast
-path requires the segment deque to be empty), so the number consumed
-by ``t_j`` is ``clip(floor((t_j - nxt0)/civ) + 1, 0, backlog)``;
+delivered before the window sit on one arithmetic chain (the kernel
+requires the segment deque to be empty), so the number consumed by
+``t_j`` is ``clip(floor((t_j - nxt0)/civ) + 1, 0, backlog)``;
 within-window consumptions are the ``c_m <= t_j`` count.
 Occupancy-at-generation, the stall accumulator, the occupancy
 histogram, and the cursor/segment write-back all follow from those
 counts.  The histogram is the buffer's dense count list
-(``ClientBuffer.occupancy_counts``): a kernel returns each row's
+(``ClientBuffer.occupancy_counts``): the kernel returns each row's
 window as its lowest occupancy ``lo`` and a dense count list over
 ``lo..hi``, and the write-back adds it into the buffer's list in
 place.
 
-Two kernels evaluate these formulas with the same float operations in
-the same order, so they agree bit for bit:
+The kernel costs about 50 numpy calls whatever the window's size,
+so it wins on big windows (a preemptive burst's 90-row batches).  Its
+scratch arrays are rows × K, so a window above
+``ARRAY_KERNEL_MAX_ELEMENTS`` runs as row slices of at most that many
+elements each (``_array_kernel_sliced``); every op is per row, so the
+slices' concatenated results are the one call's.  It returns per-row
+results as native Python values, so no ``np.float64`` leaks into
+buffer state (the JSONL exports and fingerprint tests require native
+floats).
 
-- ``_array_kernel`` advances all rows at once in numpy array ops.  Its
-  cost is about 50 numpy calls whatever the window's size, so it wins
-  on big windows (a preemptive burst's 90-row batches).  Its scratch
-  arrays are rows × K, so a window above ``ARRAY_KERNEL_MAX_ELEMENTS``
-  runs as row slices of at most that many elements each
-  (``_array_kernel_sliced``); every op is per row, so the slices'
-  concatenated results are the one call's.
-- ``_row_kernel`` walks each row in plain Python.  Its cost grows
-  with rows × K, so it wins on small windows (a handful of rows),
-  where the array kernel's fixed cost dominates.
+Exactness: the kernel's counts (tokens, consumed counts, occupancy
+counts, segment indices) equal the reference recurrence's, and its
+floats agree to rel 1e-9.  Deeper columns' multiplies, the quotient
+that counts the backlog and numpy's pairwise stall sum each drift a
+few ulp from the recurrence's repeated additions.  The gates are the
+frozen scalar reference in ``tests/scalar_decode_reference.json`` and
+``tests/test_serving_vectorize.py``.
 
-:func:`deliver_batch` picks by window size against
-``ROW_KERNEL_MAX_ELEMENTS``.  Both kernels return per-row results as
-native Python values for one shared write-back, so no ``np.float64``
-leaks into buffer state (the JSONL exports and fingerprint tests
-require native floats).  The stall sum is the one place where
-grouping matters: the array kernel sums each row's K−1 terms with
-numpy's pairwise ``sum``; the row kernel adds at most two non-zero
-terms directly (any grouping of two terms and zeros gives the same
-float) and otherwise runs ``np.add.reduce`` over the row's full
-K−1-term vector, zeros included, so the pairwise grouping is the same.
-
-Rows neither kernel can represent fall back to the scalar
-``RequestTracker.deliver_tokens`` path per request, which runs
-``ClientBuffer.deliver`` — the reference recurrence itself — once per
-token: pending segment anchors (a stall the cursor has not reached),
-an empty buffer (no ``_last_consume`` yet), per-token trace recording,
-or a window with tied timestamps.  A row whose window holds a
-*near-tie* — a comparison the kernels' few ulp of drift could flip —
-goes there too, found by the kernels themselves before any write-back
-(see ``DRIFT`` below).
+Rows the kernel cannot represent take the reference path,
+``RequestTracker.deliver_tokens`` per request: pending segment
+anchors (a stall the cursor has not reached), an empty buffer (no
+``_last_consume`` yet), per-token trace recording, or a window with
+tied timestamps.  A row whose window holds a *near-tie*, a comparison
+the kernel's few ulp of drift could flip, goes there too, found by
+the kernel itself before any write-back (see ``DRIFT`` below).
 """
 
 from __future__ import annotations
@@ -90,12 +78,15 @@ import numpy as np
 
 __all__ = ["deliver_batch"]
 
-# Largest window, in rows × K, that goes to the per-row kernel.  On a
-# B × K grid (B 1–128, K 2–64) timed on a 2-CPU x86-64 container
-# (Python 3.11, numpy 2.4) the row kernel was faster in every cell up
-# to 256 elements and the array kernel in most cells from 512 up.
-# Re-time with ``scripts/decode_kernel_grid.py``.
-ROW_KERNEL_MAX_ELEMENTS = 256
+# Largest window, in rows × K, that runs the reference recurrence
+# (``ClientBuffer.deliver_many`` per request) instead of the array
+# kernel; a one-token window always does.  On a B × K grid (B 1–96,
+# K 2–128) timed on a 2-CPU x86-64 container (Python 3.11, numpy 2.4;
+# best of 30, pinned to one CPU), ``deliver_many`` was faster in every
+# cell up to 384 elements, the 512-element cells split, and the array
+# kernel won every cell from 1024 up.  Re-time with
+# ``scripts/decode_kernel_grid.py``.
+REFERENCE_MAX_ELEMENTS = 384
 
 # Largest slice, in rows × K, that one array-kernel call takes.  The
 # kernel's scratch arrays are B × K, so a burst's biggest window (96
@@ -120,11 +111,11 @@ def deliver_batch(tracker, requests, times) -> None:
     an overflowing request, an untracked one or an out-of-order window
     raises with the whole batch untouched.
 
-    A one-token window (an unfused iteration, a prefill's first token)
-    runs ``ClientBuffer.deliver`` once per request; longer windows
-    batch the buffer arithmetic across requests.  Tied timestamps are
-    legal but route every row through the scalar path; a row with a
-    near-tie (module docstring) takes it alone.
+    A small window (module docstring) runs ``ClientBuffer.deliver_many``
+    once per request; a larger one batches the buffer arithmetic
+    across requests.  Tied timestamps are legal but send every row of
+    a large window to the reference path; a row with a near-tie
+    (module docstring) takes it alone.
     """
     k = len(times)
     if k == 0 or not requests:
@@ -144,16 +135,6 @@ def deliver_batch(tracker, requests, times) -> None:
         last_gen = buffer._last_gen
         if last_gen is not None and t_first < last_gen:
             raise ValueError("deliveries must have non-decreasing timestamps")
-
-    if k == 1:
-        # RequestTracker.deliver_tokens without its checks (done above).
-        for request, buffer in zip(requests, buffers):
-            if request.ttft is None:
-                request.ttft = t_first - request.arrival_time
-            request.generated += 1
-            buffer.deliver(t_first)
-        return
-
     strict = True
     prev = t_first
     for instant in times[1:]:
@@ -162,6 +143,15 @@ def deliver_batch(tracker, requests, times) -> None:
         if instant == prev:
             strict = False
         prev = instant
+
+    if k == 1 or len(requests) * k <= REFERENCE_MAX_ELEMENTS:
+        # RequestTracker.deliver_tokens without its checks (done above).
+        for request, buffer in zip(requests, buffers):
+            if request.ttft is None:
+                request.ttft = t_first - request.arrival_time
+            request.generated += k
+            buffer.deliver_many(times)
+        return
 
     # --- classification ----------------------------------------------
     scalar_ids = []
@@ -185,10 +175,7 @@ def deliver_batch(tracker, requests, times) -> None:
     if not buffers:
         return
 
-    if len(buffers) * k <= ROW_KERNEL_MAX_ELEMENTS:
-        rows, segments = _row_kernel(buffers, times)
-    else:
-        rows, segments = _array_kernel_sliced(buffers, times)
+    rows, segments = _array_kernel_sliced(buffers, times)
 
     # --- write-back ---------------------------------------------------
     t_last = times[-1]
@@ -237,7 +224,7 @@ def deliver_batch(tracker, requests, times) -> None:
         buffer._segments.append((index, consume, buffer.interval))
 
 
-# Each kernel returns ``(rows, segments)``.  ``rows`` holds one tuple
+# The kernel returns ``(rows, segments)``.  ``rows`` holds one tuple
 # per buffer: (last consumption time, stall to add, consumed count,
 # next cursor time or None, whether the cursor moved into the window
 # and so takes the current interval, and the window's occupancy
@@ -246,15 +233,15 @@ def deliver_batch(tracker, requests, times) -> None:
 # ``segments`` lists (row, token index, consumption time) for every
 # surviving fresh anchor of the other rows.
 #
-# Near-ties.  The kernels' consumption times drift from the scalar
-# addition chains by a few ulp per token: deeper window columns are
-# ``d + iv*(j+1)`` rather than repeated additions, and backlog counts
-# are a quotient rather than the cursor's walk.  A comparison against
-# a drifted instant can therefore come out the other way when the two
-# sides nearly coincide.  Each row's drift is bounded by ``tol =
+# Near-ties.  The kernel's consumption times drift from the reference
+# recurrence's addition chains by a few ulp per token: deeper window
+# columns are ``d + iv*(j+1)`` rather than repeated additions, and
+# backlog counts are a quotient rather than the cursor's walk.  A
+# comparison against a drifted instant can therefore come out the
+# other way when the two sides nearly coincide.  Each row's drift is bounded by ``tol =
 # (n_back + k + 8) * DRIFT * span``, where ``span`` bounds every time
 # the row's arithmetic touches; a row is a near-tie, and goes to the
-# scalar path, when one of these falls within that bound:
+# reference path, when one of these falls within that bound:
 #
 # - a stall the kernel takes, ``a_j - d`` (a stall it does not take
 #   leaves ``c_j`` drifted next to ``t_j``, caught below);
@@ -266,126 +253,9 @@ def deliver_batch(tracker, requests, times) -> None:
 # - a generation instant against the backlog chain instants either
 #   side of it, ``nxt0 + q*civ``, on the quotient's fractional part.
 #
-# Both kernels evaluate these tests with the same float operations, so
-# they still agree bit for bit.  ``DRIFT`` is 2**-52: twice the unit
-# roundoff, a safety factor of two over one rounding per operation.
+# ``DRIFT`` is 2**-52: twice the unit roundoff, a safety factor of two
+# over one rounding per operation.
 DRIFT = 2.0 ** -52
-
-
-def _row_kernel(buffers, times):
-    """Advance each row in plain Python: cheap for small windows."""
-    k = len(times)
-    t_first = times[0]
-    t_last = times[-1]
-    # (column, t_j, token number j + 1 as a float) for columns >= 1.
-    deeper = [(j, times[j], j + 1.0) for j in range(1, k)]
-    rows = []
-    segments = []
-    for b, buffer in enumerate(buffers):
-        iv = buffer.interval
-        lc = buffer._last_consume
-        d0 = buffer._delivered
-        con0 = buffer._consumed
-        n_back = d0 - con0
-        tol = (n_back + k + 8) * DRIFT * ((lc if lc > t_last else t_last) + iv * k)
-        tie = False
-        ideal = lc + iv
-        if t_first > ideal:
-            stall = t_first - ideal
-            c = t_first
-            fresh = [0]
-        else:
-            stall = 0.0
-            c = ideal
-            fresh = [0] if buffer._tail_interval != iv else []
-        cs = [c] * k
-        d = c - iv
-        terms = []
-        for j, t, token_no in deeper:
-            w = iv * token_no
-            a = t - w
-            if a > d:
-                gap = a - d
-                if gap <= tol:
-                    tie = True
-                terms.append(gap)
-                fresh.append(j)
-                d = a
-                cs[j] = t
-            else:
-                cs[j] = d + w
-        if terms:
-            if len(terms) == 1:
-                stall = stall + terms[0]
-            elif len(terms) == 2:
-                stall = stall + (terms[0] + terms[1])
-            else:
-                # Zeros in the non-stall columns keep numpy's pairwise
-                # grouping identical to the array kernel's row sum.
-                full = [0.0] * (k - 1)
-                for j, term in zip(fresh[-len(terms):], terms):
-                    full[j - 1] = term
-                stall = stall + float(np.add.reduce(full))
-
-        nxt0 = buffer._next_consume
-        civ = buffer._cursor_interval
-        civ_safe = civ if civ > 0.0 else 1.0
-        tol_q = tol / civ_safe
-        hi_q = 1.0 - tol_q
-        occs = [0] * k
-        m = 0
-        done = 0
-        for j, t in enumerate(times):
-            while m < k and cs[m] <= t:
-                if m and m not in fresh and (
-                    t - cs[m] <= tol or j and cs[m] - times[j - 1] <= tol
-                ):
-                    tie = True
-                m += 1
-            if done < n_back:
-                x = (t - nxt0) / civ_safe
-                if t >= nxt0:
-                    # floor(x) + 1 clipped at 0: int() truncation
-                    # equals floor for the non-negative quotient.
-                    q = int(x)
-                    f = x - q
-                    if f <= tol_q and q < n_back or f >= hi_q and q + 1 < n_back:
-                        tie = True
-                    done = q + 1
-                    if done > n_back:
-                        done = n_back
-                elif x >= -1.0 and x + 1.0 >= hi_q:
-                    tie = True
-            occs[j] = n_back + j + 1 - done - m
-        if m and m < k and cs[m] - t_last <= tol:
-            tie = True
-        if tie:
-            rows.append(None)
-            continue
-        consumed = con0 + done + m
-
-        # A token finding the cursor parked at the stream end re-points
-        # it directly (no segment record): first column iff there was
-        # no cursor, later columns iff everything delivered was
-        # consumed.
-        for j in fresh:
-            parked = n_back == 0 if j == 0 else occs[j - 1] == 0
-            if not parked and d0 + j > consumed:
-                segments.append((b, d0 + j, cs[j]))
-
-        if consumed >= d0:
-            nxt = None if consumed == d0 + k else cs[consumed - d0]
-            rebased = True
-        else:
-            # Cursor still in the backlog: the chain value in closed form.
-            nxt = nxt0 + civ * (consumed - con0)
-            rebased = False
-        lo = min(occs)
-        window = [0] * (max(occs) + 1 - lo)
-        for occ in occs:
-            window[occ - lo] += 1
-        rows.append((cs[-1], stall, consumed, nxt, rebased, lo, window))
-    return rows, segments
 
 
 def _array_kernel_sliced(buffers, times):

@@ -24,7 +24,6 @@ class SimEngine:
         self._queue = EventQueue()
         self._events_processed = 0
         self._running = False
-        self._stopped = False
         self._run_until: Optional[float] = None
 
     @property
@@ -83,14 +82,6 @@ class SimEngine:
             raise ValueError(f"delay must be non-negative, got {delay}")
         return self._queue.push(self.clock.now() + delay, action, label)
 
-    def stop(self) -> None:
-        """Request the run loop to exit after the current event."""
-        self._stopped = True
-
-    def pending(self) -> int:
-        """Number of live events still scheduled."""
-        return len(self._queue)
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Drain the event queue.
 
@@ -105,11 +96,10 @@ class SimEngine:
         if self._running:
             raise RuntimeError("engine is already running (re-entrant run() call)")
         self._running = True
-        self._stopped = False
         self._run_until = until
         executed = 0
         try:
-            while not self._stopped:
+            while True:
                 next_time = self._queue.peek_time()
                 if next_time is None:
                     break
@@ -153,10 +143,9 @@ class SimEngine:
         if self._running:
             raise RuntimeError("engine is already running (re-entrant run() call)")
         self._running = True
-        self._stopped = False
         self._run_until = until
         try:
-            while not self._stopped:
+            while True:
                 next_time = self._queue.peek_time()
                 if next_time is None or next_time >= horizon:
                     break
@@ -281,12 +270,6 @@ class ScopedEngine:
     @property
     def events_processed(self) -> int:
         return self.base.events_processed
-
-    def stop(self) -> None:
-        self.base.stop()
-
-    def pending(self) -> int:
-        return self.base.pending()
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         return self.base.run(until=until, max_events=max_events)

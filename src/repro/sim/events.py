@@ -7,7 +7,7 @@ runs deterministic without relying on heap tie-breaking accidents.
 
 Cancellation is lazy in the heap (the entry is discarded when it
 surfaces) but eager in the accounting: :meth:`Event.cancel` notifies
-the owning queue immediately, so ``len(queue)`` / ``pending()`` never
+the owning queue immediately, so ``len(queue)`` never
 overcount between a cancel and the eventual pop.  When cancelled
 entries come to dominate the heap (>50 % dead), the queue compacts —
 rebuilding the heap from the live entries — so long cluster runs with

@@ -332,8 +332,8 @@ def test_end_of_run_kv_conservation(name):
     delivered; and the PCIe links were busy exactly as long as the
     bytes the KV manager counts take at link bandwidth.
 
-    Traces are off here, so decode windows go through the batch
-    kernels, not the per-token scalar path."""
+    Traces are off here, so large decode windows go through the array
+    kernel."""
     run = build_run(get_scenario(name, scale=_PARITY_SCALES.get(name, 0.10)))
     run.execute()
     kv = run.target.kv

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.memory.blocks import BlockPool, OutOfMemory
+from repro.memory.kv_manager import HierarchicalKVManager, KVManagerConfig
+from repro.sim.engine import SimEngine
 
 
 @pytest.fixture
@@ -10,16 +12,29 @@ def pool() -> BlockPool:
     return BlockPool(capacity_blocks=100, block_size=16)
 
 
-class TestSizing:
-    def test_blocks_for_tokens_ceil(self, pool):
-        assert pool.blocks_for_tokens(0) == 0
-        assert pool.blocks_for_tokens(1) == 1
-        assert pool.blocks_for_tokens(16) == 1
-        assert pool.blocks_for_tokens(17) == 2
+def kv_manager(block_size: int) -> HierarchicalKVManager:
+    """A KV manager over 100 blocks of ``block_size`` tokens: token to
+    block sizing lives on the manager, not on its pools."""
+    return HierarchicalKVManager(
+        engine=SimEngine(),
+        gpu_capacity_blocks=100,
+        kv_bytes_per_token=1.0,
+        pcie_bandwidth_bytes_per_s=1.0,
+        config=KVManagerConfig(block_size=block_size),
+    )
 
-    def test_negative_tokens_rejected(self, pool):
+
+class TestSizing:
+    def test_blocks_for_tokens_ceil(self):
+        kv = kv_manager(block_size=16)
+        assert kv.blocks_for_tokens(0) == 0
+        assert kv.blocks_for_tokens(1) == 1
+        assert kv.blocks_for_tokens(16) == 1
+        assert kv.blocks_for_tokens(17) == 2
+
+    def test_negative_tokens_rejected(self):
         with pytest.raises(ValueError):
-            pool.blocks_for_tokens(-1)
+            kv_manager(block_size=16).blocks_for_tokens(-1)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

@@ -164,14 +164,15 @@ class TestDeliveryGuards:
 
 
 class TestTrackerQueries:
-    @pytest.mark.parametrize("limit", [256, 0], ids=["row", "array"])
+    @pytest.mark.parametrize("limit", [256, 0], ids=["reference", "array"])
     def test_delivery_is_seen_at_same_instant(self, limit, monkeypatch):
         # Queries read the buffer cursor directly, so a delivery at the
         # query instant shows in the next query at that instant — by
         # the tracker's own deliver_tokens, by deliver_batch at K = 1
-        # (ClientBuffer.deliver per row) and by a K >= 2 window ending
-        # at the query instant (each kernel writes the buffer back).
-        monkeypatch.setattr(batchstate, "ROW_KERNEL_MAX_ELEMENTS", limit)
+        # and by a K >= 2 window ending at the query instant, whether
+        # it runs ClientBuffer.deliver_many per row (reference) or the
+        # array kernel writes the buffer back (array).
+        monkeypatch.setattr(batchstate, "REFERENCE_MAX_ELEMENTS", limit)
         tracker = RequestTracker(record_traces=False)
         request = make_request(req_id=1, output=32, rate=10.0)
         tracker.register(request)

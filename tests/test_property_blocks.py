@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.memory.blocks import BlockPool, OutOfMemory
+from tests.test_memory_blocks import kv_manager
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)
 
@@ -45,8 +46,7 @@ class TestPoolProperties:
         block_size=st.integers(min_value=1, max_value=128),
     )
     def test_blocks_for_tokens_is_tight_ceiling(self, tokens, block_size):
-        pool = BlockPool(capacity_blocks=10, block_size=block_size)
-        blocks = pool.blocks_for_tokens(tokens)
+        blocks = kv_manager(block_size).blocks_for_tokens(tokens)
         assert blocks * block_size >= tokens
         assert (blocks - 1) * block_size < tokens or blocks == 0
 

@@ -39,7 +39,7 @@ class TestEngineProperties:
         engine.run(until=horizon)
         assert all(d <= horizon for d in seen)
         remaining = [d for d in delays if d > horizon]
-        assert engine.pending() == len(remaining)
+        assert len(engine._queue) == len(remaining)
 
     @given(delays=st.lists(st.floats(min_value=0.0, max_value=5.0), max_size=20))
     @settings(max_examples=100, deadline=None)

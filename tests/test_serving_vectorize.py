@@ -4,13 +4,13 @@ A handful of registry cells covering memory pressure, consumer
 heterogeneity, clustering, and session callbacks: the default run
 (fused windows through the struct-of-arrays batch plane) and the
 per-iteration run (every decode window one iteration, delivered by
-``deliver_batch``'s K = 1 branch) each reproduce the frozen scalar
+``deliver_batch``'s reference path) each reproduce the frozen scalar
 decode reference (``scalar_decode_reference.json``) — metrics to rel
 1e-9 and the single-node timeline exactly.  The full registry sweep
 lives in ``test_property_vectorize.py`` (slow lane).  ``deliver_batch``
-is also checked directly against the scalar
-``RequestTracker.deliver_tokens`` at K = 1 and above, and its two
-kernels (per-row and array) against each other, bit for bit.
+is also checked directly against ``RequestTracker.deliver_tokens``:
+its reference path (small windows) state for state, its array kernel
+(large windows) with exact counts and floats to rel 1e-9.
 """
 
 import itertools
@@ -55,8 +55,8 @@ class TestDeliverBatchEdges:
     tracker path on identical twins."""
 
     def _tracked(self, rates):
-        # record_traces=False: per-token traces force the scalar
-        # fallback row-by-row; the kernel requires compact buffers.
+        # record_traces=False: per-token traces force the reference
+        # path row by row; the array kernel requires compact buffers.
         tracker = RequestTracker(record_traces=False)
         requests = []
         for i, rate in enumerate(rates):
@@ -111,10 +111,11 @@ class TestDeliverBatchEdges:
                 assert buf_v.occupancy(probe) == buf_s.occupancy(probe)
 
     def test_k1_matches_scalar_deliver_tokens(self):
-        # Three buffers the kernels cannot take: an empty one receiving
-        # its first token, a traced one, and one whose rate changed
-        # since its last token.  K = 1 runs ClientBuffer.deliver on
-        # each, which must leave the state deliver_tokens leaves.
+        # Three buffers the array kernel cannot take: an empty one
+        # receiving its first token, a traced one, and one whose rate
+        # changed since its last token.  K = 1 runs
+        # ClientBuffer.deliver_many on each, which must leave the state
+        # deliver_tokens leaves.
         def twin():
             tracker, requests = self._tracked([10.0, 10.0, 10.0])
             tracker.get(1).buffer = ClientBuffer(rate=10.0, record_trace=True)
@@ -145,20 +146,23 @@ class TestDeliverBatchEdges:
 
     @pytest.mark.parametrize("warm", [True, False])
     def test_delivery_walks_the_query_guard(self, warm):
-        # Kernel rows (warm) and scalar-fallback rows (a fresh buffer)
-        # both walk the consumption cursor to the last timestamp, so a
-        # later query for an earlier instant raises instead of
-        # answering with the count at that timestamp.
-        tracker, requests = self._tracked([10.0, 20.0])
-        if warm:
+        # Reference-path rows, array-kernel rows (warm) and the array
+        # kernel's fallback rows (a fresh buffer) all walk the
+        # consumption cursor to the last timestamp, so a later query
+        # for an earlier instant raises instead of answering with the
+        # count at that timestamp.
+        for limit in (batchstate.REFERENCE_MAX_ELEMENTS, 0):
+            tracker, requests = self._tracked([10.0, 20.0])
+            if warm:
+                for request in requests:
+                    tracker.deliver_tokens(request.req_id, [0.1])
+            _deliver_with(limit, tracker, requests, [0.5, 2.0, 5.0])
             for request in requests:
-                tracker.deliver_tokens(request.req_id, [0.1])
-        deliver_batch(tracker, requests, [0.5, 2.0, 5.0])
-        for request in requests:
-            buffer = tracker.get(request.req_id).buffer
-            with pytest.raises(ValueError):
-                buffer.consumed_count(2.0)
-            assert buffer.consumed_count(5.0) == buffer.peek_consumed_count(5.0)
+                buffer = tracker.get(request.req_id).buffer
+                with pytest.raises(ValueError):
+                    buffer.consumed_count(2.0)
+                assert (buffer.consumed_count(5.0)
+                        == buffer.peek_consumed_count(5.0))
 
     def test_decreasing_times_raise_via_scalar_fallback(self):
         tracker, requests = self._tracked([10.0])
@@ -166,10 +170,11 @@ class TestDeliverBatchEdges:
         with pytest.raises(ValueError):
             deliver_batch(tracker, requests, [0.5, 0.4])
 
-    def test_equal_times_route_to_scalar_and_succeed(self):
-        # Ties are legal deliveries (non-decreasing); the kernel
+    def test_equal_times_route_to_scalar_and_succeed(self, monkeypatch):
+        # Ties are legal deliveries (non-decreasing); the array kernel
         # requires strict increase, so it must hand ties to the
-        # scalar path, not reject them.
+        # reference path, not reject them.
+        monkeypatch.setattr(batchstate, "REFERENCE_MAX_ELEMENTS", 0)
         tracker_v, requests_v = self._tracked([10.0])
         tracker_s, requests_s = self._tracked([10.0])
         deliver_batch(tracker_v, requests_v, [0.5, 0.5])
@@ -180,15 +185,15 @@ class TestDeliverBatchEdges:
         assert buf_v.occupancy_counts == buf_s.occupancy_counts
         assert buf_v.occupancy(1.0) == buf_s.occupancy(1.0)
 
-    @pytest.mark.parametrize("limit", [256, 0], ids=["row", "array"])
+    @pytest.mark.parametrize("limit", [256, 0], ids=["reference", "array"])
     def test_coincident_instants(self, limit, monkeypatch):
         # Generation every 1/32 s against a 0.1 s pacing interval hits
         # consumption instants the scalar chain has drifted off by an
         # ulp or two: 1.0 and 1.5 in the window (one warm token), and
         # 1.5 on a 13-token backlog, whose cursor chain 0.8, 0.9, ...
-        # reaches it as 1.5000000000000002.  The kernels must send
-        # those rows to the scalar path.
-        monkeypatch.setattr(batchstate, "ROW_KERNEL_MAX_ELEMENTS", limit)
+        # reaches it as 1.5000000000000002.  The array kernel must send
+        # those rows to the reference path.
+        monkeypatch.setattr(batchstate, "REFERENCE_MAX_ELEMENTS", limit)
         for warm, start in (([0.5], 0.5),
                             ([0.5 + i / 64 for i in range(16)], 0.75)):
             tracker_v, requests_v = self._tracked([10.0])
@@ -212,10 +217,10 @@ class TestDeliverBatchEdges:
         with pytest.raises(RuntimeError):
             deliver_batch(tracker, requests, [0.1, 0.2])
 
-        # K = 1 delivers row by row through ClientBuffer.deliver: a
-        # failing last row must still find the rows before it
-        # untouched.  Row 0 has an empty buffer (a scalar-fallback row
-        # at K >= 2), row 1 a warm one; row 2 overflows or is not
+        # K = 1 delivers row by row through ClientBuffer.deliver_many:
+        # a failing last row must still find the rows before it
+        # untouched.  Row 0 has an empty buffer (a fallback row for the
+        # array kernel), row 1 a warm one; row 2 overflows or is not
         # tracked at all.
         def snapshot(tracker, requests):
             return [(_request_state(r, tracker.get(r.req_id).buffer),
@@ -236,9 +241,8 @@ class TestDeliverBatchEdges:
                 deliver_batch(tracker, requests, [0.2])
             assert snapshot(tracker, requests) == before
 
-        # Row 1, a kernel row, overflows; row 0 — a kernel row when
-        # warmed up, a scalar-fallback row when its buffer is empty —
-        # must come out untouched, not half-delivered.
+        # Row 1 overflows; row 0, warm or with an empty buffer, must
+        # come out untouched, not half-delivered.
         for warm_row0 in (True, False):
             tracker, requests = self._tracked([10.0, 10.0])
             tracker.deliver_tokens(1, [0.1])
@@ -254,7 +258,7 @@ class TestDeliverBatchEdges:
             assert requests[1].generated == requests[1].output_len - 1
 
 
-# --- the row kernel and the array kernel agree bit for bit ------------
+# --- the array kernel against the reference recurrence ---------------
 
 BUFFER_FIELDS = (
     "_delivered", "_last_gen", "_last_consume", "_tail_interval",
@@ -277,8 +281,8 @@ windows = st.lists(st.lists(gaps, min_size=1, max_size=40),
 
 def _kernel_twin(specs):
     """A tracker whose buffers sit in the states ``specs`` describe,
-    all on the kernels' path (segment deque drained), plus the instant
-    after which a window may start."""
+    all on the array kernel's path (segment deque drained), plus the
+    instant after which a window may start."""
     tracker = RequestTracker(record_traces=False)
     requests = []
     start = 0.0
@@ -302,7 +306,7 @@ def _kernel_twin(specs):
 
 
 def _deliver_with(limit, tracker, requests, times):
-    with mock.patch.object(batchstate, "ROW_KERNEL_MAX_ELEMENTS", limit):
+    with mock.patch.object(batchstate, "REFERENCE_MAX_ELEMENTS", limit):
         deliver_batch(tracker, requests, times)
 
 
@@ -314,12 +318,34 @@ def _request_state(request, buffer):
 
 
 def _buffer_state(buffer):
-    # Types too: both kernels must write native Python values.
+    # Types too: every path must write native Python values.
     state = [(name, type(getattr(buffer, name)), getattr(buffer, name))
              for name in BUFFER_FIELDS]
     state.append(("_segments", list(buffer._segments)))
     state.append(("histogram", list(buffer.occupancy_counts)))
     return state
+
+
+def _assert_matches_reference(buffer, reference):
+    """``buffer``, advanced by the array kernel, against ``reference``,
+    advanced by ``deliver_tokens``: counts, occupancy counts, segment
+    indices and field types exactly, float fields to rel 1e-9 (the
+    kernel's multiplies and pairwise stall sum drift a few ulp)."""
+    for name in BUFFER_FIELDS:
+        value, expected = getattr(buffer, name), getattr(reference, name)
+        assert type(value) is type(expected), name
+        if isinstance(expected, float):
+            assert value == pytest.approx(expected, rel=1e-9, abs=0.0), name
+        else:
+            assert value == expected, name
+    assert buffer.occupancy_counts == reference.occupancy_counts
+    assert len(buffer._segments) == len(reference._segments)
+    for (index, consume, interval), expected in zip(buffer._segments,
+                                                     reference._segments):
+        assert type(index) is type(expected[0])
+        assert index == expected[0]
+        assert (consume, interval) == pytest.approx(expected[1:], rel=1e-9,
+                                                    abs=0.0)
 
 
 # Every column after the first stalls: the reader is parked and each
@@ -329,7 +355,8 @@ def _buffer_state(buffer):
 # A rate change since the tail segment, and a backlog of 30 tokens.
 @example(specs=[(10.0, [0.01] * 30, 0.0, 20.0)], window_gaps=[[0.01] * 8])
 # Near-ties (the two cases of test_coincident_instants) beside a row
-# without one: both kernels send the same rows to the scalar path.
+# without one: the kernel sends only the near-tie rows to the
+# reference path.
 @example(specs=[(10.0, [0.5], 0.0, None), (5.0, [0.3], 0.0, None)],
          window_gaps=[[1 / 32] * 32])
 @example(specs=[(10.0, [0.5] + [1 / 64] * 15, 1 / 64, None),
@@ -337,21 +364,30 @@ def _buffer_state(buffer):
          window_gaps=[[1 / 32] * 32])
 @given(specs=row_specs, window_gaps=windows)
 @settings(max_examples=150, deadline=None)
-def test_row_kernel_matches_array_kernel(specs, window_gaps):
+def test_array_kernel_matches_reference(specs, window_gaps):
+    # Twin trackers: every window through the array kernel on one, and
+    # through deliver_tokens per request on the other.  Both cursors
+    # are then walked to the window's end, where the kernel leaves its
+    # own, so consumed counts and segments compare directly.
     array_side = _kernel_twin(specs)
-    row_side = _kernel_twin(specs)
+    reference_side = _kernel_twin(specs)
     t = array_side[2]
     for gaps_k in window_gaps:
         times = [t + g for g in itertools.accumulate(gaps_k)]
         t = times[-1]
         _deliver_with(0, *array_side[:2], times)
-        _deliver_with(10**9, *row_side[:2], times)
-    for request_a, request_r in zip(array_side[1], row_side[1]):
+        tracker, requests = reference_side[:2]
+        for request in requests:
+            tracker.deliver_tokens(request.req_id, times)
+        for side in (array_side, reference_side):
+            for request in side[1]:
+                side[0].get(request.req_id).buffer.consumed_count(t)
+    for request_a, request_r in zip(array_side[1], reference_side[1]):
         buffer_a = array_side[0].get(request_a.req_id).buffer
-        buffer_r = row_side[0].get(request_r.req_id).buffer
+        buffer_r = reference_side[0].get(request_r.req_id).buffer
         assert (_request_state(request_a, buffer_a)
                 == _request_state(request_r, buffer_r))
-        assert _buffer_state(buffer_a) == _buffer_state(buffer_r)
+        _assert_matches_reference(buffer_a, buffer_r)
 
 
 # --- the array kernel gives the same result in row slices -------------
@@ -396,7 +432,7 @@ def test_array_kernel_slices_match_one_call(specs, window_gaps, slice_rows):
     whole_calls = []
     sliced_calls = []
     t = whole_side[2]
-    with mock.patch.object(batchstate, "ROW_KERNEL_MAX_ELEMENTS", 0):
+    with mock.patch.object(batchstate, "REFERENCE_MAX_ELEMENTS", 0):
         for gaps_k in window_gaps:
             times = [t + g for g in itertools.accumulate(gaps_k)]
             t = times[-1]
@@ -419,26 +455,30 @@ def test_array_kernel_slices_match_one_call(specs, window_gaps, slice_rows):
         assert vars(buffer_w) == vars(buffer_s)
 
 
-@pytest.mark.parametrize("extra, expected", [(0, "row"), (1, "array")])
+@pytest.mark.parametrize("extra, expected",
+                         [(0, "reference"), (1, "array")])
 def test_kernel_choice_follows_window_size(extra, expected, monkeypatch):
     # One row of K = limit (+ 1) iterations: the window's element count
     # sits on each side of the crossover constant.
-    k = batchstate.ROW_KERNEL_MAX_ELEMENTS + extra
-    calls = []
-    for name in ("row", "array"):
-        kernel = getattr(batchstate, f"_{name}_kernel")
-        monkeypatch.setattr(
-            batchstate, f"_{name}_kernel",
-            lambda *args, name=name, kernel=kernel: (
-                calls.append(name) or kernel(*args)
-            ),
-        )
+    k = batchstate.REFERENCE_MAX_ELEMENTS + extra
     tracker = RequestTracker(record_traces=False)
     request = Request(req_id=0, arrival_time=0.0, prompt_len=4,
                       output_len=k + 1, rate=10.0)
     tracker.register(request)
     tracker.deliver_tokens(0, [0.1])
-    deliver_batch(tracker, [request], [0.1 + 0.05 * (i + 1) for i in range(k)])
+    calls = []
+    kernel = batchstate._array_kernel_sliced
+    deliver_many = ClientBuffer.deliver_many
+    monkeypatch.setattr(batchstate, "_array_kernel_sliced",
+                        lambda *args: calls.append("array") or kernel(*args))
+    monkeypatch.setattr(
+        ClientBuffer, "deliver_many",
+        lambda buffer, times: (calls.append("reference")
+                               or deliver_many(buffer, times)),
+    )
+    # Every token stalls (0.15 s gaps at a 0.1 s pace): no near-tie row
+    # falls back to the reference path.
+    deliver_batch(tracker, [request], [0.1 + 0.15 * (i + 1) for i in range(k)])
     assert calls == [expected]
     assert request.generated == k + 1
 
@@ -449,7 +489,7 @@ def test_kernel_choice_follows_window_size(extra, expected, monkeypatch):
 # queried (long delays drain backlogs and pending stall anchors).
 schedule_steps = st.lists(
     st.tuples(
-        st.sampled_from(["deliver", "deliver_many", "row", "array"]),
+        st.sampled_from(["deliver", "deliver_many", "reference", "array"]),
         st.lists(st.floats(min_value=1e-3, max_value=0.4),
                  min_size=1, max_size=12),
         st.one_of(st.none(), st.tuples(st.integers(0, 3),
@@ -461,13 +501,13 @@ schedule_steps = st.lists(
 )
 
 
-# Backlogs built fast, then stalls, through both kernels.
+# Backlogs built fast, then stalls, through both paths.
 @example(rates=[10.0, 40.0],
          steps=[("deliver", [0.1], None, 0.0),
                 ("array", [0.01] * 8, None, 0.0),
-                ("row", [0.01] * 8, (1, 7.0), 0.05),
+                ("reference", [0.01] * 8, (1, 7.0), 0.05),
                 ("array", [0.3] * 6, None, 0.0),
-                ("row", [0.3] * 6, None, 1.0)])
+                ("reference", [0.3] * 6, None, 1.0)])
 @given(rates=st.lists(st.sampled_from([3.0, 10.0, 25.0, 60.0]),
                       min_size=1, max_size=4),
        steps=schedule_steps)
@@ -500,7 +540,7 @@ def test_occupancy_counts_match_reference_tally(rates, steps):
             for request in requests:
                 tracker.deliver_tokens(request.req_id, times)
         else:
-            _deliver_with(10**9 if path == "row" else 0,
+            _deliver_with(10**9 if path == "reference" else 0,
                           tracker, requests, times)
         for reference in references:
             for instant in times:

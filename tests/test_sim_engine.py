@@ -52,7 +52,7 @@ class TestRun:
         end = engine.run(until=5.0)
         assert fired == [1]
         assert end == 5.0
-        assert engine.pending() == 1
+        assert len(engine._queue) == 1
 
     def test_run_until_advances_clock_to_horizon(self, engine):
         end = engine.run(until=7.0)
@@ -71,13 +71,6 @@ class TestRun:
             engine.call_at(float(idx), lambda: None)
         engine.run(max_events=3)
         assert engine.events_processed == 3
-
-    def test_stop_exits_loop(self, engine):
-        fired = []
-        engine.call_at(1.0, lambda: (fired.append(1), engine.stop()))
-        engine.call_at(2.0, lambda: fired.append(2))
-        engine.run()
-        assert fired == [1]
 
     def test_reentrant_run_rejected(self, engine):
         def recurse():
@@ -128,7 +121,7 @@ class TestRunBefore:
             engine.call_at(2.0, lambda tag=tag: fired.append(tag))
         engine.run_before(2.0)
         assert fired == []
-        assert engine.pending() == 3
+        assert len(engine._queue) == 3
         # The follow-up drain runs the ties in scheduling order.
         engine.run_before(2.5)
         assert fired == ["a", "b", "c"]
