@@ -5,8 +5,10 @@
 #                          property + golden + figure benches)
 #                          including the perf smoke, then the
 #                          perfbench report-digest check on
-#                          every workload, one traced perfbench
-#                          run, and scripts/check_digests.py over
+#                          every workload, two traced perfbench
+#                          runs (prefix-reuse, and cluster-stateful
+#                          through the process shard transport),
+#                          and scripts/check_digests.py over
 #                          seeds 0-3
 #   scripts/ci.sh --fast   fast lane: first the test-only code scan
 #                          (scripts/find_test_only.py, under a
@@ -21,10 +23,13 @@
 #                          and without a deadline, one untimed
 #                          pass of scripts/decode_kernel_grid.py,
 #                          the perfbench report-digest check on
-#                          burst-preempt (about 12 s on 2 CPUs), and
+#                          burst-preempt (about 12 s on 2 CPUs),
 #                          scripts/check_digests.py on burst-preempt
-#                          seeds 1-3 (about 7 s); about 105 s wall
-#                          on a 2-CPU container, 80 s of it in pytest
+#                          seeds 1-3 (about 7 s) and on
+#                          cluster-stateful seeds 0-1 (about 4 s,
+#                          process shard transport); about 110 s
+#                          wall on a 2-CPU container, 80 s of it in
+#                          pytest
 #
 # The perf wall-clock gate is relaxed in both lanes so slow/loaded
 # runners cannot fail a bit-identical build (the deterministic
@@ -114,6 +119,14 @@ if [[ "$FAST" -eq 1 ]]; then
       --seeds 1-3 || rc=$?
   fi
   if [[ "$rc" -eq 0 ]]; then
+    # cluster-stateful digests hash coordination rounds and messages,
+    # and check_digests runs its shards on worker processes, so a
+    # broken shard protocol or process transport fails here.
+    echo "== fast lane: perfbench digests, cluster-stateful seeds 0-1 =="
+    python3 scripts/check_digests.py --workloads cluster-stateful \
+      --seeds 0-1 || rc=$?
+  fi
+  if [[ "$rc" -eq 0 ]]; then
     # Catalogue smoke: the long listing renders every ScenarioSpec.doc,
     # so a scenario registered without docs (or a rendering bug) fails
     # fast; the link checker keeps README/docs cross-references honest.
@@ -140,13 +153,17 @@ else
         --seconds 1 --trace 0 || rc=$?
     fi
   done
-  # The traced run patches program methods by name
-  # (perfbench/tracing.py): renaming or deleting one fails here.
-  if [[ "$rc" -eq 0 ]]; then
-    echo "== tier-1: perfbench traced run =="
-    python3 perfbench/run.py --workload prefix-reuse --seed 0 \
-      --seconds 1 --trace 1 || rc=$?
-  fi
+  # The traced runs patch program methods by name
+  # (perfbench/tracing.py): renaming or deleting one fails here.  The
+  # cluster-stateful one runs the process shard transport, whose
+  # gather the tracer wraps.
+  for workload in prefix-reuse cluster-stateful; do
+    if [[ "$rc" -eq 0 ]]; then
+      echo "== tier-1: perfbench $workload traced run =="
+      python3 perfbench/run.py --workload "$workload" --seed 0 \
+        --seconds 1 --trace 1 || rc=$?
+    fi
+  done
   # More seeds of the same digests: one execute per seed, no timing.
   if [[ "$rc" -eq 0 ]]; then
     echo "== tier-1: perfbench digests, seeds 0-3 x every workload =="

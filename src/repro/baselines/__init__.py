@@ -11,8 +11,8 @@
   recompute-based context restore and no proactive memory management.
 """
 
-from repro.baselines.andes import AndesParams, AndesScheduler
-from repro.baselines.mlfq import MLFQParams, MLFQScheduler
+from repro.baselines.andes import AndesScheduler
+from repro.baselines.mlfq import MLFQScheduler
 from repro.baselines.sglang import SGLangScheduler
 from repro.baselines.sglang_chunked import SGLangChunkedScheduler
 
@@ -20,7 +20,5 @@ __all__ = [
     "SGLangScheduler",
     "SGLangChunkedScheduler",
     "AndesScheduler",
-    "AndesParams",
     "MLFQScheduler",
-    "MLFQParams",
 ]

@@ -20,46 +20,22 @@ approach"), this reimplementation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.serving.interface import BaseScheduler, SchedulerDecision, SystemView
 
-
-@dataclass(frozen=True)
-class AndesParams:
-    """Knobs of the Andes-like policy.
-
-    Attributes:
-        tick_interval: period of the QoE scheduling pass.
-        ahead_threshold_s: a running request is preemptible once its
-            client buffer covers this many seconds of playback.
-        max_preempts_per_tick: action cap per pass.
-        admission_watermark_frac: free-block watermark for admission.
-    """
-
-    tick_interval: float = 0.5
-    ahead_threshold_s: float = 1.0
-    max_preempts_per_tick: int = 8
-    admission_watermark_frac: float = 0.05
-
-    def __post_init__(self) -> None:
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
-        if self.ahead_threshold_s < 0:
-            raise ValueError("ahead_threshold_s must be non-negative")
-        if self.max_preempts_per_tick <= 0:
-            raise ValueError("max_preempts_per_tick must be positive")
+# A running request is preemptible once its client buffer covers this
+# many seconds of playback.
+AHEAD_THRESHOLD_S = 1.0
+# Preemptions per QoE pass.
+MAX_PREEMPTS_PER_TICK = 8
+# Free-block watermark for admission, as a fraction of the GPU pool.
+ADMISSION_WATERMARK_FRAC = 0.05
 
 
 class AndesScheduler(BaseScheduler):
     """QoE-urgency preemptive scheduling with recompute-based restore."""
 
     name = "andes"
-
-    def __init__(self, params: Optional[AndesParams] = None) -> None:
-        self.params = params if params is not None else AndesParams()
-        self.tick_interval = self.params.tick_interval
+    tick_interval = 0.5  # period of the QoE scheduling pass
 
     def scheduling_cost_s(self) -> float:
         return 0.0003
@@ -74,7 +50,7 @@ class AndesScheduler(BaseScheduler):
 
     def on_iteration_boundary(self, view: SystemView) -> SchedulerDecision:
         decision = SchedulerDecision()
-        watermark = int(view.kv.gpu_pool.capacity * self.params.admission_watermark_frac)
+        watermark = int(view.kv.gpu_pool.capacity * ADMISSION_WATERMARK_FRAC)
         free = view.kv.gpu_free_blocks()
         active = len(view.running) + len(view.prefill_queue) + len(view.loading)
         for request in view.waiting:
@@ -94,9 +70,9 @@ class AndesScheduler(BaseScheduler):
         needy = self._needy_requests(view)
         if not needy:
             return decision
-        watermark = int(view.kv.gpu_pool.capacity * self.params.admission_watermark_frac)
+        watermark = int(view.kv.gpu_pool.capacity * ADMISSION_WATERMARK_FRAC)
         free = view.kv.gpu_free_blocks()
-        preempts_left = self.params.max_preempts_per_tick
+        preempts_left = MAX_PREEMPTS_PER_TICK
         victims = self._preemption_candidates(view)
         active = len(view.running) + len(view.prefill_queue) + len(view.loading)
         for request, is_waiting in needy:
@@ -148,7 +124,7 @@ class AndesScheduler(BaseScheduler):
             (view.tracker.buffer_seconds(r.req_id, view.now), r)
             for r in view.running
         ]
-        ahead = [(slack, r) for slack, r in ahead if slack >= self.params.ahead_threshold_s]
+        ahead = [(slack, r) for slack, r in ahead if slack >= AHEAD_THRESHOLD_S]
         ahead.sort(key=lambda item: item[0], reverse=True)
         return [request for _, request in ahead]
 

@@ -16,53 +16,28 @@ extension benches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from repro.serving.interface import BaseScheduler, SchedulerDecision, SystemView
 
-
-@dataclass(frozen=True)
-class MLFQParams:
-    """Skip-join MLFQ knobs.
-
-    Attributes:
-        tick_interval: scheduling-pass period.
-        n_levels: number of priority levels (0 = highest).
-        base_quantum_tokens: service quantum of level 0; each level
-            doubles it.
-        skip_join_threshold: prompt length granularity for the initial
-            level (longer prompts start lower, as in FastServe).
-        admission_watermark_frac: free-block watermark for admission.
-        max_preempts_per_tick: action cap per pass.
-    """
-
-    tick_interval: float = 0.5
-    n_levels: int = 4
-    base_quantum_tokens: int = 64
-    skip_join_threshold: int = 512
-    admission_watermark_frac: float = 0.05
-    max_preempts_per_tick: int = 8
-
-    def __post_init__(self) -> None:
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
-        if self.n_levels < 1:
-            raise ValueError("need at least one level")
-        if self.base_quantum_tokens <= 0:
-            raise ValueError("base_quantum_tokens must be positive")
-        if self.skip_join_threshold <= 0:
-            raise ValueError("skip_join_threshold must be positive")
+# Number of priority levels (0 = highest).
+N_LEVELS = 4
+# Service quantum of level 0; each level doubles it.
+BASE_QUANTUM_TOKENS = 64
+# Prompt-length granularity of the initial level (longer prompts start
+# lower, as in FastServe).
+SKIP_JOIN_THRESHOLD = 512
+# Free-block watermark for admission, as a fraction of the GPU pool.
+ADMISSION_WATERMARK_FRAC = 0.05
+# Preemptions per scheduling pass.
+MAX_PREEMPTS_PER_TICK = 8
 
 
 class MLFQScheduler(BaseScheduler):
     """Skip-join multi-level feedback queue with recompute preemption."""
 
     name = "mlfq"
+    tick_interval = 0.5  # scheduling-pass period
 
-    def __init__(self, params: Optional[MLFQParams] = None) -> None:
-        self.params = params if params is not None else MLFQParams()
-        self.tick_interval = self.params.tick_interval
+    def __init__(self) -> None:
         self._levels: dict = {}          # req_id -> current level
         self._served_tokens: dict = {}   # req_id -> tokens since last demotion
 
@@ -72,11 +47,11 @@ class MLFQScheduler(BaseScheduler):
     # --- level bookkeeping ------------------------------------------------------
     def initial_level(self, prompt_len: int) -> int:
         """Skip-join: longer prompts join a lower priority level."""
-        level = prompt_len // self.params.skip_join_threshold
-        return min(self.params.n_levels - 1, level)
+        level = prompt_len // SKIP_JOIN_THRESHOLD
+        return min(N_LEVELS - 1, level)
 
     def quantum(self, level: int) -> int:
-        return self.params.base_quantum_tokens * (2 ** level)
+        return BASE_QUANTUM_TOKENS * (2 ** level)
 
     def level_of(self, request) -> int:
         if request.req_id not in self._levels:
@@ -88,7 +63,7 @@ class MLFQScheduler(BaseScheduler):
         """Demote requests that exhausted their level's quantum."""
         level = self.level_of(request)
         served = request.generated - self._served_tokens.get(request.req_id, 0)
-        if served >= self.quantum(level) and level < self.params.n_levels - 1:
+        if served >= self.quantum(level) and level < N_LEVELS - 1:
             self._levels[request.req_id] = level + 1
             self._served_tokens[request.req_id] = request.generated
 
@@ -107,7 +82,7 @@ class MLFQScheduler(BaseScheduler):
     def on_iteration_boundary(self, view: SystemView) -> SchedulerDecision:
         """Admit by (level, arrival) priority while memory allows."""
         decision = SchedulerDecision()
-        watermark = int(view.kv.gpu_pool.capacity * self.params.admission_watermark_frac)
+        watermark = int(view.kv.gpu_pool.capacity * ADMISSION_WATERMARK_FRAC)
         free = view.kv.gpu_free_blocks()
         active = len(view.running) + len(view.prefill_queue) + len(view.loading)
         candidates = sorted(
@@ -140,10 +115,10 @@ class MLFQScheduler(BaseScheduler):
             key=lambda r: (self.level_of(r), r.arrival_time),
             reverse=True,  # lowest level (largest index) first
         )
-        watermark = int(view.kv.gpu_pool.capacity * self.params.admission_watermark_frac)
+        watermark = int(view.kv.gpu_pool.capacity * ADMISSION_WATERMARK_FRAC)
         free = view.kv.gpu_free_blocks()
         active = len(view.running) + len(view.prefill_queue) + len(view.loading)
-        preempts_left = self.params.max_preempts_per_tick
+        preempts_left = MAX_PREEMPTS_PER_TICK
         for request in needy:
             needed = view.kv.blocks_for_tokens(
                 request.prompt_len if request.req_id not in self._levels

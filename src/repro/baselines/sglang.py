@@ -18,17 +18,13 @@ class SGLangScheduler(BaseScheduler):
 
     name = "sglang"
     tick_interval = None  # no periodic pass
-
-    def __init__(self, admission_watermark_frac: float = 0.05,
-                 scheduling_cost: float = 0.00007) -> None:
-        if not 0 <= admission_watermark_frac < 1:
-            raise ValueError("admission_watermark_frac must be in [0, 1)")
-        self.admission_watermark_frac = admission_watermark_frac
-        self._scheduling_cost = scheduling_cost
+    # Free-block watermark for admission, as a fraction of the GPU pool.
+    ADMISSION_WATERMARK_FRAC = 0.05
+    # ~0.07 ms per pass, the figure the paper quotes for SGLang (§7.6).
+    SCHEDULING_COST_S = 0.00007
 
     def scheduling_cost_s(self) -> float:
-        # ~0.07 ms per pass, the figure the paper quotes for SGLang (§7.6).
-        return self._scheduling_cost
+        return self.SCHEDULING_COST_S
 
     def can_fuse_decode(self, view: SystemView) -> bool:
         """Boundary is stateless and pure, so ask it directly.
@@ -46,7 +42,7 @@ class SGLangScheduler(BaseScheduler):
     def on_iteration_boundary(self, view: SystemView) -> SchedulerDecision:
         """Admit in strict FCFS order while the prompt fits in memory."""
         decision = SchedulerDecision()
-        watermark = int(view.kv.gpu_pool.capacity * self.admission_watermark_frac)
+        watermark = int(view.kv.gpu_pool.capacity * self.ADMISSION_WATERMARK_FRAC)
         free = view.kv.gpu_free_blocks()
         active = len(view.running) + len(view.prefill_queue) + len(view.loading)
         # Preempted requests (reactive OOM victims) re-enter first, FCFS.

@@ -398,8 +398,10 @@ class TokenFlowScheduler(BaseScheduler):
         tau_evict: float,
         tau_load: float,
     ) -> Candidate:
-        occupancy = view.tracker.occupancy(request.req_id, view.now)
-        buffer_s = view.tracker.buffer_seconds(request.req_id, view.now)
+        # One buffer read: buffer_s is RequestTracker.buffer_seconds.
+        buffer = view.tracker.get(request.req_id).buffer
+        occupancy = buffer.occupancy(view.now)
+        buffer_s = occupancy * buffer.interval
         t_eff = max(0.0, self.params.tick_interval - t_overhead)
         priority = request_priority(
             buffer_occupancy=occupancy,

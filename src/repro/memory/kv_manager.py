@@ -463,10 +463,7 @@ class HierarchicalKVManager:
         )
 
     def drain_writes(
-        self,
-        now: float,
-        horizon: float,
-        priority: Optional[Callable[[int], float]] = None,
+        self, now: float, horizon: float, priority: Callable[[int], float]
     ) -> int:
         """Synchronous chunked writing: replicate dirty KV during compute.
 
@@ -531,16 +528,13 @@ class HierarchicalKVManager:
                 # replays the exact busy-horizon additions.
                 d2h.occupy_drains(n_dirty, nbytes, (now,))
                 return n_dirty * uniform
-        if priority is not None:
-            # Highest priority first; registration order breaks ties —
-            # exactly the order a stable descending sort over the
-            # registration-ordered registry would produce.
-            dirty = sorted(
-                self._dirty.values(),
-                key=lambda r: (-priority(r.req_id), r.seq),
-            )
-        else:
-            dirty = sorted(self._dirty.values(), key=lambda r: r.seq)
+        # Highest priority first; registration order breaks ties —
+        # exactly the order a stable descending sort over the
+        # registration-ordered registry would produce.
+        dirty = sorted(
+            self._dirty.values(),
+            key=lambda r: (-priority(r.req_id), r.seq),
+        )
         synced_total = 0
         kv_bytes_per_token = self.kv_bytes_per_token
         d2h = self.link.d2h

@@ -12,7 +12,9 @@ keeps ONE warm pool and ONE manager per process, handed out on demand:
   smaller than ``K`` would deadlock.
 * :func:`get_manager` returns the shared queue server used by the
   shard transport (queue proxies pickle into pool tasks; raw
-  ``multiprocessing`` queues do not).
+  ``multiprocessing`` queues do not).  Each put pays one proxy round
+  trip, so the shard coordinator sends every shard one list of
+  messages per step: one put, however many messages it holds.
 * :func:`reset_pool` tears both down and kills the pool's workers, so
   a hung task cannot outlive it.  The matrix executor calls it to
   enforce a cell deadline and when the pool comes back broken, so the
@@ -85,34 +87,6 @@ def get_manager():
         _manager = multiprocessing.Manager()
         _owner_pid = os.getpid()
     return _manager
-
-
-# --- message batching ---------------------------------------------------
-#
-# Manager-queue puts pay one proxy round-trip (pickle + socket) each.
-# Protocol steps that emit several messages to the same worker
-# back-to-back (a sharded coordination round flushes buffered
-# placements and then pauses, in one breath) fold them into a single
-# envelope so the queue is touched once per worker per round.
-
-BATCH_KIND = "batch"
-
-
-def pack_messages(msgs: list):
-    """Fold ``msgs`` into one queue payload (unwrapped single message,
-    or a ``(BATCH_KIND, msgs)`` envelope for more than one)."""
-    if len(msgs) == 1:
-        return msgs[0]
-    return (BATCH_KIND, list(msgs))
-
-
-def iter_messages(payload):
-    """Yield the protocol messages inside one queue payload."""
-    if payload and payload[0] == BATCH_KIND:
-        for msg in payload[1]:
-            yield msg
-    else:
-        yield payload
 
 
 def reset_pool() -> None:

@@ -52,10 +52,6 @@ class ServingConfig:
             changing any :class:`~repro.serving.metrics.RunReport`
             number; JSONL token-trace export and occupancy-series
             plots need it on.
-        timeline_cap: sample-count bound for the (t, queued, running)
-            timeline; above it samples are decimated 2:1 and the
-            sampling stride doubles (long runs stop growing without
-            bound).
     """
 
     hardware: Union[str, HardwareSpec] = "h200"
@@ -68,7 +64,6 @@ class ServingConfig:
     kv: KVManagerConfig = field(default_factory=KVManagerConfig)
     retain_per_request: bool = True
     record_token_traces: bool = False
-    timeline_cap: int = 65536
 
     def __post_init__(self) -> None:
         if isinstance(self.hardware, str):
@@ -85,8 +80,6 @@ class ServingConfig:
             raise ValueError("max_prefill_tokens must be positive")
         if self.prefill_chunk_size <= 0:
             raise ValueError("prefill_chunk_size must be positive")
-        if self.timeline_cap < 2:
-            raise ValueError("timeline_cap must be at least 2")
         if self.record_token_traces and not self.retain_per_request:
             raise ValueError(
                 "record_token_traces needs retain_per_request: streaming "

@@ -30,6 +30,11 @@ from repro.analysis.stats import summarize
 from repro.core.qos import QoSParams, fold_hist_metrics
 from repro.core.tracker import RequestTracker
 
+# Relative accuracy α of every quantile sketch, and its log bucket
+# width log γ with γ = (1+α)/(1-α).
+SKETCH_REL_ACCURACY = 0.01
+_GAMMA_LOG = math.log((1 + SKETCH_REL_ACCURACY) / (1 - SKETCH_REL_ACCURACY))
+
 
 @dataclass(frozen=True)
 class RequestMetrics:
@@ -53,30 +58,26 @@ class QuantileSketch:
 
     Values land in geometric buckets ``[γ^i, γ^(i+1))`` with
     ``γ = (1+α)/(1-α)``; reporting a bucket's midpoint bounds the
-    relative error of any quantile estimate by ``α`` (default 1 %).
+    relative error of any quantile estimate by ``α``
+    (:data:`SKETCH_REL_ACCURACY`, 1 %).
     Buckets are a sparse dict, so memory is O(distinct magnitudes) —
     tens of entries for latency-shaped data — independent of how many
-    values are observed.  Sketches with equal ``rel_accuracy`` merge
-    by bucket-count addition, which is what lets cluster and matrix
-    aggregation fold per-instance streaming reports without per-request
-    records.
+    values are observed.  Sketches merge by bucket-count addition,
+    which is what lets cluster and matrix aggregation fold per-instance
+    streaming reports without per-request records.
 
     Exact count/sum/min/max ride along, so means are exact and the
     extreme quantiles clamp to true observations.
     """
 
-    __slots__ = ("rel_accuracy", "_gamma_log", "count", "total",
-                 "_buckets", "_zero_count", "minimum", "maximum")
+    __slots__ = ("count", "total", "_buckets", "_zero_count", "minimum",
+                 "maximum")
 
     # Values below this are indistinguishable from zero for latency
     # metrics and would explode the log bucketing.
     _EPS = 1e-12
 
-    def __init__(self, rel_accuracy: float = 0.01) -> None:
-        if not 0 < rel_accuracy < 1:
-            raise ValueError("rel_accuracy must be in (0, 1)")
-        self.rel_accuracy = rel_accuracy
-        self._gamma_log = math.log((1 + rel_accuracy) / (1 - rel_accuracy))
+    def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
         self._buckets: dict = {}
@@ -97,16 +98,11 @@ class QuantileSketch:
         if value <= self._EPS:
             self._zero_count += 1
             return
-        key = math.ceil(math.log(value) / self._gamma_log)
+        key = math.ceil(math.log(value) / _GAMMA_LOG)
         self._buckets[key] = self._buckets.get(key, 0) + 1
 
     def merge(self, other: "QuantileSketch") -> None:
-        """Fold ``other`` into this sketch (same ``rel_accuracy``)."""
-        if other.rel_accuracy != self.rel_accuracy:
-            raise ValueError(
-                f"cannot merge sketches with different accuracies "
-                f"({self.rel_accuracy} vs {other.rel_accuracy})"
-            )
+        """Fold ``other`` into this sketch."""
         self.count += other.count
         self.total += other.total
         self._zero_count += other._zero_count
@@ -125,7 +121,7 @@ class QuantileSketch:
         """Approximate the ``q``-th percentile (``q`` in [0, 100]).
 
         Returns the midpoint of the bucket holding the order statistic
-        at rank ``(count-1)·q/100`` — within ``rel_accuracy`` of the
+        at rank ``(count-1)·q/100`` — within ``α`` of the
         exact value — clamped to the observed min/max.  NaN when empty.
         """
         if not 0 <= q <= 100:
@@ -136,17 +132,17 @@ class QuantileSketch:
         cum = self._zero_count
         if cum > target:
             return 0.0
-        gamma = math.exp(self._gamma_log)
+        gamma = math.exp(_GAMMA_LOG)
         for key in sorted(self._buckets):
             cum += self._buckets[key]
             if cum > target:
                 # Midpoint of [γ^(k-1), γ^k): 2·γ^k/(γ+1).
-                estimate = 2.0 * math.exp(key * self._gamma_log) / (gamma + 1.0)
+                estimate = 2.0 * math.exp(key * _GAMMA_LOG) / (gamma + 1.0)
                 return min(max(estimate, self.minimum), self.maximum)
         return self.maximum
 
     def copy(self) -> "QuantileSketch":
-        clone = QuantileSketch(self.rel_accuracy)
+        clone = QuantileSketch()
         clone.count = self.count
         clone.total = self.total
         clone._buckets = dict(self._buckets)
@@ -162,7 +158,7 @@ class QuantileSketch:
             "mean": self.mean,
             "p50": self.quantile(50),
             "p99": self.quantile(99),
-            "rel_accuracy": self.rel_accuracy,
+            "rel_accuracy": SKETCH_REL_ACCURACY,
         }
 
     # Pickle support for __slots__ (reports cross process boundaries
@@ -184,8 +180,8 @@ class StreamingRunStats:
     the request's tracker entry (buffer, token timestamps) is dropped.
     Counts and sums fold exactly — throughput, effective throughput,
     QoS, total/mean stalls and TTFT *means* are exact; TTFT/stall
-    *percentiles* come from :class:`QuantileSketch` within its
-    ``rel_accuracy``.  Everything merges, so cluster/matrix
+    *percentiles* come from :class:`QuantileSketch` within
+    :data:`SKETCH_REL_ACCURACY`.  Everything merges, so cluster/matrix
     aggregation works without per-request records.
 
     QoS bookkeeping: Eq. 2's per-request term is linear in its
@@ -195,13 +191,8 @@ class StreamingRunStats:
     and the makespan penalty is applied once at :meth:`assemble`.
     """
 
-    def __init__(
-        self,
-        qos_params: Optional[QoSParams] = None,
-        rel_accuracy: float = 0.01,
-    ) -> None:
+    def __init__(self, qos_params: Optional[QoSParams] = None) -> None:
         self.qos_params = qos_params if qos_params is not None else QoSParams()
-        self.rel_accuracy = rel_accuracy
         self.n_requests = 0
         self.n_finished = 0
         self.total_tokens = 0
@@ -211,8 +202,8 @@ class StreamingRunStats:
         self.n_no_ttft = 0
         self.stall_total = 0.0
         self.preemptions = 0
-        self.ttft = QuantileSketch(rel_accuracy)
-        self.stall = QuantileSketch(rel_accuracy)
+        self.ttft = QuantileSketch()
+        self.stall = QuantileSketch()
 
     # --- folding ------------------------------------------------------
     def observe(self, request, buffer) -> None:
@@ -275,7 +266,7 @@ class StreamingRunStats:
         self.stall.merge(other.stall)
 
     def copy(self) -> "StreamingRunStats":
-        clone = StreamingRunStats(self.qos_params, self.rel_accuracy)
+        clone = StreamingRunStats(self.qos_params)
         clone.n_requests = self.n_requests
         clone.n_finished = self.n_finished
         clone.total_tokens = self.total_tokens

@@ -316,7 +316,7 @@ class BufferAwareRouter(Router):
     """Route to the instance with the smallest aggregate buffer deficit.
 
     The deficit of one instance is how many buffered seconds its
-    resident requests are collectively short of ``target_buffer_s``,
+    resident requests are collectively short of :attr:`TARGET_BUFFER_S`,
     plus a full target's worth for every request that has no client
     buffer yet (waiting / prefilling / preempted / loading).  This is
     the dispatch-layer counterpart of the paper's buffer-aware
@@ -325,11 +325,7 @@ class BufferAwareRouter(Router):
     """
 
     name = "buffer_aware"
-
-    def __init__(self, target_buffer_s: float = 1.0) -> None:
-        if target_buffer_s <= 0:
-            raise ValueError("target_buffer_s must be positive")
-        self.target_buffer_s = target_buffer_s
+    TARGET_BUFFER_S = 1.0
 
     def instance_deficit(self, instance) -> float:
         """Aggregate buffered-seconds shortfall of one instance.
@@ -339,7 +335,7 @@ class BufferAwareRouter(Router):
         minus the decode batch) — each count a full target: they are
         pure future demand.
         """
-        target = self.target_buffer_s
+        target = self.TARGET_BUFFER_S
         now = instance.engine.now()
         buffer_seconds = instance.tracker.buffer_seconds
         deficit = 0.0
@@ -368,20 +364,19 @@ class SessionAffinityRouter(Router):
 
     Session identity is the request's ``session_id`` (set by the
     session drivers and session workload builders); standalone requests
-    (``session_id is None``) are placed individually by the ``base``
-    policy.  Fresh sessions are placed by the base policy too, and
-    later turns reuse the recorded placement — modelling KV/prefix-cache
-    locality for multi-turn conversations.
+    (``session_id is None``) are placed individually by the base
+    ``least_loaded`` policy.  Fresh sessions are placed by the base
+    policy too, and later turns reuse the recorded placement —
+    modelling KV/prefix-cache locality for multi-turn conversations.
     """
 
     name = "session_affinity"
+    # The speculative-dispatch snapshot protocol is the base policy's
+    # (sticky hits are stateless and simply fold into the mirror).
+    speculative = True
 
-    def __init__(self, base: Union[str, Router] = "least_loaded") -> None:
-        self.base = make_router(base)
-        # The speculative-dispatch snapshot protocol is the base
-        # policy's (sticky hits are stateless and simply fold into the
-        # mirror).
-        self.speculative = self.base.speculative
+    def __init__(self) -> None:
+        self.base = LeastLoadedRouter()
         self.assignments: Dict[int, int] = {}
 
     def needs_state(self, request) -> bool:

@@ -47,6 +47,10 @@ from repro.serving.stages import (
 from repro.sim.engine import SimEngine
 from repro.workload.request import RequestState
 
+# Sample-count bound of the (t, queued, running) timeline: at the cap
+# the samples are decimated 2:1 and the sampling stride doubles.
+TIMELINE_CAP = 65536
+
 
 class ServingSystem:
     """One simulated serving instance (hardware + model + scheduler)."""
@@ -237,10 +241,10 @@ class ServingSystem:
         downsampling over time.
 
         Long runs would otherwise grow the timeline without bound: when
-        the sample list reaches ``config.timeline_cap`` it is decimated
+        the sample list reaches :data:`TIMELINE_CAP` it is decimated
         2:1 and the stride doubles, bounding memory at the cap while
         keeping an evenly-spaced record.  Runs shorter than the cap
-        (every test/figure workload) are recorded exactly.
+        (every figure workload) are recorded exactly.
 
         The fused decode path emits the samples of a whole macro-step
         window — at its historical iteration boundaries — from the
@@ -251,7 +255,7 @@ class ServingSystem:
         stride = self._timeline_stride
         pending = self._timeline_pending
         timeline = self.timeline
-        cap = self.config.timeline_cap
+        cap = TIMELINE_CAP
         queued = len(self.waiting) + len(self.prefill_queue)
         running = len(self.running)
         for now in instants:

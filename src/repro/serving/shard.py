@@ -47,13 +47,22 @@ and a :class:`~repro.experiments.systems.SchedulerRecipe` outbound,
 per-instance ``RunReport`` (sketch-backed at soak scale) inbound.
 Reports aggregate through :func:`repro.serving.metrics.aggregate_reports`.
 
+Protocol: the coordinator sends three messages, each carrying the
+shard's ladder delta (dispatch instants it has not seen yet) as its
+last field: ``("apply", entries, ladder)`` replays routed dispatches,
+``("pause", t, request, ladder)`` advances to ``t`` and replies
+``("metrics", shard, metrics, snaps)`` (``snaps`` is ``None`` unless
+the router is speculative), and ``("finish", ladder)`` drains to the
+horizon and replies ``("done", ...)``.  Every coordinator step sends
+each shard one list: its buffered ``apply``, then the step's message.
+
 Transports: ``inline`` runs the :class:`ShardHost` protocol in the
 coordinator's process — the default for one shard, which gains
 nothing from a worker, and selectable for any K with
 ``REPRO_SHARD_INLINE=1`` or ``transport="inline"``; ``process`` (the
 default for K > 1) runs each shard as a long-lived task on the warm
-pool from :mod:`repro.orchestration.pool`, talking over manager
-queues.  The two transports execute identical host code.
+pool from :mod:`repro.orchestration.pool`, one manager-queue put per
+send.  The two transports execute identical host code.
 """
 
 from __future__ import annotations
@@ -148,27 +157,20 @@ class ShardHost:
             self.engine.run_before(t, until=self.horizon)
             self.instances[local_idx].submit([request])
 
-    def pause(self, t: float, request) -> list:
-        """Advance to dispatch instant ``t``; measure every instance."""
-        self.engine.run_before(t, until=self.horizon)
-        return [
-            self.router.instance_metrics(instance, request)
-            for instance in self.instances
-        ]
+    def pause(self, t: float, request):
+        """Advance to dispatch instant ``t``; measure every instance.
 
-    def snap(self, t: float, request):
-        """:meth:`pause` plus trajectory snapshots (speculative routers).
-
-        The snapshots ride back on the same reply the metrics use —
-        the delta-metrics channel costs no extra messages.
+        Returns ``(metrics, snaps)``: ``snaps`` holds one trajectory
+        snapshot per instance when the router is speculative, riding
+        back on the same reply as the metrics, and is ``None`` otherwise.
         """
         self.engine.run_before(t, until=self.horizon)
-        metrics = []
-        snaps = []
-        for instance in self.instances:
-            metrics.append(self.router.instance_metrics(instance, request))
-            snaps.append(self.router.instance_snapshot(instance, request))
-        return metrics, snaps
+        router = self.router
+        instances = self.instances
+        metrics = [router.instance_metrics(i, request) for i in instances]
+        if not router.speculative:
+            return metrics, None
+        return metrics, [router.instance_snapshot(i, request) for i in instances]
 
     def finish(self):
         """Drain to the run horizon and hand the results back."""
@@ -184,42 +186,33 @@ def _in_main_process() -> bool:
 
 
 def _handle_message(host: ShardHost, msg: tuple):
-    """Shared protocol step for both transports; returns the reply."""
+    """Shared protocol step for both transports; returns the reply.
+
+    Every message carries its ladder delta as its last field.
+    """
     kind = msg[0]
-    if kind == "ladder":
-        host.push_ladder(msg[1])
-        return None
+    if kind not in ("apply", "pause", "finish"):
+        raise ValueError(f"unknown shard message {kind!r}")
+    host.push_ladder(msg[-1])
     if kind == "apply":
-        host.push_ladder(msg[2])
         host.apply(msg[1])
         return None
     if kind == "pause":
-        host.push_ladder(msg[3])
-        return ("metrics", host.shard_id, host.pause(msg[1], msg[2]))
-    if kind == "snap":
-        host.push_ladder(msg[3])
-        metrics, snaps = host.snap(msg[1], msg[2])
-        return ("metrics", host.shard_id, metrics, snaps)
-    if kind == "finish":
-        host.push_ladder(msg[1])
-        unfinished, reports, events = host.finish()
-        return ("done", host.shard_id, unfinished, reports, events)
-    raise ValueError(f"unknown shard message {kind!r}")
+        return ("metrics", host.shard_id, *host.pause(msg[1], msg[2]))
+    return ("done", host.shard_id, *host.finish())
 
 
 def _shard_worker_main(
     inbox, outbox, shard_id, configs, scheduler_factory, router, horizon
 ) -> bool:
-    """Long-lived shard loop run as one warm-pool task per run."""
-    from repro.orchestration.pool import iter_messages
+    """Long-lived shard loop run as one warm-pool task per run.
 
+    Each inbox item is one coordinator send: a list of messages.
+    """
     try:
         host = ShardHost(shard_id, configs, scheduler_factory, router, horizon)
         while True:
-            payload = inbox.get()
-            for msg in iter_messages(payload):
-                if msg[0] == "stop":
-                    return True
+            for msg in inbox.get():
                 reply = _handle_message(host, msg)
                 if reply is not None:
                     outbox.put(reply)
@@ -243,14 +236,12 @@ class _InlineTransport:
         ]
         self._replies: list = []
 
-    def send(self, shard_id: int, msg: tuple) -> None:
-        reply = _handle_message(self.hosts[shard_id], msg)
-        if reply is not None:
-            self._replies.append(reply)
-
-    def send_many(self, shard_id: int, msgs: list) -> None:
+    def send(self, shard_id: int, msgs: list) -> None:
+        host = self.hosts[shard_id]
         for msg in msgs:
-            self.send(shard_id, msg)
+            reply = _handle_message(host, msg)
+            if reply is not None:
+                self._replies.append(reply)
 
     def gather(self, n: int) -> list:
         if len(self._replies) < n:
@@ -262,12 +253,13 @@ class _InlineTransport:
         del self._replies[:n]
         return replies
 
-    def close(self) -> None:
-        pass
-
 
 class _ProcessTransport:
-    """Shard loops as warm-pool tasks, talking over manager queues."""
+    """Shard loops as warm-pool tasks, one manager-queue put per send.
+
+    Workers exit after ``finish``; the pool itself stays warm for the
+    next run (that reuse is the point of :mod:`repro.orchestration.pool`).
+    """
 
     def __init__(self, shard_configs, scheduler_factory, router, horizon):
         from repro.orchestration.pool import get_manager, get_pool
@@ -291,16 +283,8 @@ class _ProcessTransport:
             for s in range(n_shards)
         ]
 
-    def send(self, shard_id: int, msg: tuple) -> None:
-        self.inboxes[shard_id].put(msg)
-
-    def send_many(self, shard_id: int, msgs: list) -> None:
-        # One envelope, one manager-queue round-trip per shard per
-        # coordination round (see orchestration.pool message batching).
-        from repro.orchestration.pool import pack_messages
-
-        if msgs:
-            self.inboxes[shard_id].put(pack_messages(msgs))
+    def send(self, shard_id: int, msgs: list) -> None:
+        self.inboxes[shard_id].put(msgs)
 
     def gather(self, n: int) -> list:
         replies: list = []
@@ -335,10 +319,17 @@ class _ProcessTransport:
                     f"shard worker died: {future.exception()!r}"
                 ) from future.exception()
 
-    def close(self) -> None:
-        # Workers exit after "finish"; the pool itself stays warm for
-        # the next run (that reuse is the point of orchestration.pool).
-        pass
+
+def _by_shard(replies: list, kind: str) -> list:
+    """Order one gather's replies by shard id, checking their kind."""
+    by_shard = [None] * len(replies)
+    for reply in replies:
+        if reply[0] != kind:
+            raise RuntimeError(
+                f"shard protocol error: expected {kind}, got {reply[0]!r}"
+            )
+        by_shard[reply[1]] = reply
+    return by_shard
 
 
 class ShardedServingCluster:
@@ -518,11 +509,18 @@ class ShardedServingCluster:
             sent[s] = len(ladder)
             return delta
 
-        def flush(s: int) -> None:
+        def send(s: int, *msg) -> None:
+            """One send to shard ``s``: its buffered placements as an
+            ``apply``, then ``msg`` (if any) with its ladder delta."""
+            msgs = []
             if buffered[s]:
-                transport.send(s, ("apply", buffered[s], ladder_delta(s)))
-                self.messages_sent += 1
+                msgs.append(("apply", buffered[s], ladder_delta(s)))
                 buffered[s] = []
+            if msg:
+                msgs.append((*msg, ladder_delta(s)))
+            if msgs:
+                transport.send(s, msgs)
+                self.messages_sent += len(msgs)
 
         router = self.router
         speculative = router.speculative
@@ -553,35 +551,13 @@ class ShardedServingCluster:
                 # reports metrics (plus snapshots for speculative
                 # routers); selection happens here, in global instance
                 # order.
-                kind = "snap" if speculative else "pause"
                 for s in range(n_shards):
-                    msgs = []
-                    if buffered[s]:
-                        msgs.append(("apply", buffered[s], ladder_delta(s)))
-                        buffered[s] = []
-                        msgs.append((kind, t, request, []))
-                    else:
-                        msgs.append((kind, t, request, ladder_delta(s)))
-                    transport.send_many(s, msgs)
-                    self.messages_sent += len(msgs)
-                replies = transport.gather(n_shards)
+                    send(s, "pause", t, request)
+                replies = _by_shard(transport.gather(n_shards), "metrics")
                 self.coordination_rounds += 1
-                by_shard = {}
-                for reply in replies:
-                    if reply[0] != "metrics":
-                        raise RuntimeError(
-                            f"shard protocol error: expected metrics, "
-                            f"got {reply[0]!r}"
-                        )
-                    by_shard[reply[1]] = reply
-                metrics = []
-                snaps: list = []
-                for s in range(n_shards):
-                    metrics.extend(by_shard[s][2])
-                    if speculative:
-                        snaps.extend(by_shard[s][3])
+                metrics = [m for reply in replies for m in reply[2]]
                 if speculative:
-                    mirror = snaps
+                    mirror = [snap for reply in replies for snap in reply[3]]
                 idx = router.select_from_metrics(n, metrics, request)
             # Every placement — mirror-resolved, round-resolved, or
             # stateless — folds into the mirrored table so later
@@ -596,26 +572,17 @@ class ShardedServingCluster:
             since_flush += 1
             if since_flush >= FLUSH_INTERVAL:
                 for s in range(n_shards):
-                    flush(s)
+                    send(s)
                 since_flush = 0
 
         for s in range(n_shards):
-            flush(s)
-            transport.send(s, ("finish", ladder_delta(s)))
-            self.messages_sent += 1
-        replies = transport.gather(n_shards)
-        by_shard = {}
-        for reply in replies:
-            if reply[0] != "done":
-                raise RuntimeError(
-                    f"shard protocol error: expected done, got {reply[0]!r}"
-                )
-            by_shard[reply[1]] = reply
+            send(s, "finish")
         reports: list = []
         unfinished = 0
         self.shard_events = []
-        for s in range(n_shards):
-            _, _, shard_unfinished, shard_reports, events = by_shard[s]
+        for _, _, shard_unfinished, shard_reports, events in _by_shard(
+            transport.gather(n_shards), "done"
+        ):
             unfinished += shard_unfinished
             reports.extend(shard_reports)
             self.shard_events.append(events)
@@ -623,7 +590,6 @@ class ShardedServingCluster:
         self._unfinished_final = unfinished + self._pending_dispatch
         self._pending = []
         self._stream = None
-        transport.close()
         if until is not None:
             return until
         return max(

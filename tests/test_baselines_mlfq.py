@@ -1,8 +1,7 @@
 """Unit + behaviour tests for the FastServe-style MLFQ baseline."""
 
-import pytest
-
-from repro.baselines import MLFQParams, MLFQScheduler, SGLangScheduler
+from repro.baselines import MLFQScheduler, SGLangScheduler
+from repro.baselines.mlfq import BASE_QUANTUM_TOKENS, N_LEVELS, SKIP_JOIN_THRESHOLD
 from repro.experiments.runner import run_comparison
 from repro.memory.kv_manager import KVManagerConfig
 from repro.serving.config import ServingConfig
@@ -33,49 +32,37 @@ def burst(n, prompt=128, output=128, rate=10.0):
     ]
 
 
-class TestParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MLFQParams(tick_interval=0.0)
-        with pytest.raises(ValueError):
-            MLFQParams(n_levels=0)
-        with pytest.raises(ValueError):
-            MLFQParams(base_quantum_tokens=0)
-        with pytest.raises(ValueError):
-            MLFQParams(skip_join_threshold=0)
-
-
 class TestLevels:
     def test_skip_join_by_prompt_length(self):
-        scheduler = MLFQScheduler(MLFQParams(skip_join_threshold=512, n_levels=4))
-        assert scheduler.initial_level(100) == 0
-        assert scheduler.initial_level(600) == 1
-        assert scheduler.initial_level(1200) == 2
-        assert scheduler.initial_level(99_999) == 3  # clamped
+        scheduler = MLFQScheduler()
+        assert scheduler.initial_level(SKIP_JOIN_THRESHOLD - 1) == 0
+        assert scheduler.initial_level(SKIP_JOIN_THRESHOLD) == 1
+        assert scheduler.initial_level(2 * SKIP_JOIN_THRESHOLD) == 2
+        assert scheduler.initial_level(99_999) == N_LEVELS - 1  # clamped
 
     def test_quantum_doubles_per_level(self):
-        scheduler = MLFQScheduler(MLFQParams(base_quantum_tokens=64))
-        assert scheduler.quantum(0) == 64
-        assert scheduler.quantum(2) == 256
+        scheduler = MLFQScheduler()
+        assert scheduler.quantum(0) == BASE_QUANTUM_TOKENS
+        assert scheduler.quantum(2) == 4 * BASE_QUANTUM_TOKENS
 
     def test_demotion_after_quantum(self):
-        scheduler = MLFQScheduler(MLFQParams(base_quantum_tokens=4, n_levels=3))
+        scheduler = MLFQScheduler()
         request = Request(req_id=0, arrival_time=0.0, prompt_len=64,
                           output_len=64, rate=10.0)
         assert scheduler.level_of(request) == 0
-        request.generated = 5  # beyond the level-0 quantum
+        request.generated = BASE_QUANTUM_TOKENS + 1  # beyond the level-0 quantum
         scheduler.note_progress(request)
         assert scheduler.level_of(request) == 1
 
     def test_no_demotion_below_last_level(self):
-        scheduler = MLFQScheduler(MLFQParams(base_quantum_tokens=1, n_levels=2))
+        scheduler = MLFQScheduler()
         request = Request(req_id=0, arrival_time=0.0, prompt_len=64,
                           output_len=64, rate=10.0)
         scheduler.level_of(request)
-        request.generated = 100
-        scheduler.note_progress(request)
-        scheduler.note_progress(request)
-        assert scheduler.level_of(request) == 1
+        for _ in range(N_LEVELS + 1):
+            request.generated += scheduler.quantum(N_LEVELS - 1)
+            scheduler.note_progress(request)
+        assert scheduler.level_of(request) == N_LEVELS - 1
 
 
 class TestBehaviour:

@@ -84,7 +84,7 @@ class TestResume:
         engine, tracker, kv, queues, manager = setup
         request = register(tracker, kv, queues, state="running")
         if synced:
-            kv.drain_writes(0.0, 10.0)
+            kv.drain_writes(0.0, 10.0, priority=lambda rid: 0.0)
         manager.preempt(request)
         return request
 
@@ -131,7 +131,7 @@ class TestExecute:
         engine, tracker, kv, queues, manager = setup
         running = register(tracker, kv, queues, state="running", req_id=0)
         waiting = register(tracker, kv, queues, state="waiting", req_id=1)
-        kv.drain_writes(0.0, 10.0)
+        kv.drain_writes(0.0, 10.0, priority=lambda rid: 0.0)
         decision = SchedulerDecision(admit=[waiting], preempt=[running])
         manager.execute(decision)
         assert running.state is RequestState.PREEMPTED

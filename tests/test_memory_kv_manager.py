@@ -106,7 +106,7 @@ class TestWriteThrough:
         _, kv = make_kv()
         self._resident(kv, tokens=64)
         # Budget: 32 ms at 1 MB/s = 32 kB = 32 tokens.
-        synced = kv.drain_writes(now=0.0, horizon=0.032)
+        synced = kv.drain_writes(now=0.0, horizon=0.032, priority=lambda rid: 0.0)
         assert synced == 32
         assert kv.record(1).cpu_tokens == 32
         assert kv.write_backlog_tokens() == 32
@@ -123,18 +123,18 @@ class TestWriteThrough:
     def test_drain_disabled_without_write_through(self):
         _, kv = make_kv(write_through=False)
         self._resident(kv)
-        assert kv.drain_writes(0.0, 1.0) == 0
+        assert kv.drain_writes(0.0, 1.0, priority=lambda rid: 0.0) == 0
         assert kv.write_backlog_tokens() == 0
 
     def test_drain_disabled_without_offload(self):
         _, kv = make_kv(enable_offload=False)
         self._resident(kv)
-        assert kv.drain_writes(0.0, 1.0) == 0
+        assert kv.drain_writes(0.0, 1.0, priority=lambda rid: 0.0) == 0
 
     def test_drain_zero_window(self):
         _, kv = make_kv()
         self._resident(kv)
-        assert kv.drain_writes(1.0, 1.0) == 0
+        assert kv.drain_writes(1.0, 1.0, priority=lambda rid: 0.0) == 0
 
 
 class TestPreempt:
@@ -146,7 +146,8 @@ class TestPreempt:
     def test_synced_preemption_is_instant(self):
         engine, kv = make_kv()
         self._resident(kv, tokens=64)
-        kv.drain_writes(0.0, 1.0)  # sync everything (64 kB in 1 s budget)
+        # Sync everything (64 kB in 1 s budget).
+        kv.drain_writes(0.0, 1.0, priority=lambda rid: 0.0)
         done = kv.preempt(1, now=0.5)
         assert done == 0.5
         assert kv.gpu_pool.used_by(1) == 0
@@ -156,7 +157,8 @@ class TestPreempt:
     def test_dirty_tail_pays_transfer(self):
         engine, kv = make_kv()
         self._resident(kv, tokens=64)
-        kv.drain_writes(0.0, 0.032)  # 32 synced, 32 dirty
+        # 32 synced, 32 dirty.
+        kv.drain_writes(0.0, 0.032, priority=lambda rid: 0.0)
         done = kv.preempt(1, now=0.1)
         # 32 dirty tokens = 32 kB at 1 MB/s = 32 ms.
         assert done == pytest.approx(0.1 + 0.032)
@@ -204,7 +206,7 @@ class TestResume:
         kv.register(req_id)
         kv.allocate_for_prefill(req_id, tokens)
         kv.on_prefill_complete(req_id, tokens)
-        kv.drain_writes(0.0, 10.0)
+        kv.drain_writes(0.0, 10.0, priority=lambda rid: 0.0)
         kv.preempt(req_id, now=0.0)
 
     def test_resume_load_timing(self):
@@ -270,7 +272,7 @@ class TestLoadEvictOverlap:
         kv.register(2)
         kv.allocate_for_prefill(2, 64)
         kv.on_prefill_complete(2, 64)
-        kv.drain_writes(0.0, 10.0)
+        kv.drain_writes(0.0, 10.0, priority=lambda rid: 0.0)
         kv.preempt(2, now=0.0)
         kv.preempt(1, now=0.0)        # synced: instant
         # Now load request 2 back while (hypothetically) evictions run.
@@ -309,5 +311,5 @@ class TestEstimates:
         kv.register(1)
         kv.allocate_for_prefill(1, 48)
         kv.on_prefill_complete(1, 48)
-        kv.drain_writes(0.0, 1.0)
+        kv.drain_writes(0.0, 1.0, priority=lambda rid: 0.0)
         kv.check_invariants()

@@ -70,7 +70,7 @@ def drive(engine, kv, ops, write_through=True):
             elif op == "decode" and state[rid] == "resident":
                 kv.on_decode_token(rid)
             elif op == "drain":
-                kv.drain_writes(t, t + amount / 1000.0)
+                kv.drain_writes(t, t + amount / 1000.0, priority=lambda rid: 0.0)
             elif op == "preempt" and state[rid] == "resident":
                 kv.preempt(rid, t)
                 state[rid] = "offloaded"
@@ -195,7 +195,7 @@ def _decode_ready_twin(prompts, warmup, retired, sharing, synced, capacity):
             except OutOfMemory:
                 break
     if synced:
-        kv.drain_writes(0.0, 1e3)
+        kv.drain_writes(0.0, 1e3, priority=lambda rid: 0.0)
     return kv, tuple(live)
 
 

@@ -63,12 +63,9 @@ class TestConstruction:
         assert {"buffer_aware", "session_affinity"} <= set(ROUTERS)
 
     def test_router_instance_accepted(self):
-        cluster = homogeneous_cluster(
-            2, TokenFlowScheduler, router=BufferAwareRouter(target_buffer_s=0.5),
-            **NODE,
-        )
-        assert cluster.router.name == "buffer_aware"
-        assert cluster.router.target_buffer_s == 0.5
+        router = BufferAwareRouter()
+        cluster = homogeneous_cluster(2, TokenFlowScheduler, router=router, **NODE)
+        assert cluster.router is router
 
     def test_make_router_rejects_unknown(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ import pytest
 from repro.core.scheduler import TokenFlowParams
 from repro.experiments.systems import build_system
 from repro.gpu.latency import LatencyModel
+from repro.serving import server
 from repro.sim.trace import TraceRecorder
 from repro.workload.request import Request, clone_requests
 from tests.conftest import assert_parity
@@ -70,6 +71,28 @@ class TestWindowFormation:
                     "prefill_tokens", "decode_tokens"):
             assert s_on[key] == s_off[key], key
         assert s_on["fused_iterations"] <= s_on["decode_iterations"]
+
+
+class TestTimelineDecimation:
+    def test_capped_timeline_matches_per_iteration(self, per_iteration,
+                                                   monkeypatch):
+        """At the cap the timeline halves and its stride doubles; fused
+        windows emit the same samples as the per-iteration path."""
+        requests = burst(16, prompt=96, output=64)
+        kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=8)
+        full = run_system("tokenflow", requests, **kwargs).report()
+        assert full.preemptions > 0
+        cap = 16
+        assert len(full.timeline) > 4 * cap
+        monkeypatch.setattr(server, "TIMELINE_CAP", cap)
+        with per_iteration():
+            off = run_system("tokenflow", requests, **kwargs).report()
+        on = run_system("tokenflow", requests, **kwargs).report()
+        assert on.timeline == off.timeline
+        assert len(on.timeline) < cap
+        assert on.timeline[0] == full.timeline[0]
+        samples = iter(full.timeline)
+        assert all(sample in samples for sample in on.timeline)
 
 
 class TestParityAcrossSystems:
@@ -277,7 +300,7 @@ class TestParityEdgeCases:
             orig_drain = kv.drain_writes
             state = {"done": False}
 
-            def drain_then_inject(now, horizon, priority=None):
+            def drain_then_inject(now, horizon, priority):
                 synced = orig_drain(now, horizon, priority=priority)
                 # Deterministic trigger, identical in both runs: the
                 # first fully-synced drain past t=0.3 is followed by a

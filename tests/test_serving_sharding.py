@@ -40,7 +40,8 @@ from repro.experiments.systems import SchedulerRecipe
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import get_scenario
 from repro.serving.metrics import report_fingerprint
-from repro.serving.routers import ROUTERS, LeastQueuedRouter, Router
+from repro.serving import shard
+from repro.serving.routers import ROUTERS, LeastQueuedRouter, Router, make_router
 from repro.serving.shard import ShardedServingCluster
 from repro.workload.request import Request
 from tests.conftest import homogeneous_cluster
@@ -477,6 +478,59 @@ def test_speculation_spec_plumbing():
         assert run.target.router.speculative is speculative
         assert (report.speculation_hits > 0) is speculative
         assert report.coordination_rounds + report.speculation_hits == report.n_requests
+
+
+# --- the shard protocol ------------------------------------------------------
+#
+# The coordinator sends three messages (apply, pause, finish); every
+# send is one list per shard, one manager-queue put on the process
+# transport.
+
+@pytest.mark.parametrize("router", ["least_loaded", "least_queued"])
+def test_protocol_sends_match_across_transports(router, monkeypatch):
+    """Both transports receive the same send lists; a stateful round's
+    list is the shard's buffered ``apply`` (if any), then ``pause``."""
+    sends = {}
+
+    def recording(cls):
+        original = cls.send
+
+        def send(self, shard_id, msgs):
+            sends[cls].append((shard_id, [msg[0] for msg in msgs]))
+            original(self, shard_id, msgs)
+        return send
+
+    for cls in (shard._InlineTransport, shard._ProcessTransport):
+        sends[cls] = []
+        monkeypatch.setattr(cls, "send", recording(cls))
+    inline = _run(router=router, transport="inline")
+    process = _run(router=router, transport="process")
+    kinds = sends[shard._InlineTransport]
+    assert kinds == sends[shard._ProcessTransport]
+    assert inline.messages_sent == process.messages_sent == sum(
+        len(msgs) for _, msgs in kinds
+    )
+    # Fewer arrivals than FLUSH_INTERVAL: placements ride only on the
+    # rounds' and the finish's sends.
+    for _, msgs in kinds:
+        assert msgs in (["pause"], ["apply", "pause"],
+                        ["finish"], ["apply", "finish"])
+    rounds = [msgs for _, msgs in kinds if msgs[-1] == "pause"]
+    assert len(rounds) == inline.coordination_rounds * inline.shards > 0
+    assert ["apply", "pause"] in rounds
+    finals = [s for s, msgs in kinds if msgs[-1] == "finish"]
+    assert finals == list(range(inline.shards))
+
+
+@pytest.mark.parametrize(
+    "msg", [("snap", 0.0, None, []), ("ladder", []), ("stop",)]
+)
+def test_handle_message_rejects_unsent_kinds(msg):
+    cluster = _cluster()
+    host = shard.ShardHost(0, cluster.configs[:2], SchedulerRecipe("tokenflow"),
+                           make_router("least_loaded"), None)
+    with pytest.raises(ValueError, match="unknown shard message"):
+        shard._handle_message(host, msg)
 
 
 @pytest.mark.slow
