@@ -62,7 +62,7 @@ def make_buffers(n_rows: int, rng: random.Random) -> list:
     for _ in range(n_rows):
         buffer = ClientBuffer(rate=rng.choice((5.0, 10.0, 20.0, 40.0)),
                               record_trace=False)
-        # Warm up until the segment deque is empty (the array kernel's
+        # Warm up until the segment queue is empty (the array kernel's
         # entry condition), ending just before the timed window at t = 1.0.
         warm = [1.0 - STEP_S * i for i in range(rng.randint(1, 20), 0, -1)]
         buffer.deliver_many(warm)

@@ -129,7 +129,8 @@ def fold_hist_metrics(
     token-weighting schemes: ``(effective_token_count, utility_sum)``.
 
     ``occupancy_counts[B]`` is the number of tokens generated at
-    occupancy ``B`` (:attr:`ClientBuffer.occupancy_counts`), so each
+    occupancy ``B`` (:attr:`ClientBuffer.occupancy_counts`, a typed
+    ``array('I')``, or any sequence of ints), so each
     weight is evaluated once per distinct B instead of once per token.
     The reporting fold needs the §7.1.3 effective count *and* the
     Eq. (1) utility sum for every finished request; walking the
@@ -155,6 +156,8 @@ def fold_hist_metrics(
         # np.sum's pairwise tree) — so the partial sums replay the
         # loop's left-to-right additions exactly.
         b = np.arange(n, dtype=np.float64)
+        # A buffer's typed count array converts through the buffer
+        # protocol; uint32 -> float64 is exact.
         counts = np.array(occupancy_counts, dtype=np.float64)
         w_eff = np.where(
             b <= tau1, 1.0, np.where(b >= tau2, 0.0, (tau2 - b) / span)

@@ -138,8 +138,6 @@ class TokenFlowScheduler(BaseScheduler):
         decision = SchedulerDecision()
         policy = self._policy(view)
         policy.observe_footprints(view.running)
-        ws_size = self._working_set_size(view)
-        w_limit = policy.w_scheduled(len(view.running))
         watermark = int(view.kv.gpu_pool.capacity * self.params.admission_watermark_frac)
         free = view.kv.gpu_free_blocks()
         # Opportunistic resume: fill idle decode slots from the
@@ -163,6 +161,10 @@ class TokenFlowScheduler(BaseScheduler):
                     break
                 self._route_resume(view, request, decision)
                 free -= needed
+        if not view.waiting:
+            return decision
+        ws_size = self._working_set_size(view)
+        w_limit = policy.w_scheduled(len(view.running))
         for request in view.waiting:
             if ws_size >= max(w_limit, 1):
                 break

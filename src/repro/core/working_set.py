@@ -95,10 +95,12 @@ class WorkingSetPolicy:
         into the β estimate.
 
         The scheduler runs this once per iteration over the whole
-        decode batch.  (Request validates ``prompt_len > 0``, so every
-        context is positive.)
+        decode batch.  Only the last ``beta_window`` requests can stay
+        in the window, so only theirs are read.  (Request validates
+        ``prompt_len > 0``, so every context is positive.)
         """
-        self._contexts.extend([r.prompt_len + r.generated for r in requests])
+        self._contexts.extend([r.prompt_len + r.generated
+                               for r in requests[-self.params.beta_window:]])
         self._context_sum = sum(self._contexts)
 
     def replay_footprints(self, running, n_iters: int) -> None:

@@ -32,16 +32,20 @@ additions with one multiply.
 
 Consumption counting is closed-form instead of cursor replay: tokens
 delivered before the window sit on one arithmetic chain (the kernel
-requires the segment deque to be empty), so the number consumed by
+requires the segment queue to be empty), so the number consumed by
 ``t_j`` is ``clip(floor((t_j - nxt0)/civ) + 1, 0, backlog)``;
 within-window consumptions are the ``c_m <= t_j`` count.
 Occupancy-at-generation, the stall accumulator, the occupancy
 histogram, and the cursor/segment write-back all follow from those
-counts.  The histogram is the buffer's dense count list
-(``ClientBuffer.occupancy_counts``): the kernel returns each row's
-window as its lowest occupancy ``lo`` and a dense count list over
-``lo..hi``, and the write-back adds it into the buffer's list in
-place.
+counts.  The histogram is the buffer's dense typed count array
+(``ClientBuffer.occupancy_counts``, an ``array('I')``): the kernel
+returns each row's window as its lowest occupancy ``lo`` and an
+``array('I')`` of counts over ``lo..hi``, a slice of one
+``np.bincount`` copied into an array.  The write-back appends new top
+buckets as one array-to-array copy and sums the buckets the buffer
+already has element by element into a typed slice.  It takes no
+numpy view of the buffer's array: an array that exports its buffer
+raises ``BufferError`` when it grows.
 
 The kernel costs about 50 numpy calls whatever the window's size,
 so it wins on big windows (a preemptive burst's 90-row batches).  Its
@@ -72,9 +76,12 @@ the kernel itself before any write-back (see ``DRIFT`` below).
 
 from __future__ import annotations
 
+from array import array
 from operator import add
 
 import numpy as np
+
+from repro.client.buffer import OCC_COUNT_TYPECODE
 
 __all__ = ["deliver_batch"]
 
@@ -204,19 +211,21 @@ def deliver_batch(tracker, requests, times) -> None:
         if rebased:
             buffer._cursor_interval = buffer.interval
         # Add the window's counts in place: buckets the buffer has are
-        # summed, new top buckets extend the list (they are contiguous,
-        # see ClientBuffer.occupancy_counts).
+        # summed, new top buckets extend the array (they are
+        # contiguous, see ClientBuffer.occupancy_counts).
         counts = buffer._occ_counts
         n = len(counts)
         if lo == n:
-            counts.extend(window)
+            counts += window
         else:
             top = lo + len(window)
             if top <= n:
-                counts[lo:top] = map(add, counts[lo:top], window)
+                counts[lo:top] = array(OCC_COUNT_TYPECODE,
+                                       map(add, counts[lo:top], window))
             else:
-                counts[lo:] = map(add, counts[lo:], window)
-                counts.extend(window[n - lo:])
+                counts[lo:] = array(OCC_COUNT_TYPECODE,
+                                    map(add, counts[lo:], window))
+                counts += window[n - lo:]
     # Fresh anchors the cursor has not consumed past become segment
     # records, exactly the ones the scalar state machine would retain.
     for b, index, consume in segments:
@@ -228,8 +237,9 @@ def deliver_batch(tracker, requests, times) -> None:
 # per buffer: (last consumption time, stall to add, consumed count,
 # next cursor time or None, whether the cursor moved into the window
 # and so takes the current interval, and the window's occupancy
-# histogram as ``lo`` and ``window``, window[i] tokens generated at
-# occupancy lo + i), or None for a row with a near-tie.
+# histogram as ``lo`` and ``window``, an ``array('I')`` of which
+# window[i] is the tokens generated at occupancy lo + i), or None for
+# a row with a near-tie.
 # ``segments`` lists (row, token index, consumption time) for every
 # surviving fresh anchor of the other rows.
 #
@@ -425,7 +435,11 @@ def _array_kernel(buffers, times):
     lo = occ.min(axis=1)
     hi = occ.max(axis=1)
     ends = np.cumsum(hi + 1 - lo)
-    flat = np.bincount((occ + (ends - 1 - hi)[:, None]).ravel()).tolist()
+    flat = array(OCC_COUNT_TYPECODE)
+    flat.frombytes(
+        np.bincount((occ + (ends - 1 - hi)[:, None]).ravel())
+        .astype(OCC_COUNT_TYPECODE).tobytes()
+    )
     ends = ends.tolist()
     windows = [flat[a:b] for a, b in zip([0] + ends, ends)]
     rows = zip(

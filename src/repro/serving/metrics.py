@@ -23,8 +23,11 @@ Two collection modes share these formulas:
 from __future__ import annotations
 
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from itertools import repeat
+from typing import Optional
 
 from repro.analysis.stats import summarize
 from repro.core.qos import QoSParams, fold_hist_metrics
@@ -171,6 +174,71 @@ class QuantileSketch:
             setattr(self, name, value)
 
 
+class Timeline(Sequence):
+    """A run's ``(t, queued, running)`` utilisation samples, one per
+    iteration boundary, in typed columns.
+
+    ``t`` is an ``array('d')`` of instants; ``queued`` and ``running``
+    are ``array('I')`` queue lengths, so a sample costs 16 bytes
+    instead of a boxed ``(float, int, int)`` tuple's ~97.  It reads as
+    a sequence of those tuples: it iterates, indexes and compares
+    (``==``) equal to any list or tuple of the same samples, and it
+    pickles (reports cross process boundaries).
+    """
+
+    __slots__ = ("t", "queued", "running")
+
+    def __init__(self) -> None:
+        self.t = array("d")
+        self.queued = array("I")
+        self.running = array("I")
+
+    def extend(self, instants, queued: int, running: int) -> None:
+        """Append one sample at each of ``instants``, all with the same
+        queue lengths."""
+        self.t.extend(instants)
+        if len(instants) == 1:
+            self.queued.append(queued)
+            self.running.append(running)
+        else:
+            self.queued.extend(repeat(queued, len(instants)))
+            self.running.extend(repeat(running, len(instants)))
+
+    def decimate(self) -> None:
+        """Keep every other sample, from the first."""
+        del self.t[1::2]
+        del self.queued[1::2]
+        del self.running[1::2]
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            part = Timeline()
+            part.t = self.t[index]
+            part.queued = self.queued[index]
+            part.running = self.running[index]
+            return part
+        return (self.t[index], self.queued[index], self.running[index])
+
+    def __iter__(self):
+        return zip(self.t, self.queued, self.running)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Timeline):
+            return (self.t == other.t and self.queued == other.queued
+                    and self.running == other.running)
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Timeline({list(self)!r})"
+
+
 class StreamingRunStats:
     """Bounded-memory fold of per-request metrics.
 
@@ -285,7 +353,7 @@ class StreamingRunStats:
         self,
         system: str,
         makespan: float,
-        timeline: Optional[list] = None,
+        timeline: Optional[Timeline] = None,
         executor_stats: Optional[dict] = None,
         kv_stats: Optional[dict] = None,
         scheduler_stats: Optional[dict] = None,
@@ -322,7 +390,7 @@ class StreamingRunStats:
             stall_mean=resolved.stall_total / max(1, resolved.n_requests),
             preemptions=resolved.preemptions,
             per_request=[],
-            timeline=timeline if timeline is not None else [],
+            timeline=timeline if timeline is not None else Timeline(),
             executor_stats=executor_stats if executor_stats is not None else {},
             kv_stats=kv_stats if kv_stats is not None else {},
             scheduler_stats=scheduler_stats if scheduler_stats is not None else {},
@@ -350,7 +418,8 @@ class RunReport:
     stall_mean: float
     preemptions: int
     per_request: list = field(default_factory=list)
-    timeline: list = field(default_factory=list)  # (t, queued, running)
+    # (t, queued, running) samples, in typed columns (Timeline).
+    timeline: Timeline = field(default_factory=Timeline)
     executor_stats: dict = field(default_factory=dict)
     kv_stats: dict = field(default_factory=dict)
     scheduler_stats: dict = field(default_factory=dict)
@@ -378,7 +447,7 @@ def build_report(
     tracker: RequestTracker,
     makespan: float,
     qos_params: Optional[QoSParams] = None,
-    timeline: Optional[list] = None,
+    timeline: Optional[Timeline] = None,
     executor_stats: Optional[dict] = None,
     kv_stats: Optional[dict] = None,
     scheduler_stats: Optional[dict] = None,
@@ -488,7 +557,7 @@ def _assemble_report(
     stalls: list,
     preemptions: int,
     n_finished: int,
-    timeline: Optional[list] = None,
+    timeline: Optional[Timeline] = None,
     executor_stats: Optional[dict] = None,
     kv_stats: Optional[dict] = None,
     scheduler_stats: Optional[dict] = None,
@@ -519,7 +588,7 @@ def _assemble_report(
         stall_mean=float(sum(stalls)) / max(1, len(stalls)),
         preemptions=preemptions,
         per_request=per_request,
-        timeline=timeline if timeline is not None else [],
+        timeline=timeline if timeline is not None else Timeline(),
         executor_stats=executor_stats if executor_stats is not None else {},
         kv_stats=kv_stats if kv_stats is not None else {},
         scheduler_stats=scheduler_stats if scheduler_stats is not None else {},

@@ -37,7 +37,12 @@ from repro.gpu.latency import LatencyModel
 from repro.memory.kv_manager import HierarchicalKVManager
 from repro.serving.config import ServingConfig
 from repro.serving.interface import BaseScheduler, SystemView
-from repro.serving.metrics import RunReport, StreamingRunStats, build_report
+from repro.serving.metrics import (
+    RunReport,
+    StreamingRunStats,
+    Timeline,
+    build_report,
+)
 from repro.serving.stages import (
     AdmissionStage,
     BatchComposer,
@@ -113,10 +118,11 @@ class ServingSystem:
         # The boundary-time SystemView of the iteration being planned;
         # the decode fusion plane consults it (lists are live).
         self._iter_view: Optional[SystemView] = None
-        self.timeline: list = []      # (t, queued, running) samples
-        # Timeline downsampling: once the sample list hits the cap it
-        # is decimated 2:1 and the sampling stride doubles, so long
-        # runs keep a bounded, evenly-thinned record.
+        self.timeline = Timeline()    # (t, queued, running) samples
+        # Timeline downsampling: once the timeline hits the cap it is
+        # decimated 2:1 and the sampling stride doubles, so long runs
+        # keep a bounded, evenly-thinned record.  `_timeline_pending`
+        # counts the instants since the last kept sample.
         self._timeline_stride = 1
         self._timeline_pending = 0
 
@@ -237,14 +243,15 @@ class ServingSystem:
         self._sample_timeline_many((self.engine.now(),))
 
     def _sample_timeline_many(self, instants) -> None:
-        """Record a (t, queued, running) sample at each of ``instants``,
-        downsampling over time.
+        """Record a (t, queued, running) sample at each of ``instants``
+        (a list or tuple), downsampling over time.
 
         Long runs would otherwise grow the timeline without bound: when
-        the sample list reaches :data:`TIMELINE_CAP` it is decimated
-        2:1 and the stride doubles, bounding memory at the cap while
-        keeping an evenly-spaced record.  Runs shorter than the cap
-        (every figure workload) are recorded exactly.
+        it reaches :data:`TIMELINE_CAP` samples it is decimated 2:1 and
+        the stride doubles, bounding memory at the cap while keeping
+        every ``stride``-th instant of the run from the first.  Runs
+        shorter than the cap (every figure workload) are recorded
+        exactly.
 
         The fused decode path emits the samples of a whole macro-step
         window — at its historical iteration boundaries — from the
@@ -252,23 +259,31 @@ class ServingSystem:
         across a fused window (no admission, completion, or preemption
         between its interior boundaries), so they are read once.
         """
-        stride = self._timeline_stride
-        pending = self._timeline_pending
         timeline = self.timeline
-        cap = TIMELINE_CAP
         queued = len(self.waiting) + len(self.prefill_queue)
         running = len(self.running)
-        for now in instants:
-            pending += 1
-            if pending < stride:
-                continue
-            pending = 0
-            timeline.append((now, queued, running))
-            if len(timeline) >= cap:
-                del timeline[1::2]
+        stride = self._timeline_stride
+        n = len(instants)
+        if stride == 1 and len(timeline) + n < TIMELINE_CAP:
+            # Below the cap every instant is kept: skip the slicing.
+            timeline.extend(instants, queued, running)
+            return
+        # Index into ``instants`` of the last kept sample (negative:
+        # it came before them); the next one is ``stride`` further on.
+        last = -1 - self._timeline_pending
+        while last + stride < n:
+            room = TIMELINE_CAP - len(timeline)
+            picked = instants[last + stride:last + stride * room + 1:stride]
+            timeline.extend(picked, queued, running)
+            last += stride * len(picked)
+            if len(timeline) >= TIMELINE_CAP:
+                # The cap is even, so decimation drops the newest
+                # sample and the last kept one is a stride back.
+                timeline.decimate()
+                last -= stride
                 stride *= 2
         self._timeline_stride = stride
-        self._timeline_pending = pending
+        self._timeline_pending = n - 1 - last
 
     def view(self) -> SystemView:
         """Snapshot for schedulers (lists are live; treat as read-only)."""

@@ -174,7 +174,7 @@ class TestDeliverMany:
         buffer.deliver_many([])
         assert buffer.delivered == 0
         assert buffer.stall_time == 0.0
-        assert buffer.occupancy_counts == []
+        assert list(buffer.occupancy_counts) == []
 
     def test_single_timestamp_equals_deliver(self):
         bulk = ClientBuffer(rate=10.0)

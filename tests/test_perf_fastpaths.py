@@ -123,7 +123,7 @@ class TestClosedFormEquivalence:
         tally = [0] * (max(reference._occupancy_at_gen) + 1)
         for occ in reference._occupancy_at_gen:
             tally[occ] += 1
-        assert fast.occupancy_counts == tally
+        assert list(fast.occupancy_counts) == tally
 
     @given(rate=rates, trace=steps)
     @settings(max_examples=100, deadline=None)

@@ -94,6 +94,22 @@ class TestTimelineDecimation:
         samples = iter(full.timeline)
         assert all(sample in samples for sample in on.timeline)
 
+    def test_capped_timeline_keeps_the_stride_phase(self, monkeypatch):
+        """Each decimation keeps the doubled stride's phase, so the
+        capped timeline is exactly every stride-th sample of the full
+        one, from the first."""
+        requests = burst(16, prompt=96, output=64)
+        kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=8)
+        full = list(run_system("tokenflow", requests, **kwargs).report().timeline)
+        cap = 16
+        monkeypatch.setattr(server, "TIMELINE_CAP", cap)
+        capped = run_system("tokenflow", requests, **kwargs).report().timeline
+        stride = 1
+        while len(full[::stride]) >= cap:
+            stride *= 2
+        assert stride >= 8
+        assert list(capped) == full[::stride]
+
 
 class TestParityAcrossSystems:
     @pytest.mark.parametrize(

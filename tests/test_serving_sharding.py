@@ -95,7 +95,7 @@ def deep_fp(target, report) -> str:
             sorted(r.executor_stats.items()),
             sorted(r.kv_stats.items()),
             sorted(r.scheduler_stats.items()),
-            r.timeline,
+            list(r.timeline),
             r.preemptions,
         )
         for r in report.per_instance

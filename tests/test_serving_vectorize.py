@@ -281,7 +281,7 @@ windows = st.lists(st.lists(gaps, min_size=1, max_size=40),
 
 def _kernel_twin(specs):
     """A tracker whose buffers sit in the states ``specs`` describe,
-    all on the array kernel's path (segment deque drained), plus the
+    all on the array kernel's path (segment queue drained), plus the
     instant after which a window may start."""
     tracker = RequestTracker(record_traces=False)
     requests = []
@@ -554,5 +554,5 @@ def test_occupancy_counts_match_reference_tally(rates, steps):
         for occ in occupancies:
             tally[occ] += 1
         counts = tracker.get(request.req_id).buffer.occupancy_counts
-        assert counts == tally
+        assert list(counts) == tally
         assert min(counts) >= 1
