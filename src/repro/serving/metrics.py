@@ -26,7 +26,6 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Optional
 
 from repro.analysis.stats import summarize
@@ -181,9 +180,9 @@ class Timeline(Sequence):
     ``t`` is an ``array('d')`` of instants; ``queued`` and ``running``
     are ``array('I')`` queue lengths, so a sample costs 16 bytes
     instead of a boxed ``(float, int, int)`` tuple's ~97.  It reads as
-    a sequence of those tuples: it iterates, indexes and compares
-    (``==``) equal to any list or tuple of the same samples, and it
-    pickles (reports cross process boundaries).
+    a sequence of those tuples: it iterates, indexes, compares
+    (``==``) with another ``Timeline``, and pickles (reports cross
+    process boundaries).
     """
 
     __slots__ = ("t", "queued", "running")
@@ -193,16 +192,12 @@ class Timeline(Sequence):
         self.queued = array("I")
         self.running = array("I")
 
-    def extend(self, instants, queued: int, running: int) -> None:
+    def extend(self, instants: list, queued: int, running: int) -> None:
         """Append one sample at each of ``instants``, all with the same
         queue lengths."""
-        self.t.extend(instants)
-        if len(instants) == 1:
-            self.queued.append(queued)
-            self.running.append(running)
-        else:
-            self.queued.extend(repeat(queued, len(instants)))
-            self.running.extend(repeat(running, len(instants)))
+        self.t.fromlist(instants)
+        self.queued.fromlist([queued] * len(instants))
+        self.running.fromlist([running] * len(instants))
 
     def decimate(self) -> None:
         """Keep every other sample, from the first."""
@@ -213,25 +208,17 @@ class Timeline(Sequence):
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            part = Timeline()
-            part.t = self.t[index]
-            part.queued = self.queued[index]
-            part.running = self.running[index]
-            return part
+    def __getitem__(self, index: int) -> tuple:
         return (self.t[index], self.queued[index], self.running[index])
 
     def __iter__(self):
         return zip(self.t, self.queued, self.running)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Timeline):
-            return (self.t == other.t and self.queued == other.queued
-                    and self.running == other.running)
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+        if not isinstance(other, Timeline):
+            return NotImplemented
+        return (self.t == other.t and self.queued == other.queued
+                and self.running == other.running)
 
     __hash__ = None
 

@@ -240,11 +240,11 @@ class ServingSystem:
     # --- glue ------------------------------------------------------------------
     def _sample_timeline(self) -> None:
         """Record a (t, queued, running) sample at the current instant."""
-        self._sample_timeline_many((self.engine.now(),))
+        self._sample_timeline_many([self.engine.now()])
 
     def _sample_timeline_many(self, instants) -> None:
         """Record a (t, queued, running) sample at each of ``instants``
-        (a list or tuple), downsampling over time.
+        (a list), downsampling over time.
 
         Long runs would otherwise grow the timeline without bound: when
         it reaches :data:`TIMELINE_CAP` samples it is decimated 2:1 and
@@ -264,10 +264,6 @@ class ServingSystem:
         running = len(self.running)
         stride = self._timeline_stride
         n = len(instants)
-        if stride == 1 and len(timeline) + n < TIMELINE_CAP:
-            # Below the cap every instant is kept: skip the slicing.
-            timeline.extend(instants, queued, running)
-            return
         # Index into ``instants`` of the last kept sample (negative:
         # it came before them); the next one is ``stride`` further on.
         last = -1 - self._timeline_pending

@@ -76,8 +76,11 @@ class TestWindowFormation:
 class TestTimelineDecimation:
     def test_capped_timeline_matches_per_iteration(self, per_iteration,
                                                    monkeypatch):
-        """At the cap the timeline halves and its stride doubles; fused
-        windows emit the same samples as the per-iteration path."""
+        """At the cap the timeline halves and its stride doubles; each
+        decimation keeps the doubled stride's phase, so the capped
+        timeline is exactly every stride-th sample of the full one, from
+        the first, and fused windows emit the same samples as the
+        per-iteration path."""
         requests = burst(16, prompt=96, output=64)
         kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=8)
         full = run_system("tokenflow", requests, **kwargs).report()
@@ -89,26 +92,12 @@ class TestTimelineDecimation:
             off = run_system("tokenflow", requests, **kwargs).report()
         on = run_system("tokenflow", requests, **kwargs).report()
         assert on.timeline == off.timeline
-        assert len(on.timeline) < cap
-        assert on.timeline[0] == full.timeline[0]
-        samples = iter(full.timeline)
-        assert all(sample in samples for sample in on.timeline)
-
-    def test_capped_timeline_keeps_the_stride_phase(self, monkeypatch):
-        """Each decimation keeps the doubled stride's phase, so the
-        capped timeline is exactly every stride-th sample of the full
-        one, from the first."""
-        requests = burst(16, prompt=96, output=64)
-        kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=8)
-        full = list(run_system("tokenflow", requests, **kwargs).report().timeline)
-        cap = 16
-        monkeypatch.setattr(server, "TIMELINE_CAP", cap)
-        capped = run_system("tokenflow", requests, **kwargs).report().timeline
+        samples = list(full.timeline)
         stride = 1
-        while len(full[::stride]) >= cap:
+        while len(samples[::stride]) >= cap:
             stride *= 2
         assert stride >= 8
-        assert list(capped) == full[::stride]
+        assert list(on.timeline) == samples[::stride]
 
 
 class TestParityAcrossSystems:
