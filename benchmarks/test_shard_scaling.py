@@ -13,6 +13,14 @@ worker pool), asserting
   the coordination protocol (ladder messages, pickling, queue
   round-trips) costs.
 
+One more row, kept apart from the scaling table, runs ``least_queued``
+on K=2 inline shards, the router and layout of the ``cluster-stateful``
+benchmark workload (its lowest-index tie-break leaves the second
+shard's replicas without requests, so that shard processes no events).
+Every row records its ``fused_share``: the share of decode iterations
+that ran inside fused windows, which shows how often dispatches cut
+them.
+
 A second block measures **speculative dispatch**: ``least_loaded``
 over K=4 shards.  Every arrival needs instance state, so each is
 resolved either by a blocking coordination round or from the
@@ -66,6 +74,29 @@ BENCH_NAME = "BENCH_shard.json"
 SPECULATIVE_PROTOCOL = "trajectory-snapshot mirror"
 
 
+def _fused_share(report) -> float:
+    """Share of decode iterations that ran inside fused windows."""
+    stats = [r.executor_stats for r in report.per_instance]
+    decode = sum(s["decode_iterations"] for s in stats)
+    return round(sum(s["fused_iterations"] for s in stats) / max(decode, 1), 4)
+
+
+def _row(shards, router, transport, baseline_wall):
+    """One timed soak run as a table row."""
+    target, report, wall = _timed_run(shards, router, transport)
+    return {
+        "router": router,
+        "transport": transport,
+        "shards": shards,
+        "wall_s": round(wall, 4),
+        "overhead": round(wall / baseline_wall, 4),
+        "coordination_rounds": report.coordination_rounds,
+        "messages_sent": report.messages_sent,
+        "shard_events": target.shard_events,
+        "fused_share": _fused_share(report),
+    }
+
+
 def _timed_run(shards, router, transport):
     """Execute one soak run; return (target, report, wall seconds)."""
     spec = get_scenario(SCENARIO, scale=SCALE, seed=SEED, router=router,
@@ -101,17 +132,9 @@ def test_shard_scaling_soak64():
     _, baseline_report, baseline_wall = _timed_run(1, "round_robin", "inline")
     n_requests = baseline_report.n_requests
 
-    rows = []
-    for shards in SHARD_COUNTS:
-        target, report, wall = _timed_run(shards, "round_robin", "process")
-        rows.append({
-            "shards": shards,
-            "wall_s": round(wall, 4),
-            "overhead": round(wall / baseline_wall, 4),
-            "coordination_rounds": report.coordination_rounds,
-            "messages_sent": report.messages_sent,
-            "shard_events": target.shard_events,
-        })
+    rows = [_row(shards, "round_robin", "process", baseline_wall)
+            for shards in SHARD_COUNTS]
+    least_queued = _row(2, "least_queued", "inline", baseline_wall)
 
     # --- speculative dispatch: rounds/messages trajectory -------------
     # least_loaded over K=4 shards.  Counts are deterministic, so this
@@ -153,8 +176,10 @@ def test_shard_scaling_soak64():
             "n_requests": n_requests,
         },
         "baseline": {"shards": 1, "transport": "inline",
-                     "wall_s": round(baseline_wall, 4)},
+                     "wall_s": round(baseline_wall, 4),
+                     "fused_share": _fused_share(baseline_report)},
         "shards": rows,
+        "least_queued": least_queued,
         "best": {"shards": best["shards"], "overhead": best["overhead"]},
         "gate": f"best process-transport wall <= {MAX_OVERHEAD}x inline K=1 wall",
         "speculation": {
@@ -171,7 +196,9 @@ def test_shard_scaling_soak64():
         "history": history,
         "notes": (
             "round_robin rows on the process transport against a K=1 "
-            "inline baseline; every run matches its frozen digest; "
+            "inline baseline; least_queued row: K=2 inline, overhead "
+            "against the same baseline; every run matches its frozen "
+            "digest; fused_share is fused / decode iterations; "
             "speculation block: least_loaded K=4 process transport"
         ),
     }
@@ -180,13 +207,16 @@ def test_shard_scaling_soak64():
     lines = [
         f"shard scaling — {SCENARIO} scale={SCALE} "
         f"({CLUSTER_SOAK_REPLICAS} replicas, {n_requests} requests)",
-        f"  inline K=1: {baseline_wall:.2f}s",
+        f"  inline K=1: {baseline_wall:.2f}s "
+        f"fused={_fused_share(baseline_report):.2f}",
     ]
-    for row in rows:
+    for row in rows + [least_queued]:
         lines.append(
-            f"  K={row['shards']}: {row['wall_s']:.2f}s "
-            f"({row['overhead']:.2f}x) rounds={row['coordination_rounds']} "
-            f"msgs={row['messages_sent']} events={row['shard_events']}"
+            f"  {row['router']} K={row['shards']} {row['transport']}: "
+            f"{row['wall_s']:.2f}s ({row['overhead']:.2f}x) "
+            f"rounds={row['coordination_rounds']} "
+            f"msgs={row['messages_sent']} events={row['shard_events']} "
+            f"fused={row['fused_share']:.2f}"
         )
     lines.append(
         f"  speculation (least_loaded, K=4): {stateful} stateful dispatches, "

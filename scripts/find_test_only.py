@@ -84,12 +84,6 @@ ALLOWLIST: Dict[str, str] = {
     "serving.shard:ShardedServingCluster.placements":
         "per-request routing record (kept only with retain_per_request) that "
         "the frozen cluster digests hash (tests/classic_cluster_digests.json)",
-    "serving.server:ServingSystem.cancel":
-        "client-disconnect API (RequestState.CANCELLED); no registry "
-        "scenario disconnects clients yet",
-    "sim.events:Event.cancel":
-        "cancellation handle of the events SimEngine.call_at returns; "
-        "the engine contract, used by no current stage",
     "memory.blocks:BlockPool.used":
         "pool occupancy (capacity - free), what the memory tests' "
         "conservation checks assert on",

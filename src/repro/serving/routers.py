@@ -92,6 +92,19 @@ class Router(abc.ABC):
     #: False and pays one coordination round per stateful dispatch.
     speculative: bool = False
 
+    #: Whether a replica's fused decode window may run past dispatches:
+    #: True only when nothing this policy reads can differ between a
+    #: window in flight and the per-iteration run.  Such a cluster
+    #: gives each replica only its own events as decision horizon, and
+    #: a dispatch cuts just the window of the replica it lands on
+    #: (:meth:`~repro.serving.stages.DecodeStream.cut_window`).  False
+    #: keeps the dispatch ladder: every replica's windows end before
+    #: the cluster's next dispatch instant.  A snapshot that promises
+    #: finishers at the in-flight end (``least_loaded``), or a read of
+    #: client buffers a window has not updated yet (``buffer_aware``),
+    #: needs the ladder.
+    windows_span_dispatches: bool = False
+
     def needs_state(self, request) -> bool:
         """Whether placing ``request`` requires fresh instance metrics.
 
@@ -192,6 +205,8 @@ class RoundRobinRouter(Router):
     """Arrival-order striping across instances."""
 
     name = "round_robin"
+    # Reads nothing.
+    windows_span_dispatches = True
 
     def __init__(self) -> None:
         self._next = 0
@@ -229,7 +244,7 @@ class LeastLoadedRouter(Router):
         return instance.unfinished
 
     def select_from_metrics(self, n: int, metrics: Optional[List], request) -> int:
-        return min(range(n), key=lambda i: metrics[i])
+        return metrics.index(min(metrics))
 
     def instance_snapshot(self, instance, request):
         t = instance.engine.now()
@@ -300,15 +315,21 @@ class LeastLoadedRouter(Router):
 
 @register_router
 class LeastQueuedRouter(Router):
-    """Shortest waiting + prefill queue at arrival time."""
+    """Shortest waiting + prefill queue at arrival time.
+
+    Both queues are frozen inside a fused decode window (the planner
+    requires an empty prefill queue, and ``can_fuse_decode`` certifies
+    that no skipped boundary admits), so windows may span dispatches.
+    """
 
     name = "least_queued"
+    windows_span_dispatches = True
 
     def instance_metrics(self, instance, request) -> int:
         return len(instance.waiting) + len(instance.prefill_queue)
 
     def select_from_metrics(self, n: int, metrics: Optional[List], request) -> int:
-        return min(range(n), key=lambda i: metrics[i])
+        return metrics.index(min(metrics))
 
 
 @register_router

@@ -242,9 +242,11 @@ class ServingSystem:
         """Record a (t, queued, running) sample at the current instant."""
         self._sample_timeline_many([self.engine.now()])
 
-    def _sample_timeline_many(self, instants) -> None:
+    def _sample_timeline_many(self, instants,
+                              queued: Optional[int] = None) -> None:
         """Record a (t, queued, running) sample at each of ``instants``
-        (a list), downsampling over time.
+        (a list), downsampling over time; ``queued`` overrides the
+        current waiting + prefill length.
 
         Long runs would otherwise grow the timeline without bound: when
         it reaches :data:`TIMELINE_CAP` samples it is decimated 2:1 and
@@ -260,7 +262,8 @@ class ServingSystem:
         between its interior boundaries), so they are read once.
         """
         timeline = self.timeline
-        queued = len(self.waiting) + len(self.prefill_queue)
+        if queued is None:
+            queued = len(self.waiting) + len(self.prefill_queue)
         running = len(self.running)
         stride = self._timeline_stride
         n = len(instants)

@@ -10,13 +10,20 @@ discrete-event simulation:
   router reads instance state.  Between consecutive dispatch times
   every replica's evolution is fully determined, so a shard may run
   ahead to the next dispatch instant without any risk of a causality
-  violation — the dispatch "ladder" (the global sequence of arrival
-  times) is each shard's lookahead bound, surfaced to the fusion
-  plane through the :class:`~repro.sim.engine.ScopedEngine` external
-  horizon.  An instance plans decode windows against only its own
-  events plus that ladder, so the same windows form whatever the
-  shard count, which is what makes every K *bit-identical*, executor
-  stats included.
+  violation.
+* An instance plans decode windows against only its own events, so
+  the same windows form whatever the shard count, which is what makes
+  every K *bit-identical*, executor stats included.  Under a router
+  whose reads a fused window cannot change
+  (``Router.windows_span_dispatches``: ``round_robin``,
+  ``least_queued``) a window runs through other replicas' dispatches,
+  and a dispatch that lands on the instance inside its window ends
+  the window at the first boundary after the arrival
+  (:meth:`~repro.serving.stages.DecodeStream.cut_window`).  Every
+  other router keeps the dispatch *ladder* (the global sequence of
+  arrival times) as each instance's external horizon on its
+  :class:`~repro.sim.engine.ScopedEngine`, so no window crosses any
+  dispatch instant.
 * At a dispatch that needs instance state (``least_loaded``,
   ``least_queued``, ``buffer_aware``, sticky misses), the coordinator
   pauses every shard at that instant, gathers per-instance metrics in
@@ -48,8 +55,9 @@ per-instance ``RunReport`` (sketch-backed at soak scale) inbound.
 Reports aggregate through :func:`repro.serving.metrics.aggregate_reports`.
 
 Protocol: the coordinator sends three messages, each carrying the
-shard's ladder delta (dispatch instants it has not seen yet) as its
-last field: ``("apply", entries, ladder)`` replays routed dispatches,
+shard's ladder delta (dispatch instants it has not seen yet; always
+empty when the router needs no ladder) as its last field:
+``("apply", entries, ladder)`` replays routed dispatches,
 ``("pause", t, request, ladder)`` advances to ``t`` and replies
 ``("metrics", shard, metrics, snaps)`` (``snaps`` is ``None`` unless
 the router is speculative), and ``("finish", ladder)`` drains to the
@@ -99,6 +107,12 @@ class ShardHost:
     The same host runs inside a worker process (process transport) or
     in the coordinator's process (inline transport); all simulation
     semantics live here so the transports stay pure plumbing.
+
+    Each instance's :class:`~repro.sim.engine.ScopedEngine` gets the
+    dispatch ladder as its external horizon only when the router
+    needs it (``not router.windows_span_dispatches``); otherwise its
+    decision horizon is its own events, and dispatches cut windows
+    where they land.
     """
 
     def __init__(
@@ -113,14 +127,18 @@ class ShardHost:
         self.horizon = horizon
         self.engine = SimEngine()
         # The dispatch ladder: every global dispatch instant the
-        # coordinator has discovered, this shard's external horizon.
+        # coordinator has discovered, this shard's external horizon
+        # (empty when the router lets windows span dispatches).
         self.upcoming: List[float] = []
         self.router = router  # used for instance_metrics only (pure)
+        horizon_of = (
+            None if router.windows_span_dispatches else self._next_dispatch_time
+        )
         self.instances = [
             ServingSystem(
                 config,
                 scheduler_factory(),
-                engine=ScopedEngine(self.engine, self._next_dispatch_time),
+                engine=ScopedEngine(self.engine, horizon_of),
             )
             for config in configs
         ]
@@ -501,6 +519,7 @@ class ShardedServingCluster:
             )
 
         ladder: List[float] = []          # every discovered dispatch time
+        keep_ladder = not self.router.windows_span_dispatches
         sent = [0] * n_shards             # per-shard ladder watermark
         buffered: List[list] = [[] for _ in range(n_shards)]
 
@@ -532,7 +551,8 @@ class ShardedServingCluster:
         since_flush = 0
         for request in self._iter_dispatches(until):
             t = request.arrival_time
-            ladder.append(t)
+            if keep_ladder:
+                ladder.append(t)
             if not router.needs_state(request):
                 idx = router.select_from_metrics(n, None, request)
             elif (

@@ -26,6 +26,7 @@ bit-for-bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import TYPE_CHECKING, Optional
 
 from repro.memory.blocks import OutOfMemory
@@ -104,9 +105,16 @@ class AdmissionStage:
         self.tick_event = None
 
     def submit(self, requests: list) -> None:
-        """Register future arrivals with the event engine."""
+        """Register future arrivals with the event engine.
+
+        An arrival landing inside the fused decode window in flight
+        ends that window at its first boundary after the arrival
+        (:meth:`DecodeStream.cut_window`): a cluster dispatches onto a
+        replica whose window was planned before the dispatch was known.
+        """
         system = self.system
         engine = self.engine
+        decode = system.decode_stream
         for request in requests:
             if request.arrival_time < engine.now():
                 raise ValueError(
@@ -119,6 +127,8 @@ class AdmissionStage:
                 lambda r=request: self.on_arrival(r),
                 label=f"arrival:{request.req_id}",
             )
+            if decode.window is not None:
+                decode.cut_window(request.arrival_time)
 
     # --- streaming admission ---------------------------------------------
     def feed(self, stream) -> None:
@@ -378,28 +388,35 @@ class DecodeWindow:
     per-iteration event chain would produce — after executor steps of
     ``steps`` seconds.  ``drain_starts`` are the interior boundaries
     whose write-through drains the window replays (``None`` without
-    write-through).  ``ticks`` idle scheduler ticks were absorbed at
-    interior boundaries; ``tick_due`` says a tick fired after the last
-    interior boundary, so it is applied when the window completes.
-    ``cut`` names what ended the window (see ARCHITECTURE.md, "Fusion
-    plane").  A ``k == 1`` window is an unfused iteration and carries
-    only its ``cut``.
+    write-through).  ``tick_marks`` are the (ascending) indices of the
+    boundaries a scheduler tick applies at: marks before the last
+    boundary are idle ticks the window absorbed, and a mark on the last
+    boundary is a tick still due when the window completes.  ``cut``
+    names what ended the window (see ARCHITECTURE.md, "Fusion plane").
+    A ``k == 1`` window is an unfused iteration and carries only its
+    ``cut``.
+
+    A window of ``k >= 2`` may be cut short after planning
+    (:meth:`DecodeStream.cut_window`); it then also holds the queue
+    length ``queued`` its interior timeline samples read, and the trace
+    ``record`` of its start (``None`` untraced).
     """
 
-    __slots__ = ("k", "times", "steps", "drain_starts", "ticks",
-                 "tick_due", "cut")
+    __slots__ = ("k", "times", "steps", "drain_starts", "tick_marks",
+                 "cut", "queued", "record")
 
     def __init__(self, cut: str, times: Optional[list] = None,
                  steps: Optional[list] = None,
                  drain_starts: Optional[list] = None,
-                 ticks: int = 0, tick_due: bool = False) -> None:
+                 tick_marks: Optional[list] = None) -> None:
         self.k = 1 if times is None else len(times)
         self.times = times
         self.steps = steps
         self.drain_starts = drain_starts
-        self.ticks = ticks
-        self.tick_due = tick_due
+        self.tick_marks = tick_marks
         self.cut = cut
+        self.queued = None
+        self.record = None
 
 
 # One shared, never-mutated ``k == 1`` window per cut reason: most
@@ -426,7 +443,9 @@ class DecodeStream:
     per-iteration write-drain budget — it advances all K iterations
     up to that horizon in one event via closed-form bulk updates (see
     :meth:`_plan_fused` / :meth:`complete_decode` and the "Fusion
-    plane" section of ARCHITECTURE.md).
+    plane" section of ARCHITECTURE.md).  An arrival scheduled after a
+    window was planned (a cluster dispatch) ends the window at its
+    first boundary after the arrival (:meth:`cut_window`).
     """
 
     def __init__(self, system: "ServingSystem", memory: MemoryPressureStage) -> None:
@@ -451,6 +470,13 @@ class DecodeStream:
         # requests can finish at the next completion instant.  Only
         # meaningful while ``system._busy``.
         self.inflight = None
+        # The fused (k >= 2) window in flight, which a late arrival can
+        # cut short (cut_window), and its completion event; None
+        # otherwise.  Kept here, not on the window: the event's action
+        # holds the window, and a window holding its event would make
+        # every fused window a reference cycle.
+        self.window: Optional[DecodeWindow] = None
+        self.window_event = None
         # Fusion-plane counters (surfaced in RunReport.executor_stats).
         self.fused_windows = 0
         self.fused_iterations = 0
@@ -520,18 +546,71 @@ class DecodeStream:
         k = window.k
         end = now + duration if k == 1 else window.times[-1]
         self.inflight = ("decode", end, (batch, k))
-        self.engine.call_at(
+        event = self.engine.call_at(
             end,
             lambda: self.complete_decode(result, batch, window),
             label="decode-done",
         )
+        if k > 1:
+            self.window = window
+            self.window_event = event
         if system.tracer is not None:
             # One record per executor event: a fused window is one
-            # record carrying its iteration count and cut reason.
-            system.tracer.record(now, "executor", "decode_start",
-                                 batch=len(batch), iterations=k,
-                                 duration=duration if k == 1 else end - now,
-                                 cut=window.cut)
+            # record carrying its iteration count and cut reason (a
+            # later cut rewrites both).
+            window_record = system.tracer.record(
+                now, "executor", "decode_start", batch=len(batch),
+                iterations=k, duration=duration if k == 1 else end - now,
+                cut=window.cut)
+            if k > 1:
+                window.record = window_record
+
+    def cut_window(self, t: float) -> None:
+        """End the fused window in flight at its first boundary strictly
+        after ``t``, where an arrival was just scheduled.
+
+        That boundary is where the per-iteration event chain first sees
+        the arrival: its completion at a boundary equal to ``t`` was
+        scheduled before the arrival, so it fires first.  Every window
+        effect is deferred to the completion event and every planning
+        check is monotone in the window length, so the window's prefix
+        is the window the planner would have sized had it known the
+        arrival.  The completion event moves to the new last boundary.
+        An arrival inside the last iteration changes nothing but the
+        queue length the interior timeline samples read, which the
+        window keeps from before its first arrival.
+        """
+        window = self.window
+        times = window.times
+        j = bisect_right(times, t)
+        k = window.k
+        if j >= k:
+            return
+        if window.queued is None:
+            system = self.system
+            window.queued = len(system.waiting) + len(system.prefill_queue)
+        if j == k - 1:
+            return
+        k = j + 1
+        end = times[j]
+        del times[k:]
+        del window.steps[k:]
+        if window.drain_starts is not None:
+            del window.drain_starts[j:]
+        marks = window.tick_marks
+        while marks and marks[-1] > j:
+            marks.pop()
+        window.k = k
+        window.cut = "dispatch"
+        event = self.window_event
+        event.cancel()
+        self.window_event = self.engine.call_at(end, event.action,
+                                                label="decode-done")
+        self.inflight = ("decode", end, (self.inflight[2][0], k))
+        record = window.record
+        if record is not None:
+            record.fields.update(iterations=k, duration=end - record.time,
+                                 cut="dispatch")
 
     # --- the fusion plane ---------------------------------------------
     def _plan_fused(self, batch: list, result, overhead: float,
@@ -557,7 +636,8 @@ class DecodeStream:
         * every completion instant precedes the earliest pending engine
           event other than the scheduler tick (arrivals, cancels,
           transfer completions — the DES decision horizon) and the
-          engine's ``run_until`` bound;
+          engine's ``run_until`` bound; an arrival scheduled after
+          planning ends the window early (:meth:`cut_window`);
         * scheduler ticks land where the event chain would apply them:
           the queued tick and its successors (each ``tick_interval``
           after the last, the floats ``call_after`` produces) are
@@ -639,10 +719,12 @@ class DecodeStream:
         queued = True
         absorb = system.rate_controller is None
         ticked = False  # a tick applies at the newest boundary
+        marks = []      # the boundaries ticks apply at
         if tick_at is not None and t1 >= tick_at:
             if tick_at + interval <= t1:
                 return _unfused("tick")
             ticked, tick_at, queued = True, tick_at + interval, False
+            marks.append(0)
         # Walk per-iteration durations through the latency model's
         # decode step (constant batch shape; context grows by n_batch
         # per iteration) so every completion instant is the float the
@@ -660,7 +742,6 @@ class DecodeStream:
             total0 += request.prompt_len + request.generated
         times = [t1]
         steps = [result.duration]
-        ticks = 0
         t = t1
         k = 1
         while k < kv_cap:
@@ -693,8 +774,7 @@ class DecodeStream:
                     cut = "tick"
                     break
                 next_ticked, tick_at, queued = True, tick_at + interval, False
-            if ticked:
-                ticks += 1
+                marks.append(k)
             times.append(t_next)
             steps.append(step)
             t = t_next
@@ -705,8 +785,7 @@ class DecodeStream:
         if write_through and not kv.cpu_room_for_fused_drains(req_ids, k):
             return _unfused("host")
         return DecodeWindow(cut, times, steps,
-                            times[:-1] if write_through else None,
-                            ticks, ticked)
+                            times[:-1] if write_through else None, marks)
 
     @staticmethod
     def _event_cut(label: str) -> str:
@@ -732,6 +811,7 @@ class DecodeStream:
         """
         system = self.system
         now = self.engine.now()
+        self.window = self.window_event = None
         req_ids = result.req_ids
         running = RequestState.RUNNING
         for request in batch:
@@ -773,15 +853,19 @@ class DecodeStream:
         k = window.k
         scheduler = self.scheduler
         scheduler.on_fused_boundaries(self.running, k - 1)
-        if window.ticks:
-            scheduler.on_idle_ticks(window.ticks)
+        marks = window.tick_marks
+        due = bool(marks) and marks[-1] == k - 1
+        if len(marks) > due:
+            scheduler.on_idle_ticks(len(marks) - due)
         # The ticks that fired inside the window set tick_due; those
         # applied at interior boundaries are replayed above, and only
-        # one that fired after the last of them stays due.
-        system.admission.tick_due = window.tick_due
+        # one applying at the last boundary stays due.
+        system.admission.tick_due = due
         # Interior samples: the queues are frozen inside the window, so
-        # only the timestamps differ.
-        system._sample_timeline_many(window.times[:-1])
+        # only the timestamps differ.  Arrivals landing inside the
+        # window join the waiting queue after its interior boundaries,
+        # so cut_window saved the length from before them.
+        system._sample_timeline_many(window.times[:-1], window.queued)
         self.executor.commit_fused(result, window.steps)
         self.composer.decodes_since_prefill += k - 1
         self.fused_windows += 1

@@ -174,12 +174,16 @@ class ScopedEngine:
     This is what makes cluster fusion windows partition-invariant: a
     :class:`~repro.serving.server.ServingSystem` inside a cluster
     plans its macro-step decode windows against its *own* decision
-    horizon (its events plus the cluster's next dispatch instant), so
-    a sibling replica's internal events never truncate its windows.
-    The same instance therefore forms the same windows whether its
-    siblings share its shard's engine or live in another shard —
-    per-instance reports, executor stats included, stay bit-identical
-    across partitionings.
+    horizon, so a sibling replica's internal events never truncate its
+    windows.  That horizon is the instance's own events, plus the
+    cluster's next dispatch instant when the router keeps the dispatch
+    ladder; without the ladder, a dispatch ends only the window of the
+    replica it lands on
+    (:meth:`~repro.serving.stages.DecodeStream.cut_window`).  The same
+    instance therefore forms the same windows whether its siblings
+    share its shard's engine or live in another shard — per-instance
+    reports, executor stats included, stay bit-identical across
+    partitionings.
 
     The own-event heap holds ``(time, seq, event)`` entries for the
     very :class:`Event` objects pushed to the shared queue; entries

@@ -67,13 +67,19 @@ class TraceRecorder:
     def wants(self, category: str) -> bool:
         return self._categories is None or category in self._categories
 
-    def record(self, time: float, category: str, event: str, **fields) -> None:
-        """Append one event (dropped silently if filtered out)."""
+    def record(self, time: float, category: str, event: str,
+               **fields) -> Optional[TraceRecord]:
+        """Append one event and return it (``None``, and nothing kept,
+        if filtered out).  A caller may update the returned record's
+        ``fields`` later, as a fused decode window does when it is cut
+        short."""
         if not self.wants(category):
-            return
+            return None
         if len(self.records) == self.records.maxlen:
             self.dropped += 1
-        self.records.append(TraceRecord(time, category, event, fields))
+        record = TraceRecord(time, category, event, fields)
+        self.records.append(record)
+        return record
 
     # --- queries ------------------------------------------------------------
     def __len__(self) -> int:

@@ -22,6 +22,7 @@ from repro.memory.blocktable import PREFIX_STAT_KEYS, SHARED_OWNER
 from repro.memory.kv_manager import HierarchicalKVManager, KVManagerConfig
 from repro.scenarios import build_run, get_scenario
 from repro.scenarios.registry import scenario_names
+from repro.serving import shard
 from repro.serving.metrics import report_fingerprint
 from repro.sim.engine import SimEngine
 from repro.workload.request import Request, clone_requests
@@ -336,13 +337,17 @@ def test_end_of_run_kv_conservation(name):
     kernel."""
     run = build_run(get_scenario(name, scale=_PARITY_SCALES.get(name, 0.10)))
     run.execute()
-    kv = run.target.kv
+    _check_end_of_run(run.target)
+
+
+def _check_end_of_run(system):
+    kv = system.kv
     assert not kv._records
     assert kv.cpu_pool.used == 0
     assert kv.gpu_pool.used == len(kv.prefix.index) == len(kv.prefix.cached)
     kv.check_invariants()
 
-    for entry in run.target.tracker.entries():
+    for entry in system.tracker.entries():
         request = entry.request
         assert request.generated == request.output_len == entry.buffer.delivered, (
             request.req_id)
@@ -352,3 +357,35 @@ def test_end_of_run_kv_conservation(name):
     assert link.d2h.busy_time * link.d2h.bandwidth == pytest.approx(written, rel=1e-9)
     assert link.h2d.busy_time * link.h2d.bandwidth == pytest.approx(
         stats["load_bytes"], rel=1e-9)
+
+
+def _cluster_scenarios():
+    return [name for name in scenario_names()
+            if get_scenario(name).replicas > 1]
+
+
+@pytest.mark.parametrize("router", ["round_robin", "least_queued"])
+@pytest.mark.parametrize("name", _cluster_scenarios())
+def test_end_of_run_kv_conservation_on_clusters(name, router, monkeypatch):
+    """The single-node end-of-run checks hold on every replica of the
+    cluster scenarios, under the routers whose dispatches cut fused
+    windows where they land (two inline shards)."""
+    hosts = []
+    init = shard.ShardHost.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        hosts.append(self)
+
+    monkeypatch.setattr(shard.ShardHost, "__init__", recording)
+    spec = get_scenario(name, scale=_PARITY_SCALES[name], router=router,
+                        shards=2)
+    run = build_run(spec)
+    run.target.transport = "inline"
+    report = run.execute()
+    assert report.n_finished == report.n_requests > 0
+    instances = [system for host in hosts for system in host.instances]
+    assert len(instances) == spec.replicas
+    assert sum(system.decode_stream.fused_windows for system in instances) > 0
+    for system in instances:
+        _check_end_of_run(system)

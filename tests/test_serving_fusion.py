@@ -17,6 +17,7 @@ from repro.core.scheduler import TokenFlowParams
 from repro.experiments.systems import build_system
 from repro.gpu.latency import LatencyModel
 from repro.serving import server
+from repro.serving.metrics import report_fingerprint
 from repro.sim.trace import TraceRecorder
 from repro.workload.request import Request, clone_requests
 from tests.conftest import assert_parity
@@ -411,3 +412,106 @@ class TestParityEdgeCases:
             unfused = run_system("tokenflow", requests, **kwargs)
         assert_parity(unfused.report(), one_shot.report())
         assert_parity(unfused.report(), stepped.report())
+
+
+# --- a dispatch landing inside a window -------------------------------------
+
+def exact_state(report):
+    """Everything a report shows, bar the fusion counters, for exact
+    comparison with the per-iteration run."""
+    executor = {key: value for key, value in report.executor_stats.items()
+                if not key.startswith("fused_")}
+    return (repr(report_fingerprint(report)), executor, report.scheduler_stats,
+            report.kv_stats, list(report.timeline))
+
+
+class TestDispatchCut:
+    """A cluster dispatch lands on a replica whose fused window was
+    planned before the dispatch was known.  The shard replays it as
+    ``run_before(t)`` then ``submit``; the window then ends at its first
+    boundary strictly after ``t`` (``DecodeStream.cut_window``).  Each
+    landing is compared exactly with the per-iteration run."""
+
+    KWARGS = dict(hardware="h200", mem_frac=0.1, max_batch=8)
+    REQUESTS = burst(2, output=400)
+
+    def landing(self, t):
+        """Run the burst, land one request at ``t``, finish the run;
+        returns (system, the in-flight window's k before the landing,
+        its (k, tick marks, cut) after)."""
+        system = build_system("tokenflow", **self.KWARGS)
+        system.tracer = TraceRecorder(categories=["executor"])
+        system.submit(clone_requests(self.REQUESTS))
+        system.engine.run_before(t)
+        window = system.decode_stream.window  # None per-iteration
+        before = window and window.k
+        system.submit([Request(req_id=99, arrival_time=t, prompt_len=64,
+                               output_len=32, rate=10.0)])
+        after = window and (window.k, list(window.tick_marks), window.cut)
+        system.run(until=10_000.0)
+        return system, before, after
+
+    def window(self):
+        """The first long window: (start, times, tick marks)."""
+        system = build_system("tokenflow", **self.KWARGS)
+        system.tracer = TraceRecorder(categories=["executor"])
+        system.submit(clone_requests(self.REQUESTS))
+        system.engine.run_before(0.1)
+        window = system.decode_stream.window
+        assert window.k > 300 and len(window.tick_marks) >= 3
+        return window.record.time, list(window.times), list(window.tick_marks)
+
+    def check(self, t, per_iteration):
+        with per_iteration():
+            reference, _, _ = self.landing(t)
+        system, before, after = self.landing(t)
+        assert exact_state(system.report()) == exact_state(reference.report())
+        decodes = system.tracer.by_event("decode_start")
+        assert sum(r.fields["iterations"] for r in decodes) == (
+            system.report().executor_stats["decode_iterations"])
+        assert len([r for r in decodes if r.fields["iterations"] > 1]) == (
+            system.report().executor_stats["fused_windows"])
+        return before, after
+
+    def test_strictly_inside_an_iteration(self, per_iteration):
+        _, times, _ = self.window()
+        before, after = self.check((times[9] + times[10]) / 2, per_iteration)
+        assert after[0] == 11 < before and after[2] == "dispatch"
+
+    def test_exactly_on_a_boundary(self, per_iteration):
+        # The completion at a boundary equal to t was scheduled before
+        # the arrival, so it fires first: the next boundary sees it.
+        _, times, _ = self.window()
+        before, after = self.check(times[9], per_iteration)
+        assert after[0] == 11 < before and after[2] == "dispatch"
+
+    def test_inside_the_last_iteration(self, per_iteration):
+        _, times, _ = self.window()
+        before, after = self.check((times[-2] + times[-1]) / 2, per_iteration)
+        assert after[0] == before and after[2] != "dispatch"
+
+    def test_before_the_first_boundary(self, per_iteration):
+        start, times, _ = self.window()
+        before, after = self.check((start + times[0]) / 2, per_iteration)
+        assert before > 1 and after[0] == 1
+
+    def test_idle_tick_absorbed_before_the_landing(self, per_iteration):
+        _, times, marks = self.window()
+        m = marks[0]
+        _, after = self.check((times[m + 5] + times[m + 6]) / 2,
+                                   per_iteration)
+        assert after[:2] == (m + 7, [m])
+
+    def test_idle_tick_after_the_landing(self, per_iteration):
+        _, times, marks = self.window()
+        m = marks[1]
+        _, after = self.check((times[m - 3] + times[m - 2]) / 2,
+                                   per_iteration)
+        assert after[:2] == (m - 1, [marks[0]])
+
+    def test_tick_due_on_the_new_last_boundary(self, per_iteration):
+        _, times, marks = self.window()
+        m = marks[0]
+        _, after = self.check((times[m - 1] + times[m]) / 2,
+                                   per_iteration)
+        assert after[:2] == (m + 1, [m])

@@ -6,16 +6,22 @@ conservative horizon (the router's next dispatch time), yet the final
 :class:`~repro.serving.cluster.ClusterReport` is **bit-identical** for
 every built-in router, any shard count, both workload intake paths
 (``submit`` and ``feed``), and both transports (in-process ``inline``
-and ``process`` workers).
+and ``process`` workers).  Under ``round_robin`` and ``least_queued``
+(``Router.windows_span_dispatches``) a replica's fused decode windows
+run through other replicas' dispatches, and a dispatch that lands on
+it cuts its window; those runs are also compared exactly with the
+per-iteration run.
 
 The reference is ``classic_cluster_digests.json``: deep-fingerprint
 digests recorded from the shared-engine cluster this coordinator
 replaced, one per router × workload × seed × intake path, and
-re-frozen twice: when the prefix-sharing block table became the only
-KV allocator (only ``kv_stats`` moved), and when fused decode windows
-began running through idle scheduler ticks (only the executor's
-``fused_windows`` / ``fused_iterations`` moved).  Every run here must
-reproduce its frozen digest.
+re-frozen three times: when the prefix-sharing block table became the
+only KV allocator (only ``kv_stats`` moved), when fused decode windows
+began running through idle scheduler ticks, and when ``round_robin``
+and ``least_queued`` windows began running through other replicas'
+dispatches (both times only the executor's ``fused_windows`` /
+``fused_iterations`` moved).  Every run here must reproduce its
+frozen digest.
 
 Fingerprints round floats to 12 significant digits before hashing, so
 a last-bit SIMD difference on another CPU cannot flake a digest, and
@@ -397,6 +403,61 @@ def test_soak_process_transport_parity():
                          streamed=True)
     assert fp == frozen_registry("cluster-soak-64x", 0.02, "round_robin", 0,
                                  True)
+
+
+# --- windows through other replicas' dispatches ------------------------------
+#
+# Under routers whose reads a fused window cannot change, a replica's
+# window runs through dispatches to other replicas, and a dispatch that
+# lands on it cuts the window at the first boundary after the arrival.
+# The per-iteration run is the reference, compared exactly.
+
+def _instance_states(report):
+    return [
+        (repr(report_fingerprint(r)), r.scheduler_stats, r.kv_stats,
+         list(r.timeline))
+        for r in report.per_instance
+    ]
+
+
+def _cut_cells(router, shards):
+    """Reports of the direct cluster and of a small soak cell."""
+    direct = _run(router=router, shards=shards).report()
+    spec = get_scenario("cluster-soak-64x", scale=0.02, seed=0,
+                        router=router, shards=shards)
+    run = build_run(spec)
+    run.target.transport = "inline"
+    soak = run.execute(streamed=True)
+    return direct, soak
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("router", ["round_robin", "least_queued"])
+def test_windows_span_dispatches_exactly(router, shards, per_iteration):
+    assert make_router(router).windows_span_dispatches
+    with per_iteration():
+        reference = _cut_cells(router, shards)
+    fused = _cut_cells(router, shards)
+    for ref, run in zip(reference, fused):
+        assert _instance_states(run) == _instance_states(ref)
+        assert sum(r.executor_stats["fused_windows"]
+                   for r in run.per_instance) > 0
+        assert ([r.executor_stats["decode_iterations"] for r in run.per_instance]
+                == [r.executor_stats["decode_iterations"] for r in ref.per_instance])
+
+
+def test_ladder_routers_keep_the_dispatch_horizon():
+    """Routers that read what a window defers keep the ladder: their
+    instances' windows end before the cluster's next dispatch."""
+    spanning = {name for name, cls in ROUTERS.items()
+                if cls.windows_span_dispatches}
+    assert spanning == {"round_robin", "least_queued"}
+    configs = _cluster().configs[:2]
+    for name in ROUTERS:
+        host = shard.ShardHost(0, configs, SchedulerRecipe("tokenflow"),
+                               make_router(name), None)
+        assert all((i.engine.external_horizon is None) == (name in spanning)
+                   for i in host.instances), name
 
 
 # --- dispatch accounting -----------------------------------------------------

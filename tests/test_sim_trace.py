@@ -7,6 +7,7 @@ import pytest
 from repro.baselines import SGLangScheduler
 from repro.core.scheduler import TokenFlowScheduler
 from repro.scenarios import build_run, get_scenario
+from repro.serving import shard
 from repro.serving.config import ServingConfig
 from repro.serving.metrics import report_fingerprint
 from repro.serving.server import ServingSystem
@@ -155,3 +156,38 @@ def test_tracer_observes_the_fast_path(name, scale):
     windows = [r for r in decodes if r.fields["iterations"] > 1]
     assert len(windows) == stats["fused_windows"]
     assert all(r.fields["duration"] > 0 for r in decodes)
+
+
+@pytest.mark.parametrize("router", ["round_robin", "least_queued"])
+def test_tracer_shows_dispatch_cuts_in_a_cluster(router, monkeypatch):
+    """A dispatch that lands inside a replica's fused window rewrites
+    the window's ``decode_start`` record: the record keeps accounting
+    for every decode iteration, one record per fused window, and shows
+    the cut as ``dispatch``."""
+    spec = get_scenario("cluster-soak-64x", scale=0.02, router=router)
+    untraced = build_run(spec).execute()
+    instances = []
+    init = shard.ShardHost.__init__
+
+    def traced(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for system in self.instances:
+            system.tracer = TraceRecorder(categories=["executor"])
+        instances.extend(self.instances)
+
+    monkeypatch.setattr(shard.ShardHost, "__init__", traced)
+    report = build_run(spec).execute()
+    assert repr(report_fingerprint(report.aggregate)) == repr(
+        report_fingerprint(untraced.aggregate))
+    cuts = set()
+    for system, node, plain in zip(instances, report.per_instance,
+                                   untraced.per_instance):
+        assert node.executor_stats == plain.executor_stats
+        decodes = system.tracer.by_event("decode_start")
+        stats = node.executor_stats
+        assert sum(r.fields["iterations"] for r in decodes) == stats["decode_iterations"]
+        windows = [r for r in decodes if r.fields["iterations"] > 1]
+        assert len(windows) == stats["fused_windows"]
+        assert sum(r.fields["iterations"] for r in windows) == stats["fused_iterations"]
+        cuts.update(r.fields["cut"] for r in decodes)
+    assert "dispatch" in cuts
