@@ -1,17 +1,19 @@
 """Shard-scaling harness for the cluster coordinator.
 
-Runs the 64-replica ``cluster-soak-64x`` scenario once on a single
-inline shard (the baseline: no worker processes, no queue traffic) and
-once per shard count K ∈ {1, 2, 4} on the process transport (warm
-worker pool), asserting
+Runs the 64-replica ``cluster-soak-64x`` scenario on a single inline
+shard (the baseline: no worker processes, no queue traffic) and per
+shard count K ∈ {1, 2, 4} on the process transport (warm worker
+pool), ``REPEATS`` times each, asserting
 
 * **parity** — every run reproduces the frozen deep fingerprint in
   ``tests/classic_cluster_digests.json`` bit-for-bit, and
-* **overhead** — the best process-transport wall clock stays within
-  ``MAX_OVERHEAD`` of the inline baseline.  On a container with few
-  CPUs sharding cannot win much by parallelism; the gate bounds what
-  the coordination protocol (ladder messages, pickling, queue
-  round-trips) costs.
+* **overhead** — the best process-transport median wall clock stays
+  within ``MAX_OVERHEAD`` of the inline baseline's median.  On a
+  container with few CPUs sharding cannot win much by parallelism;
+  the gate bounds what the coordination protocol (ladder messages,
+  pickling, queue round-trips) costs.  One run per row read anywhere
+  from 0.39x to 1.11x on the same host, so each row is the median of
+  its runs and records them all (``walls_s``) as its spread.
 
 One more row, kept apart from the scaling table, runs ``least_queued``
 on K=2 inline shards, the router and layout of the ``cluster-stateful``
@@ -40,6 +42,7 @@ Run just this harness with::
 from __future__ import annotations
 
 import os
+import statistics
 import time
 
 from benchmarks.conftest import (
@@ -58,6 +61,8 @@ SCENARIO = "cluster-soak-64x"
 SCALE = 0.25
 SEED = 0
 SHARD_COUNTS = (1, 2, 4)
+# Timed runs per row; a row's wall is their median.
+REPEATS = 3
 
 # Coordination-overhead ceiling: best process-transport wall / inline
 # K=1 wall.  Splitting one 64-replica event heap into K small ones
@@ -82,19 +87,31 @@ def _fused_share(report) -> float:
 
 
 def _row(shards, router, transport, baseline_wall):
-    """One timed soak run as a table row."""
-    target, report, wall = _timed_run(shards, router, transport)
+    """``REPEATS`` timed soak runs as a table row."""
+    target, report, walls = _timed_runs(shards, router, transport)
+    wall = statistics.median(walls)
     return {
         "router": router,
         "transport": transport,
         "shards": shards,
         "wall_s": round(wall, 4),
+        "walls_s": [round(w, 4) for w in walls],
         "overhead": round(wall / baseline_wall, 4),
         "coordination_rounds": report.coordination_rounds,
         "messages_sent": report.messages_sent,
         "shard_events": target.shard_events,
         "fused_share": _fused_share(report),
     }
+
+
+def _timed_runs(shards, router, transport):
+    """Execute ``REPEATS`` soak runs; return the last run's target and
+    report and every run's wall seconds."""
+    walls = []
+    for _ in range(REPEATS):
+        target, report, wall = _timed_run(shards, router, transport)
+        walls.append(wall)
+    return target, report, walls
 
 
 def _timed_run(shards, router, transport):
@@ -129,7 +146,8 @@ def test_shard_scaling_soak64():
     pool = get_pool(min_workers=max(SHARD_COUNTS))
     list(pool.map(abs, range(2 * max(SHARD_COUNTS))))
 
-    _, baseline_report, baseline_wall = _timed_run(1, "round_robin", "inline")
+    _, baseline_report, baseline_walls = _timed_runs(1, "round_robin", "inline")
+    baseline_wall = statistics.median(baseline_walls)
     n_requests = baseline_report.n_requests
 
     rows = [_row(shards, "round_robin", "process", baseline_wall)
@@ -177,11 +195,13 @@ def test_shard_scaling_soak64():
         },
         "baseline": {"shards": 1, "transport": "inline",
                      "wall_s": round(baseline_wall, 4),
+                     "walls_s": [round(w, 4) for w in baseline_walls],
                      "fused_share": _fused_share(baseline_report)},
         "shards": rows,
         "least_queued": least_queued,
         "best": {"shards": best["shards"], "overhead": best["overhead"]},
-        "gate": f"best process-transport wall <= {MAX_OVERHEAD}x inline K=1 wall",
+        "gate": (f"best process-transport median wall <= {MAX_OVERHEAD}x "
+                 f"inline K=1 median wall ({REPEATS} runs a row)"),
         "speculation": {
             "router": "least_loaded",
             "shards": 4,
@@ -197,7 +217,8 @@ def test_shard_scaling_soak64():
         "notes": (
             "round_robin rows on the process transport against a K=1 "
             "inline baseline; least_queued row: K=2 inline, overhead "
-            "against the same baseline; every run matches its frozen "
+            "against the same baseline; wall_s is the median of walls_s; "
+            "every run matches its frozen "
             "digest; fused_share is fused / decode iterations; "
             "speculation block: least_loaded K=4 process transport"
         ),
@@ -208,12 +229,14 @@ def test_shard_scaling_soak64():
         f"shard scaling — {SCENARIO} scale={SCALE} "
         f"({CLUSTER_SOAK_REPLICAS} replicas, {n_requests} requests)",
         f"  inline K=1: {baseline_wall:.2f}s "
+        f"[{min(baseline_walls):.2f}-{max(baseline_walls):.2f}] "
         f"fused={_fused_share(baseline_report):.2f}",
     ]
     for row in rows + [least_queued]:
         lines.append(
             f"  {row['router']} K={row['shards']} {row['transport']}: "
-            f"{row['wall_s']:.2f}s ({row['overhead']:.2f}x) "
+            f"{row['wall_s']:.2f}s [{min(row['walls_s']):.2f}-"
+            f"{max(row['walls_s']):.2f}] ({row['overhead']:.2f}x) "
             f"rounds={row['coordination_rounds']} "
             f"msgs={row['messages_sent']} events={row['shard_events']} "
             f"fused={row['fused_share']:.2f}"

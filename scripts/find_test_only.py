@@ -9,7 +9,10 @@ The scan is name-based and static.  Every file under ``src/``,
 * **definition** -- a function, method, class or module constant in
   ``src/`` whose name no reader mentions outside the definition itself
   (as a bare name, an attribute, or the string argument of
-  ``getattr``/``hasattr``/``setattr``).
+  ``getattr``/``hasattr``/``setattr``).  A package ``__init__.py``
+  that re-exports a name (``from ... import`` or ``__all__``) does not
+  use it, so a name only a package re-exports and tests import is
+  reported.
 * **state** -- an attribute or dataclass field in ``src/`` that some
   code writes (``self.x = ...``, ``self.x += ...``, ``self.x.append(...)``,
   ``self.x[k] = ...``) but no reader ever loads.  Such state costs
@@ -26,9 +29,12 @@ record's content.  Dunder methods, and definitions registered by a
 ``REGISTRIES`` decorator (``@register_router``), are reached by
 protocol or by registered name and are never reported.  Each entry
 the program deliberately keeps is on ``ALLOWLIST`` with its reason.
+
 Names are compared without their owner, so a test-only method that
 shares its name with a used one elsewhere is missed (a known limit of
-the scan).
+the scan).  ``ServingSystem.cancel`` was such a miss: only tests
+called it, but ``DecodeStream.cut_window`` calls ``Event.cancel``, so
+the scan counted the name as used.
 
     python3 scripts/find_test_only.py        # exit 1 on any unlisted entry
 
@@ -206,12 +212,14 @@ def _written_self_attrs(node) -> Iterable[str]:
                 yield sub.attr
 
 
-def _references(tree: ast.Module):
+def _references(tree: ast.Module, package_init: bool = False):
     """``(mentions, loads, writes)`` of one reader file.
 
     *mentions* ``(name, line)`` count for definitions: any bare name or
     attribute (except the attribute being assigned), imported names,
-    ``__all__`` entries and ``getattr``-style string names.  *loads*
+    ``__all__`` entries and ``getattr``-style string names.  In a
+    package ``__init__.py`` (*package_init*) imported names and
+    ``__all__`` entries are re-exports, not uses, and do not count.  *loads*
     ``(name, line)`` count for state: attribute reads that are not a
     container write (``x.append(...)`` as a statement, ``x[k] = ...``)
     and ``getattr``/``hasattr`` string names.  *writes* is the set of
@@ -240,9 +248,9 @@ def _references(tree: ast.Module):
                 loads.append((node.attr, node.lineno))
             else:
                 writes.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and not package_init:
             mentions.extend((a.name, node.lineno) for a in node.names)
-        elif isinstance(node, ast.Assign) and any(
+        elif isinstance(node, ast.Assign) and not package_init and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             mentions.extend((c.value, node.lineno) for c in ast.walk(node.value)
                             if isinstance(c, ast.Constant) and isinstance(c.value, str))
@@ -269,7 +277,7 @@ def scan(repo: Path = REPO) -> List[Entry]:
             continue
         for path in _py_files(root):
             tree = ast.parse(path.read_text(), filename=str(path))
-            mentions, loads, writes = _references(tree)
+            mentions, loads, writes = _references(tree, path.name == "__init__.py")
             if top == "src":
                 entries.extend(_definitions(path, tree, repo / "src" / "repro"))
                 run_writes |= writes

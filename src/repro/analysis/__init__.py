@@ -1,36 +1,12 @@
-"""Reporting helpers: summary statistics, ASCII tables, and charts."""
+"""Reporting helpers: summary statistics and ASCII tables."""
 
-from repro.analysis.compare import (
-    Delta,
-    compare_reports,
-    improvement_matrix,
-    render_comparison,
-)
-from repro.analysis.plots import ascii_chart, ascii_sparkline
-from repro.analysis.replication import (
-    MetricAggregate,
-    paired_win_rate,
-    replicate,
-    report_metrics,
-)
 from repro.analysis.stats import Summary, percentile, summarize
-from repro.analysis.tables import format_number, render_series, render_table
+from repro.analysis.tables import format_number, render_table
 
 __all__ = [
-    "Delta",
-    "compare_reports",
-    "improvement_matrix",
-    "render_comparison",
-    "ascii_chart",
-    "ascii_sparkline",
-    "MetricAggregate",
-    "paired_win_rate",
-    "replicate",
-    "report_metrics",
     "percentile",
     "summarize",
     "Summary",
     "render_table",
-    "render_series",
     "format_number",
 ]

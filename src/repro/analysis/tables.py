@@ -1,6 +1,6 @@
-"""ASCII rendering for bench output (tables and series).
+"""ASCII rendering for bench output (tables).
 
-The benchmark harness prints the same rows/series the paper's tables
+The benchmark harness prints the same rows the paper's tables
 and figures report; these helpers keep that output aligned and
 readable in test logs.
 """
@@ -45,13 +45,3 @@ def render_table(headers: Sequence, rows: Sequence, title: str = "") -> str:
     for row in str_rows:
         lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(
-    name: str, xs: Sequence, ys: Sequence, x_label: str = "x", y_label: str = "y"
-) -> str:
-    """Render an (x, y) series as aligned two-column text."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    rows = [(x, y) for x, y in zip(xs, ys)]
-    return render_table([x_label, y_label], rows, title=name)

@@ -248,7 +248,7 @@ def _report_json_payload(spec, run, report) -> dict:
     reports and placement counts; per-request rows are elided (the
     artifact must stay diffable at soak scale).
     """
-    from repro.serving.export import report_to_dict
+    from repro.serving.metrics import report_to_dict
 
     payload: dict = {
         "scenario": {

@@ -13,7 +13,6 @@ from repro.client.rates import (
     READING_RATES,
     LISTENING_RATES,
     reading_rate,
-    listening_rate,
     rate_table_rows,
 )
 
@@ -24,6 +23,5 @@ __all__ = [
     "READING_RATES",
     "LISTENING_RATES",
     "reading_rate",
-    "listening_rate",
     "rate_table_rows",
 ]

@@ -87,11 +87,10 @@ class ClientBuffer:
         # at occupancy B, enough for Eq. 1 / §7.1.3 weights.  The batch
         # plane adds its windows' counts in place.
         self._occ_counts = array(OCC_COUNT_TYPECODE)
-        # Optional unbounded per-token traces (plots, JSONL export).
+        # Optional unbounded per-token traces.
         self._trace = record_trace
         self._gen_times: Optional[list] = [] if record_trace else None
         self._consume_times: Optional[list] = [] if record_trace else None
-        self._occupancy_at_gen: Optional[list] = [] if record_trace else None
 
     def set_rate(self, rate: float) -> None:
         """Change the consumption rate from now on (adaptive clients, §8).
@@ -164,8 +163,6 @@ class ClientBuffer:
         else:
             # A new top bucket: occupancy == len(counts) (module docstring).
             counts.append(1)
-        if self._trace:
-            self._occupancy_at_gen.append(occupancy)
 
     def deliver_many(self, timestamps) -> None:
         """Record delivery of one token at each of ``timestamps``, in
@@ -315,13 +312,6 @@ class ClientBuffer:
         """Per-token consumption timestamps (read-only view)."""
         self._require_trace()
         return self._consume_times
-
-    @property
-    def occupancy_at_generation(self) -> list:
-        """B_{i,j}: buffered tokens at each token's generation instant
-        (read-only view)."""
-        self._require_trace()
-        return self._occupancy_at_gen
 
     def final_consumption_time(self) -> Optional[float]:
         """When the user finishes the stream (None if nothing delivered)."""

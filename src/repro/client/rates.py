@@ -67,11 +67,6 @@ def reading_rate(language: str, age_group: str) -> float:
     return _lookup(READING_RATES, language, age_group)
 
 
-def listening_rate(language: str, age_group: str) -> float:
-    """Listening consumption rate in tokens/second."""
-    return _lookup(LISTENING_RATES, language, age_group)
-
-
 def rate_table_rows(mode: str = "reading") -> list:
     """Rows of (language, age_group, tokens/s) for the Fig. 1 bench."""
     if mode == "reading":

@@ -17,14 +17,7 @@
   scheduler decisions to KV-manager operations.
 """
 
-from repro.core.qos import (
-    QoSParams,
-    token_utility,
-    effective_token_weight,
-    request_qos_terms,
-    qos_score,
-    effective_token_count,
-)
+from repro.core.qos import QoSParams, effective_token_weight
 from repro.core.tracker import RequestTracker, TrackedRequest
 from repro.core.estimator import SlidingWindowMean, PrefillCostEstimator
 from repro.core.utility import UtilityParams, stall_risk, token_value, request_priority
@@ -35,11 +28,7 @@ from repro.core.offload import RequestOffloadManager
 
 __all__ = [
     "QoSParams",
-    "token_utility",
     "effective_token_weight",
-    "request_qos_terms",
-    "qos_score",
-    "effective_token_count",
     "RequestTracker",
     "TrackedRequest",
     "SlidingWindowMean",

@@ -20,7 +20,7 @@ moment token *j* of request *i* was generated — which
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,13 +66,6 @@ class QoSParams:
         return self.tau if self.tau is not None else self.tau_frac * output_len
 
 
-def token_utility(buffer_occupancy: float, tau: float, alpha: float) -> float:
-    """Eq. (1): w = 1 below τ, else max(1 − α·(B − τ), 0)."""
-    if buffer_occupancy <= tau:
-        return 1.0
-    return max(1.0 - alpha * (buffer_occupancy - tau), 0.0)
-
-
 def effective_token_weight(
     buffer_occupancy: float,
     output_len: int,
@@ -93,31 +86,6 @@ def effective_token_weight(
     return (tau2 - buffer_occupancy) / (tau2 - tau1)
 
 
-def effective_token_count(
-    occupancies: Sequence,
-    output_len: int,
-    tau1_frac: float = 0.10,
-    tau2_frac: float = 0.20,
-) -> float:
-    """Sum of effective-throughput weights over a request's tokens."""
-    return sum(
-        effective_token_weight(b, output_len, tau1_frac, tau2_frac) for b in occupancies
-    )
-
-
-def request_qos_terms(
-    occupancies: Sequence,
-    output_len: int,
-    ttft: float,
-    rebuffer: float,
-    params: QoSParams,
-) -> float:
-    """Inner bracket of Eq. (2) for one request."""
-    tau = params.resolve_tau(output_len)
-    utility_sum = sum(token_utility(b, tau, params.alpha) for b in occupancies)
-    return utility_sum - params.lam * ttft - params.mu * rebuffer
-
-
 def fold_hist_metrics(
     occupancy_counts: Sequence,
     output_len: int,
@@ -126,7 +94,7 @@ def fold_hist_metrics(
     tau2_frac: float = 0.20,
 ) -> tuple:
     """Single pass over a dense occupancy histogram computing both
-    token-weighting schemes: ``(effective_token_count, utility_sum)``.
+    token-weighting schemes: ``(effective_tokens, utility_sum)``.
 
     ``occupancy_counts[B]`` is the number of tokens generated at
     occupancy ``B`` (:attr:`ClientBuffer.occupancy_counts`, a typed
@@ -136,8 +104,7 @@ def fold_hist_metrics(
     Eq. (1) utility sum for every finished request; walking the
     histogram once halves the dominant per-request metric cost.  Each
     accumulator folds left to right from 0 in ascending B, with the
-    weights of :func:`effective_token_weight` and
-    :func:`token_utility` inlined.
+    weights of :func:`effective_token_weight` and Eq. (1) inlined.
     """
     if output_len <= 0:
         raise ValueError("output_len must be positive")
@@ -182,10 +149,3 @@ def fold_hist_metrics(
             u = 1.0 - alpha * (b - tau)
             utility += count * (u if u > 0.0 else 0.0)
     return effective, utility
-
-
-def qos_score(per_request_terms: Iterable, total_time: float) -> float:
-    """Eq. (2): sum of per-request terms normalised by process time T."""
-    if total_time <= 0:
-        raise ValueError("total_time must be positive")
-    return sum(per_request_terms) / total_time

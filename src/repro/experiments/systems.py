@@ -103,8 +103,8 @@ def build_system(
     """Assemble one serving instance for a named system.
 
     ``record_token_traces`` opts into per-token timestamp traces
-    (needed by occupancy-series plots and JSONL trace export; the
-    RunReport metrics do not need them).  ``retain_per_request=False``
+    (needed by the token-timeline plots; the RunReport metrics do not
+    need them).  ``retain_per_request=False``
     switches the instance to streaming telemetry (O(active) memory,
     sketch-backed percentiles — see ServingConfig).
     """

@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from repro.serving.export import report_to_dict
-from repro.serving.metrics import RunReport, aggregate_reports
+from repro.serving.metrics import RunReport, aggregate_reports, report_to_dict
 
 # Cell terminal states.
 STATUS_OK = "ok"           # executed in this run

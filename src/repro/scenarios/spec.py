@@ -66,7 +66,8 @@ class ScenarioSpec:
             retires finished requests into streaming accumulators so
             memory stays O(active) — the soak scenarios' setting.
         tokenflow_params: optional TokenFlow parameter overrides.
-        record_token_traces: keep per-token buffer traces (plots/export).
+        record_token_traces: keep per-token generation/consumption
+            timestamps on every client buffer (token-timeline plots).
     """
 
     name: str

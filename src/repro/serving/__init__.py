@@ -11,12 +11,6 @@ The loop itself is staged (see :mod:`repro.serving.stages`); the cluster
 
 from repro.serving.cluster import ClusterReport
 from repro.serving.config import ServingConfig
-from repro.serving.export import (
-    load_report_json,
-    report_to_dict,
-    save_report_json,
-    save_token_trace_jsonl,
-)
 from repro.serving.interface import BaseScheduler, SchedulerDecision, SystemView
 from repro.serving.metrics import (
     QuantileSketch,
@@ -25,6 +19,7 @@ from repro.serving.metrics import (
     StreamingRunStats,
     aggregate_reports,
     build_report,
+    report_to_dict,
 )
 from repro.serving.routers import ROUTERS, Router, make_router, register_router
 from repro.serving.server import ServingSystem
@@ -38,10 +33,7 @@ from repro.serving.stages import (
 __all__ = [
     "ClusterReport",
     "ServingConfig",
-    "load_report_json",
     "report_to_dict",
-    "save_report_json",
-    "save_token_trace_jsonl",
     "BaseScheduler",
     "SchedulerDecision",
     "SystemView",

@@ -43,15 +43,15 @@ class ServingConfig:
             accumulator (exact counts/sums, sketch-backed TTFT/stall
             percentiles) the moment they complete, so memory stays
             O(active requests) — the soak scenarios' mode.  Per-token
-            trace export and per-request report rows need the default.
+            traces and per-request report rows need the default.
         record_token_traces: keep per-token generation/consumption
             timestamp lists on every client buffer.  Metrics and QoS
             need only the compact occupancy aggregates, so this is off
             by default (memory stays O(1) per request and the delivery
-            hot path skips three list appends per token) without
+            hot path skips two list appends per token) without
             changing any :class:`~repro.serving.metrics.RunReport`
-            number; JSONL token-trace export and occupancy-series
-            plots need it on.
+            number; the token-timeline experiments (``fig06``,
+            ``fig18``, ``fig19``) turn it on.
     """
 
     hardware: Union[str, HardwareSpec] = "h200"

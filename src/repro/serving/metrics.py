@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.analysis.stats import summarize
@@ -448,7 +448,7 @@ def build_report(
     When ``stream_stats`` is given (streaming-telemetry runs), the
     report is assembled from that accumulator — already holding every
     retired request — plus a fold of whatever entries are still live
-    in the tracker (unfinished or cancelled stragglers); the retained
+    in the tracker (unfinished stragglers); the retained
     per-request walk below never runs.
     """
     if stream_stats is not None:
@@ -601,6 +601,51 @@ def report_fingerprint(report: RunReport) -> tuple:
             report.throughput, report.effective_throughput, report.qos,
             report.ttft_mean, report.ttft_p50, report.ttft_p99,
             report.stall_total, report.preemptions, per_request)
+
+
+def report_to_dict(report: RunReport, include_requests: bool = True) -> dict:
+    """Convert a report to JSON-safe primitives."""
+    payload = {
+        "system": report.system,
+        "n_requests": report.n_requests,
+        "n_finished": report.n_finished,
+        "makespan_s": report.makespan,
+        "total_tokens": report.total_tokens,
+        "throughput_tok_s": report.throughput,
+        "effective_tokens": report.effective_tokens,
+        "effective_throughput_tok_s": report.effective_throughput,
+        "qos": report.qos,
+        "ttft_mean_s": report.ttft_mean,
+        "ttft_p50_s": report.ttft_p50,
+        "ttft_p99_s": report.ttft_p99,
+        "stall_total_s": report.stall_total,
+        "stall_mean_s": report.stall_mean,
+        "preemptions": report.preemptions,
+        "executor_stats": dict(report.executor_stats),
+        "kv_stats": _jsonable(report.kv_stats),
+        "scheduler_stats": _jsonable(report.scheduler_stats),
+    }
+    if report.stream_stats is not None:
+        # Sketch-backed (streaming-telemetry) report: no per-request
+        # rows exist; record the mode and the sketch summaries so the
+        # artifact documents its own percentile error envelope.
+        payload["streaming_telemetry"] = True
+        payload["ttft_sketch"] = report.stream_stats.ttft.to_dict()
+        payload["stall_sketch"] = report.stream_stats.stall.to_dict()
+    if include_requests:
+        payload["per_request"] = [asdict(metrics) for metrics in report.per_request]
+    return payload
+
+
+def _jsonable(value):
+    """Recursively coerce stats containers to JSON-safe types."""
+    if isinstance(value, dict):
+        return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (int, float, str, bool)) or value is None:
+        return value
+    return str(value)
 
 
 def aggregate_reports(reports: Sequence, system: str = "cluster") -> RunReport:

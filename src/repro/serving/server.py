@@ -50,7 +50,6 @@ from repro.serving.stages import (
     MemoryPressureStage,
 )
 from repro.sim.engine import SimEngine
-from repro.workload.request import RequestState
 
 # Sample-count bound of the (t, queued, running) timeline: at the cap
 # the samples are decimated 2:1 and the sampling stride doubles.
@@ -209,33 +208,6 @@ class ServingSystem:
             self.decode_stream.run_decode(batch, overhead)
             return
         self._sample_timeline()
-
-    # --- cancellation ----------------------------------------------------------
-    def cancel(self, req_id: int) -> bool:
-        """Abort a live request (client disconnect).
-
-        Frees its GPU/CPU memory and removes it from whichever queue it
-        occupies.  Tokens already generated stay in the metrics (they
-        were streamed).  Returns False if the request is unknown or
-        already terminal — cancelling twice is harmless.
-        """
-        if req_id not in self.tracker:
-            return False
-        request = self.tracker.get(req_id).request
-        if request.state in (RequestState.FINISHED, RequestState.CANCELLED):
-            return False
-        for queue in (self.waiting, self.prefill_queue, self.running,
-                      self.preempted, self.loading):
-            if request in queue:
-                queue.remove(request)
-        if self.tracer is not None:
-            self.tracer.record(self.engine.now(), "request", "cancel",
-                               req_id=req_id)
-        request.transition(RequestState.CANCELLED)
-        self.kv.release(req_id)
-        self._unfinished -= 1
-        self._kick()
-        return True
 
     # --- glue ------------------------------------------------------------------
     def _sample_timeline(self) -> None:

@@ -376,8 +376,7 @@ class MemoryPressureStage:
 
 
 # Engine-event label prefixes that read differently as a window's cut
-# reason; any other label is reported by its prefix ("arrival",
-# "cancel", ...).
+# reason; any other label is reported by its prefix ("arrival", ...).
 _EVENT_CUTS = {"load-done": "load", "evict-done": "evict"}
 
 
@@ -437,7 +436,7 @@ class DecodeStream:
 
     The decode path has a *fusion plane*: when the batch provably
     cannot change before the next decision horizon — the earliest
-    pending engine event (arrival, cancel, transfer completion), a
+    pending engine event (arrival, transfer completion), a
     scheduler tick the scheduler does not certify idle, the earliest
     request completion, GPU/host capacity exhaustion, or the
     per-iteration write-drain budget — it advances all K iterations
@@ -634,8 +633,8 @@ class DecodeStream:
           memory-blocked FCFS head, which free blocks only shrinking
           keeps blocked for the whole window);
         * every completion instant precedes the earliest pending engine
-          event other than the scheduler tick (arrivals, cancels,
-          transfer completions — the DES decision horizon) and the
+          event other than the scheduler tick (arrivals, transfer
+          completions — the DES decision horizon) and the
           engine's ``run_until`` bound; an arrival scheduled after
           planning ends the window early (:meth:`cut_window`);
         * scheduler ticks land where the event chain would apply them:
@@ -812,20 +811,6 @@ class DecodeStream:
         system = self.system
         now = self.engine.now()
         self.window = self.window_event = None
-        req_ids = result.req_ids
-        running = RequestState.RUNNING
-        for request in batch:
-            if request.state is not running:
-                # A batch member left RUNNING while this event was
-                # pending: a cancel event during an unfused iteration,
-                # or, inside a fused window (silent by construction),
-                # an external call between stepped run() invocations
-                # such as the public ServingSystem.cancel().  Its KV
-                # record is already released and it must not receive
-                # tokens: the window applies to the survivors only.
-                batch = [r for r in batch if r.state is running]
-                req_ids = tuple([r.req_id for r in batch])
-                break
         k = window.k
         if k == 1:
             self.executor.commit(result)
@@ -833,9 +818,8 @@ class DecodeStream:
         else:
             self.complete_fused(result, window)
             times = window.times
-        self.kv.fused_decode_advance(req_ids, k, window.drain_starts)
-        if batch:
-            self.emit_tokens(batch, times)
+        self.kv.fused_decode_advance(result.req_ids, k, window.drain_starts)
+        self.emit_tokens(batch, times)
         system._sample_timeline()
         system._busy = False
         self.inflight = None

@@ -7,7 +7,7 @@ with burst episodes, and a production-trace synthesizer matching the
 shape of the paper's Figure 11.  Every pattern has a streaming
 spelling (``*_arrival_stream`` / :meth:`WorkloadBuilder.stream`) that
 yields the identical sequence lazily — the entry point of the
-streaming workload plane (see :mod:`repro.workload.stream`).
+streaming workload plane (ARCHITECTURE.md, "Streaming plane").
 """
 
 from repro.workload.request import Request, RequestState
@@ -19,12 +19,10 @@ from repro.workload.arrivals import (
     gamma_arrivals,
     poisson_arrival_stream,
     poisson_arrivals,
-    staggered_burst_arrivals,
 )
 from repro.workload.burstgpt import BurstGPTTraceGenerator
 from repro.workload.production import ProductionTraceGenerator
 from repro.workload.builder import WorkloadBuilder, WorkloadSpec
-from repro.workload.stream import materialize, ordered, stream_workload
 
 __all__ = [
     "Request",
@@ -38,12 +36,8 @@ __all__ = [
     "poisson_arrival_stream",
     "gamma_arrivals",
     "gamma_arrival_stream",
-    "staggered_burst_arrivals",
     "BurstGPTTraceGenerator",
     "ProductionTraceGenerator",
     "WorkloadBuilder",
     "WorkloadSpec",
-    "materialize",
-    "ordered",
-    "stream_workload",
 ]

@@ -4,8 +4,7 @@ Each process exists in two spellings that produce the *same* timestamp
 sequence from the same RNG:
 
 * ``*_arrivals`` — the list factories: sorted arrival timestamps as an
-  array (thin :func:`materialize <repro.workload.stream.materialize>`
-  wrappers over the streams below).
+  array (thin wrappers that drain the streams below).
 * ``*_arrival_stream`` — lazy generators yielding one timestamp at a
   time, the workload plane's O(active)-memory entry point.  Gap draws
   happen in bounded chunks (``_GAP_CHUNK``), so a rate×duration product
@@ -150,23 +149,3 @@ def gamma_arrival_stream(
         t += rng.gamma(shape, scale)
         if t < end:
             yield t
-
-
-def staggered_burst_arrivals(
-    burst_size: int,
-    n_bursts: int,
-    interval: float,
-    rng: np.random.Generator,
-    spread: float = 0.5,
-    start: float = 0.0,
-) -> np.ndarray:
-    """Repeated flash crowds: ``n_bursts`` bursts spaced ``interval`` apart."""
-    if n_bursts <= 0:
-        raise ValueError(f"n_bursts must be positive, got {n_bursts}")
-    if interval <= 0:
-        raise ValueError(f"interval must be positive, got {interval}")
-    chunks = [
-        burst_arrivals(burst_size, start=start + k * interval, spread=spread, rng=rng)
-        for k in range(n_bursts)
-    ]
-    return np.sort(np.concatenate(chunks))

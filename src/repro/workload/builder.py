@@ -8,8 +8,7 @@ same workload regardless of which experiment consumes it.
 Two spellings share one sampling path: :meth:`WorkloadBuilder.stream`
 yields requests lazily in arrival order (the streaming workload
 plane's entry point — O(1) memory however many requests the spec
-describes), and :meth:`WorkloadBuilder.build` is its
-:func:`~repro.workload.stream.materialize` wrapper returning the
+describes), and :meth:`WorkloadBuilder.build` drains it into the
 classic list.  Both produce identical requests: every sampler owns an
 independent named RNG stream, so per-request interleaving of the
 draws equals the historical batch order.

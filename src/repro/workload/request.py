@@ -29,28 +29,16 @@ class RequestState(enum.Enum):
     PREEMPTED = "preempted"    # KV offloaded (or dropped), not decoding
     LOADING = "loading"        # KV transfer from CPU in flight
     FINISHED = "finished"      # all output tokens generated
-    CANCELLED = "cancelled"    # client disconnected / aborted
 
 
-# Legal state transitions; see the module docstring diagram.  A live
-# request can be cancelled from any non-terminal state (client
-# disconnects happen whenever).
+# Legal state transitions; see the module docstring diagram.
 _ALLOWED_TRANSITIONS: dict[RequestState, frozenset[RequestState]] = {
-    RequestState.QUEUED: frozenset({RequestState.PREFILLING, RequestState.CANCELLED}),
-    RequestState.PREFILLING: frozenset(
-        {RequestState.RUNNING, RequestState.QUEUED, RequestState.CANCELLED}
-    ),
-    RequestState.RUNNING: frozenset(
-        {RequestState.PREEMPTED, RequestState.FINISHED, RequestState.CANCELLED}
-    ),
-    RequestState.PREEMPTED: frozenset(
-        {RequestState.LOADING, RequestState.PREFILLING, RequestState.CANCELLED}
-    ),
-    RequestState.LOADING: frozenset(
-        {RequestState.RUNNING, RequestState.PREEMPTED, RequestState.CANCELLED}
-    ),
+    RequestState.QUEUED: frozenset({RequestState.PREFILLING}),
+    RequestState.PREFILLING: frozenset({RequestState.RUNNING, RequestState.QUEUED}),
+    RequestState.RUNNING: frozenset({RequestState.PREEMPTED, RequestState.FINISHED}),
+    RequestState.PREEMPTED: frozenset({RequestState.LOADING, RequestState.PREFILLING}),
+    RequestState.LOADING: frozenset({RequestState.RUNNING, RequestState.PREEMPTED}),
     RequestState.FINISHED: frozenset(),
-    RequestState.CANCELLED: frozenset(),
 }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 from pathlib import Path
@@ -77,6 +78,16 @@ def events_processed(target) -> int:
     if isinstance(target, ServingSystem):
         return target.engine.events_processed
     return sum(target.shard_events)
+
+
+def occupancy_at_generation(buffer) -> list:
+    """B_{i,j} of a trace-on buffer, token by token: the tokens
+    delivered and not yet consumed at each token's generation instant
+    (consumption times are non-decreasing, so a bisection counts the
+    consumed ones)."""
+    consumed = buffer.consumption_times
+    return [j + 1 - bisect.bisect_right(consumed, g, 0, j + 1)
+            for j, g in enumerate(buffer.generation_times)]
 
 
 def identity_stripped(spec):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.stats import Summary, percentile, summarize
-from repro.analysis.tables import format_number, render_series, render_table
+from repro.analysis.tables import format_number, render_table
 
 
 class TestStats:
@@ -66,11 +66,3 @@ class TestTables:
     def test_row_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             render_table(["a", "b"], [[1]])
-
-    def test_render_series(self):
-        series = render_series("s", [1, 2], [10, 20], x_label="t", y_label="v")
-        assert "t" in series and "v" in series and "20" in series
-
-    def test_series_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            render_series("s", [1], [1, 2])

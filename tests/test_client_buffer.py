@@ -3,6 +3,7 @@
 import pytest
 
 from repro.client.buffer import ClientBuffer
+from tests.conftest import occupancy_at_generation
 
 
 class TestDelivery:
@@ -57,8 +58,10 @@ class TestOccupancy:
         for idx in range(5):
             buffer.deliver(0.1 * idx)
         # Token j's occupancy counts itself minus what's been consumed:
-        # the first token is consumed the instant it arrives.
-        assert buffer.occupancy_at_generation == [0, 1, 2, 3, 4]
+        # the first token is consumed the instant it arrives, so the
+        # five tokens see B = 0, 1, 2, 3, 4, one token each.
+        assert occupancy_at_generation(buffer) == [0, 1, 2, 3, 4]
+        assert list(buffer.occupancy_counts) == [1, 1, 1, 1, 1]
 
     def test_backwards_query_raises(self):
         # The cursor only moves forwards: a query earlier than the last

@@ -7,7 +7,6 @@ from repro.client.rates import (
     LANGUAGES,
     LISTENING_RATES,
     READING_RATES,
-    listening_rate,
     rate_table_rows,
     reading_rate,
 )
@@ -43,9 +42,6 @@ class TestTables:
 class TestLookup:
     def test_reading_rate(self):
         assert reading_rate("english", "18-25") == READING_RATES["english"]["18-25"]
-
-    def test_listening_rate(self):
-        assert listening_rate("chinese", "60+") == LISTENING_RATES["chinese"]["60+"]
 
     def test_case_insensitive_language(self):
         assert reading_rate("English", "18-25") == reading_rate("english", "18-25")

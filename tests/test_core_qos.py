@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.qos import (
-    QoSParams,
+from repro.core.qos import QoSParams, effective_token_weight
+from tests.qos_reference import (
     effective_token_count,
-    effective_token_weight,
     qos_score,
     request_qos_terms,
     token_utility,

@@ -14,6 +14,7 @@ from repro.core.scheduler import TokenFlowParams, TokenFlowScheduler
 from repro.core.working_set import WorkingSetParams
 from repro.gpu.hardware import get_hardware
 from repro.serving.config import ServingConfig
+from repro.serving.interface import SchedulerDecision
 from repro.serving.server import ServingSystem
 from repro.workload.request import Request, RequestState
 
@@ -46,6 +47,30 @@ class TestAdmissionLimits:
             system.kv.blocks_for_tokens(r.prompt_len) for r in decision.admit
         )
         assert needed <= system.kv.gpu_pool.capacity * 0.5 + 1
+
+    def test_no_safe_victim_stops_admission_when_memory_is_short(self):
+        # Two running requests read faster than they decode, so their
+        # buffers are empty and neither is a safe victim; a waiting
+        # prompt larger than the whole pool needs memory that only a
+        # preemption could free.  The working set has room, so only
+        # the missing safe victim can stop the admission.
+        system = make_system(mem_frac=0.003)
+        system.submit(burst(2, output=4000, rate=500.0))
+        system.run(until=1.0)
+        scheduler, kv = system.scheduler, system.kv
+        huge = kv.gpu_pool.capacity * kv.gpu_pool.block_size
+        system.waiting.append(Request(req_id=99, arrival_time=1.0,
+                                      prompt_len=huge, output_len=16,
+                                      rate=10.0))
+        view = system.view()
+        policy = scheduler._policy(view)
+        assert len(view.running) == 2
+        assert scheduler._working_set_size(view) < policy.w_scheduled(2)
+        assert kv.blocks_for_tokens(huge) > kv.gpu_free_blocks()
+        assert not scheduler._exists_safe_victim(view, policy)
+        decision = SchedulerDecision()
+        scheduler._admit_into_working_set(view, policy, decision)
+        assert decision.admit == []
 
     def test_working_set_limit_caps_admission(self):
         params = TokenFlowParams(
@@ -120,6 +145,37 @@ class TestResumeModeChoice:
         stats = system.offload.stats
         # Loads should be rare-to-absent; recompute dominates.
         assert stats["recomputes"] >= stats["loads"]
+
+    def test_h2d_backlog_sends_a_loadable_resume_to_recompute(self):
+        # §4.2.3 I/O awareness: a resume that would load (host copy,
+        # room on the GPU, t_io <= t_rec) recomputes instead once the
+        # h2d link is backed up past one tick interval.  The interval
+        # is short, so the backlog keeps t_io below t_rec and only the
+        # h2d check decides.
+        params = TokenFlowParams(tick_interval=0.01)
+        system = make_system(params, mem_frac=0.05)
+        system.submit(burst(2, prompt=2048, output=4000))
+        system.run(until=1.0)
+        victim = system.running[0]
+        system.offload.preempt(victim)
+        scheduler, kv = system.scheduler, system.kv
+        view = system.view()
+        assert victim.state is RequestState.PREEMPTED
+        assert kv.can_resume_load(victim.req_id)
+
+        idle = SchedulerDecision()
+        scheduler._assign_resume_modes(view, [victim], idle)
+        assert idle.resume_load == [victim] and not idle.resume_recompute
+
+        h2d = kv.link.h2d
+        h2d.occupy(2 * params.tick_interval * h2d.bandwidth, view.now)
+        assert h2d.queueing_delay(view.now) > params.tick_interval
+        t_io = kv.estimate_io_time(victim.context_len, 0, view.now)
+        assert t_io <= scheduler.prefill_cost.estimate_recompute(victim.context_len)
+        backed_up = SchedulerDecision()
+        scheduler._assign_resume_modes(view, [victim], backed_up)
+        assert backed_up.resume_recompute == [victim]
+        assert not backed_up.resume_load
 
     def test_fast_link_prefers_loads(self):
         system = make_system(max_batch=4)

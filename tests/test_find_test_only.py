@@ -76,3 +76,33 @@ def test_scan_reports_unread_code_to_a_fixed_point(finder, tmp_path):
         "mod:Widget.log": "state",
         "mod:Record.mark": "state",
     }
+
+
+def test_package_reexport_is_not_a_use(finder, tmp_path):
+    # A name that only its package's __init__.py re-exports, and only a
+    # test imports, is test-only; a name a reader imports is used.
+    _write(tmp_path, "src/repro/pkg/__init__.py", """
+        from repro.pkg.mod import only_reexported, used
+
+        __all__ = ["only_reexported", "used"]
+        """)
+    _write(tmp_path, "src/repro/pkg/mod.py", """
+        def only_reexported():
+            return 1
+
+
+        def used():
+            return 2
+        """)
+    _write(tmp_path, "scripts/run.py", """
+        from repro.pkg import used
+
+        used()
+        """)
+    _write(tmp_path, "tests/test_pkg.py", """
+        from repro.pkg import only_reexported
+
+        assert only_reexported() == 1
+        """)
+    found = {entry.key: entry.kind for entry in finder.scan(tmp_path)}
+    assert found == {"pkg.mod:only_reexported": "definition"}

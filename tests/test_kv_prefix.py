@@ -340,6 +340,21 @@ def test_end_of_run_kv_conservation(name):
     _check_end_of_run(run.target)
 
 
+def test_end_of_run_tracker_empty_under_retirement():
+    """A streamed run with streaming telemetry retires every request
+    the moment it finishes: the tracker ends empty, and the retired
+    count is the number of requests the stream fed."""
+    spec = get_scenario("soak-steady", scale=_PARITY_SCALES["soak-steady"])
+    assert not spec.retain_per_request
+    submitted = sum(1 for _ in spec.build_workload_stream())
+    run = build_run(spec)
+    report = run.execute()
+    assert submitted > 0
+    assert len(run.target.tracker) == 0
+    assert report.stream_stats.n_requests == submitted == report.n_finished
+    _check_end_of_run(run.target)
+
+
 def _check_end_of_run(system):
     kv = system.kv
     assert not kv._records
@@ -364,12 +379,15 @@ def _cluster_scenarios():
             if get_scenario(name).replicas > 1]
 
 
-@pytest.mark.parametrize("router", ["round_robin", "least_queued"])
+@pytest.mark.parametrize("router", ["round_robin", "least_queued",
+                                    "least_loaded", "session_affinity",
+                                    "buffer_aware"])
 @pytest.mark.parametrize("name", _cluster_scenarios())
 def test_end_of_run_kv_conservation_on_clusters(name, router, monkeypatch):
     """The single-node end-of-run checks hold on every replica of the
-    cluster scenarios, under the routers whose dispatches cut fused
-    windows where they land (two inline shards)."""
+    cluster scenarios (two inline shards), under the routers whose
+    dispatches cut fused windows where they land (``round_robin``,
+    ``least_queued``) and under those that keep the dispatch ladder."""
     hosts = []
     init = shard.ShardHost.__init__
 

@@ -6,6 +6,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.client.buffer import ClientBuffer
+from tests.conftest import occupancy_at_generation
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)
 
@@ -66,8 +67,13 @@ class TestConsumptionProperties:
     @settings(max_examples=200, deadline=None)
     def test_occupancy_at_generation_bounds(self, rate, gap_list):
         buffer, _ = deliver_all(rate, gap_list)
-        for idx, occupancy in enumerate(buffer.occupancy_at_generation):
+        occupancies = occupancy_at_generation(buffer)
+        for idx, occupancy in enumerate(occupancies):
             assert 0 <= occupancy <= idx + 1
+        tally = [0] * (max(occupancies) + 1)
+        for occupancy in occupancies:
+            tally[occupancy] += 1
+        assert list(buffer.occupancy_counts) == tally
 
     @given(rate=rates, gap_list=gaps)
     @settings(max_examples=100, deadline=None)

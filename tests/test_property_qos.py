@@ -5,12 +5,8 @@ import pytest
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.core.qos import (
-    QoSParams,
-    effective_token_weight,
-    request_qos_terms,
-    token_utility,
-)
+from repro.core.qos import QoSParams, effective_token_weight
+from tests.qos_reference import request_qos_terms, token_utility
 from repro.core.utility import UtilityParams, request_priority, stall_risk
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)

@@ -6,12 +6,7 @@ import pytest
 
 from repro.baselines import SGLangScheduler
 from repro.serving.config import ServingConfig
-from repro.serving.export import (
-    load_report_json,
-    report_to_dict,
-    save_report_json,
-    save_token_trace_jsonl,
-)
+from repro.serving.metrics import report_to_dict
 from repro.serving.server import ServingSystem
 from repro.workload.request import Request
 
@@ -19,8 +14,7 @@ from repro.workload.request import Request
 @pytest.fixture(scope="module")
 def finished_system():
     config = ServingConfig(hardware="h200", model="llama3-8b",
-                           mem_frac=0.02, max_batch=4,
-                           record_token_traces=True)
+                           mem_frac=0.02, max_batch=4)
     system = ServingSystem(config, SGLangScheduler())
     system.submit([
         Request(req_id=i, arrival_time=0.0, prompt_len=64,
@@ -38,6 +32,7 @@ class TestReportDict:
         decoded = json.loads(encoded)
         assert decoded["n_finished"] == 3
         assert decoded["system"] == "sglang"
+        assert decoded["total_tokens"] == 48
         assert len(decoded["per_request"]) == 3
 
     def test_requests_optional(self, finished_system):
@@ -47,22 +42,3 @@ class TestReportDict:
     def test_nested_stats_jsonable(self, finished_system):
         payload = report_to_dict(finished_system.report())
         assert isinstance(payload["kv_stats"]["pcie_utilisation"], dict)
-
-
-class TestFiles:
-    def test_save_and_load_report(self, finished_system, tmp_path):
-        target = tmp_path / "out" / "report.json"
-        saved = save_report_json(finished_system.report(), target)
-        assert saved.exists()
-        loaded = load_report_json(saved)
-        assert loaded["total_tokens"] == 48
-
-    def test_token_trace_jsonl(self, finished_system, tmp_path):
-        target = tmp_path / "trace.jsonl"
-        save_token_trace_jsonl(finished_system.tracker, target)
-        lines = target.read_text().strip().split("\n")
-        assert len(lines) == 3
-        record = json.loads(lines[0])
-        assert len(record["generation_times"]) == 16
-        assert len(record["consumption_times"]) == 16
-        assert record["stall_time"] >= 0.0

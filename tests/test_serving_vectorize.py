@@ -26,7 +26,7 @@ from repro.scenarios import build_run, get_scenario
 from repro.serving import batchstate
 from repro.serving.batchstate import deliver_batch
 from repro.workload.request import Request
-from tests.conftest import assert_matches_scalar_reference
+from tests.conftest import assert_matches_scalar_reference, occupancy_at_generation
 
 # One cell per workload family, scaled for the fast lane: Table 1
 # burst cells on both hardware targets, a multi-replica cluster
@@ -141,8 +141,8 @@ class TestDeliverBatchEdges:
         traced_v, traced_s = tracker_v.get(1).buffer, tracker_s.get(1).buffer
         assert traced_v.generation_times == traced_s.generation_times
         assert traced_v.consumption_times == traced_s.consumption_times
-        assert (traced_v.occupancy_at_generation
-                == traced_s.occupancy_at_generation)
+        assert (list(traced_v.occupancy_counts)
+                == list(traced_s.occupancy_counts))
 
     @pytest.mark.parametrize("warm", [True, False])
     def test_delivery_walks_the_query_guard(self, warm):
@@ -549,7 +549,7 @@ def test_occupancy_counts_match_reference_tally(rates, steps):
         for request in requests:
             tracker.get(request.req_id).buffer.consumed_count(t)
     for request, reference in zip(requests, references):
-        occupancies = reference.occupancy_at_generation
+        occupancies = occupancy_at_generation(reference)
         tally = [0] * (max(occupancies) + 1)
         for occ in occupancies:
             tally[occ] += 1

@@ -86,17 +86,6 @@ class TestServingIntegration:
         assert counts.get(("executor", "prefill_start"), 0) >= 1
         assert counts.get(("executor", "decode_start"), 0) >= 1
 
-    def test_cancel_traced(self):
-        tracer = TraceRecorder(categories=["request"])
-        config = ServingConfig(hardware="h200", model="llama3-8b",
-                               mem_frac=0.02, max_batch=4)
-        system = ServingSystem(config, SGLangScheduler(), tracer=tracer)
-        system.submit([Request(req_id=0, arrival_time=0.0, prompt_len=64,
-                               output_len=2000, rate=10.0)])
-        system.engine.call_at(1.0, lambda: system.cancel(0))
-        system.run(until=100.0)
-        assert tracer.counts().get(("request", "cancel")) == 1
-
     def test_idle_ticks_record_no_tick_cut(self):
         # Every decode_start names what cut its window.  With nothing
         # waiting and nothing preempted every tick is idle, so windows

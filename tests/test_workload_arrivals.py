@@ -7,7 +7,6 @@ from repro.workload.arrivals import (
     burst_arrivals,
     gamma_arrivals,
     poisson_arrivals,
-    staggered_burst_arrivals,
 )
 
 
@@ -90,26 +89,3 @@ class TestGamma:
         rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             gamma_arrivals(0.0, 1.0, 10.0, rng)
-
-
-class TestStaggered:
-    def test_burst_count(self):
-        rng = np.random.default_rng(8)
-        times = staggered_burst_arrivals(10, n_bursts=3, interval=60.0, rng=rng)
-        assert len(times) == 30
-
-    def test_bursts_cluster_around_epochs(self):
-        rng = np.random.default_rng(9)
-        times = staggered_burst_arrivals(20, n_bursts=2, interval=100.0,
-                                         rng=rng, spread=0.5)
-        first = times[times < 50]
-        second = times[times >= 50]
-        assert len(first) == 20 and len(second) == 20
-        assert second.min() >= 100.0
-
-    def test_invalid_params(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            staggered_burst_arrivals(10, 0, 60.0, rng)
-        with pytest.raises(ValueError):
-            staggered_burst_arrivals(10, 2, 0.0, rng)

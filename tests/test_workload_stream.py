@@ -26,8 +26,6 @@ from repro.workload.arrivals import (
 from repro.workload.builder import RateMixture, WorkloadBuilder, WorkloadSpec
 from repro.workload.lengths import NormalLengthSampler
 from repro.workload.production import ProductionTraceGenerator
-from repro.workload.request import Request
-from repro.workload.stream import materialize, ordered, stream_workload
 
 
 def rng(seed=0):
@@ -110,19 +108,4 @@ class TestBuilderStreamParity:
 
     def test_stream_workload_helper(self):
         spec = WorkloadSpec(arrival="burst", n_requests=8, burst_spread=0.0)
-        assert len(materialize(stream_workload(spec, RngStreams(0)))) == 8
-
-
-class TestOrderedGuard:
-    def test_passes_ordered_streams(self):
-        reqs = [Request(req_id=i, arrival_time=float(i), prompt_len=8,
-                        output_len=8, rate=10.0) for i in range(5)]
-        assert list(ordered(iter(reqs))) == reqs
-
-    def test_rejects_out_of_order(self):
-        reqs = [
-            Request(req_id=0, arrival_time=5.0, prompt_len=8, output_len=8, rate=10.0),
-            Request(req_id=1, arrival_time=1.0, prompt_len=8, output_len=8, rate=10.0),
-        ]
-        with pytest.raises(ValueError, match="out of order"):
-            list(ordered(iter(reqs)))
+        assert len(list(WorkloadBuilder(spec, RngStreams(0)).stream())) == 8
