@@ -32,7 +32,7 @@ from __future__ import annotations
 from benchmarks.conftest import committed_artifact, emit, write_fresh_artifact
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import get_scenario
-from tests.conftest import identity_stripped
+from tests.oracle import identity_stripped
 
 SCALE = 0.5
 SEED = 0

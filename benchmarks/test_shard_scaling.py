@@ -55,7 +55,7 @@ from repro.orchestration.pool import get_pool
 from repro.scenarios.build import build_run
 from repro.scenarios.registry import CLUSTER_SOAK_REPLICAS, get_scenario
 
-from tests.test_serving_sharding import deep_fp, frozen_registry
+from tests.oracle import deep_fp, frozen_registry
 
 SCENARIO = "cluster-soak-64x"
 SCALE = 0.25

@@ -14,11 +14,11 @@
 #                          (scripts/find_test_only.py, under a
 #                          second), then everything not marked `slow`
 #                          (unit/integration/scenario/orchestration
-#                          tests, including the fused-vs-per-iteration
-#                          decode parity checks in
-#                          tests/test_serving_fusion.py and the
-#                          frozen scalar-reference checks in
-#                          tests/test_serving_vectorize.py), plus
+#                          tests, including the fast subset of the
+#                          equivalence oracle's knob rows
+#                          (tests/oracle.py), with the frozen
+#                          scalar-reference and cluster-digest
+#                          checks), plus
 #                          2-worker `repro matrix` smoke cells, with
 #                          and without a deadline, one untimed
 #                          pass of scripts/decode_kernel_grid.py,
@@ -66,7 +66,7 @@ if [[ "$FAST" -eq 1 ]]; then
   echo "== fast lane: test-only code scan =="
   python3 scripts/find_test_only.py || rc=$?
   if [[ "$rc" -eq 0 ]]; then
-    echo "== fast lane: pytest -m 'not slow' (incl. fusion + scalar-reference parity) =="
+    echo "== fast lane: pytest -m 'not slow' (incl. the equivalence oracle's fast subset) =="
     python -m pytest -x -q -m "not slow" || rc=$?
   fi
   if [[ "$rc" -eq 0 ]]; then
@@ -140,13 +140,13 @@ if [[ "$FAST" -eq 1 ]]; then
 else
   echo "== tier-1: full suite (tests/ + benchmarks/, incl. perf smoke) =="
   python -m pytest -x -q || rc=$?
-  # Report digests: the only bit-exact check on the decode paths and
-  # the window planner (the frozen scalar reference compares to rel
-  # 1e-9).  burst-preempt windows mostly take the array kernel,
-  # prefix-reuse windows the reference recurrence; steady-stream and
-  # cluster-stateful run the same windows through a lazy stream and
-  # a sharded cluster's horizons.  perfbench exits non-zero on any
-  # digest mismatch.
+  # Report digests: the only bit-exact check of the decode paths and
+  # the window planner against frozen data (the frozen scalar
+  # reference compares to rel 1e-9).  burst-preempt windows mostly
+  # take the array kernel, prefix-reuse windows the reference
+  # recurrence; steady-stream and cluster-stateful run the same
+  # windows through a lazy stream and a sharded cluster's horizons.
+  # perfbench exits non-zero on any digest mismatch.
   for workload in burst-preempt prefix-reuse steady-stream cluster-stateful; do
     if [[ "$rc" -eq 0 ]]; then
       echo "== tier-1: perfbench $workload report digests =="

@@ -7,13 +7,14 @@ the ``HierarchicalKVManager`` API, the identity plumbing on
 two whole-run contracts:
 
 * **naive parity** — "naive" is the same workload with every sharing
-  identity stripped, i.e. plain per-request block counts.  Sharing
-  changes block demand (``kv_stats``) and nothing else a report shows;
-  identity-free scenarios match in ``kv_stats`` too.  The
-  full-registry sweep is slow-marked; a subset runs in the fast lane.
-* **conservation** — after every single-node registry run the manager
-  holds no records, the host pool is empty, and every GPU block still
-  in use is a cached (refs-0) prefix block.
+  identity stripped, i.e. plain per-request block counts: the oracle's
+  ``identities`` row (``tests/oracle.py``).  Sharing changes block
+  demand (``kv_stats``) and nothing else a run shows; identity-free
+  scenarios match in ``kv_stats`` too.  The full-registry sweep is
+  slow-marked; a subset runs in the fast lane.
+* **conservation** — after every registry run the manager holds no
+  records, the host pool is empty, every GPU block in use is a cached
+  (refs-0) prefix block, and every request delivered all it generated.
 """
 
 import pytest
@@ -22,11 +23,9 @@ from repro.memory.blocktable import PREFIX_STAT_KEYS, SHARED_OWNER
 from repro.memory.kv_manager import HierarchicalKVManager, KVManagerConfig
 from repro.scenarios import build_run, get_scenario
 from repro.scenarios.registry import scenario_names
-from repro.serving import shard
-from repro.serving.metrics import report_fingerprint
 from repro.sim.engine import SimEngine
 from repro.workload.request import Request, clone_requests
-from tests.conftest import identity_stripped
+from tests.oracle import PLAIN, SMALL, Cell, check, outcome, values
 
 
 def make_kv(capacity=64, **cfg):
@@ -210,80 +209,45 @@ class TestRefcountEviction:
 
 class TestScenarioCounters:
     def test_prefix_heavy_agents_reports_savings(self):
-        report = build_run(get_scenario("prefix-heavy-agents", scale=0.25)).execute()
-        stats = report.kv_stats
-        assert stats["prefix_hits"] > 0
-        saved = stats["prefix_blocks_saved"]
-        ratio = saved / (saved + stats["gpu_blocks_allocated"])
+        stats = outcome(Cell("prefix-heavy-agents", 0.25)).state
+        assert stats["kv.prefix_hits"] > 0
+        saved = stats["kv.prefix_blocks_saved"]
+        ratio = saved / (saved + stats["kv.gpu_blocks_allocated"])
         assert ratio >= 0.30, f"GPU-block savings {ratio:.1%} below 30%"
 
     def test_rag_replay_exercises_cow_forks(self):
-        report = build_run(get_scenario("rag-replay", scale=0.25)).execute()
-        assert report.kv_stats["cow_forks"] > 0
-        assert report.kv_stats["prefix_hits"] > 0
+        stats = outcome(Cell("rag-replay", 0.25)).state
+        assert stats["kv.cow_forks"] > 0
+        assert stats["kv.prefix_hits"] > 0
 
     def test_prefix_cow_allocates_fewer_blocks(self):
         # Peak pool *residency* can be higher with sharing (warm cached
         # blocks stay pool-owned until reclaimed), so the savings claim
         # is about fresh allocations, not peak.
-        spec = get_scenario("prefix-heavy-agents", scale=0.25)
-        prefix = build_run(spec).execute().kv_stats
-        naive = build_run(identity_stripped(spec)).execute().kv_stats
-        assert naive["prefix_lookups"] == 0
-        assert prefix["gpu_blocks_allocated"] < naive["gpu_blocks_allocated"]
+        cell = Cell("prefix-heavy-agents", 0.25)
+        prefix = outcome(cell).state
+        naive = outcome(cell, PLAIN.but(stripped=True)).state
+        assert naive["kv.prefix_lookups"] == 0
+        assert prefix["kv.gpu_blocks_allocated"] < naive["kv.gpu_blocks_allocated"]
 
 
 # --- naive parity ----------------------------------------------------------------
 
-def _execute(spec):
-    """(fingerprint, per-instance kv_stats) of one run of ``spec``."""
-    report = build_run(spec).execute()
-    if spec.replicas > 1:
-        return (report_fingerprint(report.aggregate),
-                [node.kv_stats for node in report.per_instance])
-    return report_fingerprint(report), [report.kv_stats]
-
-
-def _naive_parity(spec):
-    """Assert the identity-stripped rerun matches ``spec``'s run in
-    everything but ``kv_stats`` (and in those too without identities);
-    return the default run's kv_stats."""
-    if spec.router == "session_affinity":
-        # That router places by session id, which stripping clears.
-        spec = spec.with_overrides(router="least_loaded")
-    fingerprint, kv_stats = _execute(spec)
-    naive_fingerprint, naive_kv_stats = _execute(identity_stripped(spec))
-    assert fingerprint == naive_fingerprint
-    if all(stats["prefix_lookups"] == 0 for stats in kv_stats):
-        assert kv_stats == naive_kv_stats
-    return kv_stats
-
-
-PARITY_CELLS_FAST = [
+@pytest.mark.parametrize("name,scale", [
     ("table1-h200-a", 0.10),
     ("tab02-tokenflow", 0.10),
     ("cluster-burst-4x", 0.25),
-]
-
-_PARITY_SCALES = {
-    "soak-steady": 0.002,
-    "soak-diurnal": 0.002,
-    "cluster-soak-64x": 0.02,
-    "bursty-sessions": 0.25,
-    "cluster-burst-4x": 0.25,
-    "prefix-heavy-agents": 0.25,
-    "rag-replay": 0.25,
-}
-
-
-@pytest.mark.parametrize("name,scale", PARITY_CELLS_FAST)
+])
 def test_naive_override_is_default(name, scale):
     """Identity-free scenarios already allocate naively: stripping
     identities reproduces the run, kv_stats included, and every
     prefix counter is present and zero."""
-    for stats in _naive_parity(get_scenario(name, scale=scale)):
-        assert all(stats[key] == 0 for key in PREFIX_STAT_KEYS)
-        assert stats["gpu_blocks_allocated"] > 0
+    check("identities", Cell(name, scale))
+    state = outcome(Cell(name, scale)).state
+    blocks = values(state, "kv.gpu_blocks_allocated")
+    assert blocks and all(n > 0 for n in blocks)
+    for key in PREFIX_STAT_KEYS:
+        assert values(state, "kv." + key) == [0] * len(blocks), key
 
 
 @pytest.mark.parametrize("name,scale", [("table1-h200-a", 0.10),
@@ -304,19 +268,21 @@ def test_identity_free_write_back_is_unclamped():
     free to their private blocks; identity-free requests keep the
     count-only arithmetic.  The pinned counters were recorded after a
     preempt stopped freeing blocks an in-flight eviction still owns."""
-    spec = get_scenario("tab02-tokenflow-no-writethrough", scale=0.25)
-    stats = build_run(spec).execute().kv_stats
-    assert stats["evictions"] == 669
-    assert stats["loads"] == 511
-    assert stats["gpu_blocks_allocated"] == 76947
+    stats = outcome(Cell("tab02-tokenflow-no-writethrough", 0.25)).state
+    assert stats["kv.evictions"] == 669
+    assert stats["kv.loads"] == 511
+    assert stats["kv.gpu_blocks_allocated"] == 76947
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("name", scenario_names())
 def test_registry_wide_naive_parity(name):
-    """Every registry scenario: block sharing changes nothing a report
-    shows except kv_stats."""
-    _naive_parity(get_scenario(name, scale=_PARITY_SCALES.get(name, 0.10)))
+    """Every registry scenario: block sharing changes nothing a run
+    shows except kv_stats.  session_affinity places by the session id
+    stripping clears, so that router is swapped for least_loaded."""
+    router = "least_loaded" if name == "bursty-sessions" else None
+    check("identities", Cell(name, SMALL.get(name, 0.10),
+                             router=router))
 
 
 # --- end-of-run conservation -------------------------------------------------
@@ -331,47 +297,25 @@ def test_end_of_run_kv_conservation(name):
     """A finished run leaves no records, an empty host pool, and only
     cached (refs-0) prefix blocks on the GPU; every token generated was
     delivered; and the PCIe links were busy exactly as long as the
-    bytes the KV manager counts take at link bandwidth.
+    bytes the KV manager counts take at link bandwidth
+    (``oracle.check_end_of_run``, which every oracle run passes).
 
     Traces are off here, so large decode windows go through the array
     kernel."""
-    run = build_run(get_scenario(name, scale=_PARITY_SCALES.get(name, 0.10)))
-    run.execute()
-    _check_end_of_run(run.target)
+    run = outcome(Cell(name, SMALL.get(name, 0.10)))
+    assert run.conserved == run.state["metrics.n_requests"] > 0
 
 
 def test_end_of_run_tracker_empty_under_retirement():
     """A streamed run with streaming telemetry retires every request
     the moment it finishes: the tracker ends empty, and the retired
     count is the number of requests the stream fed."""
-    spec = get_scenario("soak-steady", scale=_PARITY_SCALES["soak-steady"])
+    spec = get_scenario("soak-steady", scale=SMALL["soak-steady"])
     assert not spec.retain_per_request
     submitted = sum(1 for _ in spec.build_workload_stream())
-    run = build_run(spec)
-    report = run.execute()
+    run = outcome(Cell("soak-steady", SMALL["soak-steady"]))
     assert submitted > 0
-    assert len(run.target.tracker) == 0
-    assert report.stream_stats.n_requests == submitted == report.n_finished
-    _check_end_of_run(run.target)
-
-
-def _check_end_of_run(system):
-    kv = system.kv
-    assert not kv._records
-    assert kv.cpu_pool.used == 0
-    assert kv.gpu_pool.used == len(kv.prefix.index) == len(kv.prefix.cached)
-    kv.check_invariants()
-
-    for entry in system.tracker.entries():
-        request = entry.request
-        assert request.generated == request.output_len == entry.buffer.delivered, (
-            request.req_id)
-
-    stats, link = kv.stats, kv.link
-    written = stats["write_through_bytes"] + stats["eviction_tail_bytes"]
-    assert link.d2h.busy_time * link.d2h.bandwidth == pytest.approx(written, rel=1e-9)
-    assert link.h2d.busy_time * link.h2d.bandwidth == pytest.approx(
-        stats["load_bytes"], rel=1e-9)
+    assert run.conserved == submitted == run.state["metrics.n_finished"]
 
 
 def _cluster_scenarios():
@@ -383,27 +327,12 @@ def _cluster_scenarios():
                                     "least_loaded", "session_affinity",
                                     "buffer_aware"])
 @pytest.mark.parametrize("name", _cluster_scenarios())
-def test_end_of_run_kv_conservation_on_clusters(name, router, monkeypatch):
+def test_end_of_run_kv_conservation_on_clusters(name, router):
     """The single-node end-of-run checks hold on every replica of the
     cluster scenarios (two inline shards), under the routers whose
     dispatches cut fused windows where they land (``round_robin``,
     ``least_queued``) and under those that keep the dispatch ladder."""
-    hosts = []
-    init = shard.ShardHost.__init__
-
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        hosts.append(self)
-
-    monkeypatch.setattr(shard.ShardHost, "__init__", recording)
-    spec = get_scenario(name, scale=_PARITY_SCALES[name], router=router,
-                        shards=2)
-    run = build_run(spec)
-    run.target.transport = "inline"
-    report = run.execute()
-    assert report.n_finished == report.n_requests > 0
-    instances = [system for host in hosts for system in host.instances]
-    assert len(instances) == spec.replicas
-    assert sum(system.decode_stream.fused_windows for system in instances) > 0
-    for system in instances:
-        _check_end_of_run(system)
+    run = outcome(Cell(name, SMALL[name], 0, router), PLAIN.but(shards=2))
+    fused = values(run.state, "executor.fused_windows")
+    assert run.conserved == run.state["metrics.n_finished"] > 0
+    assert len(fused) == get_scenario(name).replicas and sum(fused) > 0

@@ -23,10 +23,11 @@ from repro.orchestration.report import (
     STATUS_OK,
     STATUS_TIMEOUT,
 )
-from repro.scenarios import build_run, get_scenario, run_matrix as scenarios_run_matrix
+from repro.scenarios import get_scenario, run_matrix as scenarios_run_matrix
 from repro.scenarios.spec import ScenarioSpec
 from repro.serving.metrics import aggregate_reports, report_fingerprint
 from repro.workload.request import Request
+from tests.oracle import Cell, compare, deep_state, outcome
 
 _fingerprint = report_fingerprint
 
@@ -68,17 +69,6 @@ def _scripted_cell(marker_dir, cell):
             marker.touch()
             time_mod.sleep(300)
     return _REAL_EXECUTE_CELL(cell)
-
-
-def _solo_report(cell: MatrixCell):
-    """The exact `repro run` code path for one cell, flattened like the
-    orchestrator flattens cluster reports."""
-    run = build_run(cell.resolve())
-    report = run.execute()
-    if run.is_cluster:
-        report = aggregate_reports(report.per_instance,
-                                   system=cell.resolve().system)
-    return report
 
 
 class TestMatrixSpec:
@@ -146,18 +136,19 @@ class TestMatrixExecution:
     def test_cells_bit_identical_to_solo_runs_across_processes(self):
         # One single-node cell and one cluster cell, two seeds, run on
         # a 2-worker process pool: every per-cell RunReport must equal
-        # the solo `repro run` result bit-for-bit.
+        # the solo `repro run` result bit-for-bit (the oracle's
+        # ``matrix`` row, tests/oracle.py).
         matrix = MatrixSpec(
             scenarios=("table1-h200-a", "cluster-burst-4x"),
             seeds=(0, 1),
             scale=0.05,
         )
-        cells = matrix.expand()
         report = run_matrix(matrix, jobs=2)
         assert report.succeeded and report.jobs == 2
-        for cell, result in zip(cells, report.cells):
+        for cell, result in zip(matrix.expand(), report.cells):
             assert result.status == STATUS_OK
-            assert _fingerprint(result.report) == _fingerprint(_solo_report(cell))
+            solo = outcome(Cell(cell.scenario, cell.scale, cell.seed)).state
+            compare("matrix", solo, deep_state(None, result.report), cell.cell_id)
 
     def test_report_order_is_expansion_order_not_completion_order(self):
         # The first cell takes several times longer than the later

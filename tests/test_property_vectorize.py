@@ -7,13 +7,13 @@ growth and token delivery) on every registry cell below × seeds
 decode path — fused windows delivered through the struct-of-arrays
 batch plane — must reproduce each entry: metrics to rel 1e-9, and for
 single-node cells the executor iteration counts and the timeline
-exactly.  The fast-lane subset is ``test_serving_vectorize.py``.
+exactly.  The oracle checks its per-iteration runs against this file
+(``tests/oracle.py``); these names check the default run.
 """
 
 import pytest
 
-from repro.scenarios import build_run, get_scenario
-from tests.conftest import assert_matches_scalar_reference
+from tests.oracle import Cell, assert_matches_scalar_reference, outcome
 
 pytestmark = pytest.mark.slow  # full tier-1 lane only (see scripts/ci.sh)
 
@@ -32,5 +32,5 @@ REGISTRY_CELLS = [
 @pytest.mark.parametrize("name,scale", REGISTRY_CELLS)
 @pytest.mark.parametrize("seed", [0, 1])
 def test_registry_cell_parity(name, scale, seed):
-    report = build_run(get_scenario(name, scale=scale, seed=seed)).execute()
-    assert_matches_scalar_reference(report, name, scale, seed)
+    assert_matches_scalar_reference(outcome(Cell(name, scale, seed)).state,
+                                    f"{name}@{scale}/seed{seed}")

@@ -1,8 +1,6 @@
 """Tests for the scenario layer: spec, registry, build_run pipeline,
 and router determinism (same spec + seed => identical ClusterReport)."""
 
-import dataclasses
-
 import pytest
 
 from repro.scenarios import (
@@ -18,6 +16,7 @@ from repro.serving.routers import ROUTERS
 from repro.serving.server import ServingSystem
 from repro.serving.shard import ShardedServingCluster
 from repro.workload.request import Request
+from tests.oracle import Cell, check, outcome
 
 
 def tiny_cluster_spec(router, replicas=2, seed=0):
@@ -131,53 +130,23 @@ class TestBuildRun:
             build_run(spec).execute()
 
 
-def _report_fingerprint(report: ClusterReport) -> tuple:
-    """Every aggregate number plus per-request detail, exact."""
-    per_request = tuple(
-        sorted(
-            (m.req_id, m.ttft, m.finish_time, m.generated, m.stall_time,
-             m.effective_tokens, m.preemptions)
-            for instance in report.per_instance
-            for m in instance.per_request
-        )
-    )
-    return (
-        report.n_requests, report.n_finished, report.total_tokens,
-        report.throughput, report.effective_throughput, report.qos,
-        report.ttft_mean, report.ttft_p50, report.ttft_p99,
-        report.stall_total, report.preemptions, per_request,
-    )
-
-
 class TestRouterDeterminism:
-    """Satellite: same ScenarioSpec + seed => identical ClusterReport
-    across repeated runs, for every registered router."""
+    """Same ScenarioSpec + seed => identical ClusterReport across
+    repeated runs, for every registered router: the oracle's ``repeat``
+    row (``tests/oracle.py``)."""
 
     @pytest.mark.parametrize("router", sorted(ROUTERS))
     def test_repeat_runs_identical(self, router):
-        fingerprints = []
-        placements = []
-        for _ in range(2):
-            run = build_run(tiny_cluster_spec(router))
-            report = run.execute()
-            fingerprints.append(_report_fingerprint(report))
-            placements.append(run.target.placement_counts())
-        assert fingerprints[0] == fingerprints[1]
-        assert placements[0] == placements[1]
+        check("repeat", Cell("cluster-burst-4x", 0.1, 0, router, 2))
 
     @pytest.mark.parametrize("router", sorted(ROUTERS))
     def test_session_workload_repeat_runs_identical(self, router):
-        fingerprints = []
-        for _ in range(2):
-            spec = get_scenario("bursty-sessions", scale=0.2, router=router)
-            report = build_run(spec).execute()
-            fingerprints.append(_report_fingerprint(report))
-        assert fingerprints[0] == fingerprints[1]
+        check("repeat", Cell("bursty-sessions", 0.2, 0, router))
 
     def test_seed_changes_workload(self):
-        a = build_run(tiny_cluster_spec("least_loaded", seed=0)).execute()
-        b = build_run(tiny_cluster_spec("least_loaded", seed=1)).execute()
-        assert _report_fingerprint(a) != _report_fingerprint(b)
+        a = outcome(Cell("cluster-burst-4x", 0.1, 0, "least_loaded", 2))
+        b = outcome(Cell("cluster-burst-4x", 0.1, 1, "least_loaded", 2))
+        assert a.state["per_request"] != b.state["per_request"]
 
     def test_router_instance_on_spec_does_not_leak_state(self):
         """A Router *instance* in the spec is copied per run, so its

@@ -1,12 +1,12 @@
 """Macro-step decode fusion: parity and behaviour tests (fast lane).
 
 The fusion plane must be *observationally equivalent* to the
-per-iteration decode path: every RunReport metric equal to rel 1e-9
-(identical in practice — float summation order in a few reporting
-aggregates is the only permitted difference), identical timelines and
-preemption counts, while processing strictly fewer engine events.
-The reference is the ``per_iteration`` fixture, which patches window
-planning off so every decode iteration is its own engine event.
+per-iteration decode path: every field of the two runs' deep states
+equal, as the oracle's ``per_iteration`` row (``tests/oracle.py``)
+demands — only the fusion counters differ, and the fused run
+processes no more engine events.  The reference runs under
+``oracle.per_iteration``, which patches window planning off so every
+decode iteration is its own engine event.
 """
 
 import pytest
@@ -15,10 +15,9 @@ from repro.core.scheduler import TokenFlowParams
 from repro.experiments.systems import build_system
 from repro.gpu.latency import LatencyModel
 from repro.serving import server
-from repro.serving.metrics import report_fingerprint
 from repro.sim.trace import TraceRecorder
 from repro.workload.request import Request, clone_requests
-from tests.conftest import assert_parity
+from tests.oracle import compare, deep_state, per_iteration
 
 
 def burst(n, prompt=64, output=96, rate=10.0, start=0.0):
@@ -29,6 +28,12 @@ def burst(n, prompt=64, output=96, rate=10.0, start=0.0):
     ]
 
 
+def assert_fused_matches(off, on):
+    """The fused system ``on`` matches the per-iteration ``off``."""
+    compare("per_iteration", deep_state(off, off.report()),
+            deep_state(on, on.report()))
+
+
 def run_system(name, requests, horizon=10_000.0, **kwargs):
     system = build_system(name, **kwargs)
     system.submit(clone_requests(requests))
@@ -36,21 +41,27 @@ def run_system(name, requests, horizon=10_000.0, **kwargs):
     return system
 
 
+def fused_pair(name, requests, **kwargs):
+    """The per-iteration and fused runs of one workload, which match."""
+    with per_iteration():
+        off = run_system(name, requests, **kwargs)
+    on = run_system(name, requests, **kwargs)
+    assert_fused_matches(off, on)
+    return off, on
+
+
 class TestWindowFormation:
-    def test_windows_form_and_events_drop(self, per_iteration):
+    def test_windows_form_and_events_drop(self):
         requests = burst(8, output=192)
         kwargs = dict(hardware="h200", model="llama3-8b",
                       mem_frac=0.1, max_batch=16)
-        with per_iteration():
-            off = run_system("tokenflow", requests, **kwargs)
-        on = run_system("tokenflow", requests, **kwargs)
+        off, on = fused_pair("tokenflow", requests, **kwargs)
         stats = on.report().executor_stats
         assert stats["fused_windows"] > 0
         assert stats["fused_iterations"] > stats["fused_windows"]
         assert on.engine.events_processed < off.engine.events_processed
-        assert_parity(off.report(), on.report())
 
-    def test_off_switch_stays_per_iteration(self, per_iteration):
+    def test_off_switch_stays_per_iteration(self):
         requests = burst(4)
         with per_iteration():
             system = run_system("tokenflow", requests,
@@ -59,12 +70,10 @@ class TestWindowFormation:
         assert stats["fused_windows"] == 0
         assert stats["fused_iterations"] == 0
 
-    def test_iteration_accounting_matches(self, per_iteration):
+    def test_iteration_accounting_matches(self):
         requests = burst(6, output=128)
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
-        with per_iteration():
-            off = run_system("tokenflow", requests, **kwargs)
-        on = run_system("tokenflow", requests, **kwargs)
+        off, on = fused_pair("tokenflow", requests, **kwargs)
         s_off, s_on = off.report().executor_stats, on.report().executor_stats
         for key in ("prefill_iterations", "decode_iterations",
                     "prefill_tokens", "decode_tokens"):
@@ -73,8 +82,7 @@ class TestWindowFormation:
 
 
 class TestTimelineDecimation:
-    def test_capped_timeline_matches_per_iteration(self, per_iteration,
-                                                   monkeypatch):
+    def test_capped_timeline_matches_per_iteration(self, monkeypatch):
         """At the cap the timeline halves and its stride doubles; each
         decimation keeps the doubled stride's phase, so the capped
         timeline is exactly every stride-th sample of the full one, from
@@ -103,34 +111,31 @@ class TestParityAcrossSystems:
     @pytest.mark.parametrize(
         "name", ["sglang", "sglang-chunked", "andes", "mlfq", "tokenflow"]
     )
-    def test_memory_pressure_parity(self, name, per_iteration):
+    def test_memory_pressure_parity(self, name):
         # The golden scenario's shape: a burst that forces admission
         # control, preemption, and resumption under a tiny KV pool.
         requests = burst(16, prompt=96, output=64)
         kwargs = dict(hardware="h200", model="llama3-8b",
                       mem_frac=0.01, max_batch=8)
-        with per_iteration():
-            off = run_system(name, requests, **kwargs)
-        on = run_system(name, requests, **kwargs)
-        assert_parity(off.report(), on.report())
+        fused_pair(name, requests, **kwargs)
 
     @pytest.mark.parametrize(
         "name",
         ["tokenflow-no-offload", "tokenflow-no-writethrough",
          "tokenflow-no-overlap"],
     )
-    def test_ablation_parity(self, name, per_iteration):
+    def test_ablation_parity(self, name):
         requests = burst(12, prompt=96, output=64)
         kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=8)
-        with per_iteration():
-            off = run_system(name, requests, **kwargs)
-        on = run_system(name, requests, **kwargs)
-        assert_parity(off.report(), on.report())
+        fused_pair(name, requests, **kwargs)
 
 
 def traced_tokenflow(requests, **kwargs):
-    """A tokenflow run with an executor trace and a record of every
-    idle-tick certificate: (preempted requests present, answer)."""
+    """The per-iteration run and a fused tokenflow run that matches it,
+    with an executor trace and a record of every idle-tick certificate:
+    (preempted requests present, answer)."""
+    with per_iteration():
+        off = run_system("tokenflow", requests, **kwargs)
     system = build_system("tokenflow", **kwargs)
     system.tracer = TraceRecorder(categories=["executor"])
     certificates = []
@@ -144,48 +149,41 @@ def traced_tokenflow(requests, **kwargs):
     system.scheduler.tick_is_idle = recorded
     system.submit(clone_requests(requests))
     system.run(until=10_000.0)
-    windows = system.tracer.by_event("decode_start")
-    return system, windows, certificates
+    assert_fused_matches(off, system)
+    return off, system, system.tracer.by_event("decode_start"), certificates
 
 
 class TestTickAbsorption:
     """Fused windows run past scheduler ticks the scheduler certifies
     idle and end at a stressed one.  Either way the ticks' bookkeeping
-    must equal the per-iteration run's: ``assert_parity`` compares
+    must equal the per-iteration run's: ``traced_tokenflow`` compares
     ``scheduler_stats`` (scheduling passes, fallback ticks, offload
     counters) exactly."""
 
-    def test_several_idle_ticks_inside_one_window(self, per_iteration):
+    def test_several_idle_ticks_inside_one_window(self):
         requests = burst(2, output=2000)
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8)
-        with per_iteration():
-            off = run_system("tokenflow", requests, **kwargs)
-        on, windows, certificates = traced_tokenflow(requests, **kwargs)
+        off, on, windows, certificates = traced_tokenflow(requests, **kwargs)
         interval = on.scheduler.tick_interval
         assert max(w.fields["duration"] for w in windows) > 4 * interval
         assert certificates and all(idle for _, idle in certificates)
         assert on.scheduler.scheduling_passes > 4
         assert on.engine.events_processed < off.engine.events_processed
-        assert_parity(off.report(), on.report())
 
-    def test_stressed_tick_inside_a_candidate_window(self, per_iteration):
+    def test_stressed_tick_inside_a_candidate_window(self):
         # Preempted requests drain towards critical_buffer_s while the
         # batch decodes: some ticks inside candidate windows find every
         # preempted buffer above the threshold (absorbed), others find
         # one below it (the window ends there and the tick acts).
         requests = burst(16, prompt=96, output=256)
         kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=4)
-        with per_iteration():
-            off = run_system("tokenflow", requests, **kwargs)
-        on, windows, certificates = traced_tokenflow(requests, **kwargs)
+        _, on, windows, certificates = traced_tokenflow(requests, **kwargs)
         assert (True, True) in certificates
         assert (True, False) in certificates
         assert "tick" in {w.fields["cut"] for w in windows}
         assert on.scheduler.active_passes > 0
-        assert_parity(off.report(), on.report())
 
-    def test_boundary_tied_with_an_unqueued_tick(self, per_iteration,
-                                                 monkeypatch):
+    def test_boundary_tied_with_an_unqueued_tick(self, monkeypatch):
         # Dyadic prefill and step times, no scheduling cost and a tick
         # every 16 steps put boundaries exactly on tick instants.  A
         # tick that fires inside a window queues its successor after
@@ -212,20 +210,16 @@ class TestTickAbsorption:
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8,
                       tokenflow_params=TokenFlowParams(
                           tick_interval=0.5, scheduling_cost_s=0.0))
-        with per_iteration():
-            off = run_system("tokenflow", requests, **kwargs)
-        on, windows, certificates = traced_tokenflow(requests, **kwargs)
+        off, on, windows, certificates = traced_tokenflow(requests, **kwargs)
         cuts = {w.fields["cut"] for w in windows}
         assert "tie" in cuts and "tick" not in cuts
         assert certificates and all(idle for _, idle in certificates)
         assert on.engine.events_processed < off.engine.events_processed
-        assert_parity(off.report(), on.report())
 
     @pytest.mark.parametrize("interval,fuses", [
         (0.004, False), (0.0173, True), (0.2, True),
     ])
-    def test_tick_intervals_near_an_iteration(self, interval, fuses,
-                                              per_iteration):
+    def test_tick_intervals_near_an_iteration(self, interval, fuses):
         # Ticks shorter than a decode step (two land inside every
         # iteration, which then stays unfused), about one step apart,
         # and a few steps apart, under preemption pressure so some
@@ -233,21 +227,16 @@ class TestTickAbsorption:
         requests = burst(12, prompt=96, output=160)
         kwargs = dict(hardware="h200", mem_frac=0.01, max_batch=4,
                       tokenflow_params=TokenFlowParams(tick_interval=interval))
-        with per_iteration():
-            off = run_system("tokenflow", requests, **kwargs)
-        on = run_system("tokenflow", requests, **kwargs)
+        off, on = fused_pair("tokenflow", requests, **kwargs)
         assert (on.report().executor_stats["fused_windows"] > 0) == fuses
-        assert_parity(off.report(), on.report())
 
 
 class TestParityEdgeCases:
-    def test_token_traces_bit_identical(self, per_iteration):
+    def test_token_traces_bit_identical(self):
         requests = burst(4, output=64)
         kwargs = dict(hardware="h200", mem_frac=0.1, max_batch=8,
                       record_token_traces=True)
-        with per_iteration():
-            off = run_system("tokenflow", requests, **kwargs)
-        on = run_system("tokenflow", requests, **kwargs)
+        off, on = fused_pair("tokenflow", requests, **kwargs)
         for req_id in range(4):
             b_off = off.tracker.get(req_id).buffer
             b_on = on.tracker.get(req_id).buffer
@@ -259,7 +248,7 @@ class TestParityEdgeCases:
             assert (r_on.generated, r_on.ttft) == (r_off.generated, r_off.ttft)
             assert b_on._last_gen == b_off._last_gen
 
-    def test_in_flight_transfer_blocks_fusion(self, per_iteration):
+    def test_in_flight_transfer_blocks_fusion(self):
         # A d2h transfer occupying the link past the window (an
         # eviction in flight) must bypass fusion even when the dirty
         # backlog is empty: the per-iteration drains inside such a
@@ -317,13 +306,9 @@ class TestParityEdgeCases:
         # copies advance through the busy window while the real drains
         # sync nothing.
         assert series_on == series_off
-        r_off, r_on = off.report(), on.report()
-        assert_parity(r_off, r_on)
-        assert r_on.kv_stats["write_through_bytes"] == pytest.approx(
-            r_off.kv_stats["write_through_bytes"], rel=1e-9
-        )
+        assert_fused_matches(off, on)
 
-    def test_until_stepping_parity(self, per_iteration):
+    def test_until_stepping_parity(self):
         # Driving the engine in run(until=...) increments must match a
         # single drain: windows cap at the run bound so no iteration
         # completing after `until` is applied early.
@@ -342,20 +327,11 @@ class TestParityEdgeCases:
 
         with per_iteration():
             unfused = run_system("tokenflow", requests, **kwargs)
-        assert_parity(unfused.report(), one_shot.report())
-        assert_parity(unfused.report(), stepped.report())
+        assert_fused_matches(unfused, one_shot)
+        assert_fused_matches(unfused, stepped)
 
 
 # --- a dispatch landing inside a window -------------------------------------
-
-def exact_state(report):
-    """Everything a report shows, bar the fusion counters, for exact
-    comparison with the per-iteration run."""
-    executor = {key: value for key, value in report.executor_stats.items()
-                if not key.startswith("fused_")}
-    return (repr(report_fingerprint(report)), executor, report.scheduler_stats,
-            report.kv_stats, list(report.timeline))
-
 
 class TestDispatchCut:
     """A cluster dispatch lands on a replica whose fused window was
@@ -393,11 +369,11 @@ class TestDispatchCut:
         assert window.k > 300 and len(window.tick_marks) >= 3
         return window.record.time, list(window.times), list(window.tick_marks)
 
-    def check(self, t, per_iteration):
+    def check(self, t):
         with per_iteration():
             reference, _, _ = self.landing(t)
         system, before, after = self.landing(t)
-        assert exact_state(system.report()) == exact_state(reference.report())
+        assert_fused_matches(reference, system)
         decodes = system.tracer.by_event("decode_start")
         assert sum(r.fields["iterations"] for r in decodes) == (
             system.report().executor_stats["decode_iterations"])
@@ -405,45 +381,42 @@ class TestDispatchCut:
             system.report().executor_stats["fused_windows"])
         return before, after
 
-    def test_strictly_inside_an_iteration(self, per_iteration):
+    def test_strictly_inside_an_iteration(self):
         _, times, _ = self.window()
-        before, after = self.check((times[9] + times[10]) / 2, per_iteration)
+        before, after = self.check((times[9] + times[10]) / 2)
         assert after[0] == 11 < before and after[2] == "dispatch"
 
-    def test_exactly_on_a_boundary(self, per_iteration):
+    def test_exactly_on_a_boundary(self):
         # The completion at a boundary equal to t was scheduled before
         # the arrival, so it fires first: the next boundary sees it.
         _, times, _ = self.window()
-        before, after = self.check(times[9], per_iteration)
+        before, after = self.check(times[9])
         assert after[0] == 11 < before and after[2] == "dispatch"
 
-    def test_inside_the_last_iteration(self, per_iteration):
+    def test_inside_the_last_iteration(self):
         _, times, _ = self.window()
-        before, after = self.check((times[-2] + times[-1]) / 2, per_iteration)
+        before, after = self.check((times[-2] + times[-1]) / 2)
         assert after[0] == before and after[2] != "dispatch"
 
-    def test_before_the_first_boundary(self, per_iteration):
+    def test_before_the_first_boundary(self):
         start, times, _ = self.window()
-        before, after = self.check((start + times[0]) / 2, per_iteration)
+        before, after = self.check((start + times[0]) / 2)
         assert before > 1 and after[0] == 1
 
-    def test_idle_tick_absorbed_before_the_landing(self, per_iteration):
+    def test_idle_tick_absorbed_before_the_landing(self):
         _, times, marks = self.window()
         m = marks[0]
-        _, after = self.check((times[m + 5] + times[m + 6]) / 2,
-                                   per_iteration)
+        _, after = self.check((times[m + 5] + times[m + 6]) / 2)
         assert after[:2] == (m + 7, [m])
 
-    def test_idle_tick_after_the_landing(self, per_iteration):
+    def test_idle_tick_after_the_landing(self):
         _, times, marks = self.window()
         m = marks[1]
-        _, after = self.check((times[m - 3] + times[m - 2]) / 2,
-                                   per_iteration)
+        _, after = self.check((times[m - 3] + times[m - 2]) / 2)
         assert after[:2] == (m - 1, [marks[0]])
 
-    def test_tick_due_on_the_new_last_boundary(self, per_iteration):
+    def test_tick_due_on_the_new_last_boundary(self):
         _, times, marks = self.window()
         m = marks[0]
-        _, after = self.check((times[m - 1] + times[m]) / 2,
-                                   per_iteration)
+        _, after = self.check((times[m - 1] + times[m]) / 2)
         assert after[:2] == (m + 1, [m])

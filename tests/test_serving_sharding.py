@@ -12,33 +12,22 @@ run through other replicas' dispatches, and a dispatch that lands on
 it cuts its window; those runs are also compared exactly with the
 per-iteration run.
 
-The reference is ``classic_cluster_digests.json``: deep-fingerprint
-digests recorded from the shared-engine cluster this coordinator
-replaced, one per router × workload × seed × intake path, and
-re-frozen three times: when the prefix-sharing block table became the
-only KV allocator (only ``kv_stats`` moved), when fused decode windows
-began running through idle scheduler ticks, and when ``round_robin``
-and ``least_queued`` windows began running through other replicas'
-dispatches (both times only the executor's ``fused_windows`` /
-``fused_iterations`` moved).  Every run here must reproduce its
-frozen digest.
-
-Fingerprints round floats to 12 significant digits before hashing, so
-a last-bit SIMD difference on another CPU cannot flake a digest, and
-compare ``repr`` text, so instances that routed zero requests (NaN
-latency fields) still compare equal.
+The oracle's ``shards``, ``transport``, ``streamed`` and
+``per_iteration`` rows (``tests/oracle.py``) compare those runs field
+by field, and each must reproduce its frozen digest
+(``classic_cluster_digests.json``, ``oracle.deep_fp``): the
+shared-engine cluster this coordinator replaced, one per router ×
+workload × seed × intake, re-frozen only where ``kv_stats`` (the
+prefix-sharing block table) or the fusion counters (windows through
+idle ticks and dispatches) moved.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
-import numbers
 import os
 import pickle
 import time
-from pathlib import Path
 
 import pytest
 
@@ -49,104 +38,19 @@ from repro.serving.metrics import report_fingerprint
 from repro.serving import shard
 from repro.serving.routers import ROUTERS, LeastQueuedRouter, Router, make_router
 from repro.serving.shard import ShardedServingCluster
-from repro.workload.request import Request
 from tests.conftest import homogeneous_cluster
+from tests.oracle import (DIRECT, FROZEN, PLAIN, SMALL, Cell, check, deep_fp,
+                          frozen_registry, outcome)
+from tests.oracle import direct_requests as _requests
 
-# Registry cluster scenarios with a scale that keeps each run small
-# enough for an exhaustive sweep (the soak scenario runs 64 replicas,
-# so it gets the tiniest workload slice).
-CLUSTER_SCENARIOS = {
-    "cluster-burst-4x": 0.25,
-    "bursty-sessions": 0.25,
-    "cluster-soak-64x": 0.02,
-}
+# Registry cluster scenarios at scales small enough for an exhaustive sweep.
+CLUSTER_SCENARIOS = {n: SMALL[n] for n in ("cluster-burst-4x", "bursty-sessions",
+                                           "cluster-soak-64x")}
 
 ALL_ROUTERS = sorted(ROUTERS)
 
-# Every configuration a frozen digest must hold under: (shards, transport).
-LAYOUTS = ((1, "inline"), (2, "inline"), (4, "inline"), (2, "process"))
-
-FROZEN = json.loads(
-    (Path(__file__).resolve().parent / "classic_cluster_digests.json").read_text()
-)
-
-
-# --- fingerprint helpers -----------------------------------------------------
-
-def _rounded(value):
-    """``value`` with floats at 12 significant digits, containers as lists."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    if isinstance(value, numbers.Integral):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_rounded(item) for item in value]
-    if isinstance(value, dict):
-        return [_rounded(item) for item in sorted(value.items())]
-    return value
-
-
-def deep_fp(target, report) -> str:
-    """SHA-256 of everything observable from one cluster run.
-
-    Covers the aggregate fingerprint, each instance's full fingerprint
-    plus executor/kv/scheduler stats, timeline and preemptions, and the
-    routing record (placements + per-instance counts).
-    """
-    per = [
-        (
-            report_fingerprint(r),
-            sorted(r.executor_stats.items()),
-            sorted(r.kv_stats.items()),
-            sorted(r.scheduler_stats.items()),
-            list(r.timeline),
-            r.preemptions,
-        )
-        for r in report.per_instance
-    ]
-    state = (
-        report_fingerprint(report.aggregate),
-        per,
-        sorted(target.placements.items()),
-        target.placement_counts(),
-    )
-    return hashlib.sha256(repr(_rounded(state)).encode()).hexdigest()
-
-
-def frozen_registry(name, scale, router, seed, streamed) -> str:
-    intake = "feed" if streamed else "submit"
-    return FROZEN["registry"][f"{name}@{scale}/{router}/seed{seed}/{intake}"]
-
-
-def run_registry(name, *, scale, seed, router, shards=1,
-                 transport="inline", streamed=False):
-    """Build and execute one registry scenario; return (target, fingerprint)."""
-    spec = get_scenario(name, scale=scale, seed=seed, router=router,
-                        shards=shards)
-    run = build_run(spec)
-    run.target.transport = transport
-    report = run.execute(streamed=streamed)
-    return run.target, deep_fp(run.target, report)
-
 
 # --- direct-API helpers ------------------------------------------------------
-
-def _requests(n=48):
-    """Deterministic synthetic arrivals (already ordered for ``feed``)."""
-    return [
-        Request(
-            req_id=i,
-            arrival_time=0.03 * i,
-            prompt_len=64 + (i * 13) % 96,
-            output_len=32 + (i * 7) % 64,
-            rate=20.0,
-            session_id=i % 5,
-        )
-        for i in range(n)
-    ]
-
 
 def _cluster(n=4, router="least_loaded", shards=2, transport="inline"):
     return homogeneous_cluster(
@@ -156,20 +60,11 @@ def _cluster(n=4, router="least_loaded", shards=2, transport="inline"):
     )
 
 
-def _run(router="least_loaded", shards=2, transport="inline", until=None,
-         via_feed=False):
+def _run(router="least_loaded", shards=2, transport="inline", until=None):
     cluster = _cluster(router=router, shards=shards, transport=transport)
-    if via_feed:
-        cluster.feed(iter(_requests()))
-    else:
-        cluster.submit(_requests())
+    cluster.submit(_requests())
     cluster.run(until=until)
     return cluster
-
-
-def _fp(**kwargs):
-    cluster = _run(**kwargs)
-    return deep_fp(cluster, cluster.report())
 
 
 # --- fast lane: direct API ---------------------------------------------------
@@ -177,37 +72,26 @@ def _fp(**kwargs):
 @pytest.mark.parametrize("router", ALL_ROUTERS)
 def test_inline_parity_every_router(router):
     """K ∈ {1, 2, 4} inline shards reproduce the frozen run bit-for-bit."""
-    for shards in (1, 2, 4):
-        assert _fp(router=router, shards=shards) == FROZEN["direct"][router], (
-            f"router={router} shards={shards}"
-        )
+    check("shards", Cell(DIRECT, router=router))
 
 
 def test_shard_count_invariance():
     """A registry scenario gives one answer at K ∈ {1, 2, 4}."""
-    want = frozen_registry("cluster-burst-4x", 0.25, "least_loaded", 0, False)
-    for shards in (1, 2, 4):
-        _, fp = run_registry("cluster-burst-4x", scale=0.25, seed=0,
-                             router="least_loaded", shards=shards)
-        assert fp == want, f"shards={shards}"
+    check("shards", Cell("cluster-burst-4x", 0.25, 0, "least_loaded"))
 
 
 def test_process_transport_parity():
     """Real worker processes: state crosses pickling boundaries intact."""
-    assert _fp(router="least_loaded", shards=2,
-               transport="process") == FROZEN["direct"]["least_loaded"]
+    check("transport", Cell(DIRECT, router="least_loaded"), PLAIN.but(shards=2))
 
 
 def test_process_transport_stateless_router():
     """round_robin exercises the buffered (non-pausing) fast path."""
-    assert _fp(router="round_robin", shards=2,
-               transport="process") == FROZEN["direct"]["round_robin"]
+    check("transport", Cell(DIRECT, router="round_robin"), PLAIN.but(shards=2))
 
 
 def test_feed_matches_submit():
-    want = FROZEN["direct"]["least_queued"]
-    assert _fp(router="least_queued", via_feed=True) == want
-    assert _fp(router="least_queued", via_feed=False) == want
+    check("streamed", Cell(DIRECT, router="least_queued"), PLAIN.but(shards=2))
 
 
 def test_horizon_truncation_matches_classic():
@@ -322,10 +206,8 @@ def test_sharded_cells_inside_matrix_workers():
 
 def test_registry_parity_process_transport():
     """One registry scenario end-to-end through real worker processes."""
-    _, fp = run_registry("cluster-burst-4x", scale=0.25, seed=0,
-                         router="least_loaded", shards=2, transport="process")
-    assert fp == frozen_registry("cluster-burst-4x", 0.25, "least_loaded", 0,
-                                 False)
+    check("transport", Cell("cluster-burst-4x", 0.25, 0, "least_loaded"),
+          PLAIN.but(shards=2))
 
 
 # --- fault injection ---------------------------------------------------------
@@ -351,8 +233,8 @@ def test_dead_worker_fails_the_run_fast():
     with pytest.raises(RuntimeError, match="died"):
         cluster.run()
     assert time.monotonic() - t0 < 10.0
-    assert _fp(router="least_loaded", shards=2,
-               transport="process") == FROZEN["direct"]["least_loaded"]
+    cluster = _run(router="least_loaded", shards=2, transport="process")
+    assert deep_fp(cluster, cluster.report()) == FROZEN["direct"]["least_loaded"]
 
 
 # --- slow lane: exhaustive registry sweep ------------------------------------
@@ -362,20 +244,14 @@ def test_dead_worker_fails_the_run_fast():
 @pytest.mark.parametrize("router", ALL_ROUTERS)
 @pytest.mark.parametrize("name", sorted(CLUSTER_SCENARIOS))
 def test_registry_sweep_bit_identical(name, router, seed):
-    """Scenarios × routers × seeds × {submit, feed} × layouts: every run
-    reproduces its frozen digest."""
-    scale = CLUSTER_SCENARIOS[name]
+    """Scenarios × routers × seeds × {submit, feed} × K ∈ {1, 2, 4}
+    inline and K = 2 on worker processes: every run reproduces its
+    frozen digest."""
+    cell = Cell(name, CLUSTER_SCENARIOS[name], seed, router)
+    check("streamed", cell)
     for streamed in (False, True):
-        want = frozen_registry(name, scale, router, seed, streamed)
-        for shards, transport in LAYOUTS:
-            _, fp = run_registry(
-                name, scale=scale, seed=seed, router=router, shards=shards,
-                transport=transport, streamed=streamed,
-            )
-            assert fp == want, (
-                f"{name} router={router} seed={seed} streamed={streamed} "
-                f"shards={shards} transport={transport}"
-            )
+        check("shards", cell, PLAIN.but(streamed=streamed))
+        check("transport", cell, PLAIN.but(shards=2, streamed=streamed))
 
 
 @pytest.mark.slow
@@ -383,26 +259,14 @@ def test_registry_sweep_bit_identical(name, router, seed):
 def test_registry_shard_count_invariance(name):
     """The extreme partition (one replica per shard) gives the frozen
     answer and processes exactly the events one shard does."""
-    scale = CLUSTER_SCENARIOS[name]
-    router = get_scenario(name, scale=scale).router
-    want = frozen_registry(name, scale, router, 0, False)
-    one, fp = run_registry(name, scale=scale, seed=0, router=router)
-    assert fp == want
-    replicas = get_scenario(name, scale=scale).replicas
-    split, fp = run_registry(name, scale=scale, seed=0, router=router,
-                             shards=replicas)
-    assert fp == want
-    assert sum(split.shard_events) == sum(one.shard_events)
+    check("one_per_shard", Cell(name, CLUSTER_SCENARIOS[name]))
 
 
 @pytest.mark.slow
 def test_soak_process_transport_parity():
     """64 replicas over 4 real worker processes, round_robin fast path."""
-    _, fp = run_registry("cluster-soak-64x", scale=0.02, seed=0,
-                         router="round_robin", shards=4, transport="process",
-                         streamed=True)
-    assert fp == frozen_registry("cluster-soak-64x", 0.02, "round_robin", 0,
-                                 True)
+    check("transport", Cell("cluster-soak-64x", 0.02, 0, "round_robin"),
+          PLAIN.but(shards=4, streamed=True))
 
 
 # --- windows through other replicas' dispatches ------------------------------
@@ -412,38 +276,13 @@ def test_soak_process_transport_parity():
 # lands on it cuts the window at the first boundary after the arrival.
 # The per-iteration run is the reference, compared exactly.
 
-def _instance_states(report):
-    return [
-        (repr(report_fingerprint(r)), r.scheduler_stats, r.kv_stats,
-         list(r.timeline))
-        for r in report.per_instance
-    ]
-
-
-def _cut_cells(router, shards):
-    """Reports of the direct cluster and of a small soak cell."""
-    direct = _run(router=router, shards=shards).report()
-    spec = get_scenario("cluster-soak-64x", scale=0.02, seed=0,
-                        router=router, shards=shards)
-    run = build_run(spec)
-    run.target.transport = "inline"
-    soak = run.execute(streamed=True)
-    return direct, soak
-
-
 @pytest.mark.parametrize("shards", [1, 2])
 @pytest.mark.parametrize("router", ["round_robin", "least_queued"])
-def test_windows_span_dispatches_exactly(router, shards, per_iteration):
+def test_windows_span_dispatches_exactly(router, shards):
     assert make_router(router).windows_span_dispatches
-    with per_iteration():
-        reference = _cut_cells(router, shards)
-    fused = _cut_cells(router, shards)
-    for ref, run in zip(reference, fused):
-        assert _instance_states(run) == _instance_states(ref)
-        assert sum(r.executor_stats["fused_windows"]
-                   for r in run.per_instance) > 0
-        assert ([r.executor_stats["decode_iterations"] for r in run.per_instance]
-                == [r.executor_stats["decode_iterations"] for r in ref.per_instance])
+    for cell in (Cell(DIRECT, router=router),
+                 Cell("cluster-soak-64x", 0.02, 0, router)):
+        check("per_iteration", cell, PLAIN.but(shards=shards))
 
 
 def test_ladder_routers_keep_the_dispatch_horizon():
@@ -598,31 +437,26 @@ def test_handle_message_rejects_unsent_kinds(msg):
 def test_soak_least_loaded_speculation_process_parity():
     """64 replicas, least_loaded, 4 real worker processes: the frozen
     answer, with the mirror resolving arrivals."""
-    target, fp = run_registry(
-        "cluster-soak-64x", scale=0.02, seed=0, router="least_loaded",
-        shards=4, transport="process", streamed=True,
-    )
-    assert fp == frozen_registry("cluster-soak-64x", 0.02, "least_loaded", 0,
-                                 True)
-    assert target.speculation_hits > 0
+    cell = Cell("cluster-soak-64x", 0.02, 0, "least_loaded")
+    setting = PLAIN.but(shards=4, streamed=True)
+    check("transport", cell, setting)
+    assert outcome(cell, setting).state["coordination.speculation_hits"] > 0
 
 
 @pytest.mark.slow
 def test_soak_least_loaded_round_budget():
     """The soak acceptance point: least_loaded over K=4 at scale 0.25
     takes exactly 162 rounds and 1174 messages for 1600 arrivals."""
-    target, fp = run_registry(
-        "cluster-soak-64x", scale=0.25, seed=0, router="least_loaded",
-        shards=4, streamed=True,
-    )
-    assert fp == frozen_registry("cluster-soak-64x", 0.25, "least_loaded", 0,
-                                 True)
-    report = target.report()
-    assert report.n_requests == 1600
-    assert report.coordination_rounds == 162
-    assert report.messages_sent == 1174
-    assert report.coordination_rounds + report.speculation_hits == 1600
-    assert report.speculation_misses == 0
+    run = outcome(Cell("cluster-soak-64x", 0.25, 0, "least_loaded"),
+                  PLAIN.but(shards=4))
+    assert run.digest == frozen_registry("cluster-soak-64x", 0.25,
+                                         "least_loaded", 0, True)
+    state = run.state
+    assert state["metrics.n_requests"] == 1600
+    assert state["coordination.coordination_rounds"] == 162
+    assert state["coordination.messages_sent"] == 1174
+    assert state["coordination.speculation_hits"] == 1600 - 162
+    assert state["coordination.speculation_misses"] == 0
 
 
 # --- per-shard streaming telemetry (O(active) reports) -----------------------

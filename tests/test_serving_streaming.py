@@ -5,16 +5,16 @@ Two independent guarantees are pinned here:
 1. **Arrival-path parity** — driving a run through
    ``ServingSystem.feed(stream)`` / ``ShardedServingCluster.feed(stream)`` is
    *event-for-event identical* to the materialised ``submit(list)``
-   path: same engine event count, bit-identical
-   :func:`report_fingerprint` (every aggregate and every per-request
-   float), for every registry scenario (fast subset here, the full
+   path: the oracle's ``streamed`` row (``tests/oracle.py``) compares
+   every field of the two runs exactly, engine events and placements
+   included, for every registry scenario (fast subset here, the full
    sweep in the slow marker).
 2. **Streaming telemetry** — with ``retain_per_request=False`` the
    tracker retires finished requests into
-   :class:`StreamingRunStats`; exact aggregates (counts, sums, QoS,
-   means) match the retained report to float tolerance, percentile
-   sketches stay within their error envelope, and no O(total)
-   structure survives the run.
+   :class:`StreamingRunStats`; the oracle's ``retain_per_request`` row
+   bounds how far its aggregates and percentile sketches may stray
+   from the retained report, and no O(total) structure survives the
+   run.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from repro.serving.metrics import (
     QuantileSketch,
     StreamingRunStats,
     aggregate_reports,
-    report_fingerprint,
 )
 from repro.workload.request import clone_requests
-from tests.conftest import events_processed
+from tests.oracle import PLAIN, Cell, check, outcome
 
 FAST_PARITY_SCENARIOS = [
     ("table1-h200-a", 0.1),        # burst, fusion-heavy
@@ -42,49 +41,32 @@ FAST_PARITY_SCENARIOS = [
 ]
 
 
-def run_pair(name, scale, seed=0):
-    """One scenario executed via submit() and via feed()."""
-    submitted = build_run(get_scenario(name, scale=scale, seed=seed))
-    report_a = submitted.execute(streamed=False)
-    streamed = build_run(get_scenario(name, scale=scale, seed=seed))
-    report_b = streamed.execute(streamed=True)
-    return submitted, report_a, streamed, report_b
-
-
-def flatten(run, report):
-    """Single-node RunReport, or the cluster per-instance fold."""
-    if run.is_cluster:
-        return aggregate_reports(report.per_instance)
-    return report
+def states(cell, knob, settings=(False, True)):
+    """``cell``'s memoised deep states with ``knob`` at each setting."""
+    return [outcome(cell, PLAIN.but(**{knob: v})).state for v in settings]
 
 
 class TestFeedSubmitParity:
     @pytest.mark.parametrize("name,scale", FAST_PARITY_SCENARIOS)
     def test_bit_identical_reports(self, name, scale):
-        run_a, rep_a, run_b, rep_b = run_pair(name, scale)
-        assert report_fingerprint(flatten(run_a, rep_a)) == report_fingerprint(
-            flatten(run_b, rep_b)
-        )
+        check("streamed", Cell(name, scale))
 
     @pytest.mark.parametrize("name,scale", FAST_PARITY_SCENARIOS)
     def test_same_event_count(self, name, scale):
         # The self-refilling arrival chain adds no events: each arrival
         # pops its successor inside its own event.
-        run_a, _, run_b, _ = run_pair(name, scale)
-        assert events_processed(run_a.target) == events_processed(run_b.target)
+        submitted, streamed = states(Cell(name, scale), "streamed")
+        assert submitted["events"] == streamed["events"]
 
     def test_cluster_placements_identical(self):
-        run_a, _, run_b, _ = run_pair("cluster-burst-4x", 0.25)
-        assert run_a.target.placements == run_b.target.placements
-        assert run_a.target.placement_counts() == run_b.target.placement_counts()
+        submitted, streamed = states(Cell("cluster-burst-4x", 0.25), "streamed")
+        for key in ("placements", "placement_counts"):
+            assert submitted[key] == streamed[key]
 
-    def test_unfused_parity(self, per_iteration):
+    def test_unfused_parity(self):
         # The parity must not depend on the fusion plane being on.
-        spec = get_scenario("table1-h200-a", scale=0.1)
-        with per_iteration():
-            rep_a = build_run(spec).execute(streamed=False)
-            rep_b = build_run(spec).execute(streamed=True)
-        assert report_fingerprint(rep_a) == report_fingerprint(rep_b)
+        check("streamed", Cell("table1-h200-a", 0.1),
+              PLAIN.but(per_iteration=True))
 
     def test_feed_rejects_unordered_stream(self):
         from tests.conftest import make_request
@@ -131,56 +113,28 @@ class TestFeedSubmitParity:
 class TestFeedSubmitParityFullRegistry:
     @pytest.mark.parametrize("name", scenario_names())
     def test_every_registry_scenario(self, name):
-        scale = 0.02 if name.startswith("soak") else 0.1
-        spec = get_scenario(name, scale=scale)
-        if spec.is_stream_native:
-            # Stream-native soaks: parity is submit(materialised list)
-            # vs the native stream factory.
-            requests = spec.build_workload()
-            run_a = build_run(spec, requests=requests)
-            rep_a = run_a.execute(streamed=False)
-            run_b = build_run(spec)
-            rep_b = run_b.execute(streamed=True)
-        else:
-            run_a, rep_a, run_b, rep_b = run_pair(name, scale)
-        assert report_fingerprint(flatten(run_a, rep_a)) == report_fingerprint(
-            flatten(run_b, rep_b)
-        )
+        check("streamed", Cell(name, 0.02 if name.startswith("soak") else 0.1))
 
 
 class TestStreamingTelemetry:
     @pytest.fixture(scope="class")
-    def reports(self):
+    def streaming(self):
         spec = get_scenario("table1-rtx4090-c", scale=0.25)
-        retained = build_run(spec).execute()
-        streaming = build_run(spec.with_overrides(retain_per_request=False)).execute()
-        return retained, streaming
+        return build_run(spec.with_overrides(retain_per_request=False)).execute()
 
-    def test_exact_aggregates_match(self, reports):
-        retained, streaming = reports
-        assert streaming.n_requests == retained.n_requests
-        assert streaming.n_finished == retained.n_finished
-        assert streaming.total_tokens == retained.total_tokens
-        assert streaming.preemptions == retained.preemptions
-        assert streaming.makespan == retained.makespan
-        for attr in ("throughput", "effective_throughput", "qos",
-                     "ttft_mean", "stall_total", "stall_mean"):
-            assert getattr(streaming, attr) == pytest.approx(
-                getattr(retained, attr), rel=1e-9
-            ), attr
+    def test_exact_aggregates_match(self):
+        check("retain_per_request", Cell("table1-rtx4090-c", 0.25))
 
-    def test_percentiles_within_sketch_envelope(self, reports):
-        retained, streaming = reports
+    def test_percentiles_within_sketch_envelope(self):
         # The sketch approximates the order statistic itself (no
         # interpolation); allow the bucket error plus one order-stat
         # step at this sample size.
-        for attr in ("ttft_p50", "ttft_p99"):
-            exact = getattr(retained, attr)
-            approx = getattr(streaming, attr)
-            assert approx == pytest.approx(exact, rel=0.15), attr
+        retained, streaming = states(Cell("table1-rtx4090-c", 0.25), "retain",
+                                     (True, False))
+        for key in ("metrics.ttft_p50", "metrics.ttft_p99"):
+            assert math.isclose(streaming[key], retained[key], rel_tol=0.15), key
 
-    def test_streaming_report_shape(self, reports):
-        _, streaming = reports
+    def test_streaming_report_shape(self, streaming):
         assert streaming.stream_stats is not None
         assert streaming.per_request == []
         assert streaming.stream_stats.n_requests == streaming.n_requests
@@ -195,8 +149,7 @@ class TestStreamingTelemetry:
         assert report.n_finished == report.n_requests
         assert len(run.target.tracker) == 0
 
-    def test_summary_row_renders(self, reports):
-        _, streaming = reports
+    def test_summary_row_renders(self, streaming):
         row = streaming.summary_row()
         assert len(row) == len(type(streaming).summary_headers())
 

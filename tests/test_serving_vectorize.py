@@ -1,16 +1,17 @@
 """Fast-lane parity tests for the decode path.
 
 A handful of registry cells covering memory pressure, consumer
-heterogeneity, clustering, and session callbacks: the default run
-(fused windows through the struct-of-arrays batch plane) and the
-per-iteration run (every decode window one iteration, delivered by
-``deliver_batch``'s reference path) each reproduce the frozen scalar
-decode reference (``scalar_decode_reference.json``) — metrics to rel
-1e-9 and the single-node timeline exactly.  The full registry sweep
-lives in ``test_property_vectorize.py`` (slow lane).  ``deliver_batch``
-is also checked directly against ``RequestTracker.deliver_tokens``:
-its reference path (small windows) state for state, its array kernel
-(large windows) with exact counts and floats to rel 1e-9.
+heterogeneity, clustering, and session callbacks: the oracle's
+``per_iteration`` row (``tests/oracle.py``) compares the default run
+(fused windows through the struct-of-arrays batch plane) exactly with
+the per-iteration run (``deliver_batch``'s reference path), which
+must reproduce the frozen scalar decode reference
+(``scalar_decode_reference.json``).  The full registry sweep is in the
+slow lane (``test_property_fusion.py``, ``test_property_vectorize.py``).
+``deliver_batch`` is also checked directly against
+``RequestTracker.deliver_tokens``: its reference path (small windows)
+state for state, its array kernel (large windows) with exact counts
+and floats to rel 1e-9.
 """
 
 import itertools
@@ -22,17 +23,16 @@ from hypothesis import example, given, settings
 
 from repro.client.buffer import ClientBuffer
 from repro.core.tracker import RequestTracker
-from repro.scenarios import build_run, get_scenario
 from repro.serving import batchstate
 from repro.serving.batchstate import deliver_batch
 from repro.workload.request import Request
-from tests.conftest import assert_matches_scalar_reference, occupancy_at_generation
+from tests.conftest import occupancy_at_generation
+from tests.oracle import Cell, check
 
 # One cell per workload family, scaled for the fast lane: Table 1
 # burst cells on both hardware targets, a multi-replica cluster
 # (routing + per-node decode), and multi-turn sessions (finish
-# callbacks fire mid-run).  Clusters run their shards inline, so the
-# per-iteration patch reaches every replica.
+# callbacks fire mid-run).
 FAST_PARITY_SCENARIOS = [
     ("table1-h200-a", 0.10),
     ("table1-rtx4090-c", 0.25),
@@ -42,12 +42,8 @@ FAST_PARITY_SCENARIOS = [
 
 
 @pytest.mark.parametrize("name,scale", FAST_PARITY_SCENARIOS)
-def test_fast_parity(name, scale, per_iteration):
-    spec = get_scenario(name, scale=scale, seed=0, shards=1)
-    with per_iteration():
-        unfused = build_run(spec).execute()
-    assert_matches_scalar_reference(unfused, name, scale, 0)
-    assert_matches_scalar_reference(build_run(spec).execute(), name, scale, 0)
+def test_fast_parity(name, scale):
+    check("per_iteration", Cell(name, scale))
 
 
 class TestDeliverBatchEdges:
